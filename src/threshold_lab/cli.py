@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .bayes_evidence import BetaPrior, evidence_at_threshold, posterior_h0
@@ -28,6 +27,7 @@ from .sweep_report import (
     DEFAULT_ALPHAS,
     DEFAULT_N_VALUES,
     SweepGrid,
+    dump_json,
     emit,
     find_crossing,
     run_sweep,
@@ -35,15 +35,8 @@ from .sweep_report import (
 
 __all__ = ["parse_and_dispatch", "main"]
 
-THREADS_ENV_VAR = "THRESHOLD_LAB_THREADS"
-
 _MODES = {"nearest": SelectionMode.NEAREST_TO_ALPHA, "strict": SelectionMode.STRICT_AT_MOST_ALPHA}
 _TAILS = {"two": TailConvention.TWO_SIDED_SYMMETRIC, "one": TailConvention.ONE_SIDED_UPPER}
-
-
-def _q(x: float) -> float:
-    # match the sweep serializers: 12 significant digits
-    return float("%.12g" % x)
 
 
 def _probability(text: str) -> float:
@@ -125,8 +118,7 @@ def _add_prior_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _emit_json(obj) -> int:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    dump_json(obj, sys.stdout)
     return 0
 
 
@@ -136,14 +128,14 @@ def _cmd_posterior(args: argparse.Namespace) -> int:
     return _emit_json({
         "n": args.n,
         "s": args.s,
-        "prior_a": _q(args.prior_a),
-        "prior_b": _q(args.prior_b),
-        "pi0": _q(args.pi0),
-        "log_l0": _q(report.log_l0),
-        "log_l1": _q(report.log_l1),
-        "bf01": _q(report.bf01),
-        "posterior_h0": _q(report.posterior_h0),
-        "posterior_odds_h1": _q(report.posterior_odds_h1),
+        "prior_a": args.prior_a,
+        "prior_b": args.prior_b,
+        "pi0": args.pi0,
+        "log_l0": report.log_l0,
+        "log_l1": report.log_l1,
+        "bf01": report.bf01,
+        "posterior_h0": report.posterior_h0,
+        "posterior_odds_h1": report.posterior_odds_h1,
     })
 
 
@@ -151,11 +143,11 @@ def _cmd_critical(args: argparse.Namespace) -> int:
     s, p_achieved = select_barely_significant(args.n, args.alpha, _MODES[args.mode], _TAILS[args.tail])
     return _emit_json({
         "n": args.n,
-        "alpha": _q(args.alpha),
+        "alpha": args.alpha,
         "mode": args.mode,
         "tail": args.tail,
         "s": s,
-        "p_achieved": _q(p_achieved),
+        "p_achieved": p_achieved,
     })
 
 
@@ -171,19 +163,6 @@ def _load_grid_file(path: str) -> tuple[int, ...]:
     return tuple(payload)
 
 
-def _sweep_workers() -> int | None:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {raw!r}")
-    return value
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
     n_values = _load_grid_file(args.grid) if args.grid else DEFAULT_N_VALUES
     grid = SweepGrid(
@@ -193,7 +172,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         tail=_TAILS[args.tail],
         prior=BetaPrior(args.prior_a, args.prior_b),
     )
-    rows = run_sweep(grid, max_workers=_sweep_workers())
+    rows = run_sweep(grid)
     emit(rows, args.format, args.out if args.out is not None else sys.stdout)
     return 0
 
@@ -202,8 +181,8 @@ def _cmd_crossing(args: argparse.Namespace) -> int:
     n = find_crossing(args.alpha, args.level, _MODES[args.mode], _TAILS[args.tail],
                       BetaPrior(args.prior_a, args.prior_b), args.n_max)
     return _emit_json({
-        "alpha": _q(args.alpha),
-        "level": _q(args.level),
+        "alpha": args.alpha,
+        "level": args.level,
         "mode": args.mode,
         "tail": args.tail,
         "n_max": args.n_max,
@@ -214,9 +193,9 @@ def _cmd_crossing(args: argparse.Namespace) -> int:
 def _cmd_prep(args: argparse.Namespace) -> int:
     report = p_rep(args.p)
     return _emit_json({
-        "p_in": _q(report.p_in),
-        "p_rep": _q(report.p_rep),
-        "failure_prob": _q(report.failure_prob),
+        "p_in": report.p_in,
+        "p_rep": report.p_rep,
+        "failure_prob": report.failure_prob,
     })
 
 
@@ -226,15 +205,15 @@ def _cmd_power(args: argparse.Namespace) -> int:
     n = required_n(design)
     power_at = None
     if args.show_power_at is not None:
-        power_at = {"n": args.show_power_at, "power": _q(achieved_power(args.show_power_at, design))}
+        power_at = {"n": args.show_power_at, "power": achieved_power(args.show_power_at, design)}
     return _emit_json({
-        "mu0": _q(args.mu0),
-        "mu_alt": _q(args.mu_alt),
-        "sigma": _q(args.sigma),
-        "alpha": _q(args.alpha),
-        "beta": _q(args.beta),
+        "mu0": args.mu0,
+        "mu_alt": args.mu_alt,
+        "sigma": args.sigma,
+        "alpha": args.alpha,
+        "beta": args.beta,
         "required_n": n,
-        "achieved_power": _q(achieved_power(n, design)),
+        "achieved_power": achieved_power(n, design),
         "power_at": power_at,
     })
 
@@ -243,11 +222,11 @@ def _cmd_diagnosticity(args: argparse.Namespace) -> int:
     gain = diagnosticity_gain(args.a, args.b, _MODES[args.mode],
                               BetaPrior(args.prior_a, args.prior_b))
     return _emit_json({
-        "a": {"alpha": _q(args.a[0]), "n": args.a[1]},
-        "b": {"alpha": _q(args.b[0]), "n": args.b[1]},
-        "odds_a": _q(gain.odds_a),
-        "odds_b": _q(gain.odds_b),
-        "ratio": _q(gain.ratio),
+        "a": {"alpha": args.a[0], "n": args.a[1]},
+        "b": {"alpha": args.b[0], "n": args.b[1]},
+        "odds_a": gain.odds_a,
+        "odds_b": gain.odds_b,
+        "ratio": gain.ratio,
     })
 
 
@@ -287,8 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(alpha, n) cells. Defaults: the built-in 15-point trial-count "
                                    f"ladder {', '.join(str(n) for n in DEFAULT_N_VALUES)}; "
                                    "alphas 0.05, 0.01, 0.001, 0.0001; mode=nearest; tail=two; "
-                                   "Beta(1,1) prior; CSV to standard output. The environment "
-                                   f"variable {THREADS_ENV_VAR} caps worker threads.")
+                                   "Beta(1,1) prior; CSV to standard output.")
     p.add_argument("--grid", metavar="FILE",
                    help="JSON file holding the list of trial counts (default: built-in ladder)")
     p.add_argument("--alphas", type=_alpha_list, metavar="LIST",

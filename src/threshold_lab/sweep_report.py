@@ -10,21 +10,17 @@ uses first-touch semantics.
 from __future__ import annotations
 
 import csv
-import functools
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple
 
-from .bayes_evidence import BetaPrior, posterior_h0
+from .bayes_evidence import BetaPrior, evidence_at_threshold, posterior_h0
 from .binomial_kernel import (
     BinomialOutcome,
     SelectionMode,
     TailConvention,
     _select_walk,
     min_attainable_p,
-    select_barely_significant,
 )
 
 __all__ = [
@@ -46,7 +42,8 @@ DEFAULT_N_VALUES: tuple[int, ...] = (
 )
 DEFAULT_ALPHAS: tuple[float, ...] = (0.05, 0.01, 0.001, 0.0001)
 
-_CSV_COLUMNS = ("alpha", "n", "s_selected", "p_achieved", "log_bf01", "posterior_h0", "mode", "tail")
+# SweepRow fields in order: the CSV header and the JSON keys.
+_COLUMNS = ("alpha", "n", "s_selected", "p_achieved", "log_bf01", "posterior_h0", "mode", "tail")
 
 # Backward-verification span for find_crossing: adjacent posterior touches of
 # a level sit a handful of n apart (the sawtooth period is a few trials), so
@@ -121,35 +118,20 @@ def _evaluate_cell(alpha: float, n: int, mode: SelectionMode, tail: TailConventi
                    prior: BetaPrior) -> SweepRow:
     if min_attainable_p(n, tail) > alpha:
         return SweepRow(alpha, n, None, None, None, None, mode.value, tail.value)
-    s, p_achieved = select_barely_significant(n, alpha, mode, tail)
-    report = posterior_h0(BinomialOutcome(n, s), prior)
-    return SweepRow(
-        alpha=alpha,
-        n=n,
-        s_selected=s,
-        p_achieved=p_achieved,
-        log_bf01=report.log_l0 - report.log_l1,
-        posterior_h0=report.posterior_h0,
-        mode=mode.value,
-        tail=tail.value,
-    )
+    s, p_achieved, report = evidence_at_threshold(n, alpha, mode, tail, prior)
+    return SweepRow(alpha, n, s, p_achieved, report.log_l0 - report.log_l1, report.posterior_h0,
+                    mode.value, tail.value)
 
 
-def run_sweep(grid: SweepGrid, max_workers: int | None = None) -> list[SweepRow]:
-    """Evaluate every (alpha, n) cell, alpha-major / n-minor.
+def run_sweep(grid: SweepGrid) -> list[SweepRow]:
+    """Evaluate every (alpha, n) cell, alpha-major / n-minor, in the calling thread.
 
-    Cells are independent and may be evaluated by a thread pool; the ordered
-    map guarantees byte-identical output for any worker count.
+    The rows depend on the grid alone, so the serialized output is
+    reproducible byte for byte; the test suite pins the default grid's CSV
+    with a golden file.
     """
-    if max_workers is not None and (not isinstance(max_workers, int) or max_workers < 1):
-        raise ValueError(f"max_workers must be a positive integer, got {max_workers!r}")
-    cells = [(alpha, n) for alpha in grid.alphas for n in grid.n_values]
-    cell_fn = functools.partial(_evaluate_cell, mode=grid.mode, tail=grid.tail, prior=grid.prior)
-    workers = max_workers if max_workers is not None else min(4, os.cpu_count() or 1)
-    if workers == 1 or len(cells) == 1:
-        return [cell_fn(alpha, n) for alpha, n in cells]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda cell: cell_fn(*cell), cells))
+    return [_evaluate_cell(alpha, n, grid.mode, grid.tail, grid.prior)
+            for alpha in grid.alphas for n in grid.n_values]
 
 
 def find_crossing(
@@ -244,51 +226,44 @@ def jitter_report(rows: Iterable[SweepRow]) -> list[JitterViolation]:
 
 
 def _fmt_real(x: float) -> str:
+    # The one 12-significant-digit format: CSV writes it, _quantize rounds JSON through it.
     return "%.12g" % x
 
 
-def _quantize(x: float) -> float:
-    # 12 significant digits: what the serializers emit, and what a parser
-    # gets back; float("%.12g" % x) is a fixed point of this map.
-    return float("%.12g" % x)
+def _quantize(obj):
+    """Round every float in a JSON payload (through dicts and lists) to 12
+    significant digits; float(_fmt_real(x)) is a fixed point of this map."""
+    if isinstance(obj, float):
+        return float(_fmt_real(obj))
+    if isinstance(obj, dict):
+        return {k: _quantize(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_quantize(v) for v in obj]
+    return obj
 
 
-def _opt(x: float | None, f) -> str:
-    return "" if x is None else f(x)
+def dump_json(payload, fh: IO[str]) -> None:
+    """Write a JSON payload with every float at 12 significant digits,
+    indented by 2, with a trailing newline: the format of every JSON output."""
+    json.dump(_quantize(payload), fh, indent=2)
+    fh.write("\n")
+
+
+def _csv_field(x) -> str:
+    if x is None:
+        return ""
+    return _fmt_real(x) if isinstance(x, float) else str(x)
 
 
 def _write_csv(rows: Iterable[SweepRow], fh: IO[str]) -> None:
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
+    writer.writerow(_COLUMNS)
     for r in rows:
-        writer.writerow([
-            _fmt_real(r.alpha),
-            str(r.n),
-            _opt(r.s_selected, str),
-            _opt(r.p_achieved, _fmt_real),
-            _opt(r.log_bf01, _fmt_real),
-            _opt(r.posterior_h0, _fmt_real),
-            r.mode,
-            r.tail,
-        ])
+        writer.writerow([_csv_field(getattr(r, c)) for c in _COLUMNS])
 
 
 def _write_json(rows: Iterable[SweepRow], fh: IO[str]) -> None:
-    payload = [
-        {
-            "alpha": _quantize(r.alpha),
-            "n": r.n,
-            "s_selected": r.s_selected,
-            "p_achieved": None if r.p_achieved is None else _quantize(r.p_achieved),
-            "log_bf01": None if r.log_bf01 is None else _quantize(r.log_bf01),
-            "posterior_h0": None if r.posterior_h0 is None else _quantize(r.posterior_h0),
-            "mode": r.mode,
-            "tail": r.tail,
-        }
-        for r in rows
-    ]
-    json.dump(payload, fh, indent=2)
-    fh.write("\n")
+    dump_json([{c: getattr(r, c) for c in _COLUMNS} for r in rows], fh)
 
 
 def emit(rows: Iterable[SweepRow], format: str, destination) -> None:
@@ -328,11 +303,11 @@ def parse_csv(source) -> list[SweepRow]:
 def _rows_from_csv(fh: IO[str]) -> list[SweepRow]:
     reader = csv.reader(fh)
     header = next(reader, None)
-    if header != list(_CSV_COLUMNS):
+    if header != list(_COLUMNS):
         raise ValueError(f"unexpected sweep CSV header: {header!r}")
     rows = []
     for rec in reader:
-        if len(rec) != len(_CSV_COLUMNS):
+        if len(rec) != len(_COLUMNS):
             raise ValueError(f"malformed sweep CSV row: {rec!r}")
         rows.append(SweepRow(
             alpha=float(rec[0]),
@@ -354,16 +329,21 @@ def parse_json(source) -> list[SweepRow]:
     else:
         with open(source, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
+    if not isinstance(payload, list):
+        raise ValueError(f"sweep JSON must be an array of row objects, got {type(payload).__name__}")
     rows = []
     for rec in payload:
-        rows.append(SweepRow(
-            alpha=float(rec["alpha"]),
-            n=int(rec["n"]),
-            s_selected=rec["s_selected"],
-            p_achieved=rec["p_achieved"],
-            log_bf01=rec["log_bf01"],
-            posterior_h0=rec["posterior_h0"],
-            mode=rec["mode"],
-            tail=rec["tail"],
-        ))
+        try:
+            rows.append(SweepRow(
+                alpha=float(rec["alpha"]),
+                n=int(rec["n"]),
+                s_selected=rec["s_selected"],
+                p_achieved=rec["p_achieved"],
+                log_bf01=rec["log_bf01"],
+                posterior_h0=rec["posterior_h0"],
+                mode=rec["mode"],
+                tail=rec["tail"],
+            ))
+        except (KeyError, TypeError) as exc:  # a missing field, or a row that is not an object
+            raise ValueError(f"malformed sweep JSON row {rec!r}: {type(exc).__name__}: {exc}") from None
     return rows

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
@@ -11,3 +13,9 @@ settings.load_profile("suite")
 def default_rows():
     """One shared evaluation of the built-in grid; several files assert on it."""
     return run_sweep(SweepGrid())
+
+
+@pytest.fixture(scope="session")
+def golden():
+    """Text of a committed golden output under tests/data, byte for byte."""
+    return lambda name: (Path(__file__).parent / "data" / name).read_bytes().decode("utf-8")

@@ -15,7 +15,6 @@ from threshold_lab import (
     BinomialOutcome,
     InfeasibleError,
     SelectionMode,
-    SweepGrid,
     ZTestDesign,
     diagnosticity_gain,
     emit,
@@ -28,7 +27,6 @@ from threshold_lab import (
     parse_csv,
     posterior_h0,
     required_n,
-    run_sweep,
     select_barely_significant,
 )
 
@@ -187,7 +185,7 @@ def test_criterion_09_oracle_equivalence():
     )
 
 
-def test_criterion_10_property_suite(default_rows):
+def test_criterion_10_property_suite(default_rows, golden):
     details = []
 
     half = BinomialModel(0.5)
@@ -228,9 +226,8 @@ def test_criterion_10_property_suite(default_rows):
     csv_ok = csv_text(parse_csv(io.StringIO(text))) == text
     details.append(f"CSV round-trip bit-equal: {csv_ok}")
 
-    grid = SweepGrid()
-    det_ok = csv_text(run_sweep(grid, max_workers=1)) == csv_text(run_sweep(grid, max_workers=3))
-    details.append(f"sweep thread-count determinism: {det_ok}")
+    golden_ok = text == golden("default_sweep.csv")
+    details.append(f"default sweep CSV equals the golden file byte for byte: {golden_ok}")
 
-    ok = norm_ok and order_ok and slope_ok and round_trip_ok and csv_ok and det_ok
+    ok = norm_ok and order_ok and slope_ok and round_trip_ok and csv_ok and golden_ok
     _report(10, ok, "property bundle", "; ".join(details))

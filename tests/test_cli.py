@@ -5,7 +5,7 @@ import subprocess
 import pytest
 
 from threshold_lab import BinomialOutcome, TailConvention, p_rep, p_value
-from threshold_lab.cli import THREADS_ENV_VAR, parse_and_dispatch
+from threshold_lab.cli import parse_and_dispatch
 
 
 def run_cli(capsys, *argv):
@@ -63,8 +63,7 @@ class TestCriticalCommand:
 
 
 class TestSweepCommand:
-    def test_default_csv_to_stdout(self, capsys, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+    def test_default_csv_to_stdout(self, capsys):
         code, out, err = run_cli(capsys, "sweep")
         assert code == 0 and err == ""
         lines = out.splitlines()
@@ -72,8 +71,14 @@ class TestSweepCommand:
         assert lines[0] == "alpha,n,s_selected,p_achieved,log_bf01,posterior_h0,mode,tail"
         assert lines[1] == "0.05,20,15,0.041389465332,-1.16956783934,0.236933108226,nearest,two"
 
-    def test_json_to_file(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+    def test_default_csv_matches_golden_and_ignores_thread_variable(self, capsys, monkeypatch, golden):
+        # sweeps run in one thread; the variable that once set a pool size is not read
+        monkeypatch.setenv("THRESHOLD_LAB_THREADS", "banana")
+        code, out, err = run_cli(capsys, "sweep")
+        assert code == 0 and err == ""
+        assert out == golden("default_sweep.csv")
+
+    def test_json_to_file(self, capsys, tmp_path):
         target = tmp_path / "rows.json"
         code, out, _ = run_cli(capsys, "sweep", "--format", "json", "--out", str(target))
         assert code == 0 and out == ""
@@ -81,8 +86,7 @@ class TestSweepCommand:
         assert len(payload) == 60
         assert payload[0]["n"] == 20 and payload[0]["alpha"] == 0.05
 
-    def test_custom_grid_file(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+    def test_custom_grid_file(self, capsys, tmp_path):
         grid = tmp_path / "grid.json"
         grid.write_text("[10, 50]")
         code, out, _ = run_cli(capsys, "sweep", "--grid", str(grid), "--alphas", "0.05,0.01")
@@ -215,22 +219,21 @@ class TestParsingAndHelp:
         assert needle in out
 
 
-class TestThreadEnvironmentVariable:
-    def test_worker_count_does_not_change_output(self, capsys, monkeypatch):
-        outputs = set()
-        for workers in ("1", "3"):
-            monkeypatch.setenv(THREADS_ENV_VAR, workers)
-            code, out, _ = run_cli(capsys, "sweep", "--alphas", "0.05,0.01")
-            assert code == 0
-            outputs.add(out)
-        assert len(outputs) == 1
-
-    @pytest.mark.parametrize("value", ["0", "-2", "banana"])
-    def test_invalid_value_exits_2(self, capsys, monkeypatch, value):
-        monkeypatch.setenv(THREADS_ENV_VAR, value)
-        code, out, err = run_cli(capsys, "sweep")
-        assert code == 2 and out == ""
-        assert THREADS_ENV_VAR in err and value in err
+@pytest.mark.parametrize("golden_file,argv", [
+    ("posterior.json", ["posterior", "--n", "100", "--s", "60", "--pi0", "0.9"]),
+    ("critical.json", ["critical", "--n", "100", "--alpha", "0.05"]),
+    ("crossing.json", ["crossing", "--alpha", "0.05", "--level", "0.4"]),
+    ("prep.json", ["prep", "--p", "0.05"]),
+    ("power.json", ["power", "--mu0", "0", "--mu-alt", "0.5", "--sigma", "1", "--alpha", "0.05",
+                    "--beta", "0.2", "--show-power-at", "50"]),
+    ("diagnosticity.json", ["diagnosticity", "--a", "0.05,98", "--b", "0.01,137"]),
+    ("sweep_strict_one.json", ["sweep", "--format", "json", "--mode", "strict", "--tail", "one",
+                               "--alphas", "0.05,1e-10"]),
+])
+def test_json_output_matches_golden(capsys, golden, golden_file, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == golden(golden_file)
 
 
 def test_installed_entry_point_runs():

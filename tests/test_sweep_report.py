@@ -120,15 +120,6 @@ class TestRunSweep:
                                    tail=TailConvention.ONE_SIDED_UPPER))
         assert rows[0].mode == "strict" and rows[0].tail == "one"
 
-    def test_worker_count_does_not_change_output(self, default_rows):
-        grid = SweepGrid(n_values=DEFAULT_N_VALUES[:8], alphas=DEFAULT_ALPHAS)
-        texts = {csv_text(run_sweep(grid, max_workers=w)) for w in (1, 2, 5)}
-        assert len(texts) == 1
-
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(ValueError):
-            run_sweep(SweepGrid(n_values=(20,), alphas=(0.05,)), max_workers=0)
-
 
 class TestFindCrossing:
     def test_lenient_alpha_crosses_even_money_early(self):
@@ -294,3 +285,12 @@ class TestEmitAndParse:
         good = csv_text([])
         with pytest.raises(ValueError):
             parse_csv(io.StringIO(good + "0.05,20,15\n"))
+
+    @pytest.mark.parametrize("text,needle", [
+        ('{"a": 1}', "array"),
+        ('[{"alpha": 0.05}]', "'n'"),
+        ("[1, 2]", "row"),
+    ])
+    def test_parse_json_rejects_malformed_input(self, text, needle):
+        with pytest.raises(ValueError, match=needle):
+            parse_json(io.StringIO(text))
