@@ -1,9 +1,13 @@
 """Exact binomial mass, sign-test tail probabilities, and critical-count selection.
 
-Everything here is computed in log space via log-gamma so that trial counts up
-to 1e5 neither overflow nor lose the tail mass to underflow.  The only
-distribution involved is Binomial(n, theta); p-values are always evaluated
-under the null theta = 0.5.
+Everything here is computed in log space via log-gamma, so large trial counts
+neither overflow nor lose the tail mass to underflow.  The only distribution
+involved is Binomial(n, theta); p-values are always evaluated under the null
+theta = 0.5.
+
+A sign-test tail costs O(sqrt(n)) terms, not O(n): it starts at a cut-off
+ceil(6 sqrt(n)) + 10 terms above max(s, n/2), and the mass above the cut-off
+is below 2**-60 of the mass it keeps, far under half an ulp of the sum.
 """
 
 from __future__ import annotations
@@ -119,16 +123,39 @@ def _logaddexp(a: float, b: float) -> float:
     return a + math.log1p(math.exp(b - a))
 
 
-def _log_upper_tail(n: int, s: int) -> float:
-    """ln P(X >= s) under Binomial(n, 0.5), summed from the extreme term inward.
+def _log_terms(n: int, start: int, stop: int):
+    """(k, ln P(X = k)) under Binomial(n, 0.5) for k = start, start-1, ..., stop+1.
 
-    Accumulating k = n, n-1, ..., s adds the smallest terms first, which keeps
-    the running sum free of cancellation at any n this library targets.
+    Each term is the float expression log_pmf evaluates at theta = 0.5, with
+    the same (lo, hi) ordering, so it is bit-equal to log_pmf; lgamma(n+1) and
+    n ln 2 are computed once and no dataclass is built per term.
     """
-    half = BinomialModel(0.5)
+    lgamma = math.lgamma
+    lg = lgamma(n + 1)
+    w = n * _LN2
+    for k in range(start, stop, -1):
+        lo, hi = (k, n - k) if k <= n - k else (n - k, k)
+        yield k, lg - lgamma(lo + 1) - lgamma(hi + 1) - w
+
+
+def _tail_start(n: int, s: int) -> int:
+    # Certified cut-off: above m >= n/2 the terms fall as pmf(m+j)/pmf(m) <=
+    # exp(-j^2/(n/2+j)), so the mass above this index is below 2**-60 of the
+    # mass from s up to it (checked with exact integers in the tests).
+    return min(n, max(s, n // 2) + math.ceil(6.0 * math.sqrt(n)) + 10)
+
+
+def _log_upper_tail(n: int, s: int) -> float:
+    """ln P(X >= s) under Binomial(n, 0.5), summed from the cut-off inward.
+
+    The sum starts at _tail_start(n, s), at most ceil(6 sqrt(n)) + 10 terms
+    above max(s, n/2), so it costs O(sqrt(n)) terms; the mass it skips is far
+    under half an ulp of the result.  Adding the smallest terms first keeps
+    the running sum free of cancellation.
+    """
     acc = -math.inf
-    for k in range(n, s - 1, -1):
-        acc = _logaddexp(acc, log_pmf(BinomialOutcome(n, k), half))
+    for _, term in _log_terms(n, _tail_start(n, s), s - 1):
+        acc = _logaddexp(acc, term)
     return acc
 
 
@@ -167,19 +194,20 @@ def _walk_start(n: int, alpha: float, tail: TailConvention) -> int:
 def _select_walk(n: int, alpha: float, mode: SelectionMode, tail: TailConvention) -> int:
     """Pick the barely-significant s in (n/2, n] by walking s downward.
 
-    The walk keeps a running upper-tail sum; each step down adds one pmf term,
-    so the whole selection costs O(sqrt(n)) terms past the start index.  The
+    The walk keeps a running upper-tail sum over the terms of _log_terms; each
+    step down adds one term, and it starts O(sqrt(n)) terms above n/2
+    (_walk_start), so the whole selection costs O(sqrt(n)) terms.  The
     p-value strictly increases as s decreases, which justifies both the
-    strict-mode bookkeeping and the early break.
+    strict-mode bookkeeping and the early break.  Its running p is not
+    p_value's bit for bit, since the two sums start at different terms.
     """
-    half = BinomialModel(0.5)
     shift = _LN2 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 0.0
     acc = -math.inf
     best_s = n
     best_d = math.inf
     strict_s: int | None = None
-    for k in range(_walk_start(n, alpha, tail), n // 2, -1):
-        acc = _logaddexp(acc, log_pmf(BinomialOutcome(n, k), half))
+    for k, term in _log_terms(n, _walk_start(n, alpha, tail), n // 2):
+        acc = _logaddexp(acc, term)
         p = min(1.0, math.exp(shift + acc))
         if p <= alpha:
             strict_s = k  # overwritten while descending: ends at the smallest such s
@@ -209,8 +237,8 @@ def select_barely_significant(
     NEAREST_TO_ALPHA minimizes |p_value(s) - alpha| (ties to the larger s);
     STRICT_AT_MOST_ALPHA returns the smallest s with p_value(s) <= alpha and
     raises InfeasibleError when even s = n stays above alpha.  The returned
-    p_achieved is re-derived through p_value, so it is bit-equal to what any
-    later re-check of (n, s, tail) computes.
+    p_achieved is re-derived through p_value (O(sqrt(n)) terms), so it is
+    bit-equal to what any later re-check of (n, s, tail) computes.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"trial count n must be a positive integer, got {n!r}")

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +15,7 @@ from threshold_lab import (
     p_value,
     select_barely_significant,
 )
+from threshold_lab.binomial_kernel import _tail_start
 
 import oracles
 
@@ -202,3 +204,60 @@ class TestSelection:
             select_barely_significant(10, 0.0)
         with pytest.raises(ValueError):
             select_barely_significant(10, 1.0)
+
+
+def _full_log_tail(n, s):
+    """ln P(X >= s) summed over every k = n, n-1, ..., s with the public log_pmf."""
+    acc = -math.inf
+    for k in range(n, s - 1, -1):
+        term = log_pmf(BinomialOutcome(n, k), HALF)
+        hi, lo = max(acc, term), min(acc, term)
+        acc = hi if lo == -math.inf else hi + math.log1p(math.exp(lo - hi))
+    return acc
+
+
+class TestTailCutoff:
+    @pytest.mark.parametrize("n", [20, 100, 999, 1000, 10**4, 10**5])
+    def test_skipped_mass_is_below_2_to_minus_60_of_kept(self, n):
+        root = math.isqrt(n)
+        for s in sorted({n // 2, n // 2 + 1, n // 2 + root, n // 2 + 3 * root, n // 2 + 6 * root, n - 1, n}):
+            if not n // 2 <= s <= n:
+                continue
+            c = _tail_start(n, s)
+            if c == n:
+                continue  # nothing skipped
+            top = math.comb(n, c)
+            kept, term = 0, top
+            for k in range(c, s - 1, -1):  # exact C(n, k) downward by the integer ratio k/(n-k+1)
+                kept += term
+                term = term * k // (n - k + 1)
+            first_skipped = top * (n - c) // (c + 1)
+            # for k > c the ratio C(n, k+1)/C(n, k) is at most r = (n-c-1)/(c+2), so the
+            # skipped mass is at most first_skipped / (1 - r) = first_skipped (c+2) / (2c+3-n)
+            assert first_skipped * (c + 2) * 2**60 < kept * (2 * c + 3 - n), (n, s, c)
+
+    def test_p_value_bit_equal_to_full_sum(self):
+        rng = random.Random(20261018)
+        for _ in range(200):
+            n = rng.randint(1, 30000)
+            tail = rng.choice([ONE, TWO])
+            s = rng.randint(0, n)
+            if tail is ONE:
+                want = min(1.0, math.exp(_full_log_tail(n, s)))
+            else:
+                want = min(1.0, math.exp(math.log(2.0) + _full_log_tail(n, max(s, n - s))))
+            assert p_value(BinomialOutcome(n, s), tail) == want, (n, s, tail)
+
+    def test_large_n_selection_sums_order_sqrt_n_terms(self, monkeypatch):
+        calls = 0
+        lgamma = math.lgamma
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return lgamma(x)
+
+        monkeypatch.setattr(math, "lgamma", counted)
+        n = 10**6
+        select_barely_significant(n, 0.001)
+        assert 0 < calls <= 3 * (16 * math.isqrt(n) + 50)

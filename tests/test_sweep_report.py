@@ -1,4 +1,6 @@
 import io
+import json
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,10 @@ from threshold_lab import (
 )
 
 import oracles
+
+# Brute-force forward-scan answers (every n, exact reference) for the 18
+# (alpha, level) pairs; a byte copy of the benchmark's expected crossings.
+CROSSINGS = json.loads((Path(__file__).parent / "data" / "crossings.json").read_text())["crossings"]
 
 
 def csv_text(rows):
@@ -146,6 +152,10 @@ class TestFindCrossing:
             if min_p_feasible(n):
                 assert evidence_at_threshold(n, 0.05).report.posterior_h0 < 0.4
         assert evidence_at_threshold(n_star, 0.05).report.posterior_h0 >= 0.4
+
+    @pytest.mark.parametrize("case", CROSSINGS, ids=lambda c: f"alpha{c['alpha']}-level{c['level']}")
+    def test_matches_brute_force_oracle(self, case):
+        assert find_crossing(float(case["alpha"]), float(case["level"])) == case["n"]
 
     def test_absent_crossing_returns_none(self):
         assert find_crossing(0.0001, 0.5, n_max=10000) is None
