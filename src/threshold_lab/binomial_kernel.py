@@ -7,7 +7,8 @@ theta = 0.5.
 
 A sign-test tail costs O(sqrt(n)) terms, not O(n): it starts at a cut-off
 ceil(6 sqrt(n)) + 10 terms above max(s, n/2), and the mass above the cut-off
-is below 2**-60 of the mass it keeps, far under half an ulp of the sum.
+is below 2**-60 of the mass it keeps, far under half an ulp of the sum.  The
+selection walk starts from the same cut-off.  The tail routines take n <= MAX_N.
 """
 
 from __future__ import annotations
@@ -33,9 +34,21 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
+# Largest n of the O(sqrt(n)) tail routines: a selection there takes tens of ms,
+# and lgamma(n + 1), which log_choose differences, has an ulp of 3e-8.
+MAX_N = 10**7
+
 
 class InfeasibleError(ValueError):
     """No success count can satisfy the requested significance constraint."""
+
+
+def _check_n(n, name: str = "trial count n", limit: int | None = MAX_N) -> None:
+    """Reject an n that is not a positive int, or that exceeds `limit`."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValueError(f"{name} must be a positive integer, got {n!r}")
+    if limit is not None and n > limit:
+        raise ValueError(f"{name} must be at most {limit} (the largest n the tail routines accept), got {n}")
 
 
 @dataclass(frozen=True)
@@ -46,8 +59,7 @@ class BinomialOutcome:
     s: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(f"trial count n must be a positive integer, got {self.n!r}")
+        _check_n(self.n, limit=None)
         if not isinstance(self.s, int) or isinstance(self.s, bool) or not 0 <= self.s <= self.n:
             raise ValueError(f"success count s must be an integer in [0, {self.n}], got {self.s!r}")
 
@@ -148,10 +160,8 @@ def _tail_start(n: int, s: int) -> int:
 def _log_upper_tail(n: int, s: int) -> float:
     """ln P(X >= s) under Binomial(n, 0.5), summed from the cut-off inward.
 
-    The sum starts at _tail_start(n, s), at most ceil(6 sqrt(n)) + 10 terms
-    above max(s, n/2), so it costs O(sqrt(n)) terms; the mass it skips is far
-    under half an ulp of the result.  Adding the smallest terms first keeps
-    the running sum free of cancellation.
+    The sum starts at _tail_start(n, s), so it costs O(sqrt(n)) terms; adding
+    the smallest terms first keeps the running sum free of cancellation.
     """
     acc = -math.inf
     for _, term in _log_terms(n, _tail_start(n, s), s - 1):
@@ -167,6 +177,7 @@ def p_value(outcome: BinomialOutcome, tail: TailConvention = TailConvention.TWO_
     2 * P(X >= max(s, n-s)); clamped to 1.0 when both tails overlap at s = n/2.
     """
     n, s = outcome.n, outcome.s
+    _check_n(n)
     if tail is TailConvention.ONE_SIDED_UPPER:
         return min(1.0, math.exp(_log_upper_tail(n, s)))
     hi = max(s, n - s)
@@ -175,31 +186,26 @@ def p_value(outcome: BinomialOutcome, tail: TailConvention = TailConvention.TWO_
 
 def min_attainable_p(n: int, tail: TailConvention = TailConvention.TWO_SIDED_SYMMETRIC) -> float:
     """Smallest p-value any success count can reach at this n (attained at s = n)."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"trial count n must be a positive integer, got {n!r}")
+    _check_n(n)
     return p_value(BinomialOutcome(n, n), tail)
 
 
 def _walk_start(n: int, alpha: float, tail: TailConvention) -> int:
-    # Chernoff: P(X >= n/2 + z*sqrt(n)/2) <= exp(-z^2/2), so every s whose
-    # tail probability can reach alpha lies below n/2 + zb*sqrt(n)/2 with
-    # zb = sqrt(2*ln(1/alpha_tail)).  The +20 sigma / +10 slack puts the
-    # accumulation start far enough out that the skipped upper-tail mass is
-    # below one ulp of every tail sum the walk actually compares.
-    tail_alpha = alpha / 2.0 if tail is TailConvention.TWO_SIDED_SYMMETRIC else alpha
-    zb = math.sqrt(2.0 * math.log(1.0 / tail_alpha))
-    return min(n, int(math.ceil(n / 2.0 + (zb + 20.0) * math.sqrt(n) / 2.0)) + 10)
+    # Chernoff: P(X >= n/2 + z*sqrt(n)/2) <= exp(-z^2/2), so p <= alpha from n/2 + zb*sqrt(n)/2 up
+    # and the answer lies at or below it.  zb is taken in log space: a subnormal alpha cannot overflow.
+    zb = math.sqrt(-2.0 * (math.log(alpha) - (_LN2 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 0.0)))
+    return _tail_start(n, math.ceil(n / 2.0 + zb * math.sqrt(n) / 2.0))
 
 
 def _select_walk(n: int, alpha: float, mode: SelectionMode, tail: TailConvention) -> int:
     """Pick the barely-significant s in (n/2, n] by walking s downward.
 
     The walk keeps a running upper-tail sum over the terms of _log_terms; each
-    step down adds one term, and it starts O(sqrt(n)) terms above n/2
-    (_walk_start), so the whole selection costs O(sqrt(n)) terms.  The
-    p-value strictly increases as s decreases, which justifies both the
-    strict-mode bookkeeping and the early break.  Its running p is not
-    p_value's bit for bit, since the two sums start at different terms.
+    step down adds one term.  It starts at _walk_start, the _tail_start cut-off
+    above a Chernoff bound on the answer, so it costs O(sqrt(n)) terms, and
+    from the bound down its sums miss under 2**-60 of their mass.  p strictly
+    increases as s decreases, which justifies the strict-mode bookkeeping and
+    the early break; it is not p_value's bit for bit (the sums start apart).
     """
     shift = _LN2 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 0.0
     acc = -math.inf
@@ -240,8 +246,7 @@ def select_barely_significant(
     p_achieved is re-derived through p_value (O(sqrt(n)) terms), so it is
     bit-equal to what any later re-check of (n, s, tail) computes.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"trial count n must be a positive integer, got {n!r}")
+    _check_n(n)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
     s = _select_walk(n, alpha, mode, tail)

@@ -71,11 +71,14 @@ def required_n(design: ZTestDesign) -> int:
     Starts from ceil(((z_{1-alpha} + z_{1-beta}) * sigma / delta)^2) and then
     settles the boundary by direct power evaluation, so minimality holds even
     when the closed form lands a hair on the wrong side of an integer.
+    Raises ValueError when the closed form overflows a float.
     """
     z_alpha = -normal_quantile(design.alpha)
     z_beta = -normal_quantile(design.beta)
-    base = ((z_alpha + z_beta) * design.sigma / design.effect) ** 2
-    n = max(1, math.ceil(base))
+    try:
+        n = max(1, math.ceil(((z_alpha + z_beta) * design.sigma / design.effect) ** 2))
+    except OverflowError:  # from ** 2, or from ceil(inf)
+        raise ValueError(f"effect/sigma ratio {design.effect:g}/{design.sigma:g} overflows n") from None
     target = 1.0 - design.beta
     while n > 1 and achieved_power(n - 1, design) >= target:
         n -= 1

@@ -19,6 +19,7 @@ from .binomial_kernel import (
     BinomialOutcome,
     SelectionMode,
     TailConvention,
+    _check_n,
     _select_walk,
     min_attainable_p,
 )
@@ -67,8 +68,7 @@ class SweepGrid:
         if not self.n_values:
             raise ValueError("n_values must be non-empty")
         for n in self.n_values:
-            if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-                raise ValueError(f"n_values entries must be positive integers, got {n!r}")
+            _check_n(n, "n_values entries")
         if any(a >= b for a, b in zip(self.n_values, self.n_values[1:])):
             raise ValueError(f"n_values must be strictly increasing, got {self.n_values}")
         if not self.alphas:
@@ -155,8 +155,7 @@ def find_crossing(
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie strictly between 0 and 1, got {level!r}")
-    if not isinstance(n_max, int) or isinstance(n_max, bool) or n_max < 1:
-        raise ValueError(f"n_max must be a positive integer, got {n_max!r}")
+    _check_n(n_max, "n_max")
     if prior is None:
         prior = BetaPrior.uniform()
 

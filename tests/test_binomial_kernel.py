@@ -9,13 +9,16 @@ from threshold_lab import (
     BinomialOutcome,
     InfeasibleError,
     SelectionMode,
+    SweepGrid,
     TailConvention,
+    find_crossing,
     log_pmf,
     min_attainable_p,
     p_value,
+    posterior_h0,
     select_barely_significant,
 )
-from threshold_lab.binomial_kernel import _tail_start
+from threshold_lab.binomial_kernel import MAX_N, _tail_start
 
 import oracles
 
@@ -258,6 +261,68 @@ class TestTailCutoff:
             return lgamma(x)
 
         monkeypatch.setattr(math, "lgamma", counted)
-        n = 10**6
-        select_barely_significant(n, 0.001)
-        assert 0 < calls <= 3 * (16 * math.isqrt(n) + 50)
+        select_barely_significant(10**6, 0.001)
+        # 24,656 calls: the walk from the cut-off above its Chernoff bound,
+        # then the p_value re-derivation; an O(n) loop would make ~2e6
+        assert 0 < calls <= 28_000
+
+
+def _select_by_bisection(n, alpha, mode, tail):
+    """The selection contract on p_value alone: s* is the smallest s in (n/2, n]
+    with p <= alpha, found by bisection; nearest picks s* or s* - 1, ties to s*."""
+    def p(s):
+        return p_value(BinomialOutcome(n, s), tail)
+
+    lo, hi = n // 2, n  # p(hi) <= alpha is the invariant, once checked
+    if p(n) > alpha:
+        if mode is SelectionMode.STRICT_AT_MOST_ALPHA:
+            return None
+        return n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if p(mid) <= alpha:
+            hi = mid
+        else:
+            lo = mid
+    if mode is SelectionMode.NEAREST_TO_ALPHA and hi - 1 > n // 2:
+        if abs(p(hi - 1) - alpha) < abs(p(hi) - alpha):
+            return hi - 1
+    return hi
+
+
+class TestSelectionContract:
+    def test_walk_matches_bisection_on_p_value(self):
+        rng = random.Random(7)
+        for _ in range(500):
+            n = int(math.exp(rng.uniform(0.0, math.log(10**6))))
+            alpha = math.exp(rng.uniform(math.log(1e-10), math.log(0.2)))
+            mode = rng.choice(list(SelectionMode))
+            tail = rng.choice([ONE, TWO])
+            want = _select_by_bisection(n, alpha, mode, tail)
+            if want is None:
+                with pytest.raises(InfeasibleError):
+                    select_barely_significant(n, alpha, mode, tail)
+            else:
+                assert select_barely_significant(n, alpha, mode, tail).s == want, (n, alpha, mode, tail)
+
+
+class TestTrialCountLimit:
+    def test_tail_routines_reject_n_above_limit(self):
+        for call in (lambda n: p_value(BinomialOutcome(n, n)),
+                     lambda n: min_attainable_p(n),
+                     lambda n: select_barely_significant(n, 0.05)):
+            with pytest.raises(ValueError, match=f"at most {MAX_N}"):
+                call(MAX_N + 1)
+        assert min_attainable_p(MAX_N, ONE) == 0.0  # 2**-1e7 underflows; the limit itself is accepted
+
+    def test_posterior_takes_any_n(self):
+        report = posterior_h0(BinomialOutcome(10**12, 5 * 10**11))
+        assert 0.0 < report.posterior_h0 < 1.0
+
+    def test_sweep_and_crossing_check_n_before_scoring(self):
+        with pytest.raises(ValueError, match=f"at most {MAX_N}"):
+            SweepGrid(n_values=(20, MAX_N + 1))
+        # without the up-front check the doubling probes would find the
+        # crossing near n = 1000 and never reach n_max
+        with pytest.raises(ValueError, match=f"at most {MAX_N}"):
+            find_crossing(0.05, 0.5, n_max=MAX_N + 1)

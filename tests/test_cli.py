@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,20 @@ class TestCriticalCommand:
     def test_bad_count_token_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "critical", "--n", "abc", "--alpha", "0.05")
         assert code == 2 and out == "" and "abc" in err
+
+    @pytest.mark.parametrize("alpha", ["1e-310", "5e-324"])
+    def test_subnormal_alpha(self, capsys, alpha):
+        code, out, err = run_cli(capsys, "critical", "--n", "100", "--alpha", alpha)
+        assert code == 0 and err == "" and json.loads(out)["s"] == 100
+        code, out, err = run_cli(capsys, "critical", "--n", "100", "--alpha", alpha, "--mode", "strict")
+        assert code == 1 and out == ""
+        assert err.startswith("error: no success count reaches") and "n=100" in err
+
+    def test_n_above_limit_fails_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "critical", "--n", "10000001", "--alpha", "0.05")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == "" and "at most 10000000" in err
 
 
 class TestSweepCommand:
@@ -174,6 +189,11 @@ class TestPowerCommand:
         code, out, err = run_cli(capsys, "power", "--mu0", "40", "--mu-alt", "40",
                                  "--sigma", "8", "--alpha", "0.05", "--beta", "0.02")
         assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_required_n_overflow_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "power", "--mu0", "0", "--mu-alt", "1e-200",
+                                 "--sigma", "1e200", "--alpha", "0.05", "--beta", "0.2")
+        assert code == 2 and out == "" and err.startswith("error: effect/sigma ratio")
 
 
 class TestDiagnosticityCommand:

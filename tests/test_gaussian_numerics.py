@@ -64,7 +64,12 @@ class TestNormalQuantile:
             ]
         )
         worst = max(abs(normal_quantile(q) - ndtri(q)) for q in qs)
-        assert worst < 1e-9
+        assert worst < 1e-14
+
+    def test_deep_lower_tail_matches_reference(self):
+        qs = np.geomspace(1e-300, 1e-10, 4000)
+        worst = max(abs(normal_quantile(q) / ndtri(q) - 1.0) for q in qs)
+        assert worst < 4e-15
 
     def test_round_trip_through_cdf(self):
         zs = np.arange(-6.0, 6.0 + 1e-9, 0.01)

@@ -71,6 +71,13 @@ class TestRequiredN:
         if n > 1:
             assert achieved_power(n - 1, d) < 1.0 - beta
 
+    @pytest.mark.parametrize("mu_alt, sigma", [(1e-200, 1e200), (1e-150, 1e150)])
+    def test_overflowing_closed_form_names_the_ratio(self, mu_alt, sigma):
+        # the first overflows to inf before squaring, the second in the square
+        d = ZTestDesign(mu0=0.0, mu_alt=mu_alt, sigma=sigma, alpha=0.05, beta=0.2)
+        with pytest.raises(ValueError, match="effect/sigma ratio"):
+            required_n(d)
+
     def test_monotone_in_alpha_and_effect(self):
         base = dict(mu0=0.0, sigma=1.0, beta=0.1)
         stricter = [required_n(ZTestDesign(mu_alt=0.3, alpha=a, **base)) for a in (0.05, 0.01, 0.001)]
