@@ -13,11 +13,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .binomial_kernel import (
-    BinomialModel,
+    _LN2,
     BinomialOutcome,
     SelectionMode,
     TailConvention,
-    log_pmf,
+    log_choose,
     select_barely_significant,
 )
 
@@ -29,9 +29,6 @@ __all__ = [
     "posterior_h0",
     "evidence_at_threshold",
 ]
-
-_NULL_MODEL = BinomialModel(0.5)
-
 
 @dataclass(frozen=True)
 class BetaPrior:
@@ -88,12 +85,16 @@ def log_marginal_h1(outcome: BinomialOutcome, prior: BetaPrior | None = None) ->
     bracket cancels term-for-term in floating point, so the 1/(n+1) identity
     holds to the last bit instead of drowning in large-argument lgamma noise.
     """
-    if prior is None:
-        prior = BetaPrior.uniform()
-    n, s = outcome.n, outcome.s
+    return _evidence(outcome.n, outcome.s, prior if prior is not None else BetaPrior.uniform())[1]
+
+
+def _evidence(n: int, s: int, prior: BetaPrior, pi0: float = 0.5) -> tuple[float, float, float]:
+    """(ln L0, ln L1, posterior of H0) from plain ints: posterior_h0's arithmetic, no dataclass."""
     a, b = float(prior.a), float(prior.b)
     bracket = _betaln(s + a, n - s + b) - _betaln(s + 1.0, n - s + 1.0)
-    return -math.log(n + 1.0) + bracket - _betaln(a, b)
+    log_l0 = log_choose(n, s) - n * _LN2  # log_pmf's expression at theta = 0.5
+    log_l1 = -math.log(n + 1.0) + bracket - _betaln(a, b)
+    return log_l0, log_l1, _posterior_from_log_bf(log_l0 - log_l1, pi0)
 
 
 def _posterior_from_log_bf(log_bf01: float, pi0: float) -> float:
@@ -123,8 +124,7 @@ def posterior_h0(
     pi0 = float(prior_prob_h0)
     if not 0.0 < pi0 < 1.0:
         raise ValueError(f"prior_prob_h0 must lie strictly between 0 and 1, got {pi0!r}")
-    log_l0 = log_pmf(outcome, _NULL_MODEL)
-    log_l1 = log_marginal_h1(outcome, prior)
+    log_l0, log_l1, post = _evidence(outcome.n, outcome.s, prior, pi0)
     log_bf01 = log_l0 - log_l1
     try:
         bf01 = math.exp(log_bf01)
@@ -134,7 +134,7 @@ def posterior_h0(
         log_l0=log_l0,
         log_l1=log_l1,
         bf01=bf01,
-        posterior_h0=_posterior_from_log_bf(log_bf01, pi0),
+        posterior_h0=post,
         posterior_odds_h1=math.inf if bf01 == 0.0 else 1.0 / bf01,
     )
 

@@ -70,7 +70,10 @@ def required_n(design: ZTestDesign) -> int:
 
     Starts from ceil(((z_{1-alpha} + z_{1-beta}) * sigma / delta)^2) and then
     settles the boundary by direct power evaluation, so minimality holds even
-    when the closed form lands a hair on the wrong side of an integer.
+    when the closed form lands a hair on the wrong side of an integer.  Power
+    is non-decreasing in n, so a galloping bracket and a bisection find it in
+    O(log) evaluations, also far above 2**53 where a unit step in n cannot
+    move the float power.
     Raises ValueError when the closed form overflows a float.
     """
     z_alpha = -normal_quantile(design.alpha)
@@ -80,11 +83,15 @@ def required_n(design: ZTestDesign) -> int:
     except OverflowError:  # from ** 2, or from ceil(inf)
         raise ValueError(f"effect/sigma ratio {design.effect:g}/{design.sigma:g} overflows n") from None
     target = 1.0 - design.beta
-    while n > 1 and achieved_power(n - 1, design) >= target:
-        n -= 1
-    while achieved_power(n, design) < target:
-        n += 1
-    return n
+    lo, hi, step = n - 1, n, 1  # gallop until lo (or 0) falls short and hi reaches target, then bisect
+    while achieved_power(hi, design) < target:
+        lo, hi, step = hi, hi + step, 2 * step
+    while lo >= 1 and achieved_power(lo, design) >= target:
+        lo, hi, step = max(0, lo - step), lo, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if achieved_power(mid, design) >= target else (mid, hi)
+    return hi
 
 
 def diagnosticity_gain(

@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple
 
-from .bayes_evidence import BetaPrior, evidence_at_threshold, posterior_h0
+from .bayes_evidence import BetaPrior, _evidence, evidence_at_threshold
 from .binomial_kernel import (
-    BinomialOutcome,
     SelectionMode,
     TailConvention,
     _check_n,
+    _log_terms,
+    _log_upper_tail,
     _select_walk,
     min_attainable_p,
 )
@@ -46,10 +48,8 @@ DEFAULT_ALPHAS: tuple[float, ...] = (0.05, 0.01, 0.001, 0.0001)
 # SweepRow fields in order: the CSV header and the JSON keys.
 _COLUMNS = ("alpha", "n", "s_selected", "p_achieved", "log_bf01", "posterior_h0", "mode", "tail")
 
-# Backward-verification span for find_crossing: adjacent posterior touches of
-# a level sit a handful of n apart (the sawtooth period is a few trials), so
-# one clean 512-wide span below a touch certifies it as the first.
-_VERIFY_SPAN = 512
+# Steps of find_crossing's forward scan between re-anchors on the exact kernel.
+_ANCHOR_EVERY = 1024
 
 
 @dataclass(frozen=True)
@@ -134,6 +134,51 @@ def run_sweep(grid: SweepGrid) -> list[SweepRow]:
             for alpha in grid.alphas for n in grid.n_values]
 
 
+def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int):
+    """(n, s) for each n in 1 .. n_max at which alpha is attainable; s is _select_walk's pick.
+
+    One forward scan carries the strict threshold s (the smallest s > n/2 with
+    p <= alpha) and T = P_n(X >= s) in linear space: T += pmf_{n-1}(s-1)/2,
+    and s moves up at most one, as P_n(X >= s+1) <= P_{n-1}(X >= s) <= P_n(X >= s).
+    Each pmf is exp of a _log_terms term, so T and the walk's sum differ by
+    rounding alone: a few ulps of lgamma(n+1) per term, an ulp per scan step
+    (at most _ANCHOR_EVERY) and an ulp of ln p per walk step (at most
+    7 sqrt(n) + 10).  So s comes from _select_walk, and T from _log_upper_tail,
+    at the first feasible n, every _ANCHOR_EVERY steps, and where a decision
+    margin (alpha - p(s), p(s-1) - alpha, in nearest mode their difference)
+    is within tol = 32 (eps alpha (lgamma(N+1) + m (1 - ln alpha)) + m ulp(0)),
+    m = 7 sqrt(N) + 10 + _ANCHOR_EVERY, N = n + _ANCHOR_EVERY; the largest
+    difference seen (n to 2e5, alpha to 1e-100) is tol/16.  Other n cost O(1).
+    """
+    c = 2.0 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 1.0
+    nearest = mode is SelectionMode.NEAREST_TO_ALPHA
+    first = anchor = next((n for n in range(1, n_max + 1) if min_attainable_p(n, tail) <= alpha), n_max + 1)
+    for n in range(first, n_max + 1):
+        fresh = n == first or n - anchor >= _ANCHOR_EVERY
+        if not fresh:
+            T += 0.5 * pm1
+            moved = c * T > alpha or s <= n // 2
+            s += moved
+        while True:
+            if fresh:
+                anchor, moved, s = n, False, _select_walk(n, alpha, SelectionMode.STRICT_AT_MOST_ALPHA, tail)
+                T = math.exp(_log_upper_tail(n, s))
+                top = n + _ANCHOR_EVERY  # tol holds for every n up to the next periodic anchor
+                m = 7.0 * math.sqrt(top) + 10.0 + _ANCHOR_EVERY
+                tol = 32.0 * (math.ulp(1.0) * alpha * (math.lgamma(top + 1) + m * (1.0 - math.log(alpha)))
+                              + m * math.ulp(0.0))
+            pm1 = math.exp(next(_log_terms(n, s - 1, s - 2))[1])
+            if moved:
+                T -= pm1
+            d1 = alpha - c * T
+            d2 = c * (T + pm1) - alpha if s - 1 > n // 2 else math.inf  # the walk stops above n/2
+            sure = min(d1, d2, abs(d2 - d1) if nearest else math.inf) > tol
+            if sure or fresh:
+                break
+            fresh = True
+        yield n, _select_walk(n, alpha, mode, tail) if nearest and not sure else s - (nearest and d2 < d1)
+
+
 def find_crossing(
     alpha: float,
     level: float,
@@ -142,14 +187,14 @@ def find_crossing(
     prior: BetaPrior | None = None,
     n_max: int = 20000,
 ) -> int | None:
-    """Smallest n at which the barely-significant posterior first reaches `level`.
+    """Smallest n <= n_max at which the barely-significant posterior reaches `level`.
 
     First-touch semantics: jitter makes "every later n stays above" ill-posed,
-    so the answer is the first n whose posterior touches the level.  The
-    search probes doubling n values (plus n_max), shrinks to a bracket, scans
-    it exactly, then walks backward in _VERIFY_SPAN windows until one is
-    touch-free.  Returns None when no probed or scanned n reaches the level
-    by n_max; n values where no success count attains alpha are skipped.
+    so the answer is the first n whose posterior touches the level.  Every n
+    where some success count attains alpha is scored as evidence_at_threshold
+    scores it, by one forward scan (_march) with O(1) work per n; the cost is
+    linear in the answer, or in n_max when no n up to n_max touches the level
+    and None is returned (about 0.2 s at n_max = 20000).
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
@@ -158,50 +203,7 @@ def find_crossing(
     _check_n(n_max, "n_max")
     if prior is None:
         prior = BetaPrior.uniform()
-
-    cache: dict[int, bool] = {}
-
-    def reaches(n: int) -> bool:
-        hit = cache.get(n)
-        if hit is None:
-            if min_attainable_p(n, tail) > alpha:
-                hit = False
-            else:
-                s = _select_walk(n, alpha, mode, tail)
-                hit = posterior_h0(BinomialOutcome(n, s), prior).posterior_h0 >= level
-            cache[n] = hit
-        return hit
-
-    probes: list[int] = []
-    k = 1
-    while k < n_max:
-        probes.append(k)
-        k *= 2
-    probes.append(n_max)
-
-    lo, hi = 0, None
-    for i, n in enumerate(probes):
-        if reaches(n):
-            lo, hi = (probes[i - 1] if i else 0), n
-            break
-    if hi is None:
-        return None
-
-    while hi - lo > _VERIFY_SPAN:
-        mid = (lo + hi) // 2
-        if reaches(mid):
-            hi = mid
-        else:
-            lo = mid  # may skip a jittery earlier touch; repaired below
-
-    cand = next(n for n in range(lo + 1, hi + 1) if reaches(n))
-    while cand > 1:
-        start = max(1, cand - _VERIFY_SPAN)
-        earlier = next((n for n in range(start, cand) if reaches(n)), None)
-        if earlier is None:
-            break
-        cand = earlier
-    return cand
+    return next((n for n, s in _march(alpha, mode, tail, n_max) if _evidence(n, s, prior)[2] >= level), None)
 
 
 def jitter_report(rows: Iterable[SweepRow]) -> list[JitterViolation]:

@@ -140,6 +140,12 @@ class TestCrossingCommand:
         assert code == 0
         assert json.loads(out)["n"] == 82
 
+    def test_touch_between_doubling_probes_is_found(self, capsys):
+        code, out, _ = run_cli(capsys, "crossing", "--alpha", "0.05", "--level", "0.4",
+                               "--n-max", "40")
+        assert code == 0
+        assert json.loads(out)["n"] == 36
+
     def test_absent_crossing_is_null_but_exit_0(self, capsys):
         code, out, _ = run_cli(capsys, "crossing", "--alpha", "0.0001", "--level", "0.5",
                                "--n-max", "10000")
@@ -189,6 +195,14 @@ class TestPowerCommand:
         code, out, err = run_cli(capsys, "power", "--mu0", "40", "--mu-alt", "40",
                                  "--sigma", "8", "--alpha", "0.05", "--beta", "0.02")
         assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_tiny_effect_far_above_2_to_53_returns_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "power", "--mu0", "0", "--mu-alt", "1e-11",
+                               "--sigma", "1", "--alpha", "0.05", "--beta", "0.2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert json.loads(out)["required_n"] > 2**53
 
     def test_required_n_overflow_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "power", "--mu0", "0", "--mu-alt", "1e-200",

@@ -71,6 +71,14 @@ class TestRequiredN:
         if n > 1:
             assert achieved_power(n - 1, d) < 1.0 - beta
 
+    @pytest.mark.parametrize("mu_alt", [1e-11, 1e-13, 1e-15])
+    def test_minimal_far_above_2_to_53(self, mu_alt):
+        # here a unit step in n cannot move the float power, so stepping would never end
+        d = ZTestDesign(mu0=0.0, mu_alt=mu_alt, sigma=1.0, alpha=0.05, beta=0.2)
+        n = required_n(d)
+        assert n > 2**53
+        assert achieved_power(n, d) >= 0.8 > achieved_power(n - 1, d)
+
     @pytest.mark.parametrize("mu_alt, sigma", [(1e-200, 1e200), (1e-150, 1e150)])
     def test_overflowing_closed_form_names_the_ratio(self, mu_alt, sigma):
         # the first overflows to inf before squaring, the second in the square

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -17,11 +18,16 @@ from threshold_lab import (
     evidence_at_threshold,
     find_crossing,
     jitter_report,
+    min_attainable_p,
     p_value,
     parse_csv,
     parse_json,
     run_sweep,
 )
+
+from threshold_lab import sweep_report
+from threshold_lab.binomial_kernel import _select_walk
+from threshold_lab.sweep_report import _march
 
 import oracles
 
@@ -153,6 +159,22 @@ class TestFindCrossing:
                 assert evidence_at_threshold(n, 0.05).report.posterior_h0 < 0.4
         assert evidence_at_threshold(n_star, 0.05).report.posterior_h0 >= 0.4
 
+    def test_touch_between_doubling_probes_is_found(self):
+        # posterior .4026 at n = 36; no power of two up to 40 reaches .4
+        assert find_crossing(0.05, 0.4, n_max=40) == 36
+
+    @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
+    @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
+    def test_first_touch_over_every_n_for_every_n_max(self, mode, tail):
+        # ground truth by brute force: every feasible n <= 150 scored through evidence_at_threshold
+        for alpha in (0.05, 0.01):
+            post = [(n, evidence_at_threshold(n, alpha, mode, tail).report.posterior_h0)
+                    for n in range(1, 151) if min_attainable_p(n, tail) <= alpha]
+            for level in (0.2, 0.3, 0.4, 0.5, 0.6):
+                for n_max in (40, 90, 150):
+                    want = next((n for n, x in post if n <= n_max and x >= level), None)
+                    assert find_crossing(alpha, level, mode, tail, n_max=n_max) == want
+
     @pytest.mark.parametrize("case", CROSSINGS, ids=lambda c: f"alpha{c['alpha']}-level{c['level']}")
     def test_matches_brute_force_oracle(self, case):
         assert find_crossing(float(case["alpha"]), float(case["level"])) == case["n"]
@@ -171,6 +193,63 @@ class TestFindCrossing:
             find_crossing(0.05, 1.0)
         with pytest.raises(ValueError):
             find_crossing(0.05, 0.5, n_max=0)
+
+
+class TestMarch:
+    """_march, find_crossing's forward scan, picks what _select_walk picks at every n."""
+
+    @pytest.fixture
+    def walked(self, monkeypatch):
+        """The n of every _select_walk call the scan makes."""
+        calls = []
+
+        def spy(n, *args):
+            calls.append(n)
+            return _select_walk(n, *args)
+
+        monkeypatch.setattr(sweep_report, "_select_walk", spy)
+        return calls
+
+    @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
+    @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("alpha", [0.2, 0.05, 0.02, 0.01, 0.001, 1e-4])
+    def test_matches_the_walk(self, alpha, mode, tail):
+        got = dict(_march(alpha, mode, tail, 6000))
+        feasible = [n for n in range(1, 6001) if min_attainable_p(n, tail) <= alpha]
+        assert list(got) == feasible
+        # every n up to 800, then a seeded sample of the rest
+        rng = random.Random(f"{alpha}/{mode.value}/{tail.value}")
+        ns = [n for n in feasible if n <= 800] + rng.sample([n for n in feasible if n > 800], 25)
+        assert [got[n] for n in ns] == [_select_walk(n, alpha, mode, tail) for n in ns]
+
+    @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
+    @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("alpha", [0.5, 0.75, 0.95])
+    def test_matches_the_walk_where_s_sits_just_above_half_n(self, alpha, mode, tail):
+        got = dict(_march(alpha, mode, tail, 400))
+        assert got == {n: _select_walk(n, alpha, mode, tail)
+                       for n in range(1, 401) if min_attainable_p(n, tail) <= alpha}
+
+    @pytest.mark.parametrize("n, s", [(1000, 532), (999, 531), (2000, 1046), (3000, 1560)])
+    @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
+    @pytest.mark.parametrize("tie", ["p(s)", "mid"])
+    def test_a_thin_margin_hands_over_to_the_walk(self, walked, n, s, tail, tie):
+        # alpha is p(s), so at n the scan's alpha - p(s) is rounding alone in
+        # both modes; or halfway to p(s-1), so nearest mode's choice is
+        p = p_value(BinomialOutcome(n, s), tail)
+        alpha = p if tie == "p(s)" else (p + p_value(BinomialOutcome(n, s - 1), tail)) / 2
+        modes = list(SelectionMode) if tie == "p(s)" else [SelectionMode.NEAREST_TO_ALPHA]
+        for mode in modes:
+            walked.clear()
+            got = dict(_march(alpha, mode, tail, n))[n]
+            assert n in walked
+            assert got == _select_walk(n, alpha, mode, tail)
+
+    def test_walks_only_at_anchors(self, walked):
+        # the first feasible n and every 1024 steps; a thin-margin hand-over is rare
+        steps = list(_march(0.01, SelectionMode.NEAREST_TO_ALPHA, TailConvention.TWO_SIDED_SYMMETRIC, 6000))
+        assert [n for n, _ in steps] == list(range(8, 6001))  # 2 * 2**-n <= .01 from n = 8
+        assert len(walked) <= 8
 
 
 def min_p_feasible(n):
