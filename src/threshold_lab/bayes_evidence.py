@@ -73,6 +73,15 @@ class ThresholdEvidence(NamedTuple):
     report: EvidenceReport
 
 
+def _prior_or_uniform(prior: BetaPrior | None) -> BetaPrior:
+    """The prior itself, or the flat Beta(1, 1) for None; any other type is a ValueError."""
+    if prior is None:
+        return BetaPrior.uniform()
+    if not isinstance(prior, BetaPrior):
+        raise ValueError(f"prior must be a BetaPrior, got {prior!r}")
+    return prior
+
+
 def _betaln(x: float, y: float) -> float:
     return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
 
@@ -85,7 +94,7 @@ def log_marginal_h1(outcome: BinomialOutcome, prior: BetaPrior | None = None) ->
     bracket cancels term-for-term in floating point, so the 1/(n+1) identity
     holds to the last bit instead of drowning in large-argument lgamma noise.
     """
-    return _evidence(outcome.n, outcome.s, prior if prior is not None else BetaPrior.uniform())[1]
+    return _evidence(outcome.n, outcome.s, _prior_or_uniform(prior))[1]
 
 
 def _evidence(n: int, s: int, prior: BetaPrior, pi0: float = 0.5) -> tuple[float, float, float]:
@@ -117,8 +126,7 @@ def posterior_h0(
     With the default equal prior odds the posterior reduces to
     l0 / (l0 + l1); everything stays in log space until the final ratio.
     """
-    if prior is None:
-        prior = BetaPrior.uniform()
+    prior = _prior_or_uniform(prior)
     if not isinstance(prior_prob_h0, (int, float)) or isinstance(prior_prob_h0, bool):
         raise ValueError(f"prior_prob_h0 must be a real number, got {prior_prob_h0!r}")
     pi0 = float(prior_prob_h0)

@@ -8,7 +8,9 @@ theta = 0.5.
 A sign-test tail costs O(sqrt(n)) terms, not O(n): it starts at a cut-off
 ceil(6 sqrt(n)) + 10 terms above max(s, n/2), and the mass above the cut-off
 is below 2**-60 of the mass it keeps, far under half an ulp of the sum.  The
-selection walk starts from the same cut-off.  The tail routines take n <= MAX_N.
+selection walk starts from the same cut-off and keeps its terms; a selection's
+p_achieved is folded from them, so it is bit-equal to p_value by construction
+and costs one O(sqrt(n)) pass.  The tail routines take n <= MAX_N.
 """
 
 from __future__ import annotations
@@ -49,6 +51,12 @@ def _check_n(n, name: str = "trial count n", limit: int | None = MAX_N) -> None:
         raise ValueError(f"{name} must be a positive integer, got {n!r}")
     if limit is not None and n > limit:
         raise ValueError(f"{name} must be at most {limit} (the largest n the tail routines accept), got {n}")
+
+
+def _check_enum(value, enum: type[Enum], name: str) -> None:
+    """Reject a value that is not a member of `enum` (a bare string such as "two" included)."""
+    if not isinstance(value, enum):
+        raise ValueError(f"{name} must be a {enum.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -121,33 +129,30 @@ def log_pmf(outcome: BinomialOutcome, model: BinomialModel) -> float:
     if theta == 0.5:
         # the weight collapses to n*ln(1/2), independent of s, so the
         # s <-> n-s symmetry of log_choose survives to the last bit
-        return log_choose(n, s) - n * _LN2
+        return _log_term(n, s)
     return log_choose(n, s) + s * math.log(theta) + (n - s) * math.log1p(-theta)
 
 
-def _logaddexp(a: float, b: float) -> float:
-    if a == -math.inf:
-        return b
-    if b == -math.inf:
-        return a
-    if a < b:
-        a, b = b, a
-    return a + math.log1p(math.exp(b - a))
+def _log_term(n: int, k: int) -> float:
+    """ln P(X = k) under Binomial(n, 0.5), as log_pmf returns it; the tail terms match it bit for bit."""
+    return log_choose(n, k) - n * _LN2
 
 
-def _log_terms(n: int, start: int, stop: int):
-    """(k, ln P(X = k)) under Binomial(n, 0.5) for k = start, start-1, ..., stop+1.
-
-    Each term is the float expression log_pmf evaluates at theta = 0.5, with
-    the same (lo, hi) ordering, so it is bit-equal to log_pmf; lgamma(n+1) and
-    n ln 2 are computed once and no dataclass is built per term.
-    """
+def _log_terms(n: int, start: int, stop: int) -> list[float]:
+    """[_log_term(n, k) for k = start, start-1, ..., stop+1], with lgamma(n+1) and n ln 2 hoisted."""
     lgamma = math.lgamma
     lg = lgamma(n + 1)
     w = n * _LN2
-    for k in range(start, stop, -1):
-        lo, hi = (k, n - k) if k <= n - k else (n - k, k)
-        yield k, lg - lgamma(lo + 1) - lgamma(hi + 1) - w
+    return [lg - lgamma(min(k, n - k) + 1) - lgamma(max(k, n - k) + 1) - w for k in range(start, stop, -1)]
+
+
+def _log_sum(terms: list[float]) -> float:
+    """ln of the sum of exp(t) over the log terms, folded in list order."""
+    exp, log1p = math.exp, math.log1p
+    acc = -math.inf
+    for t in terms:
+        acc = t + log1p(exp(acc - t)) if t > acc else acc + log1p(exp(t - acc))
+    return acc
 
 
 def _tail_start(n: int, s: int) -> int:
@@ -163,10 +168,12 @@ def _log_upper_tail(n: int, s: int) -> float:
     The sum starts at _tail_start(n, s), so it costs O(sqrt(n)) terms; adding
     the smallest terms first keeps the running sum free of cancellation.
     """
-    acc = -math.inf
-    for _, term in _log_terms(n, _tail_start(n, s), s - 1):
-        acc = _logaddexp(acc, term)
-    return acc
+    return _log_sum(_log_terms(n, _tail_start(n, s), s - 1))
+
+
+def _shift(tail: TailConvention) -> float:
+    # ln of the factor between p and the upper-tail probability it is computed from
+    return _LN2 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 0.0
 
 
 def p_value(outcome: BinomialOutcome, tail: TailConvention = TailConvention.TWO_SIDED_SYMMETRIC) -> float:
@@ -178,10 +185,9 @@ def p_value(outcome: BinomialOutcome, tail: TailConvention = TailConvention.TWO_
     """
     n, s = outcome.n, outcome.s
     _check_n(n)
-    if tail is TailConvention.ONE_SIDED_UPPER:
-        return min(1.0, math.exp(_log_upper_tail(n, s)))
-    hi = max(s, n - s)
-    return min(1.0, math.exp(_LN2 + _log_upper_tail(n, hi)))
+    _check_enum(tail, TailConvention, "tail")
+    hi = s if tail is TailConvention.ONE_SIDED_UPPER else max(s, n - s)
+    return min(1.0, math.exp(_shift(tail) + _log_upper_tail(n, hi)))
 
 
 def min_attainable_p(n: int, tail: TailConvention = TailConvention.TWO_SIDED_SYMMETRIC) -> float:
@@ -193,28 +199,39 @@ def min_attainable_p(n: int, tail: TailConvention = TailConvention.TWO_SIDED_SYM
 def _walk_start(n: int, alpha: float, tail: TailConvention) -> int:
     # Chernoff: P(X >= n/2 + z*sqrt(n)/2) <= exp(-z^2/2), so p <= alpha from n/2 + zb*sqrt(n)/2 up
     # and the answer lies at or below it.  zb is taken in log space: a subnormal alpha cannot overflow.
-    zb = math.sqrt(-2.0 * (math.log(alpha) - (_LN2 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 0.0)))
+    zb = math.sqrt(-2.0 * (math.log(alpha) - _shift(tail)))
     return _tail_start(n, math.ceil(n / 2.0 + zb * math.sqrt(n) / 2.0))
 
 
-def _select_walk(n: int, alpha: float, mode: SelectionMode, tail: TailConvention) -> int:
+def _select_walk(n: int, alpha: float, mode: SelectionMode, tail: TailConvention,
+                 terms: list[float] | None = None) -> int:
     """Pick the barely-significant s in (n/2, n] by walking s downward.
 
-    The walk keeps a running upper-tail sum over the terms of _log_terms; each
-    step down adds one term.  It starts at _walk_start, the _tail_start cut-off
-    above a Chernoff bound on the answer, so it costs O(sqrt(n)) terms, and
-    from the bound down its sums miss under 2**-60 of their mass.  p strictly
-    increases as s decreases, which justifies the strict-mode bookkeeping and
-    the early break; it is not p_value's bit for bit (the sums start apart).
+    The walk keeps a running upper-tail sum; each step down adds one term,
+    _log_term's float expression inline (k > n/2, so n - k is lgamma's lower
+    argument), folded as _log_sum folds, and appends it to `terms` if given.
+    It starts at _walk_start, the _tail_start cut-off above a Chernoff bound
+    on the answer, so it costs O(sqrt(n)) terms, and from the bound down its
+    sums miss under 2**-60 of their mass.  p strictly increases as s
+    decreases, which justifies the strict-mode bookkeeping and the early
+    break; it is not p_value's bit for bit (the sums start apart).
     """
-    shift = _LN2 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 0.0
+    lgamma, exp, log1p = math.lgamma, math.exp, math.log1p
+    lg = lgamma(n + 1)
+    w = n * _LN2
+    shift = _shift(tail)
+    keep = (terms if terms is not None else []).append
     acc = -math.inf
     best_s = n
     best_d = math.inf
     strict_s: int | None = None
-    for k, term in _log_terms(n, _walk_start(n, alpha, tail), n // 2):
-        acc = _logaddexp(acc, term)
-        p = min(1.0, math.exp(shift + acc))
+    for k in range(_walk_start(n, alpha, tail), n // 2, -1):
+        term = lg - lgamma(n - k + 1) - lgamma(k + 1) - w
+        keep(term)
+        acc = term + log1p(exp(acc - term)) if term > acc else acc + log1p(exp(term - acc))
+        p = exp(shift + acc)
+        if p > 1.0:
+            p = 1.0  # min(1.0, p) as p_value clamps, without a builtin call per term
         if p <= alpha:
             strict_s = k  # overwritten while descending: ends at the smallest such s
         d = abs(p - alpha)
@@ -243,11 +260,20 @@ def select_barely_significant(
     NEAREST_TO_ALPHA minimizes |p_value(s) - alpha| (ties to the larger s);
     STRICT_AT_MOST_ALPHA returns the smallest s with p_value(s) <= alpha and
     raises InfeasibleError when even s = n stays above alpha.  The returned
-    p_achieved is re-derived through p_value (O(sqrt(n)) terms), so it is
-    bit-equal to what any later re-check of (n, s, tail) computes.
+    p_achieved is folded from the walk's own terms: the ones p_value sums for
+    (n, s, tail), in p_value's order, so it is bit-equal to p_value by
+    construction and needs no second pass.
     """
     _check_n(n)
+    _check_enum(mode, SelectionMode, "mode")
+    _check_enum(tail, TailConvention, "tail")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
-    s = _select_walk(n, alpha, mode, tail)
-    return CriticalValue(s=s, p_achieved=p_value(BinomialOutcome(n, s), tail))
+    terms: list[float] = []
+    s = _select_walk(n, alpha, mode, tail, terms)
+    # terms[i] is the term of k = top - i; p_value sums k = _tail_start(n, s) down to s.  That start
+    # passes top only when s passes the walk's Chernoff bound, where p underflows to 0 (subnormal alpha).
+    top = _walk_start(n, alpha, tail)
+    start = _tail_start(n, s)
+    log_tail = _log_sum(_log_terms(n, start, top) + terms[max(0, top - start):top - s + 1])
+    return CriticalValue(s=s, p_achieved=min(1.0, math.exp(_shift(tail) + log_tail)))

@@ -15,12 +15,13 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple
 
-from .bayes_evidence import BetaPrior, _evidence, evidence_at_threshold
+from .bayes_evidence import BetaPrior, _evidence, _prior_or_uniform, evidence_at_threshold
 from .binomial_kernel import (
     SelectionMode,
     TailConvention,
+    _check_enum,
     _check_n,
-    _log_terms,
+    _log_term,
     _log_upper_tail,
     _select_walk,
     min_attainable_p,
@@ -78,10 +79,8 @@ class SweepGrid:
                 raise ValueError(f"alphas entries must lie strictly between 0 and 1, got {a!r}")
         if any(a <= b for a, b in zip(self.alphas, self.alphas[1:])):
             raise ValueError(f"alphas must be strictly decreasing, got {self.alphas}")
-        if not isinstance(self.mode, SelectionMode):
-            raise ValueError(f"mode must be a SelectionMode, got {self.mode!r}")
-        if not isinstance(self.tail, TailConvention):
-            raise ValueError(f"tail must be a TailConvention, got {self.tail!r}")
+        _check_enum(self.mode, SelectionMode, "mode")
+        _check_enum(self.tail, TailConvention, "tail")
         if not isinstance(self.prior, BetaPrior):
             raise ValueError(f"prior must be a BetaPrior, got {self.prior!r}")
 
@@ -140,7 +139,7 @@ def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int):
     One forward scan carries the strict threshold s (the smallest s > n/2 with
     p <= alpha) and T = P_n(X >= s) in linear space: T += pmf_{n-1}(s-1)/2,
     and s moves up at most one, as P_n(X >= s+1) <= P_{n-1}(X >= s) <= P_n(X >= s).
-    Each pmf is exp of a _log_terms term, so T and the walk's sum differ by
+    Each pmf is exp of a _log_term, so T and the walk's sum differ by
     rounding alone: a few ulps of lgamma(n+1) per term, an ulp per scan step
     (at most _ANCHOR_EVERY) and an ulp of ln p per walk step (at most
     7 sqrt(n) + 10).  So s comes from _select_walk, and T from _log_upper_tail,
@@ -167,7 +166,7 @@ def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int):
                 m = 7.0 * math.sqrt(top) + 10.0 + _ANCHOR_EVERY
                 tol = 32.0 * (math.ulp(1.0) * alpha * (math.lgamma(top + 1) + m * (1.0 - math.log(alpha)))
                               + m * math.ulp(0.0))
-            pm1 = math.exp(next(_log_terms(n, s - 1, s - 2))[1])
+            pm1 = math.exp(_log_term(n, s - 1))
             if moved:
                 T -= pm1
             d1 = alpha - c * T
@@ -201,8 +200,9 @@ def find_crossing(
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie strictly between 0 and 1, got {level!r}")
     _check_n(n_max, "n_max")
-    if prior is None:
-        prior = BetaPrior.uniform()
+    _check_enum(mode, SelectionMode, "mode")
+    _check_enum(tail, TailConvention, "tail")
+    prior = _prior_or_uniform(prior)
     return next((n for n, s in _march(alpha, mode, tail, n_max) if _evidence(n, s, prior)[2] >= level), None)
 
 

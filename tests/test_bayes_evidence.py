@@ -113,6 +113,13 @@ class TestPosterior:
             with pytest.raises(ValueError):
                 posterior_h0(BinomialOutcome(10, 5), prior_prob_h0=bad)
 
+    def test_rejects_a_prior_that_is_not_a_beta_prior(self):
+        # a (1, 1) tuple used to raise a raw AttributeError
+        with pytest.raises(ValueError, match="BetaPrior"):
+            posterior_h0(BinomialOutcome(100, 60), prior=(1, 1))
+        with pytest.raises(ValueError, match="BetaPrior"):
+            log_marginal_h1(BinomialOutcome(100, 60), (1, 1))
+
     def test_posterior_increases_with_bf(self):
         reports = [posterior_h0(BinomialOutcome(100, s)) for s in (80, 70, 60, 50)]
         assert all(a.bf01 < b.bf01 for a, b in zip(reports, reports[1:]))

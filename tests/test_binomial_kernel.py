@@ -18,7 +18,7 @@ from threshold_lab import (
     posterior_h0,
     select_barely_significant,
 )
-from threshold_lab.binomial_kernel import MAX_N, _tail_start
+from threshold_lab.binomial_kernel import MAX_N, _select_walk, _tail_start, _walk_start
 
 import oracles
 
@@ -122,6 +122,13 @@ class TestPValue:
         for earlier, later in zip(ps, ps[1:]):
             assert later <= earlier + 1e-15
 
+    def test_rejects_a_tail_that_is_not_the_enum(self):
+        # "one" used to give the two-sided 0.1332
+        with pytest.raises(ValueError, match="TailConvention"):
+            p_value(BinomialOutcome(100, 58), "one")
+        with pytest.raises(ValueError, match="TailConvention"):
+            min_attainable_p(100, "one")
+
     @given(st.integers(1, 300), st.data())
     def test_range(self, n, data):
         s = data.draw(st.integers(0, n))
@@ -167,9 +174,35 @@ class TestSelection:
         assert s == 4 and p == pytest.approx(0.125, rel=1e-12)
 
     def test_p_achieved_rederives_bit_equal(self):
-        for n, alpha, tail in [(100, 0.05, TWO), (1000, 0.01, TWO), (173, 0.05, ONE), (10000, 0.001, TWO)]:
-            s, p = select_barely_significant(n, alpha, tail=tail)
-            assert p == p_value(BinomialOutcome(n, s), tail)
+        # p_achieved is folded from the walk's own terms; it must equal a fresh p_value bit for bit
+        rng = random.Random(1018)
+        alphas = [math.exp(rng.uniform(math.log(1e-12), math.log(0.9))) for _ in range(2100)]
+        checked = 0
+        for alpha in alphas + [1e-300] * 100 + [5e-324] * 100:
+            n = int(math.exp(rng.uniform(0.0, math.log(10**6))))
+            mode = rng.choice(list(SelectionMode))
+            tail = rng.choice([ONE, TWO])
+            try:
+                s, p = select_barely_significant(n, alpha, mode, tail)
+            except InfeasibleError:
+                continue
+            assert p == p_value(BinomialOutcome(n, s), tail), (n, alpha, mode, tail)
+            checked += 1
+        assert checked >= 2000
+
+    def test_walk_terms_are_log_pmf_bit_for_bit(self):
+        rng = random.Random(20261018)
+        for _ in range(60):
+            n = int(math.exp(rng.uniform(0.0, math.log(10**6))))
+            alpha = math.exp(rng.uniform(math.log(1e-12), math.log(0.9)))
+            tail = rng.choice([ONE, TWO])
+            terms = []
+            s = _select_walk(n, alpha, SelectionMode.NEAREST_TO_ALPHA, tail, terms)
+            top = _walk_start(n, alpha, tail)
+            assert terms and top - len(terms) + 1 <= s
+            for i in sorted({0, len(terms) - 1, *(rng.randrange(len(terms)) for _ in range(20))}):
+                assert top - i > n / 2
+                assert terms[i] == log_pmf(BinomialOutcome(n, top - i), HALF), (n, top - i)
 
     def test_tie_breaks_to_larger_s(self):
         # alpha exactly midway between p(10,9) = 22/1024 and p(10,8) = 112/1024;
@@ -199,6 +232,16 @@ class TestSelection:
         if s > 0:
             step += math.exp(log_pmf(BinomialOutcome(n, s - 1), HALF))
         assert abs(p - alpha) <= step + 1e-12
+
+    def test_rejects_a_tail_that_is_not_the_enum(self):
+        # "two" used to be walked as one-sided, giving (59, 0.0886) instead of (60, 0.0569)
+        with pytest.raises(ValueError, match="TailConvention"):
+            select_barely_significant(100, 0.05, tail="two")
+
+    def test_rejects_a_mode_that_is_not_the_enum(self):
+        # "strict" used to count as nearest, returning (60, 0.0569) with p > alpha
+        with pytest.raises(ValueError, match="SelectionMode"):
+            select_barely_significant(100, 0.05, mode="strict")
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -262,9 +305,10 @@ class TestTailCutoff:
 
         monkeypatch.setattr(math, "lgamma", counted)
         select_barely_significant(10**6, 0.001)
-        # 24,656 calls: the walk from the cut-off above its Chernoff bound,
-        # then the p_value re-derivation; an O(n) loop would make ~2e6
-        assert 0 < calls <= 28_000
+        # 12,634 calls: the walk from the cut-off above its Chernoff bound, whose
+        # terms also give p_achieved; an O(n) loop would make ~2e6, and a second
+        # pass re-deriving p_achieved through p_value another ~12,000
+        assert 0 < calls <= 14_000
 
 
 def _select_by_bisection(n, alpha, mode, tail):
@@ -322,7 +366,7 @@ class TestTrialCountLimit:
     def test_sweep_and_crossing_check_n_before_scoring(self):
         with pytest.raises(ValueError, match=f"at most {MAX_N}"):
             SweepGrid(n_values=(20, MAX_N + 1))
-        # without the up-front check the doubling probes would find the
-        # crossing near n = 1000 and never reach n_max
+        # without the up-front check the forward scan would find the
+        # crossing at n = 82 and return, never reaching n_max
         with pytest.raises(ValueError, match=f"at most {MAX_N}"):
             find_crossing(0.05, 0.5, n_max=MAX_N + 1)

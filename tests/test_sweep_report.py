@@ -36,6 +36,13 @@ import oracles
 CROSSINGS = json.loads((Path(__file__).parent / "data" / "crossings.json").read_text())["crossings"]
 
 
+@pytest.mark.parametrize("name", ["default_sweep.csv", "crossings.json"])
+def test_goldens_match_the_benchmark_copies(name):
+    # the benchmark checks answers against its own copies; the two must not drift apart
+    here = Path(__file__).parent
+    assert (here / "data" / name).read_bytes() == (here.parent / "perfbench" / "expected" / name).read_bytes()
+
+
 def csv_text(rows):
     buf = io.StringIO()
     emit(rows, "csv", buf)
@@ -193,6 +200,15 @@ class TestFindCrossing:
             find_crossing(0.05, 1.0)
         with pytest.raises(ValueError):
             find_crossing(0.05, 0.5, n_max=0)
+
+    def test_rejects_arguments_that_are_not_the_enums_or_a_beta_prior(self):
+        # a (1, 1) prior used to raise a raw AttributeError; "two" would scan one-sided
+        with pytest.raises(ValueError, match="BetaPrior"):
+            find_crossing(0.05, 0.5, prior=(1, 1))
+        with pytest.raises(ValueError, match="TailConvention"):
+            find_crossing(0.05, 0.5, tail="two")
+        with pytest.raises(ValueError, match="SelectionMode"):
+            find_crossing(0.05, 0.5, mode="strict")
 
 
 class TestMarch:
