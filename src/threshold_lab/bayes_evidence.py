@@ -12,12 +12,12 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from ._checks import MAX_SHAPE, _check_positive, _check_unit
 from .binomial_kernel import (
-    _LN2,
     BinomialOutcome,
     SelectionMode,
     TailConvention,
-    log_choose,
+    _log_term,
     select_barely_significant,
 )
 
@@ -32,16 +32,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BetaPrior:
-    """Beta(a, b) shape pair for the alternative's success probability."""
+    """Beta(a, b) shape pair for the alternative's success probability; each shape in (0, MAX_SHAPE]."""
 
     a: float
     b: float
 
     def __post_init__(self) -> None:
-        for name, value in (("a", self.a), ("b", self.b)):
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not ok or not value > 0.0 or math.isinf(value):
-                raise ValueError(f"prior shape {name} must be a positive finite real, got {value!r}")
+        _check_positive(self.a, "prior shape a", MAX_SHAPE)
+        _check_positive(self.b, "prior shape b", MAX_SHAPE)
 
     @classmethod
     def uniform(cls) -> "BetaPrior":
@@ -101,7 +99,7 @@ def _evidence(n: int, s: int, prior: BetaPrior, pi0: float = 0.5) -> tuple[float
     """(ln L0, ln L1, posterior of H0) from plain ints: posterior_h0's arithmetic, no dataclass."""
     a, b = float(prior.a), float(prior.b)
     bracket = _betaln(s + a, n - s + b) - _betaln(s + 1.0, n - s + 1.0)
-    log_l0 = log_choose(n, s) - n * _LN2  # log_pmf's expression at theta = 0.5
+    log_l0 = _log_term(n, s)
     log_l1 = -math.log(n + 1.0) + bracket - _betaln(a, b)
     return log_l0, log_l1, _posterior_from_log_bf(log_l0 - log_l1, pi0)
 
@@ -127,11 +125,7 @@ def posterior_h0(
     l0 / (l0 + l1); everything stays in log space until the final ratio.
     """
     prior = _prior_or_uniform(prior)
-    if not isinstance(prior_prob_h0, (int, float)) or isinstance(prior_prob_h0, bool):
-        raise ValueError(f"prior_prob_h0 must be a real number, got {prior_prob_h0!r}")
-    pi0 = float(prior_prob_h0)
-    if not 0.0 < pi0 < 1.0:
-        raise ValueError(f"prior_prob_h0 must lie strictly between 0 and 1, got {pi0!r}")
+    pi0 = _check_unit(prior_prob_h0, "prior_prob_h0")
     log_l0, log_l1, post = _evidence(outcome.n, outcome.s, prior, pi0)
     log_bf01 = log_l0 - log_l1
     try:

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
+from ._checks import MAX_N, _check_enum, _check_n, _check_real, _check_unit
+
 __all__ = [
     "BinomialOutcome",
     "BinomialModel",
@@ -36,27 +38,9 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 
-# Largest n of the O(sqrt(n)) tail routines: a selection there takes tens of ms,
-# and lgamma(n + 1), which log_choose differences, has an ulp of 3e-8.
-MAX_N = 10**7
-
 
 class InfeasibleError(ValueError):
     """No success count can satisfy the requested significance constraint."""
-
-
-def _check_n(n, name: str = "trial count n", limit: int | None = MAX_N) -> None:
-    """Reject an n that is not a positive int, or that exceeds `limit`."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"{name} must be a positive integer, got {n!r}")
-    if limit is not None and n > limit:
-        raise ValueError(f"{name} must be at most {limit} (the largest n the tail routines accept), got {n}")
-
-
-def _check_enum(value, enum: type[Enum], name: str) -> None:
-    """Reject a value that is not a member of `enum` (a bare string such as "two" included)."""
-    if not isinstance(value, enum):
-        raise ValueError(f"{name} must be a {enum.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -79,9 +63,7 @@ class BinomialModel:
     theta: float
 
     def __post_init__(self) -> None:
-        t = self.theta
-        if not isinstance(t, (int, float)) or isinstance(t, bool) or not 0.0 <= t <= 1.0:
-            raise ValueError(f"theta must be a real number in [0, 1], got {t!r}")
+        _check_real(self.theta, "theta", "a real number in [0, 1]", lambda t: 0.0 <= t <= 1.0)
 
 
 class TailConvention(Enum):
@@ -267,8 +249,7 @@ def select_barely_significant(
     _check_n(n)
     _check_enum(mode, SelectionMode, "mode")
     _check_enum(tail, TailConvention, "tail")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
+    alpha = _check_unit(alpha, "alpha")
     terms: list[float] = []
     s = _select_walk(n, alpha, mode, tail, terms)
     # terms[i] is the term of k = top - i; p_value sums k = _tail_start(n, s) down to s.  That start

@@ -1,16 +1,16 @@
 """Command-line surface: one subcommand per library operation.
 
-Exit status: 0 on success, 2 on argument errors (including out-of-range
-values), 1 when a requested computation is infeasible or output cannot be
-written.  Standard output carries data only; every diagnostic goes to
-standard error.
+Exit status: 0 on success, 2 on argument errors, 1 when a requested
+computation is infeasible or output cannot be written.  Flags parse as plain
+ints and floats; the library checks their ranges, and its ValueError is
+printed as "error: ..." with status 2.  Standard output carries data only;
+every diagnostic goes to standard error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .bayes_evidence import BetaPrior, evidence_at_threshold, posterior_h0
@@ -39,65 +39,15 @@ _MODES = {"nearest": SelectionMode.NEAREST_TO_ALPHA, "strict": SelectionMode.STR
 _TAILS = {"two": TailConvention.TWO_SIDED_SYMMETRIC, "one": TailConvention.ONE_SIDED_UPPER}
 
 
-def _probability(text: str) -> float:
-    try:
-        x = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a real number, got {text!r}") from None
-    if not 0.0 < x < 1.0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not strictly between 0 and 1")
-    return x
-
-
-def _finite_real(text: str) -> float:
-    try:
-        x = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a real number, got {text!r}") from None
-    if not math.isfinite(x):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
-    return x
-
-
-def _positive_real(text: str) -> float:
-    x = _finite_real(text)
-    if not x > 0.0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
-    return x
-
-
-def _positive_int(text: str) -> int:
-    try:
-        x = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if x < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return x
-
-
-def _nonnegative_int(text: str) -> int:
-    try:
-        x = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if x < 0:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
-    return x
-
-
 def _alpha_n_pair(text: str) -> tuple[float, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected ALPHA,N (two comma-separated values), got {text!r}")
-    return _probability(parts[0]), _positive_int(parts[1])
+    return float(parts[0]), int(parts[1])
 
 
 def _alpha_list(text: str) -> tuple[float, ...]:
-    parts = [p for p in text.split(",") if p != ""]
-    if not parts:
-        raise argparse.ArgumentTypeError(f"expected a comma-separated list of levels, got {text!r}")
-    return tuple(_probability(p) for p in parts)
+    return tuple(float(p) for p in text.split(",") if p != "")
 
 
 def _add_mode_flag(parser: argparse.ArgumentParser) -> None:
@@ -111,9 +61,9 @@ def _add_tail_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_prior_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--prior-a", type=_positive_real, default=1.0, metavar="R",
+    parser.add_argument("--prior-a", type=float, default=1.0, metavar="R",
                         help="Beta prior shape a for the alternative (default: 1)")
-    parser.add_argument("--prior-b", type=_positive_real, default=1.0, metavar="R",
+    parser.add_argument("--prior-b", type=float, default=1.0, metavar="R",
                         help="Beta prior shape b for the alternative (default: 1)")
 
 
@@ -245,18 +195,18 @@ def build_parser() -> argparse.ArgumentParser:
                        description="Posterior probability of the point null theta=0.5 against a "
                                    "Beta-prior alternative, for n trials with s successes. "
                                    "Defaults: Beta(1,1) prior, pi0=0.5.")
-    p.add_argument("--n", type=_positive_int, required=True, help="trial count")
-    p.add_argument("--s", type=_nonnegative_int, required=True, help="success count")
+    p.add_argument("--n", type=int, required=True, help="trial count")
+    p.add_argument("--s", type=int, required=True, help="success count")
     _add_prior_flags(p)
-    p.add_argument("--pi0", type=_probability, default=0.5, metavar="R",
+    p.add_argument("--pi0", type=float, default=0.5, metavar="R",
                    help="prior probability of the null model (default: 0.5)")
     p.set_defaults(handler=_cmd_posterior)
 
     p = sub.add_parser("critical", help="barely-significant success count for (n, alpha)",
                        description="The success count whose sign-test p-value sits at the "
                                    "significance threshold. Defaults: mode=nearest, tail=two.")
-    p.add_argument("--n", type=_positive_int, required=True, help="trial count")
-    p.add_argument("--alpha", type=_probability, required=True, help="significance threshold")
+    p.add_argument("--n", type=int, required=True, help="trial count")
+    p.add_argument("--alpha", type=float, required=True, help="significance threshold")
     _add_mode_flag(p)
     _add_tail_flag(p)
     p.set_defaults(handler=_cmd_critical)
@@ -288,9 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
                                    "reaches the level; the time grows linearly with the answer, or "
                                    "with n-max (about 0.2 s at 20000). Defaults: mode=nearest, "
                                    "tail=two, Beta(1,1) prior, n-max=20000.")
-    p.add_argument("--alpha", type=_probability, required=True, help="significance threshold")
-    p.add_argument("--level", type=_probability, required=True, help="posterior level to reach")
-    p.add_argument("--n-max", type=_positive_int, default=20000,
+    p.add_argument("--alpha", type=float, required=True, help="significance threshold")
+    p.add_argument("--level", type=float, required=True, help="posterior level to reach")
+    p.add_argument("--n-max", type=int, default=20000,
                    help="largest n to consider (default: 20000)")
     _add_mode_flag(p)
     _add_tail_flag(p)
@@ -300,18 +250,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prep", help="replication probability for a realized p-value",
                        description="Probability that an equally powered replication reproduces "
                                    "the effect's direction, given a realized one-tailed p-value.")
-    p.add_argument("--p", type=_probability, required=True, help="realized p-value")
+    p.add_argument("--p", type=float, required=True, help="realized p-value")
     p.set_defaults(handler=_cmd_prep)
 
     p = sub.add_parser("power", help="one-sided z-test minimal sample size",
                        description="Minimal n for a one-sided z-test of mu0 vs mu-alt with known "
                                    "sigma to keep the type-II rate at or below beta.")
-    p.add_argument("--mu0", type=_finite_real, required=True, help="null mean")
-    p.add_argument("--mu-alt", type=_finite_real, required=True, help="alternative mean")
-    p.add_argument("--sigma", type=_positive_real, required=True, help="known standard deviation")
-    p.add_argument("--alpha", type=_probability, required=True, help="significance threshold")
-    p.add_argument("--beta", type=_probability, required=True, help="maximum type-II error rate")
-    p.add_argument("--show-power-at", type=_positive_int, metavar="INT",
+    p.add_argument("--mu0", type=float, required=True, help="null mean")
+    p.add_argument("--mu-alt", type=float, required=True, help="alternative mean")
+    p.add_argument("--sigma", type=float, required=True, help="known standard deviation")
+    p.add_argument("--alpha", type=float, required=True, help="significance threshold")
+    p.add_argument("--beta", type=float, required=True, help="maximum type-II error rate")
+    p.add_argument("--show-power-at", type=int, metavar="INT",
                    help="also report achieved power at this n")
     p.set_defaults(handler=_cmd_power)
 

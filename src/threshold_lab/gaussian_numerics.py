@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from statistics import NormalDist
 
+from ._checks import _check_real, _check_unit
+
 __all__ = ["normal_cdf", "normal_quantile"]
 
 _SQRT2 = math.sqrt(2.0)
@@ -20,9 +22,7 @@ _inv_cdf = NormalDist().inv_cdf
 
 def normal_cdf(z: float) -> float:
     """Phi(z) = P(Z <= z) for standard normal Z."""
-    if not isinstance(z, (int, float)) or isinstance(z, bool) or not math.isfinite(z):
-        raise ValueError(f"z must be a finite real number, got {z!r}")
-    return 0.5 * math.erfc(-z / _SQRT2)
+    return 0.5 * math.erfc(-_check_real(z, "z") / _SQRT2)
 
 
 def normal_quantile(q: float) -> float:
@@ -32,9 +32,7 @@ def normal_quantile(q: float) -> float:
     (Sterbenz), so normal_quantile(1 - q) == -normal_quantile(q) holds by
     construction rather than within a tolerance.
     """
-    if not isinstance(q, (int, float)) or isinstance(q, bool) or not 0.0 < q < 1.0:
-        raise ValueError(f"quantile input must lie strictly between 0 and 1, got {q!r}")
-    q = float(q)
+    q = _check_unit(q, "quantile input")
     if q > 0.5:
         return -_inv_cdf(1.0 - q)
     return _inv_cdf(q)

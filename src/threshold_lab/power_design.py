@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from ._checks import _check_n, _check_positive, _check_real, _check_unit
 from .bayes_evidence import BetaPrior, evidence_at_threshold
 from .binomial_kernel import SelectionMode, TailConvention
 from .gaussian_numerics import normal_cdf, normal_quantile
@@ -30,18 +31,12 @@ class ZTestDesign:
     beta: float
 
     def __post_init__(self) -> None:
-        for name, value in (("mu0", self.mu0), ("mu_alt", self.mu_alt), ("sigma", self.sigma)):
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not ok or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite real number, got {value!r}")
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma!r}")
-        if self.mu_alt == self.mu0:
+        mu0, mu_alt = _check_real(self.mu0, "mu0"), _check_real(self.mu_alt, "mu_alt")
+        _check_positive(self.sigma, "sigma")
+        if mu_alt == mu0:
             raise ValueError("mu_alt must differ from mu0 (zero effect has no power curve)")
-        for name, value in (("alpha", self.alpha), ("beta", self.beta)):
-            ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not ok or not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie strictly between 0 and 1, got {value!r}")
+        _check_unit(self.alpha, "alpha")
+        _check_unit(self.beta, "beta")
 
     @property
     def effect(self) -> float:
@@ -59,8 +54,7 @@ def achieved_power(n: int, design: ZTestDesign) -> float:
 
     Phi(delta*sqrt(n)/sigma - z_{1-alpha}), with z_{1-alpha} = -Phi^{-1}(alpha).
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"sample size n must be a positive integer, got {n!r}")
+    _check_n(n, "sample size n", limit=None)
     z_alpha = -normal_quantile(design.alpha)
     return normal_cdf(design.effect * math.sqrt(n) / design.sigma - z_alpha)
 

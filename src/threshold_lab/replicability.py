@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._checks import _check_unit
 from .gaussian_numerics import normal_cdf, normal_quantile
 
 __all__ = ["PrepReport", "p_rep"]
@@ -31,9 +32,7 @@ def p_rep(p: float) -> PrepReport:
     failure_prob is the exact complement 1 - p_rep.  Strictly decreasing in
     p, with the fixed point p_rep(0.5) = 0.5.
     """
-    if not isinstance(p, (int, float)) or isinstance(p, bool) or not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly between 0 and 1, got {p!r}")
-    p = float(p)
+    p = _check_unit(p, "p")
     # Phi^{-1}(1 - p) == -Phi^{-1}(p): the reflection avoids computing 1 - p,
     # which would round to 1.0 for p below ~1e-17.
     value = normal_cdf(-normal_quantile(p) / _SQRT2)

@@ -15,12 +15,11 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple
 
+from ._checks import _check_enum, _check_n, _check_real, _check_unit
 from .bayes_evidence import BetaPrior, _evidence, _prior_or_uniform, evidence_at_threshold
 from .binomial_kernel import (
     SelectionMode,
     TailConvention,
-    _check_enum,
-    _check_n,
     _log_term,
     _log_upper_tail,
     _select_walk,
@@ -46,8 +45,9 @@ DEFAULT_N_VALUES: tuple[int, ...] = (
 )
 DEFAULT_ALPHAS: tuple[float, ...] = (0.05, 0.01, 0.001, 0.0001)
 
-# SweepRow fields in order: the CSV header and the JSON keys.
-_COLUMNS = ("alpha", "n", "s_selected", "p_achieved", "log_bf01", "posterior_h0", "mode", "tail")
+# SweepRow fields in order (CSV header, JSON keys): type, and whether it may be empty (infeasible cells).
+_COLUMNS = {"alpha": (float, False), "n": (int, False), "s_selected": (int, True), "p_achieved": (float, True),
+            "log_bf01": (float, True), "posterior_h0": (float, True), "mode": (str, False), "tail": (str, False)}
 
 # Steps of find_crossing's forward scan between re-anchors on the exact kernel.
 _ANCHOR_EVERY = 1024
@@ -64,25 +64,19 @@ class SweepGrid:
     prior: BetaPrior = BetaPrior(1.0, 1.0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_values", tuple(self.n_values))
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
+        object.__setattr__(self, "n_values", tuple(_check_n(n, "n_values entries") for n in self.n_values))
+        object.__setattr__(self, "alphas", tuple(_check_unit(a, "alphas entries") for a in self.alphas))
+        object.__setattr__(self, "prior", _prior_or_uniform(self.prior))
         if not self.n_values:
             raise ValueError("n_values must be non-empty")
-        for n in self.n_values:
-            _check_n(n, "n_values entries")
         if any(a >= b for a, b in zip(self.n_values, self.n_values[1:])):
             raise ValueError(f"n_values must be strictly increasing, got {self.n_values}")
         if not self.alphas:
             raise ValueError("alphas must be non-empty")
-        for a in self.alphas:
-            if not 0.0 < a < 1.0:
-                raise ValueError(f"alphas entries must lie strictly between 0 and 1, got {a!r}")
         if any(a <= b for a, b in zip(self.alphas, self.alphas[1:])):
             raise ValueError(f"alphas must be strictly decreasing, got {self.alphas}")
         _check_enum(self.mode, SelectionMode, "mode")
         _check_enum(self.tail, TailConvention, "tail")
-        if not isinstance(self.prior, BetaPrior):
-            raise ValueError(f"prior must be a BetaPrior, got {self.prior!r}")
 
 
 @dataclass(frozen=True)
@@ -195,10 +189,8 @@ def find_crossing(
     linear in the answer, or in n_max when no n up to n_max touches the level
     and None is returned (about 0.2 s at n_max = 20000).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie strictly between 0 and 1, got {level!r}")
+    alpha = _check_unit(alpha, "alpha")
+    level = _check_unit(level, "level")
     _check_n(n_max, "n_max")
     _check_enum(mode, SelectionMode, "mode")
     _check_enum(tail, TailConvention, "tail")
@@ -233,9 +225,10 @@ def _fmt_real(x: float) -> str:
 
 def _quantize(obj):
     """Round every float in a JSON payload (through dicts and lists) to 12
-    significant digits; float(_fmt_real(x)) is a fixed point of this map."""
+    significant digits; float(_fmt_real(x)) is a fixed point of this map.
+    A non-finite float becomes None (null): RFC 8259 JSON has no inf or nan."""
     if isinstance(obj, float):
-        return float(_fmt_real(obj))
+        return float(_fmt_real(obj)) if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _quantize(v) for k, v in obj.items()}
     if isinstance(obj, list):
@@ -288,10 +281,6 @@ def emit(rows: Iterable[SweepRow], format: str, destination) -> None:
         raise OSError(f"cannot write sweep output to {destination!r}: {exc}") from exc
 
 
-def _opt_parse(text: str, f):
-    return None if text == "" else f(text)
-
-
 def parse_csv(source) -> list[SweepRow]:
     """Inverse of emit(..., 'csv', ...): floats round-trip bit-equal because
     12-significant-digit decimal survives the str -> float -> str cycle."""
@@ -308,18 +297,12 @@ def _rows_from_csv(fh: IO[str]) -> list[SweepRow]:
         raise ValueError(f"unexpected sweep CSV header: {header!r}")
     rows = []
     for rec in reader:
-        if len(rec) != len(_COLUMNS):
-            raise ValueError(f"malformed sweep CSV row: {rec!r}")
-        rows.append(SweepRow(
-            alpha=float(rec[0]),
-            n=int(rec[1]),
-            s_selected=_opt_parse(rec[2], int),
-            p_achieved=_opt_parse(rec[3], float),
-            log_bf01=_opt_parse(rec[4], float),
-            posterior_h0=_opt_parse(rec[5], float),
-            mode=rec[6],
-            tail=rec[7],
-        ))
+        try:
+            if len(rec) != len(_COLUMNS):
+                raise ValueError(f"{len(rec)} fields, not {len(_COLUMNS)}")
+            rows.append(_make_row(rec, lambda text, kind, name: kind(text)))
+        except ValueError as exc:
+            raise ValueError(f"malformed sweep CSV row {rec!r}: {exc}") from None
     return rows
 
 
@@ -335,16 +318,30 @@ def parse_json(source) -> list[SweepRow]:
     rows = []
     for rec in payload:
         try:
-            rows.append(SweepRow(
-                alpha=float(rec["alpha"]),
-                n=int(rec["n"]),
-                s_selected=rec["s_selected"],
-                p_achieved=rec["p_achieved"],
-                log_bf01=rec["log_bf01"],
-                posterior_h0=rec["posterior_h0"],
-                mode=rec["mode"],
-                tail=rec["tail"],
-            ))
-        except (KeyError, TypeError) as exc:  # a missing field, or a row that is not an object
+            rows.append(_make_row([rec[c] for c in _COLUMNS], _json_value))
+        except (KeyError, TypeError, ValueError) as exc:  # a missing field, a non-object row, a bad value
             raise ValueError(f"malformed sweep JSON row {rec!r}: {type(exc).__name__}: {exc}") from None
     return rows
+
+
+def _json_value(value, kind: type, name: str):
+    # JSON types its values, so "0.05" for a float or 20.7 for an int is an error, not a conversion
+    if kind is float:
+        return _check_real(value, name)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
+def _make_row(values: list, convert) -> SweepRow:
+    """A SweepRow from one value per column, each taken by convert(value, type, name); an empty
+    value ("" or None) is None in a column that allows it and a ValueError in one that does not."""
+    fields = []
+    for value, (name, (kind, nullable)) in zip(values, _COLUMNS.items()):
+        if value is None or value == "":
+            if not nullable:
+                raise ValueError(f"{name} is empty")
+            fields.append(None)
+        else:
+            fields.append(convert(value, kind, name))
+    return SweepRow(*fields)

@@ -105,3 +105,13 @@ def quadrature_log_marginal(n: int, s: int, a: float, b: float) -> float:
 
     value, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=200)
     return math.log(value)
+
+
+def product_log_marginal(n: int, s: int, a: float, b: float) -> float:
+    """ln of C(n,s) * B(s+a, n-s+b) / B(a, b) as the exact rising-factorial
+    product: sum ln(a+i), i < s, plus sum ln(b+j), j < n-s, minus sum ln(a+b+k),
+    k < n.  No lgamma difference, so it keeps its digits at any shape."""
+    terms = [math.log(math.comb(n, s))]
+    terms += [math.log(a + i) for i in range(s)] + [math.log(b + j) for j in range(n - s)]
+    terms += [-math.log(a + b + k) for k in range(n)]
+    return math.fsum(terms)

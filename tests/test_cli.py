@@ -257,6 +257,48 @@ class TestParsingAndHelp:
         assert needle in out
 
 
+@pytest.mark.parametrize("argv,value", [
+    (["critical", "--n", "-7", "--alpha", "0.05"], "-7"),
+    (["critical", "--n", "100", "--alpha", "1.5"], "1.5"),
+    (["posterior", "--n", "5", "--s", "-3"], "-3"),
+    (["posterior", "--n", "5", "--s", "2", "--pi0", "2.5"], "2.5"),
+    (["posterior", "--n", "5", "--s", "2", "--prior-a", "1e+300"], "1e+300"),
+    (["posterior", "--n", "5", "--s", "2", "--prior-a", "1000001"], "1000001"),
+    (["posterior", "--n", "5", "--s", "2", "--prior-b", "-2.5"], "-2.5"),
+    (["crossing", "--alpha", "0.05", "--level", "1.25"], "1.25"),
+    (["crossing", "--alpha", "0.05", "--level", "0.5", "--n-max", "-4"], "-4"),
+    (["prep", "--p", "3.5"], "3.5"),
+    (["power", "--mu0", "inf", "--mu-alt", "1", "--sigma", "1", "--alpha", "0.05", "--beta", "0.2"], "inf"),
+    (["power", "--mu0", "0", "--mu-alt", "nan", "--sigma", "1", "--alpha", "0.05", "--beta", "0.2"], "nan"),
+    (["power", "--mu0", "0", "--mu-alt", "1", "--sigma", "-8.5", "--alpha", "0.05", "--beta", "0.2"], "-8.5"),
+    (["power", "--mu0", "0", "--mu-alt", "1", "--sigma", "1", "--alpha", "1.75", "--beta", "0.2"], "1.75"),
+    (["power", "--mu0", "0", "--mu-alt", "1", "--sigma", "1", "--alpha", "0.05", "--beta", "1.5"], "1.5"),
+    (["power", "--mu0", "0", "--mu-alt", "1", "--sigma", "1", "--alpha", "0.05", "--beta", "0.2",
+      "--show-power-at", "-2"], "-2"),
+    (["sweep", "--alphas", "0.05,1.5"], "1.5"),
+    (["diagnosticity", "--a", "2.5,98", "--b", "0.01,137"], "2.5"),
+    (["diagnosticity", "--a", "0.05,98", "--b", "0.01,-137"], "-137"),
+])
+def test_out_of_range_flag_is_the_library_error(capsys, argv, value):
+    # flags parse as plain ints and floats; the range check is the library's, with no usage line
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and value in err and "usage" not in err
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["posterior", "--n", "2000", "--s", "0"], "posterior_odds_h1"),
+    (["diagnosticity", "--a", "5e-324,1000000", "--b", "5e-324,2000000"], "ratio"),
+])
+def test_non_finite_values_print_as_json_null(capsys, argv, key):
+    def reject(constant):
+        raise AssertionError(f"{constant} is not RFC 8259 JSON")
+
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert json.loads(out, parse_constant=reject)[key] is None
+
+
 @pytest.mark.parametrize("golden_file,argv", [
     ("posterior.json", ["posterior", "--n", "100", "--s", "60", "--pi0", "0.9"]),
     ("critical.json", ["critical", "--n", "100", "--alpha", "0.05"]),

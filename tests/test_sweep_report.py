@@ -49,6 +49,13 @@ def csv_text(rows):
     return buf.getvalue()
 
 
+def json_row(**fields):
+    """A one-row sweep JSON text: a valid row with `fields` replaced."""
+    row = {"alpha": 0.05, "n": 20, "s_selected": 15, "p_achieved": 0.04, "log_bf01": -1.1,
+           "posterior_h0": 0.2, "mode": "nearest", "tail": "two"}
+    return json.dumps([{**row, **fields}])
+
+
 def make_row(alpha, n, posterior):
     return SweepRow(alpha, n, 1, 0.05, 0.0, posterior, "nearest", "two")
 
@@ -395,7 +402,23 @@ class TestEmitAndParse:
         ('{"a": 1}', "array"),
         ('[{"alpha": 0.05}]', "'n'"),
         ("[1, 2]", "row"),
+        (json_row(s_selected="abc"), "s_selected must be of type int, got 'abc'"),
+        (json_row(p_achieved="x"), "p_achieved must be a finite real number, got 'x'"),
+        (json_row(log_bf01=[]), r"log_bf01 must be a finite real number, got \[\]"),
+        (json_row(mode=1), "mode must be of type str, got 1"),
+        (json_row(tail=None), "tail is empty"),
+        (json_row(n=20.7), "n must be of type int, got 20.7"),
+        (json_row(alpha="0.05"), "alpha must be a finite real number, got '0.05'"),
     ])
     def test_parse_json_rejects_malformed_input(self, text, needle):
         with pytest.raises(ValueError, match=needle):
             parse_json(io.StringIO(text))
+
+    @pytest.mark.parametrize("line,needle", [
+        ("0.05,20.7,,,,,nearest,two", "20.7"),
+        ("0.05,20,15,x,,,nearest,two", "'x'"),
+        ("0.05,20,,,,,,two", "mode is empty"),
+    ])
+    def test_parse_csv_rejects_bad_fields(self, line, needle):
+        with pytest.raises(ValueError, match=needle):
+            parse_csv(io.StringIO(csv_text([]) + line + "\n"))
