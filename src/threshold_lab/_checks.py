@@ -9,7 +9,6 @@ raises a ValueError that names the argument.
 from __future__ import annotations
 
 import sys
-from enum import Enum
 
 # Largest n of the O(sqrt(n)) tail routines: a selection there takes tens of ms,
 # and lgamma(n + 1), which log_choose differences, has an ulp of 3e-8.
@@ -31,10 +30,18 @@ def _check_n(n, name: str = "trial count n", limit: int | None = MAX_N) -> int:
     return n
 
 
-def _check_enum(value, enum: type[Enum], name: str) -> None:
-    """Reject a value that is not a member of `enum` (a bare string such as "two" included)."""
-    if not isinstance(value, enum):
-        raise ValueError(f"{name} must be a {enum.__name__}, got {value!r}")
+def _check_instance(value, cls: type, name: str):
+    """The value if it is a cls instance, such as an enum member (a bare "two" is not) or an outcome."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
+    return value
+
+
+def _check_pair(value, name: str) -> tuple:
+    """The value if it is a tuple or list of two items, such as an (alpha, n) operating point."""
+    if not isinstance(value, (tuple, list)) or len(value) != 2:
+        raise ValueError(f"{name} must be a pair such as (alpha, n), got {value!r}")
+    return value
 
 
 def _check_real(x, name: str, what: str = "a finite real number", within=None) -> float:

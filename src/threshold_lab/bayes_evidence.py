@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ._checks import MAX_SHAPE, _check_positive, _check_unit
+from ._checks import MAX_SHAPE, _check_instance, _check_positive, _check_unit
 from .binomial_kernel import (
     BinomialOutcome,
     SelectionMode,
@@ -89,29 +89,33 @@ def log_marginal_h1(outcome: BinomialOutcome, prior: BetaPrior | None = None) ->
 
     Written as -ln(n+1) + [ln B(s+a, n-s+b) - ln B(s+1, n-s+1)] - ln B(a, b)
     using C(n,s) = 1 / ((n+1) * B(s+1, n-s+1)).  For the uniform prior the
-    bracket cancels term-for-term in floating point, so the 1/(n+1) identity
-    holds to the last bit instead of drowning in large-argument lgamma noise.
+    bracket cancels term for term, so it is not evaluated, and the 1/(n+1)
+    identity holds to the last bit instead of drowning in lgamma noise.
     """
-    return _evidence(outcome.n, outcome.s, _prior_or_uniform(prior))[1]
+    return posterior_h0(outcome, prior).log_l1
 
 
-def _evidence(n: int, s: int, prior: BetaPrior, pi0: float = 0.5) -> tuple[float, float, float]:
-    """(ln L0, ln L1, posterior of H0) from plain ints: posterior_h0's arithmetic, no dataclass."""
+def _prior_constants(prior: BetaPrior | None, pi0: float) -> tuple[float, float, bool, float, float]:
+    """_score's arguments after log_l0 for a prior (None is Beta(1, 1)) and pi0: a, b, whether the
+    prior is flat, ln B(a, b) and ln((1 - pi0) / pi0); a search takes them once for every (n, s)."""
+    prior = _prior_or_uniform(prior)
     a, b = float(prior.a), float(prior.b)
-    bracket = _betaln(s + a, n - s + b) - _betaln(s + 1.0, n - s + 1.0)
-    log_l0 = _log_term(n, s)
-    log_l1 = -math.log(n + 1.0) + bracket - _betaln(a, b)
-    return log_l0, log_l1, _posterior_from_log_bf(log_l0 - log_l1, pi0)
+    return a, b, a == 1.0 and b == 1.0, _betaln(a, b), math.log1p(-pi0) - math.log(pi0)
 
 
-def _posterior_from_log_bf(log_bf01: float, pi0: float) -> float:
+def _score(n: int, s: int, log_l0: float, a: float, b: float, flat: bool, log_beta_ab: float,
+           log_prior_odds: float) -> tuple[float, float]:
+    """(ln L1, posterior of H0) for s of n given ln L0 and _prior_constants' values; the bracket
+    of the flat Beta(1, 1) is X - X = 0.0 exactly, so it is not evaluated."""
+    bracket = 0.0 if flat else _betaln(s + a, n - s + b) - _betaln(s + 1.0, n - s + 1.0)
+    log_l1 = -math.log(n + 1.0) + bracket - log_beta_ab
     # posterior = 1 / (1 + ((1-pi0)/pi0) / bf01), evaluated as a logistic of
     # log odds so that extreme Bayes factors neither overflow nor underflow.
-    d = (math.log1p(-pi0) - math.log(pi0)) - log_bf01
+    d = log_prior_odds - (log_l0 - log_l1)
     if d >= 0.0:
         e = math.exp(-d)
-        return e / (1.0 + e)
-    return 1.0 / (1.0 + math.exp(d))
+        return log_l1, e / (1.0 + e)
+    return log_l1, 1.0 / (1.0 + math.exp(d))
 
 
 def posterior_h0(
@@ -124,9 +128,10 @@ def posterior_h0(
     With the default equal prior odds the posterior reduces to
     l0 / (l0 + l1); everything stays in log space until the final ratio.
     """
-    prior = _prior_or_uniform(prior)
-    pi0 = _check_unit(prior_prob_h0, "prior_prob_h0")
-    log_l0, log_l1, post = _evidence(outcome.n, outcome.s, prior, pi0)
+    n, s = _check_instance(outcome, BinomialOutcome, "outcome").n, outcome.s
+    a, b, flat, log_beta_ab, log_prior_odds = _prior_constants(prior, _check_unit(prior_prob_h0, "prior_prob_h0"))
+    log_l0 = _log_term(n, s)
+    log_l1, post = _score(n, s, log_l0, a, b, flat, log_beta_ab, log_prior_odds)
     log_bf01 = log_l0 - log_l1
     try:
         bf01 = math.exp(log_bf01)

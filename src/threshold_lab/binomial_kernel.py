@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from ._checks import MAX_N, _check_enum, _check_n, _check_real, _check_unit
+from ._checks import MAX_N, _check_instance, _check_n, _check_real, _check_unit
 
 __all__ = [
     "BinomialOutcome",
@@ -102,8 +102,8 @@ def log_pmf(outcome: BinomialOutcome, model: BinomialModel) -> float:
     Returns -inf for outcomes that are impossible under a degenerate model
     (theta 0 or 1), and 0.0 for the certain ones.
     """
-    n, s = outcome.n, outcome.s
-    theta = float(model.theta)
+    n, s = _check_instance(outcome, BinomialOutcome, "outcome").n, outcome.s
+    theta = float(_check_instance(model, BinomialModel, "model").theta)
     if theta == 0.0:
         return 0.0 if s == 0 else -math.inf
     if theta == 1.0:
@@ -165,9 +165,9 @@ def p_value(outcome: BinomialOutcome, tail: TailConvention = TailConvention.TWO_
     P(X <= min(s, n-s)), which by the theta = 0.5 symmetry equals
     2 * P(X >= max(s, n-s)); clamped to 1.0 when both tails overlap at s = n/2.
     """
-    n, s = outcome.n, outcome.s
+    n, s = _check_instance(outcome, BinomialOutcome, "outcome").n, outcome.s
     _check_n(n)
-    _check_enum(tail, TailConvention, "tail")
+    _check_instance(tail, TailConvention, "tail")
     hi = s if tail is TailConvention.ONE_SIDED_UPPER else max(s, n - s)
     return min(1.0, math.exp(_shift(tail) + _log_upper_tail(n, hi)))
 
@@ -241,20 +241,24 @@ def select_barely_significant(
 
     NEAREST_TO_ALPHA minimizes |p_value(s) - alpha| (ties to the larger s);
     STRICT_AT_MOST_ALPHA returns the smallest s with p_value(s) <= alpha and
-    raises InfeasibleError when even s = n stays above alpha.  The returned
-    p_achieved is folded from the walk's own terms: the ones p_value sums for
-    (n, s, tail), in p_value's order, so it is bit-equal to p_value by
-    construction and needs no second pass.
+    raises InfeasibleError when even s = n stays above alpha.  p_achieved is
+    taken from _select_tail's fold, so it is bit-equal to p_value by construction.
     """
     _check_n(n)
-    _check_enum(mode, SelectionMode, "mode")
-    _check_enum(tail, TailConvention, "tail")
+    _check_instance(mode, SelectionMode, "mode")
+    _check_instance(tail, TailConvention, "tail")
     alpha = _check_unit(alpha, "alpha")
+    s, log_tail = _select_tail(n, alpha, mode, tail)
+    return CriticalValue(s=s, p_achieved=min(1.0, math.exp(_shift(tail) + log_tail)))
+
+
+def _select_tail(n: int, alpha: float, mode: SelectionMode, tail: TailConvention) -> tuple[int, float]:
+    """(s, ln P(X >= s)): _select_walk's pick, and its tail folded from the walk's own terms in
+    _log_upper_tail's order, so bit-equal to _log_upper_tail(n, s) without a second pass."""
     terms: list[float] = []
     s = _select_walk(n, alpha, mode, tail, terms)
-    # terms[i] is the term of k = top - i; p_value sums k = _tail_start(n, s) down to s.  That start
+    # terms[i] is the term of k = top - i; the tail sums k = _tail_start(n, s) down to s.  That start
     # passes top only when s passes the walk's Chernoff bound, where p underflows to 0 (subnormal alpha).
     top = _walk_start(n, alpha, tail)
     start = _tail_start(n, s)
-    log_tail = _log_sum(_log_terms(n, start, top) + terms[max(0, top - start):top - s + 1])
-    return CriticalValue(s=s, p_achieved=min(1.0, math.exp(_shift(tail) + log_tail)))
+    return s, _log_sum(_log_terms(n, start, top) + terms[max(0, top - start):top - s + 1])

@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .bayes_evidence import BetaPrior, evidence_at_threshold, posterior_h0
+from .bayes_evidence import BetaPrior, posterior_h0
 from .binomial_kernel import (
     BinomialOutcome,
     InfeasibleError,
@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "first touches the given level (the curve is jittery, so this is "
                                    "first-touch). Every n up to n-max is scored, so null means no n "
                                    "reaches the level; the time grows linearly with the answer, or "
-                                   "with n-max (about 0.2 s at 20000). Defaults: mode=nearest, "
+                                   "with n-max (about 0.06 s at 20000). Defaults: mode=nearest, "
                                    "tail=two, Beta(1,1) prior, n-max=20000.")
     p.add_argument("--alpha", type=float, required=True, help="significance threshold")
     p.add_argument("--level", type=float, required=True, help="posterior level to reach")
@@ -292,15 +292,12 @@ def parse_and_dispatch(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.handler(args)
-    except InfeasibleError as exc:
+    except (InfeasibleError, OSError) as exc:  # InfeasibleError is a ValueError, so it comes first
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:  # inconsistent or out-of-range argument combinations
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 def main() -> None:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ._checks import _check_n, _check_positive, _check_real, _check_unit
+from ._checks import _check_instance, _check_n, _check_pair, _check_positive, _check_real, _check_unit
 from .bayes_evidence import BetaPrior, evidence_at_threshold
 from .binomial_kernel import SelectionMode, TailConvention
 from .gaussian_numerics import normal_cdf, normal_quantile
@@ -55,7 +55,7 @@ def achieved_power(n: int, design: ZTestDesign) -> float:
     Phi(delta*sqrt(n)/sigma - z_{1-alpha}), with z_{1-alpha} = -Phi^{-1}(alpha).
     """
     _check_n(n, "sample size n", limit=None)
-    z_alpha = -normal_quantile(design.alpha)
+    z_alpha = -normal_quantile(_check_instance(design, ZTestDesign, "design").alpha)
     return normal_cdf(design.effect * math.sqrt(n) / design.sigma - z_alpha)
 
 
@@ -70,7 +70,7 @@ def required_n(design: ZTestDesign) -> int:
     move the float power.
     Raises ValueError when the closed form overflows a float.
     """
-    z_alpha = -normal_quantile(design.alpha)
+    z_alpha = -normal_quantile(_check_instance(design, ZTestDesign, "design").alpha)
     z_beta = -normal_quantile(design.beta)
     try:
         n = max(1, math.ceil(((z_alpha + z_beta) * design.sigma / design.effect) ** 2))
@@ -102,8 +102,8 @@ def diagnosticity_gain(
     much more diagnostic the second operating point is.  Strict-mode
     infeasibility at either point propagates.
     """
-    alpha_a, n_a = point_a
-    alpha_b, n_b = point_b
+    alpha_a, n_a = _check_pair(point_a, "point_a")
+    alpha_b, n_b = _check_pair(point_b, "point_b")
     odds_a = evidence_at_threshold(n_a, alpha_a, mode, tail, prior).report.posterior_odds_h1
     odds_b = evidence_at_threshold(n_b, alpha_b, mode, tail, prior).report.posterior_odds_h1
     return DiagnosticityGain(odds_a=odds_a, odds_b=odds_b, ratio=odds_b / odds_a)

@@ -19,6 +19,8 @@ from threshold_lab import (
 )
 
 from threshold_lab._checks import MAX_SHAPE
+from threshold_lab.bayes_evidence import _prior_constants, _score
+from threshold_lab.binomial_kernel import _log_term
 
 import oracles
 
@@ -185,3 +187,35 @@ class TestEvidenceAtThreshold:
         got = evidence_at_threshold(100, 0.05, tail=TailConvention.ONE_SIDED_UPPER)
         s, p = select_barely_significant(100, 0.05, tail=TailConvention.ONE_SIDED_UPPER)
         assert (got.s, got.p_achieved) == (s, p)
+
+
+def _full_bracket_score(n, s, a, b, pi0):
+    # log_marginal_h1's arithmetic with the bracket always evaluated, the flat prior's included
+    def betaln(x, y):
+        return math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
+
+    log_l0 = _log_term(n, s)
+    log_l1 = -math.log(n + 1.0) + (betaln(s + a, n - s + b) - betaln(s + 1.0, n - s + 1.0)) - betaln(a, b)
+    d = (math.log1p(-pi0) - math.log(pi0)) - (log_l0 - log_l1)
+    return log_l1, (math.exp(-d) / (1.0 + math.exp(-d)) if d >= 0.0 else 1.0 / (1.0 + math.exp(d)))
+
+
+class TestSharedScorer:
+    def test_scorer_is_posterior_h0_bit_for_bit(self):
+        # find_crossing scores through _score with the scan's ln L0 and once-per-search prior constants
+        rng = random.Random(2000)
+        shapes = [0.5, 1.0, 2.0, 3.0, 0.1, 17.5, MAX_SHAPE]
+        flat = 0
+        for i in range(2000):
+            n = int(math.exp(rng.uniform(0.0, math.log(10**6))))
+            s = rng.randint(0, n)
+            prior = BetaPrior(1, 1) if i % 4 == 0 else BetaPrior(rng.choice(shapes), rng.choice(shapes))
+            pi0 = rng.choice([0.5, 0.1, 0.9, 1e-6, rng.uniform(0.01, 0.99)])
+            log_l0 = _log_term(n, s)
+            constants = _prior_constants(prior, pi0)
+            flat += constants[2]
+            report = posterior_h0(BinomialOutcome(n, s), prior, pi0)
+            got = _score(n, s, log_l0, *constants)
+            assert (log_l0, *got) == (report.log_l0, report.log_l1, report.posterior_h0), (n, s, prior, pi0)
+            assert got == _full_bracket_score(n, s, float(prior.a), float(prior.b), pi0), (n, s, prior, pi0)
+        assert flat >= 500

@@ -18,7 +18,14 @@ from threshold_lab import (
     posterior_h0,
     select_barely_significant,
 )
-from threshold_lab.binomial_kernel import MAX_N, _select_walk, _tail_start, _walk_start
+from threshold_lab.binomial_kernel import (
+    MAX_N,
+    _log_upper_tail,
+    _select_tail,
+    _select_walk,
+    _tail_start,
+    _walk_start,
+)
 
 import oracles
 
@@ -189,6 +196,24 @@ class TestSelection:
             assert p == p_value(BinomialOutcome(n, s), tail), (n, alpha, mode, tail)
             checked += 1
         assert checked >= 2000
+
+    def test_select_tail_is_log_upper_tail_bit_for_bit(self):
+        # the crossing scan's anchors take T from this fold instead of a second _log_upper_tail pass
+        rng = random.Random(14)
+        checked = 0
+        for _ in range(600):
+            n = int(math.exp(rng.uniform(0.0, math.log(10**6))))
+            alpha = math.exp(rng.uniform(math.log(1e-12), math.log(0.9)))
+            mode = rng.choice(list(SelectionMode))
+            tail = rng.choice([ONE, TWO])
+            try:
+                s, log_tail = _select_tail(n, alpha, mode, tail)
+            except InfeasibleError:
+                continue
+            assert s == _select_walk(n, alpha, mode, tail)
+            assert log_tail == _log_upper_tail(n, s), (n, alpha, mode, tail)
+            checked += 1
+        assert checked >= 500
 
     def test_walk_terms_are_log_pmf_bit_for_bit(self):
         rng = random.Random(20261018)

@@ -15,12 +15,15 @@ from threshold_lab import (
     diagnosticity_gain,
     evidence_at_threshold,
     find_crossing,
+    log_marginal_h1,
+    log_pmf,
     min_attainable_p,
     normal_cdf,
     normal_quantile,
     p_rep,
     p_value,
     posterior_h0,
+    required_n,
     select_barely_significant,
 )
 
@@ -81,3 +84,25 @@ def test_an_int_too_large_for_a_float_is_a_value_error():
         normal_cdf(10**400)
     with pytest.raises(ValueError, match="mu0"):
         ZTestDesign(10**400, 0.5, 1.0, 0.05, 0.2)
+
+
+# (entry point and argument, the name its ValueError gives, the call with an object that is not the expected one)
+OBJECT_ARGUMENTS = [
+    ("p_value outcome", "outcome", lambda: p_value(None)),
+    ("p_value outcome tuple", "outcome", lambda: p_value((100, 60))),
+    ("log_pmf outcome", "outcome", lambda: log_pmf((5, 2), BinomialModel(0.5))),
+    ("log_pmf model", "model", lambda: log_pmf(BinomialOutcome(5, 2), 0.5)),
+    ("posterior_h0 outcome", "outcome", lambda: posterior_h0(None)),
+    ("log_marginal_h1 outcome", "outcome", lambda: log_marginal_h1((100, 60))),
+    ("achieved_power design", "design", lambda: achieved_power(10, None)),
+    ("required_n design", "design", lambda: required_n(None)),
+    ("diagnosticity_gain point_a", "point_a", lambda: diagnosticity_gain(None, (0.05, 100))),
+    ("diagnosticity_gain point_b", "point_b", lambda: diagnosticity_gain((0.05, 100), (0.05, 100, 1))),
+]
+
+
+@pytest.mark.parametrize("name,call", [(e[1], e[2]) for e in OBJECT_ARGUMENTS], ids=[e[0] for e in OBJECT_ARGUMENTS])
+def test_wrong_objects_are_a_value_error_naming_the_argument(name, call):
+    # each was a raw AttributeError or TypeError
+    with pytest.raises(ValueError, match=name):
+        call()

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import random
 from pathlib import Path
 
@@ -25,8 +26,8 @@ from threshold_lab import (
     run_sweep,
 )
 
-from threshold_lab import sweep_report
-from threshold_lab.binomial_kernel import _select_walk
+from threshold_lab import binomial_kernel, sweep_report
+from threshold_lab.binomial_kernel import _log_term, _log_upper_tail, _select_tail, _select_walk
 from threshold_lab.sweep_report import _march
 
 import oracles
@@ -219,11 +220,12 @@ class TestFindCrossing:
 
 
 class TestMarch:
-    """_march, find_crossing's forward scan, picks what _select_walk picks at every n."""
+    """_march, find_crossing's forward scan, picks what _select_walk picks at every n,
+    and yields _log_term's ln L0 of that pick."""
 
     @pytest.fixture
     def walked(self, monkeypatch):
-        """The n of every _select_walk call the scan makes."""
+        """The n of every _select_walk call the scan makes, its anchors' (through _select_tail) included."""
         calls = []
 
         def spy(n, *args):
@@ -231,13 +233,14 @@ class TestMarch:
             return _select_walk(n, *args)
 
         monkeypatch.setattr(sweep_report, "_select_walk", spy)
+        monkeypatch.setattr(binomial_kernel, "_select_walk", spy)
         return calls
 
     @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
     @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("alpha", [0.2, 0.05, 0.02, 0.01, 0.001, 1e-4])
     def test_matches_the_walk(self, alpha, mode, tail):
-        got = dict(_march(alpha, mode, tail, 6000))
+        got = {n: s for n, s, _ in _march(alpha, mode, tail, 6000)}
         feasible = [n for n in range(1, 6001) if min_attainable_p(n, tail) <= alpha]
         assert list(got) == feasible
         # every n up to 800, then a seeded sample of the rest
@@ -249,7 +252,7 @@ class TestMarch:
     @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("alpha", [0.5, 0.75, 0.95])
     def test_matches_the_walk_where_s_sits_just_above_half_n(self, alpha, mode, tail):
-        got = dict(_march(alpha, mode, tail, 400))
+        got = {n: s for n, s, _ in _march(alpha, mode, tail, 400)}
         assert got == {n: _select_walk(n, alpha, mode, tail)
                        for n in range(1, 401) if min_attainable_p(n, tail) <= alpha}
 
@@ -264,15 +267,59 @@ class TestMarch:
         modes = list(SelectionMode) if tie == "p(s)" else [SelectionMode.NEAREST_TO_ALPHA]
         for mode in modes:
             walked.clear()
-            got = dict(_march(alpha, mode, tail, n))[n]
+            got = {m: s for m, s, _ in _march(alpha, mode, tail, n)}[n]
             assert n in walked
             assert got == _select_walk(n, alpha, mode, tail)
 
     def test_walks_only_at_anchors(self, walked):
         # the first feasible n and every 1024 steps; a thin-margin hand-over is rare
         steps = list(_march(0.01, SelectionMode.NEAREST_TO_ALPHA, TailConvention.TWO_SIDED_SYMMETRIC, 6000))
-        assert [n for n, _ in steps] == list(range(8, 6001))  # 2 * 2**-n <= .01 from n = 8
+        assert [n for n, _, _ in steps] == list(range(8, 6001))  # 2 * 2**-n <= .01 from n = 8
         assert len(walked) <= 8
+
+    @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
+    @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("alpha", [0.5, 0.2, 0.05, 0.01, 0.001, 1e-4])
+    def test_log_l0_is_log_term_bit_for_bit(self, alpha, mode, tail):
+        steps = list(_march(alpha, mode, tail, 800))
+        assert steps
+        for n, s, log_l0 in steps:
+            assert log_l0 == _log_term(n, s), (n, s)
+
+    @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
+    @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
+    def test_anchor_tail_is_log_upper_tail_bit_for_bit(self, monkeypatch, mode, tail):
+        # every anchor's T = exp(log_tail), taken from the strict walk's own terms, is
+        # exp(_log_upper_tail(n, s)); thin margins (alpha = p(1000, 532)) add hand-over anchors
+        anchors = []
+
+        def spy(n, *args):
+            s, log_tail = _select_tail(n, *args)
+            anchors.append((n, s, log_tail))
+            return s, log_tail
+
+        monkeypatch.setattr(sweep_report, "_select_tail", spy)
+        for alpha in (0.05, 1e-6, p_value(BinomialOutcome(1000, 532), tail)):
+            anchors.clear()
+            list(_march(alpha, mode, tail, 5000))
+            assert len(anchors) >= 4
+            for n, s, log_tail in anchors:
+                assert log_tail == _log_upper_tail(n, s), (alpha, n, s)
+
+    def test_lgamma_calls_per_scanned_n(self, monkeypatch):
+        # lgamma(n+1) and the term of s-1 (3 calls) each n, 2 more when the pick is not s-1, none
+        # for the flat prior's score, plus the anchors' walks: 30,853 over 6,513 n, under 6 per n
+        calls = 0
+        lgamma = math.lgamma
+
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return lgamma(x)
+
+        monkeypatch.setattr(math, "lgamma", counted)
+        assert find_crossing(0.01, 0.7) == 6520
+        assert calls <= 39_000
 
 
 def min_p_feasible(n):
@@ -409,6 +456,10 @@ class TestEmitAndParse:
         (json_row(tail=None), "tail is empty"),
         (json_row(n=20.7), "n must be of type int, got 20.7"),
         (json_row(alpha="0.05"), "alpha must be a finite real number, got '0.05'"),
+        (json_row(mode="banana"), r"mode must be one of \['nearest', 'strict'\], got 'banana'"),
+        (json_row(tail="x"), r"tail must be one of \['one', 'two'\], got 'x'"),
+        (json_row(n=-3), "n must be non-negative, got -3"),
+        (json_row(s_selected=-1), "s_selected must be non-negative, got -1"),
     ])
     def test_parse_json_rejects_malformed_input(self, text, needle):
         with pytest.raises(ValueError, match=needle):
@@ -418,6 +469,13 @@ class TestEmitAndParse:
         ("0.05,20.7,,,,,nearest,two", "20.7"),
         ("0.05,20,15,x,,,nearest,two", "'x'"),
         ("0.05,20,,,,,,two", "mode is empty"),
+        ("inf,20,15,nan,,,banana,two", "alpha must be a finite real number, got inf"),
+        ("0.05,20,15,nan,,,nearest,two", "p_achieved must be a finite real number, got nan"),
+        ("0.05,20,15,0.04,-inf,,nearest,two", "log_bf01 must be a finite real number, got -inf"),
+        ("0.05,-3,,,,,nearest,two", "n must be non-negative, got -3"),
+        ("0.05,20,-15,,,,nearest,two", "s_selected must be non-negative, got -15"),
+        ("0.05,20,,,,,banana,two", "mode must be one of"),
+        ("0.05,20,,,,,nearest,x", "tail must be one of"),
     ])
     def test_parse_csv_rejects_bad_fields(self, line, needle):
         with pytest.raises(ValueError, match=needle):
