@@ -71,10 +71,13 @@ class ThresholdEvidence(NamedTuple):
     report: EvidenceReport
 
 
+_UNIFORM = BetaPrior.uniform()
+
+
 def _prior_or_uniform(prior: BetaPrior | None) -> BetaPrior:
-    """The prior itself, or the flat Beta(1, 1) for None; any other type is a ValueError."""
+    """The prior itself, or the one shared flat Beta(1, 1) for None; any other type is a ValueError."""
     if prior is None:
-        return BetaPrior.uniform()
+        return _UNIFORM
     if not isinstance(prior, BetaPrior):
         raise ValueError(f"prior must be a BetaPrior, got {prior!r}")
     return prior

@@ -8,9 +8,10 @@ theta = 0.5.
 A sign-test tail costs O(sqrt(n)) terms, not O(n): it starts at a cut-off
 ceil(6 sqrt(n)) + 10 terms above max(s, n/2), and the mass above the cut-off
 is below 2**-60 of the mass it keeps, far under half an ulp of the sum.  The
-selection walk starts from the same cut-off and keeps its terms; a selection's
-p_achieved is folded from them, so it is bit-equal to p_value by construction
-and costs one O(sqrt(n)) pass.  The tail routines take n <= MAX_N.
+selection walk starts there too, reads its terms from a list that grows on
+demand (a sweep shares one per n) and folds them in one pass down to a
+Chernoff point, above which every p is at most alpha; p_achieved is folded
+from that list, so it is bit-equal to p_value.  The tail routines take n <= MAX_N.
 """
 
 from __future__ import annotations
@@ -121,11 +122,16 @@ def _log_term(n: int, k: int) -> float:
 
 
 def _log_terms(n: int, start: int, stop: int) -> list[float]:
-    """[_log_term(n, k) for k = start, start-1, ..., stop+1], with lgamma(n+1) and n ln 2 hoisted."""
+    """[_log_term(n, k) for k = start, start-1, ..., stop+1]; above n/2, lgamma maps over each argument's range."""
     lgamma = math.lgamma
     lg = lgamma(n + 1)
     w = n * _LN2
-    return [lg - lgamma(min(k, n - k) + 1) - lgamma(max(k, n - k) + 1) - w for k in range(start, stop, -1)]
+    if stop < n // 2:  # the range reaches n/2 (p_value's tails only): min and max order the arguments
+        return [lg - lgamma(min(k, n - k) + 1) - lgamma(max(k, n - k) + 1) - w for k in range(start, stop, -1)]
+    if start - stop <= 32:  # a few terms: direct calls cost less than maps
+        return [lg - lgamma(n - k + 1) - lgamma(k + 1) - w for k in range(start, stop, -1)]
+    return [lg - a - b - w for a, b in zip(map(lgamma, range(n - start + 1, n - stop + 1)),
+                                         map(lgamma, range(start + 1, stop + 1, -1)))]
 
 
 def _log_sum(terms: list[float]) -> float:
@@ -145,17 +151,19 @@ def _tail_start(n: int, s: int) -> int:
 
 
 def _log_upper_tail(n: int, s: int) -> float:
-    """ln P(X >= s) under Binomial(n, 0.5), summed from the cut-off inward.
-
-    The sum starts at _tail_start(n, s), so it costs O(sqrt(n)) terms; adding
-    the smallest terms first keeps the running sum free of cancellation.
-    """
+    """ln P(X >= s) under Binomial(n, 0.5), summed from the cut-off _tail_start(n, s) inward: O(sqrt(n))
+    terms, the smallest first, so the running sum is free of cancellation."""
     return _log_sum(_log_terms(n, _tail_start(n, s), s - 1))
 
 
 def _shift(tail: TailConvention) -> float:
     # ln of the factor between p and the upper-tail probability it is computed from
     return _LN2 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 0.0
+
+
+def _tail_p(log_tail: float, tail: TailConvention) -> float:
+    # the p-value whose upper tail has this ln, clamped to 1.0 where the two tails overlap
+    return min(1.0, math.exp(_shift(tail) + log_tail))
 
 
 def p_value(outcome: BinomialOutcome, tail: TailConvention = TailConvention.TWO_SIDED_SYMMETRIC) -> float:
@@ -169,7 +177,7 @@ def p_value(outcome: BinomialOutcome, tail: TailConvention = TailConvention.TWO_
     _check_n(n)
     _check_instance(tail, TailConvention, "tail")
     hi = s if tail is TailConvention.ONE_SIDED_UPPER else max(s, n - s)
-    return min(1.0, math.exp(_shift(tail) + _log_upper_tail(n, hi)))
+    return _tail_p(_log_upper_tail(n, hi), tail)
 
 
 def min_attainable_p(n: int, tail: TailConvention = TailConvention.TWO_SIDED_SYMMETRIC) -> float:
@@ -178,57 +186,71 @@ def min_attainable_p(n: int, tail: TailConvention = TailConvention.TWO_SIDED_SYM
     return p_value(BinomialOutcome(n, n), tail)
 
 
-def _walk_start(n: int, alpha: float, tail: TailConvention) -> int:
-    # Chernoff: P(X >= n/2 + z*sqrt(n)/2) <= exp(-z^2/2), so p <= alpha from n/2 + zb*sqrt(n)/2 up
-    # and the answer lies at or below it.  zb is taken in log space: a subnormal alpha cannot overflow.
-    zb = math.sqrt(-2.0 * (math.log(alpha) - _shift(tail)))
-    return _tail_start(n, math.ceil(n / 2.0 + zb * math.sqrt(n) / 2.0))
+def _walk_start(n: int, alpha: float, shift: float) -> tuple[int, int]:
+    # (c, start): Hoeffding gives P(X >= n/2 + z*sqrt(n)/2) <= exp(-z^2/2), so p <= alpha from c up and
+    # the answer lies at or below it.  zb is taken in log space: a subnormal alpha cannot overflow.
+    zb = math.sqrt(-2.0 * (math.log(alpha) - shift))
+    c = math.ceil(n / 2.0 + zb * math.sqrt(n) / 2.0)
+    return c, _tail_start(n, c)
 
 
 def _select_walk(n: int, alpha: float, mode: SelectionMode, tail: TailConvention,
-                 terms: list[float] | None = None) -> int:
+                 terms: list[float] | None = None, top: int | None = None) -> int:
     """Pick the barely-significant s in (n/2, n] by walking s downward.
 
-    The walk keeps a running upper-tail sum; each step down adds one term,
-    _log_term's float expression inline (k > n/2, so n - k is lgamma's lower
-    argument), folded as _log_sum folds, and appends it to `terms` if given.
-    It starts at _walk_start, the _tail_start cut-off above a Chernoff bound
-    on the answer, so it costs O(sqrt(n)) terms, and from the bound down its
-    sums miss under 2**-60 of their mass.  p strictly increases as s
-    decreases, which justifies the strict-mode bookkeeping and the early
-    break; it is not p_value's bit for bit (the sums start apart).
+    The walk folds a running upper-tail sum, as _log_sum folds, from the
+    _tail_start cut-off above the Chernoff point c: O(sqrt(n)) terms, read for
+    k = top, top-1, ... (top defaults to its start) from `terms`, a list it
+    grows on demand and a caller may share.  p strictly increases as s
+    decreases, which justifies the strict bookkeeping and the early break.
+    Certified prefix: every true p from c up is at most alpha.  If the sum
+    folded to c in one pass gives p <= alpha and the first p is normal, ln p
+    grows by log1p(1/m) or more a step (m <= 7 sqrt(n) + 10), so deciding at
+    every term would leave both picks at c and best_d = alpha - p(c); a larger
+    nearest pick, kept where alpha - p rounds alike, lasts to the end only if
+    (n + 1)(m + 1) > 2**52.  So the walk decides per term below c only.
     """
-    lgamma, exp, log1p = math.lgamma, math.exp, math.log1p
-    lg = lgamma(n + 1)
-    w = n * _LN2
-    shift = _shift(tail)
-    keep = (terms if terms is not None else []).append
-    acc = -math.inf
-    best_s = n
-    best_d = math.inf
-    strict_s: int | None = None
-    for k in range(_walk_start(n, alpha, tail), n // 2, -1):
-        term = lg - lgamma(n - k + 1) - lgamma(k + 1) - w
-        keep(term)
+    exp, log1p, shift = math.exp, math.log1p, _shift(tail)
+    c, k = _walk_start(n, alpha, shift)
+    terms = [] if terms is None else terms
+    top = k if top is None else top
+    acc, best_i, best_d, strict_i = -math.inf, 0, math.inf, None
+    # the list grows in chunks that run sqrt(n)/2 + 1 terms past the term needed, never to n/2: walks
+    # break 0.2 to 0.6 sqrt(n) below c for alpha in [1e-10, .5], so the first chunk holds most of them
+    step, need = 2 + (math.isqrt(n) >> 1), c if c < k else k  # c > k only where c > n
+    if top - len(terms) >= need:
+        terms += _log_terms(n, top - len(terms), need - step if need - step > n // 2 else n // 2)
+    end = len(terms)
+    i = top - k  # terms[i] is the term of k = top - i; the walk tracks s by its index
+    if k - c >= 8:  # a shorter prefix does not pay for its fold
+        folded = _log_sum(terms[i:top - c + 1])
+        p = exp(shift + folded)
+        if p <= alpha and exp(shift + terms[i]) >= 2.0**-1022:  # a normal first p
+            acc, best_d, strict_i, best_i, i = folded, alpha - p, top - c, top - c, top - c + 1
+    for i in range(i, top - n // 2):
+        if i == end:  # the list ran out above n/2
+            terms += _log_terms(n, top - i, top - i - step if top - i - step > n // 2 else n // 2)
+            end = len(terms)
+        term = terms[i]
         acc = term + log1p(exp(acc - term)) if term > acc else acc + log1p(exp(term - acc))
         p = exp(shift + acc)
         if p > 1.0:
             p = 1.0  # min(1.0, p) as p_value clamps, without a builtin call per term
         if p <= alpha:
-            strict_s = k  # overwritten while descending: ends at the smallest such s
+            strict_i = i  # overwritten while descending: ends at the smallest such s
         d = abs(p - alpha)
         if d < best_d:  # strict '<' breaks ties toward the larger s / smaller p
-            best_s, best_d = k, d
+            best_i, best_d = i, d
         elif p > alpha:
             break  # past alpha the distance only grows
     if mode is SelectionMode.STRICT_AT_MOST_ALPHA:
-        if strict_s is None:
+        if strict_i is None:
             raise InfeasibleError(
                 f"no success count reaches p <= {alpha:g} at n={n} "
                 f"(most extreme p is {min_attainable_p(n, tail):.6g})"
             )
-        return strict_s
-    return best_s
+        return top - strict_i
+    return top - best_i
 
 
 def select_barely_significant(
@@ -249,16 +271,18 @@ def select_barely_significant(
     _check_instance(tail, TailConvention, "tail")
     alpha = _check_unit(alpha, "alpha")
     s, log_tail = _select_tail(n, alpha, mode, tail)
-    return CriticalValue(s=s, p_achieved=min(1.0, math.exp(_shift(tail) + log_tail)))
+    return CriticalValue(s, _tail_p(log_tail, tail))
 
 
-def _select_tail(n: int, alpha: float, mode: SelectionMode, tail: TailConvention) -> tuple[int, float]:
-    """(s, ln P(X >= s)): _select_walk's pick, and its tail folded from the walk's own terms in
-    _log_upper_tail's order, so bit-equal to _log_upper_tail(n, s) without a second pass."""
-    terms: list[float] = []
-    s = _select_walk(n, alpha, mode, tail, terms)
-    # terms[i] is the term of k = top - i; the tail sums k = _tail_start(n, s) down to s.  That start
-    # passes top only when s passes the walk's Chernoff bound, where p underflows to 0 (subnormal alpha).
-    top = _walk_start(n, alpha, tail)
+def _select_tail(n: int, alpha: float, mode: SelectionMode, tail: TailConvention,
+                 terms: list[float] | None = None, top: int | None = None) -> tuple[int, float]:
+    """(s, ln P(X >= s)): _select_walk's pick (terms and top as there), and its tail folded from the
+    walk's list in _log_upper_tail's order, so bit-equal to _log_upper_tail(n, s) without a second pass."""
+    terms = [] if terms is None else terms
+    top = _walk_start(n, alpha, _shift(tail))[1] if top is None else top
+    s = _select_walk(n, alpha, mode, tail, terms, top)
+    # the tail sums k = _tail_start(n, s) down to s: above top only where s passes c, and there p underflows to 0
     start = _tail_start(n, s)
-    return s, _log_sum(_log_terms(n, start, top) + terms[max(0, top - start):top - s + 1])
+    if start > top:
+        return s, _log_sum(_log_terms(n, start, top) + terms[:top - s + 1])
+    return s, _log_sum(terms[top - start:top - s + 1])

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple
 
 from ._checks import _check_instance, _check_n, _check_real, _check_unit
-from .bayes_evidence import BetaPrior, _prior_constants, _prior_or_uniform, _score, evidence_at_threshold
-from .binomial_kernel import _LN2, SelectionMode, TailConvention, _select_tail, _select_walk, min_attainable_p
+from .bayes_evidence import BetaPrior, _prior_constants, _prior_or_uniform, _score, posterior_h0
+from .binomial_kernel import (_LN2, BinomialOutcome, SelectionMode, TailConvention, _select_tail, _select_walk,
+                              _shift, _tail_p, _walk_start, min_attainable_p)
 
 __all__ = [
     "DEFAULT_N_VALUES",
@@ -101,24 +102,30 @@ class JitterViolation(NamedTuple):
     posterior_drop: float
 
 
-def _evaluate_cell(alpha: float, n: int, mode: SelectionMode, tail: TailConvention,
-                   prior: BetaPrior) -> SweepRow:
-    if min_attainable_p(n, tail) > alpha:
+def _evaluate_cell(alpha: float, n: int, grid: SweepGrid, min_p: float, terms: list[float], top: int) -> SweepRow:
+    """One cell as evidence_at_threshold scores it; min_p, terms and top are shared by the cells at n."""
+    mode, tail = grid.mode, grid.tail
+    if min_p > alpha:
         return SweepRow(alpha, n, None, None, None, None, mode.value, tail.value)
-    s, p_achieved, report = evidence_at_threshold(n, alpha, mode, tail, prior)
-    return SweepRow(alpha, n, s, p_achieved, report.log_l0 - report.log_l1, report.posterior_h0,
+    s, log_tail = _select_tail(n, alpha, mode, tail, terms, top)
+    report = posterior_h0(BinomialOutcome(n, s), grid.prior)
+    return SweepRow(alpha, n, s, _tail_p(log_tail, tail), report.log_l0 - report.log_l1, report.posterior_h0,
                     mode.value, tail.value)
 
 
 def run_sweep(grid: SweepGrid) -> list[SweepRow]:
-    """Evaluate every (alpha, n) cell, alpha-major / n-minor, in the calling thread.
+    """Evaluate every (alpha, n) cell in the calling thread; rows come alpha-major / n-minor.
 
-    The rows depend on the grid alone, so the serialized output is
-    reproducible byte for byte; the test suite pins the default grid's CSV
-    with a golden file.
+    Cells are scored n-major: at each n, min_attainable_p is taken once and
+    all walks read one list of terms from the smallest alpha's walk start (the
+    alphas decrease, so every walk starts at or below it).  The rows depend on
+    the grid alone; the test suite pins the default grid's CSV byte for byte.
     """
-    return [_evaluate_cell(alpha, n, grid.mode, grid.tail, grid.prior)
-            for alpha in grid.alphas for n in grid.n_values]
+    by_n, tail = [], grid.tail
+    for n in grid.n_values:
+        min_p, terms, top = min_attainable_p(n, tail), [], _walk_start(n, grid.alphas[-1], _shift(tail))[1]
+        by_n.append([_evaluate_cell(alpha, n, grid, min_p, terms, top) for alpha in grid.alphas])
+    return [row for by_alpha in zip(*by_n) for row in by_alpha]
 
 
 def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int):

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import pytest
@@ -19,3 +20,18 @@ def default_rows():
 def golden():
     """Text of a committed golden output under tests/data, byte for byte."""
     return lambda name: (Path(__file__).parent / "data" / name).read_bytes().decode("utf-8")
+
+
+@pytest.fixture
+def lgamma_calls(monkeypatch):
+    """Counts math.lgamma calls from here to the end of the test; call it to read the count."""
+    calls = 0
+    lgamma = math.lgamma
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return lgamma(x)
+
+    monkeypatch.setattr(math, "lgamma", counted)
+    return lambda: calls

@@ -3,7 +3,7 @@
 Deliberately naive and slow: exact rationals where the numbers are small
 enough, and an independent float path (regularized-incomplete-beta tails,
 adaptive quadrature) where they are not.  Nothing here shares code with
-threshold_lab.
+threshold_lab; reference_walk restates the library's float walk on its own.
 """
 
 from __future__ import annotations
@@ -60,6 +60,51 @@ def exact_uniform_posterior(n: int, s: int) -> Fraction:
     l0 = exact_pmf(n, s)
     l1 = Fraction(1, n + 1)
     return l0 / (l0 + l1)
+
+
+# --- the per-term selection walk -------------------------------------------
+
+def _cutoff(n: int, s: int) -> int:
+    return min(n, max(s, n // 2) + math.ceil(6.0 * math.sqrt(n)) + 10)
+
+
+def _upper_term(n: int, k: int, lg: float, w: float) -> float:
+    # ln P(X = k) under Binomial(n, 1/2) for k > n/2, with the lgamma arguments in that order
+    return lg - math.lgamma(n - k + 1) - math.lgamma(k + 1) - w
+
+
+def _fold(acc: float, term: float) -> float:
+    return term + math.log1p(math.exp(acc - term)) if term > acc else acc + math.log1p(math.exp(term - acc))
+
+
+def reference_walk(n: int, alpha: float, mode: str, two_sided: bool = True) -> tuple[int, float] | None:
+    """The float selection walk that decides at every term, from the cut-off above the Chernoff
+    point down, as the library walked before it folded its certified prefix in one pass.
+
+    Returns (s, ln P(X >= s)), the tail folded from the cut-off above s down to s, or None where
+    strict mode finds no s.  Same floats as the library, so a pick must match it exactly.
+    """
+    shift = math.log(2.0) if two_sided else 0.0
+    lg, w = math.lgamma(n + 1), n * math.log(2.0)
+    zb = math.sqrt(-2.0 * (math.log(alpha) - shift))
+    acc, best_s, best_d, strict_s = -math.inf, n, math.inf, None
+    for k in range(_cutoff(n, math.ceil(n / 2.0 + zb * math.sqrt(n) / 2.0)), n // 2, -1):
+        acc = _fold(acc, _upper_term(n, k, lg, w))
+        p = min(1.0, math.exp(shift + acc))
+        if p <= alpha:
+            strict_s = k
+        d = abs(p - alpha)
+        if d < best_d:
+            best_s, best_d = k, d
+        elif p > alpha:
+            break
+    s = strict_s if mode == "strict" else best_s
+    if s is None:
+        return None
+    acc = -math.inf
+    for k in range(_cutoff(n, s), s - 1, -1):
+        acc = _fold(acc, _upper_term(n, k, lg, w))
+    return s, acc
 
 
 # --- independent float path ----------------------------------------------

@@ -19,7 +19,7 @@ from threshold_lab import (
 )
 
 from threshold_lab._checks import MAX_SHAPE
-from threshold_lab.bayes_evidence import _prior_constants, _score
+from threshold_lab.bayes_evidence import _prior_constants, _prior_or_uniform, _score
 from threshold_lab.binomial_kernel import _log_term
 
 import oracles
@@ -29,6 +29,15 @@ class TestBetaPrior:
     def test_uniform_helper(self):
         prior = BetaPrior.uniform()
         assert prior.a == 1.0 and prior.b == 1.0
+
+    def test_default_prior_is_one_shared_uniform(self):
+        # None is one module-level Beta(1, 1), not a new validated object per call; the values stay put
+        assert _prior_or_uniform(None) is _prior_or_uniform(None) == BetaPrior(1.0, 1.0)
+        for n, s in [(1, 0), (20, 15), (100, 60), (2000, 0), (10**6, 501000)]:
+            outcome = BinomialOutcome(n, s)
+            assert posterior_h0(outcome) == posterior_h0(outcome, BetaPrior(1.0, 1.0))
+            assert log_marginal_h1(outcome) == log_marginal_h1(outcome, BetaPrior(1.0, 1.0))
+        assert evidence_at_threshold(100, 0.05) == evidence_at_threshold(100, 0.05, prior=BetaPrior(1.0, 1.0))
 
     def test_rejects_nonpositive_shape(self):
         with pytest.raises(ValueError):

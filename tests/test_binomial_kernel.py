@@ -16,13 +16,17 @@ from threshold_lab import (
     min_attainable_p,
     p_value,
     posterior_h0,
+    run_sweep,
     select_barely_significant,
 )
 from threshold_lab.binomial_kernel import (
     MAX_N,
+    _log_term,
+    _log_terms,
     _log_upper_tail,
     _select_tail,
     _select_walk,
+    _shift,
     _tail_start,
     _walk_start,
 )
@@ -216,18 +220,58 @@ class TestSelection:
         assert checked >= 500
 
     def test_walk_terms_are_log_pmf_bit_for_bit(self):
+        # the list the walk reads, its own or one shared from a higher top, holds log_pmf's terms
         rng = random.Random(20261018)
         for _ in range(60):
             n = int(math.exp(rng.uniform(0.0, math.log(10**6))))
             alpha = math.exp(rng.uniform(math.log(1e-12), math.log(0.9)))
             tail = rng.choice([ONE, TWO])
-            terms = []
-            s = _select_walk(n, alpha, SelectionMode.NEAREST_TO_ALPHA, tail, terms)
-            top = _walk_start(n, alpha, tail)
-            assert terms and top - len(terms) + 1 <= s
-            for i in sorted({0, len(terms) - 1, *(rng.randrange(len(terms)) for _ in range(20))}):
-                assert top - i > n / 2
-                assert terms[i] == log_pmf(BinomialOutcome(n, top - i), HALF), (n, top - i)
+            start = _walk_start(n, alpha, _shift(tail))[1]
+            for top in (start, _walk_start(n, alpha * 1e-3, _shift(tail))[1]):
+                terms = []
+                s = _select_walk(n, alpha, SelectionMode.NEAREST_TO_ALPHA, tail, terms, top)
+                assert terms and top - len(terms) + 1 <= s
+                for i in sorted({0, len(terms) - 1, *(rng.randrange(len(terms)) for _ in range(20))}):
+                    assert top - i > n / 2
+                    assert terms[i] == log_pmf(BinomialOutcome(n, top - i), HALF), (n, top - i)
+
+    def test_log_terms_are_log_term_bit_for_bit(self):
+        # ranges on one side of n/2, across it, and out to k = n and k = 0
+        for n in (1, 2, 7, 20, 101, 1000, 4097):
+            half = n // 2
+            for start, stop in {(n, -1), (n, half), (n, n - 1), (half, -1), (min(n, half + 40), max(-1, half - 40)),
+                                (min(n, half + 3), max(-1, half - 3)), (n, max(-1, n - 40)), (min(n, 39), -1)}:
+                if start > stop:
+                    assert _log_terms(n, start, stop) == [_log_term(n, k) for k in range(start, stop, -1)], (
+                        n, start, stop)
+
+    @pytest.mark.parametrize("tail", [ONE, TWO], ids=lambda t: t.value)
+    @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
+    def test_walk_matches_the_per_term_reference(self, mode, tail):
+        # every n <= 400, with and without a certified prefix: none where c passes n - 8 (small n,
+        # tiny alpha); the large-n test below reaches the prefixes refused for a subnormal first p
+        for alpha in (0.9, 0.5, 0.25, 0.05, 1e-3, 1e-10, 1e-300, 1e-310, 5e-324):
+            for n in range(1, 401):
+                self._check_against_reference(n, alpha, mode, tail)
+
+    def test_walk_matches_the_per_term_reference_at_large_n(self):
+        # three cases in ten have alpha 1e-300 or below; above n = 1,400 or so their first p is subnormal
+        rng = random.Random(15)
+        for _ in range(500):
+            n = int(math.exp(rng.uniform(0.0, math.log(10**6))))
+            alpha = rng.choice([math.exp(rng.uniform(math.log(1e-12), math.log(0.9))),
+                                rng.choice((0.9, 0.5, 1e-300, 1e-310, 5e-324))])
+            self._check_against_reference(n, alpha, rng.choice(list(SelectionMode)), rng.choice([ONE, TWO]))
+
+    @staticmethod
+    def _check_against_reference(n, alpha, mode, tail):
+        want = oracles.reference_walk(n, alpha, mode.value, tail is TWO)
+        if want is None:
+            with pytest.raises(InfeasibleError):
+                _select_tail(n, alpha, mode, tail)
+            return
+        assert _select_walk(n, alpha, mode, tail) == want[0], (n, alpha, mode, tail)
+        assert _select_tail(n, alpha, mode, tail) == want, (n, alpha, mode, tail)
 
     def test_tie_breaks_to_larger_s(self):
         # alpha exactly midway between p(10,9) = 22/1024 and p(10,8) = 112/1024;
@@ -319,21 +363,18 @@ class TestTailCutoff:
                 want = min(1.0, math.exp(math.log(2.0) + _full_log_tail(n, max(s, n - s))))
             assert p_value(BinomialOutcome(n, s), tail) == want, (n, s, tail)
 
-    def test_large_n_selection_sums_order_sqrt_n_terms(self, monkeypatch):
-        calls = 0
-        lgamma = math.lgamma
-
-        def counted(x):
-            nonlocal calls
-            calls += 1
-            return lgamma(x)
-
-        monkeypatch.setattr(math, "lgamma", counted)
+    def test_large_n_selection_sums_order_sqrt_n_terms(self, lgamma_calls):
         select_barely_significant(10**6, 0.001)
-        # 12,634 calls: the walk from the cut-off above its Chernoff bound, whose
-        # terms also give p_achieved; an O(n) loop would make ~2e6, and a second
-        # pass re-deriving p_achieved through p_value another ~12,000
-        assert 0 < calls <= 14_000
+        # 13,025 calls: the walk from the cut-off above its Chernoff bound, whose
+        # terms (grown in chunks past the pick) also give p_achieved; an O(n) loop
+        # would make ~2e6, and a second pass re-deriving p_achieved ~12,000 more
+        assert 0 < lgamma_calls() <= 14_000
+
+    def test_default_sweep_computes_each_term_once_per_n(self, lgamma_calls):
+        # 8,120 calls: one list of terms per n serves all four alphas; scoring each cell on its
+        # own made 27,270
+        run_sweep(SweepGrid())
+        assert 0 < lgamma_calls() <= 10_000
 
 
 def _select_by_bisection(n, alpha, mode, tail):

@@ -9,6 +9,7 @@ import pytest
 from threshold_lab import (
     DEFAULT_ALPHAS,
     DEFAULT_N_VALUES,
+    BetaPrior,
     BinomialOutcome,
     JitterViolation,
     SelectionMode,
@@ -112,6 +113,30 @@ class TestRunSweep:
             s, post = oracles.independent_cell(r.n, r.alpha, "nearest", two_sided=True)
             assert r.s_selected == s
             assert r.posterior_h0 == pytest.approx(post, rel=1e-9)
+
+    def test_rows_equal_per_cell_scoring_bit_for_bit(self):
+        # one term list per n serves every alpha; each row must still be the cell scored on its own
+        rng = random.Random(1515)
+        pool = (0.5, 0.2, 0.05, 0.01, 0.001, 1e-4, 1e-6, 1e-10)
+        combos = [(m, t, prior) for m in SelectionMode for t in TailConvention
+                  for prior in (BetaPrior(1.0, 1.0), BetaPrior(2.0, 3.0))]
+        for i in range(48):
+            mode, tail, prior = combos[i % len(combos)]
+            ns = sorted({int(math.exp(rng.uniform(0.0, math.log(1e5)))) for _ in range(rng.randint(3, 7))})
+            alphas = {1e-10, *rng.sample(pool, rng.randint(1, 4))}
+            if i % 3 == 0:
+                alphas.add(math.exp(rng.uniform(math.log(1e-8), math.log(0.3))))
+            grid = SweepGrid(tuple(ns), tuple(sorted(alphas, reverse=True)), mode, tail, prior)
+            want = []
+            for alpha in grid.alphas:
+                for n in grid.n_values:
+                    if min_attainable_p(n, tail) > alpha:
+                        want.append(SweepRow(alpha, n, None, None, None, None, mode.value, tail.value))
+                        continue
+                    s, p, report = evidence_at_threshold(n, alpha, mode, tail, prior)
+                    want.append(SweepRow(alpha, n, s, p, report.log_l0 - report.log_l1, report.posterior_h0,
+                                         mode.value, tail.value))
+            assert [repr(r) for r in run_sweep(grid)] == [repr(r) for r in want], grid
 
     def test_single_cell_grid_composes(self):
         rows = run_sweep(SweepGrid(n_values=(20,), alphas=(0.05,)))
@@ -306,20 +331,11 @@ class TestMarch:
             for n, s, log_tail in anchors:
                 assert log_tail == _log_upper_tail(n, s), (alpha, n, s)
 
-    def test_lgamma_calls_per_scanned_n(self, monkeypatch):
+    def test_lgamma_calls_per_scanned_n(self, lgamma_calls):
         # lgamma(n+1) and the term of s-1 (3 calls) each n, 2 more when the pick is not s-1, none
-        # for the flat prior's score, plus the anchors' walks: 30,853 over 6,513 n, under 6 per n
-        calls = 0
-        lgamma = math.lgamma
-
-        def counted(x):
-            nonlocal calls
-            calls += 1
-            return lgamma(x)
-
-        monkeypatch.setattr(math, "lgamma", counted)
+        # for the flat prior's score, plus the anchors' walks: 30,956 over 6,513 n, under 6 per n
         assert find_crossing(0.01, 0.7) == 6520
-        assert calls <= 39_000
+        assert lgamma_calls() <= 39_000
 
 
 def min_p_feasible(n):
