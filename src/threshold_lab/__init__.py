@@ -9,9 +9,9 @@ one-sided z-test power, and sweeps all of it over (alpha x n) grids with
 crossing search and jitter diagnostics.
 
 Binomial mass is computed in log space through log-gamma, with no normal
-approximation; the log-gamma differences lose digits as n grows (5e-10
-relative at n = 1e6).  The normal CDF uses erfc, the quantile the standard
-library's NormalDist.inv_cdf.
+approximation; the log-gamma differences lose digits as n grows (pmf error
+up to 2.8e-9 relative for k in [n/2, n/2 + 7 sqrt(n)] at n = 1e6).  The
+normal CDF uses erfc, the quantile the standard library's NormalDist.inv_cdf.
 """
 
 from .bayes_evidence import (

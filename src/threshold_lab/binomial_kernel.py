@@ -11,7 +11,9 @@ is below 2**-60 of the mass it keeps, far under half an ulp of the sum.  The
 selection walk starts there too, reads its terms from a list that grows on
 demand (a sweep shares one per n) and folds them in one pass down to a
 Chernoff point, above which every p is at most alpha; p_achieved is folded
-from that list, so it is bit-equal to p_value.  The tail routines take n <= MAX_N.
+from that list, so it is bit-equal to p_value.  find_crossing's forward scan
+over n (_march) sits beside the walk, whose rounding its tolerance bounds, and
+hands over to it where a margin is thin.  The tail routines take n <= MAX_N.
 """
 
 from __future__ import annotations
@@ -183,7 +185,8 @@ def p_value(outcome: BinomialOutcome, tail: TailConvention = TailConvention.TWO_
 def min_attainable_p(n: int, tail: TailConvention = TailConvention.TWO_SIDED_SYMMETRIC) -> float:
     """Smallest p-value any success count can reach at this n (attained at s = n)."""
     _check_n(n)
-    return p_value(BinomialOutcome(n, n), tail)
+    _check_instance(tail, TailConvention, "tail")
+    return _tail_p(-n * _LN2, tail)  # p_value's fold of the one term k = n, bit for bit
 
 
 def _walk_start(n: int, alpha: float, shift: float) -> tuple[int, int]:
@@ -195,25 +198,27 @@ def _walk_start(n: int, alpha: float, shift: float) -> tuple[int, int]:
 
 
 def _select_walk(n: int, alpha: float, mode: SelectionMode, tail: TailConvention,
-                 terms: list[float] | None = None, top: int | None = None) -> int:
-    """Pick the barely-significant s in (n/2, n] by walking s downward.
+                 terms: list[float] | None = None, floor: float | None = None) -> tuple[int, float]:
+    """(s, ln P(X >= s)): the barely-significant s in (n/2, n], picked by walking s downward, and its tail.
 
     The walk folds a running upper-tail sum, as _log_sum folds, from the
     _tail_start cut-off above the Chernoff point c: O(sqrt(n)) terms, read for
-    k = top, top-1, ... (top defaults to its start) from `terms`, a list it
-    grows on demand and a caller may share.  p strictly increases as s
-    decreases, which justifies the strict bookkeeping and the early break.
-    Certified prefix: every true p from c up is at most alpha.  If the sum
-    folded to c in one pass gives p <= alpha and the first p is normal, ln p
-    grows by log1p(1/m) or more a step (m <= 7 sqrt(n) + 10), so deciding at
-    every term would leave both picks at c and best_d = alpha - p(c); a larger
-    nearest pick, kept where alpha - p rounds alike, lasts to the end only if
-    (n + 1)(m + 1) > 2**52.  So the walk decides per term below c only.
+    k = top, top-1, ... from `terms`, a list it grows on demand; top is the walk
+    start of `floor` (default alpha), the smallest alpha of the walks sharing it.
+    p strictly increases as s decreases, which justifies the strict bookkeeping
+    and the early break.  Certified prefix: every true p from c up is at most
+    alpha.  If the sum folded to c in one pass gives p <= alpha and the first p
+    is normal, ln p grows by log1p(1/m) or more a step (m <= 7 sqrt(n) + 10),
+    so deciding at every term would leave both picks at c and best_d =
+    alpha - p(c); a larger nearest pick, kept where alpha - p rounds alike,
+    lasts to the end only if (n + 1)(m + 1) > 2**52.  So the walk decides per
+    term below c only.  The tail is folded from the list in _log_upper_tail's
+    order, so it is bit-equal to _log_upper_tail(n, s).
     """
     exp, log1p, shift = math.exp, math.log1p, _shift(tail)
     c, k = _walk_start(n, alpha, shift)
     terms = [] if terms is None else terms
-    top = k if top is None else top
+    top = k if floor is None else _walk_start(n, floor, shift)[1]
     acc, best_i, best_d, strict_i = -math.inf, 0, math.inf, None
     # the list grows in chunks that run sqrt(n)/2 + 1 terms past the term needed, never to n/2: walks
     # break 0.2 to 0.6 sqrt(n) below c for alpha in [1e-10, .5], so the first chunk holds most of them
@@ -225,6 +230,8 @@ def _select_walk(n: int, alpha: float, mode: SelectionMode, tail: TailConvention
     if k - c >= 8:  # a shorter prefix does not pay for its fold
         folded = _log_sum(terms[i:top - c + 1])
         p = exp(shift + folded)
+        # Hoeffding's c gives p <= alpha on every input tried (alpha/p(c) >= 1.98 over all n < 3000, 300 n to 1e7,
+        # 13 alphas, both tails); the check stays, as the prefix rests on p(c) as folded, not as bounded
         if p <= alpha and exp(shift + terms[i]) >= 2.0**-1022:  # a normal first p
             acc, best_d, strict_i, best_i, i = folded, alpha - p, top - c, top - c, top - c + 1
     for i in range(i, top - n // 2):
@@ -249,8 +256,13 @@ def _select_walk(n: int, alpha: float, mode: SelectionMode, tail: TailConvention
                 f"no success count reaches p <= {alpha:g} at n={n} "
                 f"(most extreme p is {min_attainable_p(n, tail):.6g})"
             )
-        return top - strict_i
-    return top - best_i
+        best_i = strict_i
+    s = top - best_i
+    # the tail sums k = _tail_start(n, s) down to s: above top only where s passes c, and there p underflows to 0
+    start = _tail_start(n, s)
+    if start > top:
+        return s, _log_sum(_log_terms(n, start, top) + terms[:top - s + 1])
+    return s, _log_sum(terms[top - start:top - s + 1])
 
 
 def select_barely_significant(
@@ -264,25 +276,68 @@ def select_barely_significant(
     NEAREST_TO_ALPHA minimizes |p_value(s) - alpha| (ties to the larger s);
     STRICT_AT_MOST_ALPHA returns the smallest s with p_value(s) <= alpha and
     raises InfeasibleError when even s = n stays above alpha.  p_achieved is
-    taken from _select_tail's fold, so it is bit-equal to p_value by construction.
+    taken from _select_walk's fold, so it is bit-equal to p_value by construction.
     """
     _check_n(n)
     _check_instance(mode, SelectionMode, "mode")
     _check_instance(tail, TailConvention, "tail")
     alpha = _check_unit(alpha, "alpha")
-    s, log_tail = _select_tail(n, alpha, mode, tail)
+    s, log_tail = _select_walk(n, alpha, mode, tail)
     return CriticalValue(s, _tail_p(log_tail, tail))
 
 
-def _select_tail(n: int, alpha: float, mode: SelectionMode, tail: TailConvention,
-                 terms: list[float] | None = None, top: int | None = None) -> tuple[int, float]:
-    """(s, ln P(X >= s)): _select_walk's pick (terms and top as there), and its tail folded from the
-    walk's list in _log_upper_tail's order, so bit-equal to _log_upper_tail(n, s) without a second pass."""
-    terms = [] if terms is None else terms
-    top = _walk_start(n, alpha, _shift(tail))[1] if top is None else top
-    s = _select_walk(n, alpha, mode, tail, terms, top)
-    # the tail sums k = _tail_start(n, s) down to s: above top only where s passes c, and there p underflows to 0
-    start = _tail_start(n, s)
-    if start > top:
-        return s, _log_sum(_log_terms(n, start, top) + terms[:top - s + 1])
-    return s, _log_sum(terms[top - start:top - s + 1])
+# Steps of find_crossing's forward scan between re-anchors on the exact kernel.
+_ANCHOR_EVERY = 1024
+
+
+def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int):
+    """(n, s, ln L0) for each n in 1 .. n_max at which alpha is attainable: s is _select_walk's
+    pick, ln L0 _log_term(n, s)'s expression with lgamma(n+1) and n ln 2 taken once per n.
+
+    One forward scan carries the strict threshold s (the smallest s > n/2 with
+    p <= alpha) and T = P_n(X >= s) in linear space: T += pmf_{n-1}(s-1)/2,
+    and s moves up at most one, as P_n(X >= s+1) <= P_{n-1}(X >= s) <= P_n(X >= s).
+    Each pmf is exp of a _log_term, so T and the walk's sum differ by
+    rounding alone: a few ulps of lgamma(n+1) per term, an ulp per scan step
+    (at most _ANCHOR_EVERY) and an ulp of ln p per walk step (at most
+    7 sqrt(n) + 10).  So s and T come from the strict walk (its tail bit-equal to
+    _log_upper_tail) at the first feasible n, every _ANCHOR_EVERY steps, and where a decision
+    margin (alpha - p(s), p(s-1) - alpha, in nearest mode their difference)
+    is within tol = 32 (eps alpha (lgamma(N+1) + m (1 - ln alpha)) + m ulp(0)),
+    m = 7 sqrt(N) + 10 + _ANCHOR_EVERY, N = n + _ANCHOR_EVERY; the largest
+    difference seen (n to 2e5, alpha to 1e-100) is tol/16.  Other n cost O(1).
+    """
+    c = 2.0 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 1.0
+    nearest = mode is SelectionMode.NEAREST_TO_ALPHA
+    lgamma, exp = math.lgamma, math.exp
+    first = anchor = next((n for n in range(1, n_max + 1) if min_attainable_p(n, tail) <= alpha), n_max + 1)
+    for n in range(first, n_max + 1):
+        lg, w = lgamma(n + 1), n * _LN2
+        fresh = n == first or n - anchor >= _ANCHOR_EVERY
+        if not fresh:
+            T += 0.5 * pm1
+            moved = c * T > alpha or s <= n // 2
+            s += moved
+        while True:
+            if fresh:
+                anchor, moved = n, False
+                s, log_tail = _select_walk(n, alpha, SelectionMode.STRICT_AT_MOST_ALPHA, tail)
+                T = exp(log_tail)
+                top = n + _ANCHOR_EVERY  # tol holds for every n up to the next periodic anchor
+                m = 7.0 * math.sqrt(top) + 10.0 + _ANCHOR_EVERY
+                tol = 32.0 * (math.ulp(1.0) * alpha * (math.lgamma(top + 1) + m * (1.0 - math.log(alpha)))
+                              + m * math.ulp(0.0))
+            lo = s - 1 if 2 * s - 2 <= n else n - s + 1  # log_choose's lower argument
+            log_pm1 = lg - lgamma(lo + 1) - lgamma(n - lo + 1) - w
+            pm1 = exp(log_pm1)
+            if moved:
+                T -= pm1
+            d1 = alpha - c * T
+            d2 = c * (T + pm1) - alpha if s - 1 > n // 2 else math.inf  # the walk stops above n/2
+            sure = d1 > tol and d2 > tol and (not nearest or abs(d2 - d1) > tol)
+            if sure or fresh:
+                break
+            fresh = True
+        pick = _select_walk(n, alpha, mode, tail)[0] if nearest and not sure else s - (nearest and d2 < d1)
+        lo = pick if 2 * pick <= n else n - pick
+        yield n, pick, log_pm1 if pick == s - 1 else lg - lgamma(lo + 1) - lgamma(n - lo + 1) - w

@@ -17,8 +17,8 @@ from typing import IO, Iterable, NamedTuple
 
 from ._checks import _check_instance, _check_n, _check_real, _check_unit
 from .bayes_evidence import BetaPrior, _prior_constants, _prior_or_uniform, _score, posterior_h0
-from .binomial_kernel import (_LN2, BinomialOutcome, SelectionMode, TailConvention, _select_tail, _select_walk,
-                              _shift, _tail_p, _walk_start, min_attainable_p)
+from .binomial_kernel import (BinomialOutcome, SelectionMode, TailConvention, _march, _select_walk, _tail_p,
+                              min_attainable_p)
 
 __all__ = [
     "DEFAULT_N_VALUES",
@@ -43,10 +43,6 @@ DEFAULT_ALPHAS: tuple[float, ...] = (0.05, 0.01, 0.001, 0.0001)
 _COLUMNS = {"alpha": (float, False), "n": (int, False), "s_selected": (int, True), "p_achieved": (float, True),
             "log_bf01": (float, True), "posterior_h0": (float, True), "mode": (str, False), "tail": (str, False)}
 _CHOICES = {"mode": {m.value for m in SelectionMode}, "tail": {t.value for t in TailConvention}}
-
-# Steps of find_crossing's forward scan between re-anchors on the exact kernel.
-_ANCHOR_EVERY = 1024
-
 
 @dataclass(frozen=True)
 class SweepGrid:
@@ -102,12 +98,12 @@ class JitterViolation(NamedTuple):
     posterior_drop: float
 
 
-def _evaluate_cell(alpha: float, n: int, grid: SweepGrid, min_p: float, terms: list[float], top: int) -> SweepRow:
-    """One cell as evidence_at_threshold scores it; min_p, terms and top are shared by the cells at n."""
+def _evaluate_cell(alpha: float, n: int, grid: SweepGrid, min_p: float, terms: list[float]) -> SweepRow:
+    """One cell as evidence_at_threshold scores it; min_p and terms are shared by the cells at n."""
     mode, tail = grid.mode, grid.tail
     if min_p > alpha:
         return SweepRow(alpha, n, None, None, None, None, mode.value, tail.value)
-    s, log_tail = _select_tail(n, alpha, mode, tail, terms, top)
+    s, log_tail = _select_walk(n, alpha, mode, tail, terms, grid.alphas[-1])
     report = posterior_h0(BinomialOutcome(n, s), grid.prior)
     return SweepRow(alpha, n, s, _tail_p(log_tail, tail), report.log_l0 - report.log_l1, report.posterior_h0,
                     mode.value, tail.value)
@@ -123,62 +119,9 @@ def run_sweep(grid: SweepGrid) -> list[SweepRow]:
     """
     by_n, tail = [], grid.tail
     for n in grid.n_values:
-        min_p, terms, top = min_attainable_p(n, tail), [], _walk_start(n, grid.alphas[-1], _shift(tail))[1]
-        by_n.append([_evaluate_cell(alpha, n, grid, min_p, terms, top) for alpha in grid.alphas])
+        min_p, terms = min_attainable_p(n, tail), []
+        by_n.append([_evaluate_cell(alpha, n, grid, min_p, terms) for alpha in grid.alphas])
     return [row for by_alpha in zip(*by_n) for row in by_alpha]
-
-
-def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int):
-    """(n, s, ln L0) for each n in 1 .. n_max at which alpha is attainable: s is _select_walk's
-    pick, ln L0 _log_term(n, s)'s expression with lgamma(n+1) and n ln 2 taken once per n.
-
-    One forward scan carries the strict threshold s (the smallest s > n/2 with
-    p <= alpha) and T = P_n(X >= s) in linear space: T += pmf_{n-1}(s-1)/2,
-    and s moves up at most one, as P_n(X >= s+1) <= P_{n-1}(X >= s) <= P_n(X >= s).
-    Each pmf is exp of a _log_term, so T and the walk's sum differ by
-    rounding alone: a few ulps of lgamma(n+1) per term, an ulp per scan step
-    (at most _ANCHOR_EVERY) and an ulp of ln p per walk step (at most
-    7 sqrt(n) + 10).  So s and T come from the strict walk (_select_tail, bit-equal to
-    _log_upper_tail) at the first feasible n, every _ANCHOR_EVERY steps, and where a decision
-    margin (alpha - p(s), p(s-1) - alpha, in nearest mode their difference)
-    is within tol = 32 (eps alpha (lgamma(N+1) + m (1 - ln alpha)) + m ulp(0)),
-    m = 7 sqrt(N) + 10 + _ANCHOR_EVERY, N = n + _ANCHOR_EVERY; the largest
-    difference seen (n to 2e5, alpha to 1e-100) is tol/16.  Other n cost O(1).
-    """
-    c = 2.0 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 1.0
-    nearest = mode is SelectionMode.NEAREST_TO_ALPHA
-    lgamma, exp = math.lgamma, math.exp
-    first = anchor = next((n for n in range(1, n_max + 1) if min_attainable_p(n, tail) <= alpha), n_max + 1)
-    for n in range(first, n_max + 1):
-        lg, w = lgamma(n + 1), n * _LN2
-        fresh = n == first or n - anchor >= _ANCHOR_EVERY
-        if not fresh:
-            T += 0.5 * pm1
-            moved = c * T > alpha or s <= n // 2
-            s += moved
-        while True:
-            if fresh:
-                anchor, moved = n, False
-                s, log_tail = _select_tail(n, alpha, SelectionMode.STRICT_AT_MOST_ALPHA, tail)
-                T = exp(log_tail)
-                top = n + _ANCHOR_EVERY  # tol holds for every n up to the next periodic anchor
-                m = 7.0 * math.sqrt(top) + 10.0 + _ANCHOR_EVERY
-                tol = 32.0 * (math.ulp(1.0) * alpha * (math.lgamma(top + 1) + m * (1.0 - math.log(alpha)))
-                              + m * math.ulp(0.0))
-            lo = s - 1 if 2 * s - 2 <= n else n - s + 1  # log_choose's lower argument
-            log_pm1 = lg - lgamma(lo + 1) - lgamma(n - lo + 1) - w
-            pm1 = exp(log_pm1)
-            if moved:
-                T -= pm1
-            d1 = alpha - c * T
-            d2 = c * (T + pm1) - alpha if s - 1 > n // 2 else math.inf  # the walk stops above n/2
-            sure = d1 > tol and d2 > tol and (not nearest or abs(d2 - d1) > tol)
-            if sure or fresh:
-                break
-            fresh = True
-        pick = _select_walk(n, alpha, mode, tail) if nearest and not sure else s - (nearest and d2 < d1)
-        lo = pick if 2 * pick <= n else n - pick
-        yield n, pick, log_pm1 if pick == s - 1 else lg - lgamma(lo + 1) - lgamma(n - lo + 1) - w
 
 
 def find_crossing(

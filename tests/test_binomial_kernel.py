@@ -19,12 +19,12 @@ from threshold_lab import (
     run_sweep,
     select_barely_significant,
 )
+from threshold_lab import binomial_kernel
 from threshold_lab.binomial_kernel import (
     MAX_N,
     _log_term,
     _log_terms,
     _log_upper_tail,
-    _select_tail,
     _select_walk,
     _shift,
     _tail_start,
@@ -158,6 +158,12 @@ class TestMinAttainableP:
         with pytest.raises(ValueError):
             min_attainable_p(0)
 
+    def test_is_p_value_at_n_bit_for_bit(self):
+        # the fold of the one term k = n that p_value sums for s = n, without building an outcome
+        for n in [*range(1, 2001), *(round(math.exp(x / 40)) for x in range(305, 645)), MAX_N]:
+            for tail in (ONE, TWO):
+                assert min_attainable_p(n, tail) == p_value(BinomialOutcome(n, n), tail), (n, tail)
+
 
 class TestSelection:
     def test_n100_nearest_at_05(self):
@@ -201,7 +207,7 @@ class TestSelection:
             checked += 1
         assert checked >= 2000
 
-    def test_select_tail_is_log_upper_tail_bit_for_bit(self):
+    def test_walk_tail_is_log_upper_tail_bit_for_bit(self):
         # the crossing scan's anchors take T from this fold instead of a second _log_upper_tail pass
         rng = random.Random(14)
         checked = 0
@@ -211,25 +217,23 @@ class TestSelection:
             mode = rng.choice(list(SelectionMode))
             tail = rng.choice([ONE, TWO])
             try:
-                s, log_tail = _select_tail(n, alpha, mode, tail)
+                s, log_tail = _select_walk(n, alpha, mode, tail)
             except InfeasibleError:
                 continue
-            assert s == _select_walk(n, alpha, mode, tail)
             assert log_tail == _log_upper_tail(n, s), (n, alpha, mode, tail)
             checked += 1
         assert checked >= 500
 
     def test_walk_terms_are_log_pmf_bit_for_bit(self):
-        # the list the walk reads, its own or one shared from a higher top, holds log_pmf's terms
+        # the list the walk reads, its own or one shared from a smaller floor's higher top, holds log_pmf's terms
         rng = random.Random(20261018)
         for _ in range(60):
             n = int(math.exp(rng.uniform(0.0, math.log(10**6))))
             alpha = math.exp(rng.uniform(math.log(1e-12), math.log(0.9)))
             tail = rng.choice([ONE, TWO])
-            start = _walk_start(n, alpha, _shift(tail))[1]
-            for top in (start, _walk_start(n, alpha * 1e-3, _shift(tail))[1]):
-                terms = []
-                s = _select_walk(n, alpha, SelectionMode.NEAREST_TO_ALPHA, tail, terms, top)
+            for floor in (alpha, alpha * 1e-3):
+                terms, top = [], _walk_start(n, floor, _shift(tail))[1]
+                s = _select_walk(n, alpha, SelectionMode.NEAREST_TO_ALPHA, tail, terms, floor)[0]
                 assert terms and top - len(terms) + 1 <= s
                 for i in sorted({0, len(terms) - 1, *(rng.randrange(len(terms)) for _ in range(20))}):
                     assert top - i > n / 2
@@ -263,15 +267,27 @@ class TestSelection:
                                 rng.choice((0.9, 0.5, 1e-300, 1e-310, 5e-324))])
             self._check_against_reference(n, alpha, rng.choice(list(SelectionMode)), rng.choice([ONE, TWO]))
 
+    def test_a_start_below_the_answer_is_not_folded_as_certified(self, monkeypatch):
+        # Hoeffding's c keeps p(c) near alpha/2 or below, so only a start that is no bound reaches the
+        # p(c) <= alpha check: here c = n/2 + 1, where p(c) is near 1, and the walk must decide per term
+        cases = [(n, alpha, mode, tail) for n in (200, 1000, 20000) for alpha in (0.05, 1e-3, 1e-8)
+                 for mode in SelectionMode for tail in (ONE, TWO)]
+        want = [_select_walk(*case) for case in cases]
+
+        def low_start(n, alpha, shift):
+            return n // 2 + 1, _tail_start(n, n // 2 + 1)
+
+        monkeypatch.setattr(binomial_kernel, "_walk_start", low_start)
+        assert [_select_walk(*case) for case in cases] == want
+
     @staticmethod
     def _check_against_reference(n, alpha, mode, tail):
         want = oracles.reference_walk(n, alpha, mode.value, tail is TWO)
         if want is None:
             with pytest.raises(InfeasibleError):
-                _select_tail(n, alpha, mode, tail)
+                _select_walk(n, alpha, mode, tail)
             return
-        assert _select_walk(n, alpha, mode, tail) == want[0], (n, alpha, mode, tail)
-        assert _select_tail(n, alpha, mode, tail) == want, (n, alpha, mode, tail)
+        assert _select_walk(n, alpha, mode, tail) == want, (n, alpha, mode, tail)
 
     def test_tie_breaks_to_larger_s(self):
         # alpha exactly midway between p(10,9) = 22/1024 and p(10,8) = 112/1024;

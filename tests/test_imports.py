@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "threshold_lab").glob("*.py"))
+PACKAGE = Path(__file__).parent.parent / "src" / "threshold_lab"
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 # Names a module imports only so that callers can import them from it.
 RE_EXPORTS = {"binomial_kernel.py": {"MAX_N"}}
@@ -35,3 +36,12 @@ def test_no_unused_module_level_import(path):
 def test_the_check_sees_an_unused_import():
     assert unused_imports(ast.parse("import math\nfrom os import path, sep\nprint(sep)\n")) == {"math", "path"}
     assert unused_imports(ast.parse("from os import sep\n__all__ = ['sep']\n")) == set()
+
+
+def test_sweep_report_takes_three_private_kernel_names():
+    # the kernel owns selection and the crossing scan; sweep cells call _select_walk directly, because
+    # perfbench/test_perfbench.py asserts sweep_report._select_walk is binomial_kernel._select_walk
+    tree = ast.parse((PACKAGE / "sweep_report.py").read_text(encoding="utf-8"))
+    private = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom) and node.module == "binomial_kernel"
+               for alias in node.names if alias.name.startswith("_")}
+    assert private == {"_march", "_select_walk", "_tail_p"}

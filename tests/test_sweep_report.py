@@ -27,9 +27,8 @@ from threshold_lab import (
     run_sweep,
 )
 
-from threshold_lab import binomial_kernel, sweep_report
-from threshold_lab.binomial_kernel import _log_term, _log_upper_tail, _select_tail, _select_walk
-from threshold_lab.sweep_report import _march
+from threshold_lab import binomial_kernel
+from threshold_lab.binomial_kernel import _log_term, _log_upper_tail, _march, _select_walk
 
 import oracles
 
@@ -250,14 +249,13 @@ class TestMarch:
 
     @pytest.fixture
     def walked(self, monkeypatch):
-        """The n of every _select_walk call the scan makes, its anchors' (through _select_tail) included."""
+        """The n of every _select_walk call the scan makes, its anchors' included."""
         calls = []
 
         def spy(n, *args):
             calls.append(n)
             return _select_walk(n, *args)
 
-        monkeypatch.setattr(sweep_report, "_select_walk", spy)
         monkeypatch.setattr(binomial_kernel, "_select_walk", spy)
         return calls
 
@@ -271,14 +269,14 @@ class TestMarch:
         # every n up to 800, then a seeded sample of the rest
         rng = random.Random(f"{alpha}/{mode.value}/{tail.value}")
         ns = [n for n in feasible if n <= 800] + rng.sample([n for n in feasible if n > 800], 25)
-        assert [got[n] for n in ns] == [_select_walk(n, alpha, mode, tail) for n in ns]
+        assert [got[n] for n in ns] == [_select_walk(n, alpha, mode, tail)[0] for n in ns]
 
     @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
     @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("alpha", [0.5, 0.75, 0.95])
     def test_matches_the_walk_where_s_sits_just_above_half_n(self, alpha, mode, tail):
         got = {n: s for n, s, _ in _march(alpha, mode, tail, 400)}
-        assert got == {n: _select_walk(n, alpha, mode, tail)
+        assert got == {n: _select_walk(n, alpha, mode, tail)[0]
                        for n in range(1, 401) if min_attainable_p(n, tail) <= alpha}
 
     @pytest.mark.parametrize("n, s", [(1000, 532), (999, 531), (2000, 1046), (3000, 1560)])
@@ -294,7 +292,7 @@ class TestMarch:
             walked.clear()
             got = {m: s for m, s, _ in _march(alpha, mode, tail, n)}[n]
             assert n in walked
-            assert got == _select_walk(n, alpha, mode, tail)
+            assert got == _select_walk(n, alpha, mode, tail)[0]
 
     def test_walks_only_at_anchors(self, walked):
         # the first feasible n and every 1024 steps; a thin-margin hand-over is rare
@@ -315,15 +313,15 @@ class TestMarch:
     @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
     def test_anchor_tail_is_log_upper_tail_bit_for_bit(self, monkeypatch, mode, tail):
         # every anchor's T = exp(log_tail), taken from the strict walk's own terms, is
-        # exp(_log_upper_tail(n, s)); thin margins (alpha = p(1000, 532)) add hand-over anchors
+        # exp(_log_upper_tail(n, s)); thin margins (alpha = p(1000, 532)) add hand-over walks
         anchors = []
 
         def spy(n, *args):
-            s, log_tail = _select_tail(n, *args)
+            s, log_tail = _select_walk(n, *args)
             anchors.append((n, s, log_tail))
             return s, log_tail
 
-        monkeypatch.setattr(sweep_report, "_select_tail", spy)
+        monkeypatch.setattr(binomial_kernel, "_select_walk", spy)
         for alpha in (0.05, 1e-6, p_value(BinomialOutcome(1000, 532), tail)):
             anchors.clear()
             list(_march(alpha, mode, tail, 5000))
