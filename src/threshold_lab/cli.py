@@ -35,10 +35,6 @@ from .sweep_report import (
 
 __all__ = ["parse_and_dispatch", "main"]
 
-_MODES = {"nearest": SelectionMode.NEAREST_TO_ALPHA, "strict": SelectionMode.STRICT_AT_MOST_ALPHA}
-_TAILS = {"two": TailConvention.TWO_SIDED_SYMMETRIC, "one": TailConvention.ONE_SIDED_UPPER}
-
-
 def _alpha_n_pair(text: str) -> tuple[float, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -51,12 +47,12 @@ def _alpha_list(text: str) -> tuple[float, ...]:
 
 
 def _add_mode_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mode", choices=sorted(_MODES), default="nearest",
+    parser.add_argument("--mode", choices=sorted(m.value for m in SelectionMode), default="nearest",
                         help="how the barely-significant s is chosen (default: nearest)")
 
 
 def _add_tail_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tail", choices=sorted(_TAILS), default="two",
+    parser.add_argument("--tail", choices=sorted(t.value for t in TailConvention), default="two",
                         help="sign-test tail convention (default: two, i.e. two-sided symmetric)")
 
 
@@ -90,7 +86,8 @@ def _cmd_posterior(args: argparse.Namespace) -> int:
 
 
 def _cmd_critical(args: argparse.Namespace) -> int:
-    s, p_achieved = select_barely_significant(args.n, args.alpha, _MODES[args.mode], _TAILS[args.tail])
+    s, p_achieved = select_barely_significant(args.n, args.alpha, SelectionMode(args.mode),
+                                              TailConvention(args.tail))
     return _emit_json({
         "n": args.n,
         "alpha": args.alpha,
@@ -118,8 +115,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     grid = SweepGrid(
         n_values=n_values,
         alphas=args.alphas if args.alphas is not None else DEFAULT_ALPHAS,
-        mode=_MODES[args.mode],
-        tail=_TAILS[args.tail],
+        mode=SelectionMode(args.mode),
+        tail=TailConvention(args.tail),
         prior=BetaPrior(args.prior_a, args.prior_b),
     )
     rows = run_sweep(grid)
@@ -128,7 +125,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_crossing(args: argparse.Namespace) -> int:
-    n = find_crossing(args.alpha, args.level, _MODES[args.mode], _TAILS[args.tail],
+    n = find_crossing(args.alpha, args.level, SelectionMode(args.mode), TailConvention(args.tail),
                       BetaPrior(args.prior_a, args.prior_b), args.n_max)
     return _emit_json({
         "alpha": args.alpha,
@@ -169,7 +166,7 @@ def _cmd_power(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagnosticity(args: argparse.Namespace) -> int:
-    gain = diagnosticity_gain(args.a, args.b, _MODES[args.mode],
+    gain = diagnosticity_gain(args.a, args.b, SelectionMode(args.mode),
                               BetaPrior(args.prior_a, args.prior_b))
     return _emit_json({
         "a": {"alpha": args.a[0], "n": args.a[1]},

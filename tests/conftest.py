@@ -4,6 +4,8 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
+from check import EXPECTED_DIR
+
 from threshold_lab import SweepGrid, run_sweep
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -20,6 +22,12 @@ def default_rows():
 def golden():
     """Text of a committed golden output under tests/data, byte for byte."""
     return lambda name: (Path(__file__).parent / "data" / name).read_bytes().decode("utf-8")
+
+
+@pytest.fixture(scope="session")
+def expected():
+    """Text of one of the benchmark's answers under perfbench/expected, byte for byte: the only copy."""
+    return lambda name: (EXPECTED_DIR / name).read_bytes().decode("utf-8")
 
 
 @pytest.fixture

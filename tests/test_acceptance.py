@@ -31,6 +31,7 @@ from threshold_lab import (
 )
 
 import oracles
+import reference
 
 
 def _report(num, ok, label, detail=""):
@@ -64,7 +65,7 @@ def test_criterion_02_small_sample_bound_at_alpha_001(default_rows):
     # the n=100 point is pinned to the exact-rational computation so the
     # logged figure is itself verified, not just bounded
     s_100 = next(r.s_selected for r in default_rows if r.alpha == 0.001 and r.n == 100)
-    pinned = float(oracles.exact_uniform_posterior(100, s_100))
+    pinned = float(reference.evidence(100, s_100)["posterior_h0"])
     ok = all(v < 0.06 for v in posts.values()) and abs(value_100 - pinned) <= 1e-12 * pinned
     _report(
         2, ok, "posterior stays under .06 for n <= 100 at alpha=.001",
@@ -149,9 +150,8 @@ def test_criterion_09_oracle_equivalence():
     selection_ok = True
     for n in range(1, 31):
         for alpha in (0.05, 0.01, 0.001):
-            for mode_name, mode in (("nearest", SelectionMode.NEAREST_TO_ALPHA),
-                                    ("strict", SelectionMode.STRICT_AT_MOST_ALPHA)):
-                want = oracles.exact_select(n, alpha, mode_name)
+            for mode in SelectionMode:
+                want = reference.select(n, alpha, mode is SelectionMode.STRICT_AT_MOST_ALPHA, True)
                 if want is None:
                     try:
                         select_barely_significant(n, alpha, mode)
@@ -171,7 +171,7 @@ def test_criterion_09_oracle_equivalence():
         a = rng.uniform(1.0, 6.0)
         b = rng.uniform(1.0, 6.0)
         got = posterior_h0(BinomialOutcome(n, s), BetaPrior(a, b)).posterior_h0
-        l0 = float(oracles.exact_pmf(n, s))
+        l0 = float(reference.pmf(n, s))
         l1 = math.exp(oracles.quadrature_log_marginal(n, s, a, b))
         want = l0 / (l0 + l1)
         worst = max(worst, abs(got - want) / want)
@@ -179,13 +179,13 @@ def test_criterion_09_oracle_equivalence():
 
     ok = selection_ok and posterior_ok
     _report(
-        9, ok, "exact-enumeration and quadrature cross-checks",
+        9, ok, "exact-reference and quadrature cross-checks",
         f"{checked} selection cases exact-match: {selection_ok}; "
         f"100 quadrature posteriors, worst relative error {worst:.3g} (allowed 1e-9)",
     )
 
 
-def test_criterion_10_property_suite(default_rows, golden):
+def test_criterion_10_property_suite(default_rows, expected):
     details = []
 
     half = BinomialModel(0.5)
@@ -226,8 +226,8 @@ def test_criterion_10_property_suite(default_rows, golden):
     csv_ok = csv_text(parse_csv(io.StringIO(text))) == text
     details.append(f"CSV round-trip bit-equal: {csv_ok}")
 
-    golden_ok = text == golden("default_sweep.csv")
-    details.append(f"default sweep CSV equals the golden file byte for byte: {golden_ok}")
+    golden_ok = text == expected("default_sweep.csv")
+    details.append(f"default sweep CSV equals the benchmark's expected file byte for byte: {golden_ok}")
 
     ok = norm_ok and order_ok and slope_ok and round_trip_ok and csv_ok and golden_ok
     _report(10, ok, "property bundle", "; ".join(details))

@@ -23,6 +23,7 @@ from threshold_lab.bayes_evidence import _prior_constants, _prior_or_uniform, _s
 from threshold_lab.binomial_kernel import _log_term
 
 import oracles
+import reference
 
 
 class TestBetaPrior:
@@ -99,13 +100,13 @@ class TestPosterior:
     def test_point_null_example_nearest(self):
         report = posterior_h0(BinomialOutcome(100, 60))
         assert report.posterior_h0 == pytest.approx(0.52, abs=0.01)
-        assert report.posterior_h0 == pytest.approx(oracles.exact_uniform_posterior(100, 60), rel=1e-12)
+        assert report.posterior_h0 == pytest.approx(reference.evidence(100, 60)["posterior_h0"], rel=1e-12)
 
     def test_point_null_example_one_percent_threshold(self):
         # s=63 is the barely-significant count at alpha=.01 for n=100
         report = posterior_h0(BinomialOutcome(100, 63))
         assert report.posterior_h0 == pytest.approx(0.22, abs=0.01)
-        assert report.posterior_h0 == pytest.approx(oracles.exact_uniform_posterior(100, 63), rel=1e-12)
+        assert report.posterior_h0 == pytest.approx(reference.evidence(100, 63)["posterior_h0"], rel=1e-12)
 
     def test_single_coin_flip_is_even_money(self):
         report = posterior_h0(BinomialOutcome(1, 1))
@@ -177,7 +178,7 @@ class TestEvidenceAtThreshold:
     def test_small_grid_value(self):
         got = evidence_at_threshold(20, 0.05)
         assert got.s == 15
-        assert got.report.posterior_h0 == pytest.approx(oracles.exact_uniform_posterior(20, 15), rel=1e-12)
+        assert got.report.posterior_h0 == pytest.approx(reference.evidence(20, 15)["posterior_h0"], rel=1e-12)
 
     def test_posterior_rises_with_n_at_fixed_alpha(self):
         low = evidence_at_threshold(100, 0.05).report.posterior_h0

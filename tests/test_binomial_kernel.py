@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,6 +33,7 @@ from threshold_lab.binomial_kernel import (
 )
 
 import oracles
+import reference
 
 TWO = TailConvention.TWO_SIDED_SYMMETRIC
 ONE = TailConvention.ONE_SIDED_UPPER
@@ -75,7 +77,7 @@ class TestLogPmf:
     def test_central_term_at_n100(self):
         got = log_pmf(BinomialOutcome(100, 50), HALF)
         assert got == pytest.approx(math.log(0.0796), rel=1e-4)
-        assert math.exp(got) == pytest.approx(float(oracles.exact_pmf(100, 50)), rel=1e-13)
+        assert math.exp(got) == pytest.approx(float(reference.pmf(100, 50)), rel=1e-13)
 
     def test_degenerate_theta(self):
         assert log_pmf(BinomialOutcome(10, 0), BinomialModel(0.0)) == 0.0
@@ -111,7 +113,7 @@ class TestPValue:
     def test_n100_examples(self, s, approx):
         got = p_value(BinomialOutcome(100, s), TWO)
         assert got == pytest.approx(approx, abs=5e-5)
-        assert got == pytest.approx(float(oracles.exact_p_value(100, s)), rel=1e-12)
+        assert got == pytest.approx(float(reference.p_value(100, s, True)), rel=1e-12)
 
     def test_reflected_success_count_gives_same_two_sided_p(self):
         assert p_value(BinomialOutcome(100, 40), TWO) == p_value(BinomialOutcome(100, 60), TWO)
@@ -124,7 +126,7 @@ class TestPValue:
     def test_one_sided_matches_exact_tail(self, n, data):
         s = data.draw(st.integers(0, n))
         got = p_value(BinomialOutcome(n, s), ONE)
-        assert got == pytest.approx(float(oracles.exact_upper_tail(n, s)), rel=1e-12)
+        assert got == pytest.approx(float(reference.upper_tail(n, s)), rel=1e-12)
 
     @pytest.mark.parametrize("n", [13, 24, 100])
     def test_two_sided_nonincreasing_in_distance_from_center(self, n):
@@ -179,7 +181,7 @@ class TestSelection:
     def test_n100_nearest_at_01(self):
         s, p = select_barely_significant(100, 0.01)
         assert s == 63
-        assert p == pytest.approx(float(oracles.exact_p_value(100, 63)), rel=1e-12)
+        assert p == pytest.approx(float(reference.p_value(100, 63, True)), rel=1e-12)
         assert p == pytest.approx(0.012, abs=1e-4)
 
     def test_strict_infeasible_at_tiny_n(self):
@@ -293,17 +295,30 @@ class TestSelection:
         # alpha exactly midway between p(10,9) = 22/1024 and p(10,8) = 112/1024;
         # all quantities dyadic, so the midpoint is a true float-level tie too
         alpha = (112 / 1024 + 22 / 1024) / 2
-        assert oracles.exact_select(10, alpha, "nearest") == 9
+        assert reference.select(10, alpha, False, True) == 9
         assert select_barely_significant(10, alpha).s == 9
+
+    def test_reference_search_matches_an_exhaustive_scan(self):
+        # the reference gallops and bisects; here every s in (n/2, n] is scored, dyadic alpha and the tie included
+        for alpha in (0.5, 0.25, 0.125, 0.0625, 2.0 ** -10, 0.05, 0.01, 0.001, (112 / 1024 + 22 / 1024) / 2):
+            target = Fraction(alpha)
+            for two_sided in (True, False):
+                for n in range(1, 81):
+                    ps = [(s, reference.p_value(n, s, two_sided)) for s in range(n // 2 + 1, n + 1)]
+                    strict = next((s for s, p in ps if p <= target), None)
+                    nearest = min(ps, key=lambda sp: (abs(sp[1] - target), -sp[0]))[0]
+                    assert reference.select(n, alpha, True, two_sided) == strict, (n, alpha, two_sided)
+                    assert reference.select(n, alpha, False, two_sided) == nearest, (n, alpha, two_sided)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.01, 0.001])
     @pytest.mark.parametrize("mode", ["nearest", "strict"])
     @pytest.mark.parametrize("two_sided", [True, False])
     def test_matches_exhaustive_exact_scan(self, alpha, mode, two_sided):
+        # every n <= 900 against the reference; dyadic alpha waits for exact decisions at ties
         tail = TWO if two_sided else ONE
         sel_mode = SelectionMode.NEAREST_TO_ALPHA if mode == "nearest" else SelectionMode.STRICT_AT_MOST_ALPHA
-        for n in (1, 2, 5, 9, 14, 19, 23, 27, 30):
-            want = oracles.exact_select(n, alpha, mode, two_sided)
+        for n in range(1, 901):
+            want = reference.select(n, alpha, mode == "strict", two_sided)
             if want is None:
                 with pytest.raises(InfeasibleError):
                     select_barely_significant(n, alpha, sel_mode, tail)

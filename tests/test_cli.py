@@ -90,12 +90,12 @@ class TestSweepCommand:
         assert lines[0] == "alpha,n,s_selected,p_achieved,log_bf01,posterior_h0,mode,tail"
         assert lines[1] == "0.05,20,15,0.041389465332,-1.16956783934,0.236933108226,nearest,two"
 
-    def test_default_csv_matches_golden_and_ignores_thread_variable(self, capsys, monkeypatch, golden):
+    def test_default_csv_matches_golden_and_ignores_thread_variable(self, capsys, monkeypatch, expected):
         # sweeps run in one thread; the variable that once set a pool size is not read
         monkeypatch.setenv("THRESHOLD_LAB_THREADS", "banana")
         code, out, err = run_cli(capsys, "sweep")
         assert code == 0 and err == ""
-        assert out == golden("default_sweep.csv")
+        assert out == expected("default_sweep.csv")
 
     def test_json_to_file(self, capsys, tmp_path):
         target = tmp_path / "rows.json"

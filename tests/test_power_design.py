@@ -1,5 +1,4 @@
 import math
-from fractions import Fraction
 
 import pytest
 from scipy.stats import norm
@@ -14,13 +13,12 @@ from threshold_lab import (
     required_n,
 )
 
-import oracles
+import reference
 
 
 def exact_odds_h1(alpha, n):
     """l1/l0 at the barely-significant s, in exact rational arithmetic."""
-    s = oracles.exact_select(n, alpha, "nearest")
-    return float(Fraction(1, n + 1) / oracles.exact_pmf(n, s))
+    return float(reference.evidence(n, reference.select(n, alpha, False, True))["odds_h1"])
 
 
 def reference_power(n, design):

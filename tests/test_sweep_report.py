@@ -2,7 +2,6 @@ import io
 import json
 import math
 import random
-from pathlib import Path
 
 import pytest
 
@@ -30,18 +29,12 @@ from threshold_lab import (
 from threshold_lab import binomial_kernel
 from threshold_lab.binomial_kernel import _log_term, _log_upper_tail, _march, _select_walk
 
-import oracles
+import reference
+from check import EXPECTED_DIR
 
 # Brute-force forward-scan answers (every n, exact reference) for the 18
-# (alpha, level) pairs; a byte copy of the benchmark's expected crossings.
-CROSSINGS = json.loads((Path(__file__).parent / "data" / "crossings.json").read_text())["crossings"]
-
-
-@pytest.mark.parametrize("name", ["default_sweep.csv", "crossings.json"])
-def test_goldens_match_the_benchmark_copies(name):
-    # the benchmark checks answers against its own copies; the two must not drift apart
-    here = Path(__file__).parent
-    assert (here / "data" / name).read_bytes() == (here.parent / "perfbench" / "expected" / name).read_bytes()
+# (alpha, level) pairs: the benchmark's expected crossings.
+CROSSINGS = json.loads((EXPECTED_DIR / "crossings.json").read_text())["crossings"]
 
 
 def csv_text(rows):
@@ -107,11 +100,12 @@ class TestRunSweep:
             )
 
     def test_cells_match_independent_pipeline(self, default_rows):
-        # spot-check a handful of cells against a scipy-based reimplementation
-        for r in default_rows[::7]:
-            s, post = oracles.independent_cell(r.n, r.alpha, "nearest", two_sided=True)
+        # every default cell against the reference: exact rationals to n = 2000, 60 digits above
+        for r in default_rows:
+            s = reference.select(r.n, r.alpha, False, True)
             assert r.s_selected == s
-            assert r.posterior_h0 == pytest.approx(post, rel=1e-9)
+            want = reference.evidence(r.n, s)["posterior_h0"]
+            assert r.posterior_h0 == pytest.approx(float(want), rel=1e-9)
 
     def test_rows_equal_per_cell_scoring_bit_for_bit(self):
         # one term list per n serves every alpha; each row must still be the cell scored on its own
