@@ -30,11 +30,26 @@ from threshold_lab import binomial_kernel
 from threshold_lab.binomial_kernel import _log_term, _log_upper_tail, _march, _select_walk
 
 import reference
-from check import EXPECTED_DIR
+from check import EXPECTED_DIR, check
+from workloads import CROSSING_ALPHAS, CROSSING_LEVELS
 
 # Brute-force forward-scan answers (every n, exact reference) for the 18
 # (alpha, level) pairs: the benchmark's expected crossings.
 CROSSINGS = json.loads((EXPECTED_DIR / "crossings.json").read_text())["crossings"]
+
+
+def test_expected_crossings_cover_every_workload_pair():
+    # test_matches_brute_force_oracle runs one case per entry: a lost entry would drop its case unseen
+    pairs = sorted((c["alpha"], c["level"]) for c in CROSSINGS)
+    assert pairs == sorted((a, lv) for a in CROSSING_ALPHAS for lv in CROSSING_LEVELS)
+    for c in CROSSINGS:
+        assert isinstance(c["n"], int)
+        assert c["min_gap"] > 0  # no answer rests on a float tie
+
+
+def test_expected_sweep_passes_the_reference_check(expected):
+    # the CLI tests compare bytes with this file, so it must itself be right row by row
+    assert check(["sweep", "--mode", "nearest"], 0, expected("default_sweep.csv")) is None
 
 
 def csv_text(rows):
