@@ -14,95 +14,14 @@ up to 2.8e-9 relative for k in [n/2, n/2 + 7 sqrt(n)] at n = 1e6).  The
 normal CDF uses erfc, the quantile the standard library's NormalDist.inv_cdf.
 """
 
-from .bayes_evidence import (
-    BetaPrior,
-    EvidenceReport,
-    ThresholdEvidence,
-    evidence_at_threshold,
-    log_marginal_h1,
-    posterior_h0,
-)
-from .binomial_kernel import (
-    BinomialModel,
-    BinomialOutcome,
-    CriticalValue,
-    InfeasibleError,
-    SelectionMode,
-    TailConvention,
-    log_choose,
-    log_pmf,
-    min_attainable_p,
-    p_value,
-    select_barely_significant,
-)
-from .gaussian_numerics import normal_cdf, normal_quantile
-from .power_design import (
-    DiagnosticityGain,
-    ZTestDesign,
-    achieved_power,
-    diagnosticity_gain,
-    required_n,
-)
-from .replicability import PrepReport, p_rep
-from .sweep_report import (
-    DEFAULT_ALPHAS,
-    DEFAULT_N_VALUES,
-    JitterViolation,
-    SweepGrid,
-    SweepRow,
-    emit,
-    find_crossing,
-    jitter_report,
-    parse_csv,
-    parse_json,
-    run_sweep,
-)
+from .bayes_evidence import *
+from .binomial_kernel import *
+from .gaussian_numerics import *
+from .power_design import *
+from .replicability import *
+from .sweep_report import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # binomial kernel
-    "BinomialOutcome",
-    "BinomialModel",
-    "TailConvention",
-    "SelectionMode",
-    "CriticalValue",
-    "InfeasibleError",
-    "log_choose",
-    "log_pmf",
-    "p_value",
-    "min_attainable_p",
-    "select_barely_significant",
-    # evidence
-    "BetaPrior",
-    "EvidenceReport",
-    "ThresholdEvidence",
-    "log_marginal_h1",
-    "posterior_h0",
-    "evidence_at_threshold",
-    # gaussian numerics
-    "normal_cdf",
-    "normal_quantile",
-    # replicability
-    "PrepReport",
-    "p_rep",
-    # power
-    "ZTestDesign",
-    "DiagnosticityGain",
-    "required_n",
-    "achieved_power",
-    "diagnosticity_gain",
-    # sweep
-    "DEFAULT_N_VALUES",
-    "DEFAULT_ALPHAS",
-    "SweepGrid",
-    "SweepRow",
-    "JitterViolation",
-    "run_sweep",
-    "find_crossing",
-    "jitter_report",
-    "emit",
-    "parse_csv",
-    "parse_json",
-]
+__all__ = ["__version__", *bayes_evidence.__all__, *binomial_kernel.__all__, *gaussian_numerics.__all__,
+           *power_design.__all__, *replicability.__all__, *sweep_report.__all__]

@@ -98,27 +98,31 @@ def log_marginal_h1(outcome: BinomialOutcome, prior: BetaPrior | None = None) ->
     return posterior_h0(outcome, prior).log_l1
 
 
-def _prior_constants(prior: BetaPrior | None, pi0: float) -> tuple[float, float, bool, float, float]:
-    """_score's arguments after log_l0 for a prior (None is Beta(1, 1)) and pi0: a, b, whether the
-    prior is flat, ln B(a, b) and ln((1 - pi0) / pi0); a search takes them once for every (n, s)."""
+def _scorer(prior: BetaPrior | None, pi0: float):
+    """score(n, s, log_l0) -> (ln L1, posterior of H0) for a prior (None is flat) and pi0; one per search."""
     prior = _prior_or_uniform(prior)
     a, b = float(prior.a), float(prior.b)
-    return a, b, a == 1.0 and b == 1.0, _betaln(a, b), math.log1p(-pi0) - math.log(pi0)
+    flat, log_beta_ab, log_prior_odds = a == 1.0 and b == 1.0, _betaln(a, b), math.log1p(-pi0) - math.log(pi0)
+
+    def score(n: int, s: int, log_l0: float) -> tuple[float, float]:
+        bracket = 0.0 if flat else _betaln(s + a, n - s + b) - _betaln(s + 1.0, n - s + 1.0)
+        log_l1 = -math.log(n + 1.0) + bracket - log_beta_ab
+        # posterior = 1 / (1 + ((1-pi0)/pi0) / bf01), evaluated as a logistic of
+        # log odds so that extreme Bayes factors neither overflow nor underflow.
+        d = log_prior_odds - (log_l0 - log_l1)
+        if d >= 0.0:
+            e = math.exp(-d)
+            return log_l1, e / (1.0 + e)
+        return log_l1, 1.0 / (1.0 + math.exp(d))
+
+    return score
 
 
-def _score(n: int, s: int, log_l0: float, a: float, b: float, flat: bool, log_beta_ab: float,
-           log_prior_odds: float) -> tuple[float, float]:
-    """(ln L1, posterior of H0) for s of n given ln L0 and _prior_constants' values; the bracket
-    of the flat Beta(1, 1) is X - X = 0.0 exactly, so it is not evaluated."""
-    bracket = 0.0 if flat else _betaln(s + a, n - s + b) - _betaln(s + 1.0, n - s + 1.0)
-    log_l1 = -math.log(n + 1.0) + bracket - log_beta_ab
-    # posterior = 1 / (1 + ((1-pi0)/pi0) / bf01), evaluated as a logistic of
-    # log odds so that extreme Bayes factors neither overflow nor underflow.
-    d = log_prior_odds - (log_l0 - log_l1)
-    if d >= 0.0:
-        e = math.exp(-d)
-        return log_l1, e / (1.0 + e)
-    return log_l1, 1.0 / (1.0 + math.exp(d))
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def posterior_h0(
@@ -132,14 +136,10 @@ def posterior_h0(
     l0 / (l0 + l1); everything stays in log space until the final ratio.
     """
     n, s = _check_instance(outcome, BinomialOutcome, "outcome").n, outcome.s
-    a, b, flat, log_beta_ab, log_prior_odds = _prior_constants(prior, _check_unit(prior_prob_h0, "prior_prob_h0"))
+    score = _scorer(prior, _check_unit(prior_prob_h0, "prior_prob_h0"))
     log_l0 = _log_term(n, s)
-    log_l1, post = _score(n, s, log_l0, a, b, flat, log_beta_ab, log_prior_odds)
-    log_bf01 = log_l0 - log_l1
-    try:
-        bf01 = math.exp(log_bf01)
-    except OverflowError:
-        bf01 = math.inf
+    log_l1, post = score(n, s, log_l0)
+    bf01 = _exp_or_inf(log_l0 - log_l1)
     return EvidenceReport(
         log_l0=log_l0,
         log_l1=log_l1,

@@ -63,39 +63,29 @@ def _add_prior_flags(parser: argparse.ArgumentParser) -> None:
                         help="Beta prior shape b for the alternative (default: 1)")
 
 
-def _emit_json(obj) -> int:
-    dump_json(obj, sys.stdout)
-    return 0
-
-
-def _cmd_posterior(args: argparse.Namespace) -> int:
+def _cmd_posterior(args: argparse.Namespace) -> dict:
     outcome = BinomialOutcome(args.n, args.s)
     report = posterior_h0(outcome, BetaPrior(args.prior_a, args.prior_b), args.pi0)
-    return _emit_json({
+    return {
         "n": args.n,
         "s": args.s,
         "prior_a": args.prior_a,
         "prior_b": args.prior_b,
         "pi0": args.pi0,
-        "log_l0": report.log_l0,
-        "log_l1": report.log_l1,
-        "bf01": report.bf01,
-        "posterior_h0": report.posterior_h0,
-        "posterior_odds_h1": report.posterior_odds_h1,
-    })
+        **vars(report),
+    }
 
 
-def _cmd_critical(args: argparse.Namespace) -> int:
-    s, p_achieved = select_barely_significant(args.n, args.alpha, SelectionMode(args.mode),
-                                              TailConvention(args.tail))
-    return _emit_json({
+def _cmd_critical(args: argparse.Namespace) -> dict:
+    critical = select_barely_significant(args.n, args.alpha, SelectionMode(args.mode),
+                                         TailConvention(args.tail))
+    return {
         "n": args.n,
         "alpha": args.alpha,
         "mode": args.mode,
         "tail": args.tail,
-        "s": s,
-        "p_achieved": p_achieved,
-    })
+        **critical._asdict(),
+    }
 
 
 def _load_grid_file(path: str) -> tuple[int, ...]:
@@ -110,7 +100,7 @@ def _load_grid_file(path: str) -> tuple[int, ...]:
     return tuple(payload)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> None:
     n_values = _load_grid_file(args.grid) if args.grid else DEFAULT_N_VALUES
     grid = SweepGrid(
         n_values=n_values,
@@ -121,39 +111,33 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     rows = run_sweep(grid)
     emit(rows, args.format, args.out if args.out is not None else sys.stdout)
-    return 0
 
 
-def _cmd_crossing(args: argparse.Namespace) -> int:
+def _cmd_crossing(args: argparse.Namespace) -> dict:
     n = find_crossing(args.alpha, args.level, SelectionMode(args.mode), TailConvention(args.tail),
                       BetaPrior(args.prior_a, args.prior_b), args.n_max)
-    return _emit_json({
+    return {
         "alpha": args.alpha,
         "level": args.level,
         "mode": args.mode,
         "tail": args.tail,
         "n_max": args.n_max,
         "n": n,
-    })
+    }
 
 
-def _cmd_prep(args: argparse.Namespace) -> int:
-    report = p_rep(args.p)
-    return _emit_json({
-        "p_in": report.p_in,
-        "p_rep": report.p_rep,
-        "failure_prob": report.failure_prob,
-    })
+def _cmd_prep(args: argparse.Namespace) -> dict:
+    return vars(p_rep(args.p))
 
 
-def _cmd_power(args: argparse.Namespace) -> int:
+def _cmd_power(args: argparse.Namespace) -> dict:
     design = ZTestDesign(mu0=args.mu0, mu_alt=args.mu_alt, sigma=args.sigma,
                          alpha=args.alpha, beta=args.beta)
     n = required_n(design)
     power_at = None
     if args.show_power_at is not None:
         power_at = {"n": args.show_power_at, "power": achieved_power(args.show_power_at, design)}
-    return _emit_json({
+    return {
         "mu0": args.mu0,
         "mu_alt": args.mu_alt,
         "sigma": args.sigma,
@@ -162,19 +146,17 @@ def _cmd_power(args: argparse.Namespace) -> int:
         "required_n": n,
         "achieved_power": achieved_power(n, design),
         "power_at": power_at,
-    })
+    }
 
 
-def _cmd_diagnosticity(args: argparse.Namespace) -> int:
+def _cmd_diagnosticity(args: argparse.Namespace) -> dict:
     gain = diagnosticity_gain(args.a, args.b, SelectionMode(args.mode),
                               BetaPrior(args.prior_a, args.prior_b))
-    return _emit_json({
+    return {
         "a": {"alpha": args.a[0], "n": args.a[1]},
         "b": {"alpha": args.b[0], "n": args.b[1]},
-        "odds_a": gain.odds_a,
-        "odds_b": gain.odds_b,
-        "ratio": gain.ratio,
-    })
+        **gain._asdict(),
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,7 +270,10 @@ def parse_and_dispatch(argv: list[str] | None = None) -> int:
             return 0
         return code if isinstance(code, int) else 2
     try:
-        return args.handler(args)
+        payload = args.handler(args)  # None when the handler wrote its own output (sweep)
+        if payload is not None:
+            dump_json(payload, sys.stdout)
+        return 0
     except (InfeasibleError, OSError) as exc:  # InfeasibleError is a ValueError, so it comes first
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple
 
 from ._checks import _check_instance, _check_n, _check_real, _check_unit
-from .bayes_evidence import BetaPrior, _prior_constants, _prior_or_uniform, _score, posterior_h0
+from .bayes_evidence import BetaPrior, _prior_or_uniform, _scorer, posterior_h0
 from .binomial_kernel import (BinomialOutcome, SelectionMode, TailConvention, _march, _select_walk, _tail_p,
                               min_attainable_p)
 
@@ -146,9 +146,8 @@ def find_crossing(
     _check_n(n_max, "n_max")
     _check_instance(mode, SelectionMode, "mode")
     _check_instance(tail, TailConvention, "tail")
-    a, b, flat, log_beta_ab, log_prior_odds = _prior_constants(prior, 0.5)
-    return next((n for n, s, log_l0 in _march(alpha, mode, tail, n_max)
-                 if _score(n, s, log_l0, a, b, flat, log_beta_ab, log_prior_odds)[1] >= level), None)
+    score = _scorer(prior, 0.5)
+    return next((n for n, s, log_l0 in _march(alpha, mode, tail, n_max) if score(n, s, log_l0)[1] >= level), None)
 
 
 def jitter_report(rows: Iterable[SweepRow]) -> list[JitterViolation]:

@@ -19,7 +19,7 @@ from threshold_lab import (
 )
 
 from threshold_lab._checks import MAX_SHAPE
-from threshold_lab.bayes_evidence import _prior_constants, _prior_or_uniform, _score
+from threshold_lab.bayes_evidence import _prior_or_uniform, _scorer
 from threshold_lab.binomial_kernel import _log_term
 
 import oracles
@@ -212,7 +212,7 @@ def _full_bracket_score(n, s, a, b, pi0):
 
 class TestSharedScorer:
     def test_scorer_is_posterior_h0_bit_for_bit(self):
-        # find_crossing scores through _score with the scan's ln L0 and once-per-search prior constants
+        # find_crossing scores through one _scorer per search, with the scan's ln L0
         rng = random.Random(2000)
         shapes = [0.5, 1.0, 2.0, 3.0, 0.1, 17.5, MAX_SHAPE]
         flat = 0
@@ -222,10 +222,9 @@ class TestSharedScorer:
             prior = BetaPrior(1, 1) if i % 4 == 0 else BetaPrior(rng.choice(shapes), rng.choice(shapes))
             pi0 = rng.choice([0.5, 0.1, 0.9, 1e-6, rng.uniform(0.01, 0.99)])
             log_l0 = _log_term(n, s)
-            constants = _prior_constants(prior, pi0)
-            flat += constants[2]
+            flat += (prior.a, prior.b) == (1, 1)
             report = posterior_h0(BinomialOutcome(n, s), prior, pi0)
-            got = _score(n, s, log_l0, *constants)
+            got = _scorer(prior, pi0)(n, s, log_l0)
             assert (log_l0, *got) == (report.log_l0, report.log_l1, report.posterior_h0), (n, s, prior, pi0)
             assert got == _full_bracket_score(n, s, float(prior.a), float(prior.b), pi0), (n, s, prior, pi0)
         assert flat >= 500

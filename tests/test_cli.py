@@ -220,6 +220,14 @@ class TestDiagnosticityCommand:
         assert 1.5 <= data["odds_b"] <= 4.5
         assert data["ratio"] == pytest.approx(data["odds_b"] / data["odds_a"], rel=1e-9)
 
+    def test_overflowed_bayes_factors_give_a_finite_ratio(self, capsys):
+        code, out, err = run_cli(capsys, "diagnosticity", "--a", "0.05,200", "--b", "0.01,300",
+                                 "--prior-a", "1e6", "--prior-b", "0.001")
+        assert code == 0 and err == ""
+        data = json.loads(out)
+        assert data["odds_a"] == data["odds_b"] == 0.0
+        assert data["ratio"] == pytest.approx(1.05e-133, rel=1e-2)
+
     def test_malformed_pair_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "diagnosticity", "--a", "0.05", "--b", "0.01,137")
         assert code == 2 and out == "" and "0.05" in err

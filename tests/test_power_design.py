@@ -4,12 +4,14 @@ import pytest
 from scipy.stats import norm
 
 from threshold_lab import (
+    BetaPrior,
     DiagnosticityGain,
     InfeasibleError,
     SelectionMode,
     ZTestDesign,
     achieved_power,
     diagnosticity_gain,
+    evidence_at_threshold,
     required_n,
 )
 
@@ -135,6 +137,18 @@ class TestDiagnosticityGain:
     def test_larger_n_at_fixed_alpha_reduces_odds(self):
         gain = diagnosticity_gain((0.05, 100), (0.05, 10000))
         assert gain.ratio < 1.0
+
+    def test_overflowed_bayes_factors_take_the_ratio_from_their_logs(self):
+        # ln BF01 is 760.7 at a and 1066.8 at b: both bf01 overflow and both odds are 0.0
+        prior = BetaPrior(1e6, 0.001)
+        gain = diagnosticity_gain((0.05, 200), (0.01, 300), prior=prior)
+        a = evidence_at_threshold(200, 0.05, prior=prior).report
+        b = evidence_at_threshold(300, 0.01, prior=prior).report
+        assert gain.odds_a == gain.odds_b == 0.0
+        assert gain.ratio == math.exp((a.log_l0 - a.log_l1) - (b.log_l0 - b.log_l1))
+        assert gain.ratio == pytest.approx(1.05e-133, rel=1e-2)
+        assert diagnosticity_gain((0.05, 2000), (0.05, 200), prior=prior).ratio == math.inf
+        assert diagnosticity_gain((0.05, 200), (0.05, 2000), prior=prior).ratio == 0.0
 
     def test_strict_infeasibility_propagates(self):
         with pytest.raises(InfeasibleError):
