@@ -139,13 +139,12 @@ def posterior_h0(
     score = _scorer(prior, _check_unit(prior_prob_h0, "prior_prob_h0"))
     log_l0 = _log_term(n, s)
     log_l1, post = score(n, s, log_l0)
-    bf01 = _exp_or_inf(log_l0 - log_l1)
     return EvidenceReport(
         log_l0=log_l0,
         log_l1=log_l1,
-        bf01=bf01,
+        bf01=_exp_or_inf(log_l0 - log_l1),
         posterior_h0=post,
-        posterior_odds_h1=math.inf if bf01 == 0.0 else 1.0 / bf01,
+        posterior_odds_h1=_exp_or_inf(log_l1 - log_l0),
     )
 
 

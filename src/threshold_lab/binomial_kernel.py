@@ -7,13 +7,15 @@ theta = 0.5.
 
 A sign-test tail costs O(sqrt(n)) terms, not O(n): it starts at a cut-off
 ceil(6 sqrt(n)) + 10 terms above max(s, n/2), and the mass above the cut-off
-is below 2**-60 of the mass it keeps, far under half an ulp of the sum.  The
-selection walk starts there too, reads its terms from a list that grows on
-demand (a sweep shares one per n) and folds them in one pass down to a
-Chernoff point, above which every p is at most alpha; p_achieved is folded
-from that list, so it is bit-equal to p_value.  find_crossing's forward scan
-over n (_march) sits beside the walk, whose rounding its tolerance bounds, and
-hands over to it where a margin is thin.  The tail routines take n <= MAX_N.
+is below 2**-60 of the mass it keeps, far under half an ulp of the sum; a
+one-sided tail for s below n/2 stops at the mirror index n - cut-off, below
+which the mass equals the mass above the cut-off.  The selection walk starts
+at the cut-off too, reads its terms from a list that grows on demand (a
+sweep shares one per n) and folds them in one pass down to a Chernoff point,
+above which every p is at most alpha; p_achieved is folded from that list,
+so it is bit-equal to p_value.  find_crossing's forward scan over n (_march)
+sits beside the walk, whose rounding its tolerance bounds, and hands over to
+it where a margin is thin.  The tail routines take n <= MAX_N.
 """
 
 from __future__ import annotations
@@ -124,16 +126,16 @@ def _log_term(n: int, k: int) -> float:
 
 
 def _log_terms(n: int, start: int, stop: int) -> list[float]:
-    """[_log_term(n, k) for k = start, start-1, ..., stop+1]; above n/2, lgamma maps over each argument's range."""
-    lgamma = math.lgamma
-    lg = lgamma(n + 1)
-    w = n * _LN2
-    if stop < n // 2:  # the range reaches n/2 (p_value's tails only): min and max order the arguments
-        return [lg - lgamma(min(k, n - k) + 1) - lgamma(max(k, n - k) + 1) - w for k in range(start, stop, -1)]
-    if start - stop <= 32:  # a few terms: direct calls cost less than maps
-        return [lg - lgamma(n - k + 1) - lgamma(k + 1) - w for k in range(start, stop, -1)]
-    return [lg - a - b - w for a, b in zip(map(lgamma, range(n - start + 1, n - stop + 1)),
-                                         map(lgamma, range(start + 1, stop + 1, -1)))]
+    """[_log_term(n, k) for k = start, start-1, ..., stop+1], lgamma mapped over each argument's range; the smaller
+    argument's is subtracted first, as in log_choose, so the maps swap for k at or below n/2 (p_value's tails only)."""
+    lgamma, lg, w, mid = math.lgamma, math.lgamma(n + 1), n * _LN2, max(stop, n // 2)
+    terms = [lg - a - b - w for a, b in zip(map(lgamma, range(n - start + 1, n - mid + 1)),
+                                            map(lgamma, range(start + 1, mid + 1, -1)))]
+    if stop < mid:  # k in (stop, top] lies at or below n/2
+        top = min(start, mid)
+        terms += [lg - a - b - w for a, b in zip(map(lgamma, range(top + 1, stop + 1, -1)),
+                                                 map(lgamma, range(n - top + 1, n - stop + 1)))]
+    return terms
 
 
 def _log_sum(terms: list[float]) -> float:
@@ -153,9 +155,11 @@ def _tail_start(n: int, s: int) -> int:
 
 
 def _log_upper_tail(n: int, s: int) -> float:
-    """ln P(X >= s) under Binomial(n, 0.5), summed from the cut-off _tail_start(n, s) inward: O(sqrt(n))
-    terms, the smallest first, so the running sum is free of cancellation."""
-    return _log_sum(_log_terms(n, _tail_start(n, s), s - 1))
+    """ln P(X >= s) under Binomial(n, 0.5), summed from the cut-off _tail_start(n, s) inward, the smallest term first,
+    so the running sum is free of cancellation.  It stops at max(s, n - cut-off): by symmetry the mass below n - cut-off
+    equals the mass above the cut-off, so the tail costs O(sqrt(n)) terms for s far below n/2 too."""
+    start = _tail_start(n, s)
+    return _log_sum(_log_terms(n, start, max(s, n - start) - 1))
 
 
 def _shift(tail: TailConvention) -> float:
@@ -258,11 +262,9 @@ def _select_walk(n: int, alpha: float, mode: SelectionMode, tail: TailConvention
             )
         best_i = strict_i
     s = top - best_i
-    # the tail sums k = _tail_start(n, s) down to s: above top only where s passes c, and there p underflows to 0
+    # the tail sums k = _tail_start(n, s) down to s; its cut-off passes top only where s passes c, and p underflows
     start = _tail_start(n, s)
-    if start > top:
-        return s, _log_sum(_log_terms(n, start, top) + terms[:top - s + 1])
-    return s, _log_sum(terms[top - start:top - s + 1])
+    return s, _log_sum(terms[top - start:top - s + 1]) if start <= top else _log_upper_tail(n, s)
 
 
 def select_barely_significant(

@@ -99,14 +99,13 @@ def diagnosticity_gain(
 
     Each point is scored by the evidence a barely-significant sign-test
     outcome at that (alpha, n) carries; ratio = odds_b / odds_a measures how
-    much more diagnostic the second operating point is, taken from the two
-    ln BF01 where odds_a underflows to 0.0.  Strict-mode infeasibility at
-    either point propagates.
+    much more diagnostic the second operating point is.  It is taken from the
+    two ln BF01, so it stays finite where both odds overflow or underflow.
+    Strict-mode infeasibility at either point propagates.
     """
     alpha_a, n_a = _check_pair(point_a, "point_a")
     alpha_b, n_b = _check_pair(point_b, "point_b")
     a = evidence_at_threshold(n_a, alpha_a, mode, tail, prior).report
     b = evidence_at_threshold(n_b, alpha_b, mode, tail, prior).report
-    odds_a, odds_b = a.posterior_odds_h1, b.posterior_odds_h1
-    ratio = odds_b / odds_a if odds_a != 0.0 else _exp_or_inf((a.log_l0 - a.log_l1) - (b.log_l0 - b.log_l1))
-    return DiagnosticityGain(odds_a=odds_a, odds_b=odds_b, ratio=ratio)
+    ratio = _exp_or_inf((a.log_l0 - a.log_l1) - (b.log_l0 - b.log_l1))
+    return DiagnosticityGain(odds_a=a.posterior_odds_h1, odds_b=b.posterior_odds_h1, ratio=ratio)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple
 
@@ -201,91 +202,70 @@ def _csv_field(x) -> str:
     return _fmt_real(x) if isinstance(x, float) else str(x)
 
 
-def _write_csv(rows: Iterable[SweepRow], fh: IO[str]) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(_COLUMNS)
-    for r in rows:
-        writer.writerow([_csv_field(getattr(r, c)) for c in _COLUMNS])
-
-
-def _write_json(rows: Iterable[SweepRow], fh: IO[str]) -> None:
-    dump_json([{c: getattr(r, c) for c in _COLUMNS} for r in rows], fh)
-
-
 def emit(rows: Iterable[SweepRow], format: str, destination) -> None:
     """Serialize rows to CSV or JSON at `destination` (path or open text file).
 
     CSV: mandatory header, columns exactly as in the row type plus mode/tail,
     reals at 12 significant digits, rows in the order given.  JSON: an array
-    of objects with the same field names.  I/O failures are re-raised with
-    the destination attached.
+    of objects with the same field names.  I/O failures on a path are
+    re-raised with the destination attached.
     """
     if format not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {format!r}")
-    writer = _write_csv if format == "csv" else _write_json
-    if hasattr(destination, "write"):
-        writer(rows, destination)
-        return
+    is_file = hasattr(destination, "write")
     try:
-        with open(destination, "w", encoding="utf-8", newline="") as fh:
-            writer(rows, fh)
+        with nullcontext(destination) if is_file else open(destination, "w", encoding="utf-8", newline="") as fh:
+            if format == "json":
+                dump_json([{c: getattr(r, c) for c in _COLUMNS} for r in rows], fh)
+            else:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(_COLUMNS)
+                for r in rows:
+                    writer.writerow([_csv_field(getattr(r, c)) for c in _COLUMNS])
     except OSError as exc:
+        if is_file:
+            raise
         raise OSError(f"cannot write sweep output to {destination!r}: {exc}") from exc
 
 
 def parse_csv(source) -> list[SweepRow]:
     """Inverse of emit(..., 'csv', ...): floats round-trip bit-equal because
     12-significant-digit decimal survives the str -> float -> str cycle."""
-    if hasattr(source, "read"):
-        return _rows_from_csv(source)
-    with open(source, "r", encoding="utf-8", newline="") as fh:
-        return _rows_from_csv(fh)
-
-
-def _rows_from_csv(fh: IO[str]) -> list[SweepRow]:
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    if header != list(_COLUMNS):
-        raise ValueError(f"unexpected sweep CSV header: {header!r}")
     rows = []
-    for rec in reader:
-        try:
-            if len(rec) != len(_COLUMNS):
-                raise ValueError(f"{len(rec)} fields, not {len(_COLUMNS)}")
-            rows.append(_make_row(rec, lambda text, kind, name: kind(text)))
-        except ValueError as exc:
-            raise ValueError(f"malformed sweep CSV row {rec!r}: {exc}") from None
+    with nullcontext(source) if hasattr(source, "read") else open(source, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != list(_COLUMNS):
+            raise ValueError(f"unexpected sweep CSV header: {header!r}")
+        for rec in reader:
+            try:
+                if len(rec) != len(_COLUMNS):
+                    raise ValueError(f"{len(rec)} fields, not {len(_COLUMNS)}")
+                rows.append(_make_row(rec, text=True))
+            except ValueError as exc:
+                raise ValueError(f"malformed sweep CSV row {rec!r}: {exc}") from None
     return rows
 
 
 def parse_json(source) -> list[SweepRow]:
     """Inverse of emit(..., 'json', ...)."""
-    if hasattr(source, "read"):
-        payload = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+    with nullcontext(source) if hasattr(source, "read") else open(source, "r", encoding="utf-8") as fh:
+        payload = json.load(fh)
     if not isinstance(payload, list):
         raise ValueError(f"sweep JSON must be an array of row objects, got {type(payload).__name__}")
     rows = []
     for rec in payload:
         try:
-            rows.append(_make_row([rec[c] for c in _COLUMNS], _json_value))
+            rows.append(_make_row([rec[c] for c in _COLUMNS], text=False))
         except (KeyError, TypeError, ValueError) as exc:  # a missing field, a non-object row, a bad value
             raise ValueError(f"malformed sweep JSON row {rec!r}: {type(exc).__name__}: {exc}") from None
     return rows
 
 
-def _json_value(value, kind: type, name: str):
-    # JSON types its values, so "0.05" for a float (see _make_row) or 20.7 for an int is an error
-    if kind is not float and (isinstance(value, bool) or not isinstance(value, kind)):
-        raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
-    return value
-
-
-def _make_row(values: list, convert) -> SweepRow:
-    """A SweepRow from one value per column, each taken by convert(value, type, name) and checked; an
-    empty value ("" or None) is None in a column that allows it and a ValueError in one that does not."""
+def _make_row(values: list, text: bool) -> SweepRow:
+    """A SweepRow from one value per column, checked column by column: CSV text is parsed by the column's
+    type, a JSON value must already have it (JSON types its values, so "0.05" for a float or 20.7 for an
+    int is an error).  An empty value ("" or None) is None in a column that allows it, else a ValueError."""
     fields = []
     for value, (name, (kind, nullable)) in zip(values, _COLUMNS.items()):
         if value is None or value == "":
@@ -293,7 +273,10 @@ def _make_row(values: list, convert) -> SweepRow:
                 raise ValueError(f"{name} is empty")
             fields.append(None)
             continue
-        value = convert(value, kind, name)
+        if text:
+            value = kind(value)
+        elif kind is not float and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
         if kind is float:
             value = _check_real(value, name)
         elif kind is int and value < 0:

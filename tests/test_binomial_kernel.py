@@ -394,6 +394,11 @@ class TestTailCutoff:
                 want = min(1.0, math.exp(math.log(2.0) + _full_log_tail(n, max(s, n - s))))
             assert p_value(BinomialOutcome(n, s), tail) == want, (n, s, tail)
 
+    def test_one_sided_p_value_far_below_half_sums_order_sqrt_n_terms(self, lgamma_calls):
+        # 24,043 calls: the sum stops at the mirror cut-off n - _tail_start(n, s); down to s = 0 it made 1,012,023
+        assert p_value(BinomialOutcome(10**6, 0), ONE) == 0.9999999994167044
+        assert 0 < lgamma_calls() <= 30_000
+
     def test_large_n_selection_sums_order_sqrt_n_terms(self, lgamma_calls):
         select_barely_significant(10**6, 0.001)
         # 13,025 calls: the walk from the cut-off above its Chernoff bound, whose

@@ -296,7 +296,7 @@ def test_out_of_range_flag_is_the_library_error(capsys, argv, value):
 
 @pytest.mark.parametrize("argv,key", [
     (["posterior", "--n", "2000", "--s", "0"], "posterior_odds_h1"),
-    (["diagnosticity", "--a", "5e-324,1000000", "--b", "5e-324,2000000"], "ratio"),
+    (["diagnosticity", "--a", "0.05,20", "--b", "5e-324,1000000"], "ratio"),
 ])
 def test_non_finite_values_print_as_json_null(capsys, argv, key):
     def reject(constant):

@@ -493,6 +493,7 @@ class TestEmitAndParse:
         ("0.05,20,15,x,,,nearest,two", "'x'"),
         ("0.05,20,,,,,,two", "mode is empty"),
         ("inf,20,15,nan,,,banana,two", "alpha must be a finite real number, got inf"),
+        ("inf,x,,,,,nearest,two", "alpha must be a finite real number, got inf"),  # checked column by column
         ("0.05,20,15,nan,,,nearest,two", "p_achieved must be a finite real number, got nan"),
         ("0.05,20,15,0.04,-inf,,nearest,two", "log_bf01 must be a finite real number, got -inf"),
         ("0.05,-3,,,,,nearest,two", "n must be non-negative, got -3"),
