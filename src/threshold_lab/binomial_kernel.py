@@ -12,10 +12,10 @@ one-sided tail for s below n/2 stops at the mirror index n - cut-off, below
 which the mass equals the mass above the cut-off.  The selection walk starts
 at the cut-off too, reads its terms from a list that grows on demand (a
 sweep shares one per n) and folds them in one pass down to a Chernoff point,
-above which every p is at most alpha; p_achieved is folded from that list,
-so it is bit-equal to p_value.  find_crossing's forward scan over n (_march)
-sits beside the walk, whose rounding its tolerance bounds, and hands over to
-it where a margin is thin.  The tail routines take n <= MAX_N.
+above which every p is at most alpha; it returns the pick and the p folded
+from that list, bit-equal to p_value.  find_crossing's scan over n (_march)
+bounds the walk's rounding once, for every n to N = n_max + _ANCHOR_EVERY,
+and hands over to it where a margin is thin.  The tail routines take n <= MAX_N.
 """
 
 from __future__ import annotations
@@ -203,7 +203,7 @@ def _walk_start(n: int, alpha: float, shift: float) -> tuple[int, int]:
 
 def _select_walk(n: int, alpha: float, mode: SelectionMode, tail: TailConvention,
                  terms: list[float] | None = None, floor: float | None = None) -> tuple[int, float]:
-    """(s, ln P(X >= s)): the barely-significant s in (n/2, n], picked by walking s downward, and its tail.
+    """(s, p): the barely-significant s in (n/2, n], picked by walking s downward, and its p-value.
 
     The walk folds a running upper-tail sum, as _log_sum folds, from the
     _tail_start cut-off above the Chernoff point c: O(sqrt(n)) terms, read for
@@ -217,7 +217,7 @@ def _select_walk(n: int, alpha: float, mode: SelectionMode, tail: TailConvention
     alpha - p(c); a larger nearest pick, kept where alpha - p rounds alike,
     lasts to the end only if (n + 1)(m + 1) > 2**52.  So the walk decides per
     term below c only.  The tail is folded from the list in _log_upper_tail's
-    order, so it is bit-equal to _log_upper_tail(n, s).
+    order, so p is bit-equal to p_value.
     """
     exp, log1p, shift = math.exp, math.log1p, _shift(tail)
     c, k = _walk_start(n, alpha, shift)
@@ -264,7 +264,7 @@ def _select_walk(n: int, alpha: float, mode: SelectionMode, tail: TailConvention
     s = top - best_i
     # the tail sums k = _tail_start(n, s) down to s; its cut-off passes top only where s passes c, and p underflows
     start = _tail_start(n, s)
-    return s, _log_sum(terms[top - start:top - s + 1]) if start <= top else _log_upper_tail(n, s)
+    return s, _tail_p(_log_sum(terms[top - start:top - s + 1]) if start <= top else _log_upper_tail(n, s), tail)
 
 
 def select_barely_significant(
@@ -284,8 +284,7 @@ def select_barely_significant(
     _check_instance(mode, SelectionMode, "mode")
     _check_instance(tail, TailConvention, "tail")
     alpha = _check_unit(alpha, "alpha")
-    s, log_tail = _select_walk(n, alpha, mode, tail)
-    return CriticalValue(s, _tail_p(log_tail, tail))
+    return CriticalValue(*_select_walk(n, alpha, mode, tail))
 
 
 # Steps of find_crossing's forward scan between re-anchors on the exact kernel.
@@ -302,16 +301,20 @@ def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int):
     Each pmf is exp of a _log_term, so T and the walk's sum differ by
     rounding alone: a few ulps of lgamma(n+1) per term, an ulp per scan step
     (at most _ANCHOR_EVERY) and an ulp of ln p per walk step (at most
-    7 sqrt(n) + 10).  So s and T come from the strict walk (its tail bit-equal to
-    _log_upper_tail) at the first feasible n, every _ANCHOR_EVERY steps, and where a decision
+    7 sqrt(n) + 10).  So s and T = p / c come from the strict walk (p bit-equal to
+    p_value) at the first feasible n, every _ANCHOR_EVERY steps, and where a decision
     margin (alpha - p(s), p(s-1) - alpha, in nearest mode their difference)
     is within tol = 32 (eps alpha (lgamma(N+1) + m (1 - ln alpha)) + m ulp(0)),
-    m = 7 sqrt(N) + 10 + _ANCHOR_EVERY, N = n + _ANCHOR_EVERY; the largest
-    difference seen (n to 2e5, alpha to 1e-100) is tol/16.  Other n cost O(1).
+    m = 7 sqrt(N) + 10 + _ANCHOR_EVERY, N = n_max + _ANCHOR_EVERY, taken once per scan;
+    the largest difference seen (n to 2e5, alpha to 1e-100) is tol/16 at N = n + _ANCHOR_EVERY.
+    A nearest hand-over reads the strict walk's terms.  Other n cost O(1).
     """
     c = 2.0 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 1.0
     nearest = mode is SelectionMode.NEAREST_TO_ALPHA
     lgamma, exp = math.lgamma, math.exp
+    top = n_max + _ANCHOR_EVERY
+    m = 7.0 * math.sqrt(top) + 10.0 + _ANCHOR_EVERY
+    tol = 32.0 * (math.ulp(1.0) * alpha * (lgamma(top + 1) + m * (1.0 - math.log(alpha))) + m * math.ulp(0.0))
     first = anchor = next((n for n in range(1, n_max + 1) if min_attainable_p(n, tail) <= alpha), n_max + 1)
     for n in range(first, n_max + 1):
         lg, w = lgamma(n + 1), n * _LN2
@@ -322,13 +325,9 @@ def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int):
             s += moved
         while True:
             if fresh:
-                anchor, moved = n, False
-                s, log_tail = _select_walk(n, alpha, SelectionMode.STRICT_AT_MOST_ALPHA, tail)
-                T = exp(log_tail)
-                top = n + _ANCHOR_EVERY  # tol holds for every n up to the next periodic anchor
-                m = 7.0 * math.sqrt(top) + 10.0 + _ANCHOR_EVERY
-                tol = 32.0 * (math.ulp(1.0) * alpha * (math.lgamma(top + 1) + m * (1.0 - math.log(alpha)))
-                              + m * math.ulp(0.0))
+                anchor, moved, terms = n, False, []
+                s, p = _select_walk(n, alpha, SelectionMode.STRICT_AT_MOST_ALPHA, tail, terms)
+                T = p / c
             lo = s - 1 if 2 * s - 2 <= n else n - s + 1  # log_choose's lower argument
             log_pm1 = lg - lgamma(lo + 1) - lgamma(n - lo + 1) - w
             pm1 = exp(log_pm1)
@@ -340,6 +339,6 @@ def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int):
             if sure or fresh:
                 break
             fresh = True
-        pick = _select_walk(n, alpha, mode, tail)[0] if nearest and not sure else s - (nearest and d2 < d1)
+        pick = _select_walk(n, alpha, mode, tail, terms)[0] if nearest and not sure else s - (nearest and d2 < d1)
         lo = pick if 2 * pick <= n else n - pick
         yield n, pick, log_pm1 if pick == s - 1 else lg - lgamma(lo + 1) - lgamma(n - lo + 1) - w

@@ -36,14 +36,18 @@ from .sweep_report import (
 __all__ = ["parse_and_dispatch", "main"]
 
 def _alpha_n_pair(text: str) -> tuple[float, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected ALPHA,N (two comma-separated values), got {text!r}")
-    return float(parts[0]), int(parts[1])
+    try:
+        alpha, n = text.split(",")
+        return float(alpha), int(n)
+    except ValueError:  # not two values, or not a real and an integer
+        raise argparse.ArgumentTypeError(f"expected ALPHA,N (two comma-separated values), got {text!r}") from None
 
 
 def _alpha_list(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(",") if p != "")
+    try:
+        return tuple(float(p) for p in text.split(",") if p != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated real numbers, got {text!r}") from None
 
 
 def _add_mode_flag(parser: argparse.ArgumentParser) -> None:
@@ -67,8 +71,7 @@ def _cmd_posterior(args: argparse.Namespace) -> dict:
     outcome = BinomialOutcome(args.n, args.s)
     report = posterior_h0(outcome, BetaPrior(args.prior_a, args.prior_b), args.pi0)
     return {
-        "n": args.n,
-        "s": args.s,
+        **vars(outcome),
         "prior_a": args.prior_a,
         "prior_b": args.prior_b,
         "pi0": args.pi0,
@@ -138,11 +141,7 @@ def _cmd_power(args: argparse.Namespace) -> dict:
     if args.show_power_at is not None:
         power_at = {"n": args.show_power_at, "power": achieved_power(args.show_power_at, design)}
     return {
-        "mu0": args.mu0,
-        "mu_alt": args.mu_alt,
-        "sigma": args.sigma,
-        "alpha": args.alpha,
-        "beta": args.beta,
+        **vars(design),
         "required_n": n,
         "achieved_power": achieved_power(n, design),
         "power_at": power_at,
@@ -274,12 +273,9 @@ def parse_and_dispatch(argv: list[str] | None = None) -> int:
         if payload is not None:
             dump_json(payload, sys.stdout)
         return 0
-    except (InfeasibleError, OSError) as exc:  # InfeasibleError is a ValueError, so it comes first
+    except (ValueError, OSError) as exc:  # an InfeasibleError, unwritable output, or a bad argument combination
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:  # inconsistent or out-of-range argument combinations
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, (InfeasibleError, OSError)) else 2
 
 
 def main() -> None:

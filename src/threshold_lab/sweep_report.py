@@ -18,8 +18,7 @@ from typing import IO, Iterable, NamedTuple
 
 from ._checks import _check_instance, _check_n, _check_real, _check_unit
 from .bayes_evidence import BetaPrior, _prior_or_uniform, _scorer, posterior_h0
-from .binomial_kernel import (BinomialOutcome, SelectionMode, TailConvention, _march, _select_walk, _tail_p,
-                              min_attainable_p)
+from .binomial_kernel import BinomialOutcome, SelectionMode, TailConvention, _march, _select_walk, min_attainable_p
 
 __all__ = [
     "DEFAULT_N_VALUES",
@@ -100,14 +99,14 @@ class JitterViolation(NamedTuple):
 
 
 def _evaluate_cell(alpha: float, n: int, grid: SweepGrid, min_p: float, terms: list[float]) -> SweepRow:
-    """One cell as evidence_at_threshold scores it; min_p and terms are shared by the cells at n."""
+    """One cell as evidence_at_threshold scores it where min_p <= alpha; where no s attains alpha the row is
+    empty, though nearest-mode evidence_at_threshold gives s = n there.  min_p and terms are shared at n."""
     mode, tail = grid.mode, grid.tail
     if min_p > alpha:
         return SweepRow(alpha, n, None, None, None, None, mode.value, tail.value)
-    s, log_tail = _select_walk(n, alpha, mode, tail, terms, grid.alphas[-1])
+    s, p = _select_walk(n, alpha, mode, tail, terms, grid.alphas[-1])
     report = posterior_h0(BinomialOutcome(n, s), grid.prior)
-    return SweepRow(alpha, n, s, _tail_p(log_tail, tail), report.log_l0 - report.log_l1, report.posterior_h0,
-                    mode.value, tail.value)
+    return SweepRow(alpha, n, s, p, report.log_l0 - report.log_l1, report.posterior_h0, mode.value, tail.value)
 
 
 def run_sweep(grid: SweepGrid) -> list[SweepRow]:

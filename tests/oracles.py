@@ -34,7 +34,7 @@ def reference_walk(n: int, alpha: float, mode: str, two_sided: bool = True) -> t
     """The float selection walk that decides at every term, from the cut-off above the Chernoff
     point down, as the library walked before it folded its certified prefix in one pass.
 
-    Returns (s, ln P(X >= s)), the tail folded from the cut-off above s down to s, or None where
+    Returns (s, p), p from the tail folded from the cut-off above s down to s, or None where
     strict mode finds no s.  Same floats as the library, so a pick must match it exactly.
     """
     shift = math.log(2.0) if two_sided else 0.0
@@ -57,7 +57,7 @@ def reference_walk(n: int, alpha: float, mode: str, two_sided: bool = True) -> t
     acc = -math.inf
     for k in range(_cutoff(n, s), s - 1, -1):
         acc = _fold(acc, _upper_term(n, k, lg, w))
-    return s, acc
+    return s, min(1.0, math.exp(shift + acc))
 
 
 # --- Beta-prior marginals at any shape -------------------------------------

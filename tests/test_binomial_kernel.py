@@ -25,7 +25,6 @@ from threshold_lab.binomial_kernel import (
     MAX_N,
     _log_term,
     _log_terms,
-    _log_upper_tail,
     _select_walk,
     _shift,
     _tail_start,
@@ -209,8 +208,9 @@ class TestSelection:
             checked += 1
         assert checked >= 2000
 
-    def test_walk_tail_is_log_upper_tail_bit_for_bit(self):
-        # the crossing scan's anchors take T from this fold instead of a second _log_upper_tail pass
+    def test_walk_p_is_p_value_bit_for_bit(self):
+        # sweep cells print this p and the crossing scan's anchors take T from it, each walk with its own
+        # list; a sweep's walks share one, filled from the smallest alpha's higher start: the same (s, p)
         rng = random.Random(14)
         checked = 0
         for _ in range(600):
@@ -219,10 +219,13 @@ class TestSelection:
             mode = rng.choice(list(SelectionMode))
             tail = rng.choice([ONE, TWO])
             try:
-                s, log_tail = _select_walk(n, alpha, mode, tail)
+                s, p = _select_walk(n, alpha, mode, tail, [])
             except InfeasibleError:
                 continue
-            assert log_tail == _log_upper_tail(n, s), (n, alpha, mode, tail)
+            assert p == p_value(BinomialOutcome(n, s), tail), (n, alpha, mode, tail)
+            shared, floor = [], alpha * 1e-3
+            _select_walk(n, floor, SelectionMode.NEAREST_TO_ALPHA, tail, shared, floor)
+            assert _select_walk(n, alpha, mode, tail, shared, floor) == (s, p), (n, alpha, mode, tail)
             checked += 1
         assert checked >= 500
 

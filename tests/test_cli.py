@@ -129,6 +129,10 @@ class TestSweepCommand:
         code, out, err = run_cli(capsys, "sweep", "--alphas", "0.01,0.05")
         assert code == 2 and out == "" and "decreasing" in err
 
+    def test_non_numeric_alpha_names_the_flag_not_the_parser(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--alphas", "0.05,abc")
+        assert code == 2 and out == "" and "--alphas" in err and "_alpha" not in err
+
     def test_unwritable_out_path_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--out", "/no-such-dir/rows.csv")
         assert code == 1 and out == "" and "/no-such-dir/rows.csv" in err
@@ -231,6 +235,10 @@ class TestDiagnosticityCommand:
     def test_malformed_pair_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "diagnosticity", "--a", "0.05", "--b", "0.01,137")
         assert code == 2 and out == "" and "0.05" in err
+
+    def test_non_integer_n_names_the_flag_not_the_parser(self, capsys):
+        code, out, err = run_cli(capsys, "diagnosticity", "--a", "0.05,20.5", "--b", "0.01,30")
+        assert code == 2 and out == "" and "--a" in err and "_alpha" not in err
 
 
 class TestParsingAndHelp:

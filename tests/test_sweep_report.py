@@ -27,7 +27,7 @@ from threshold_lab import (
 )
 
 from threshold_lab import binomial_kernel
-from threshold_lab.binomial_kernel import _log_term, _log_upper_tail, _march, _select_walk
+from threshold_lab.binomial_kernel import _log_term, _march, _select_walk
 
 import reference
 from check import EXPECTED_DIR, check
@@ -321,22 +321,29 @@ class TestMarch:
     @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
     @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
     def test_anchor_tail_is_log_upper_tail_bit_for_bit(self, monkeypatch, mode, tail):
-        # every anchor's T = exp(log_tail), taken from the strict walk's own terms, is
-        # exp(_log_upper_tail(n, s)); thin margins (alpha = p(1000, 532)) add hand-over walks
+        # every anchor's T = p / c takes p from the strict walk's own terms, and p is p_value's;
+        # thin margins (alpha = p(1000, 532)) add hand-over walks
         anchors = []
 
         def spy(n, *args):
-            s, log_tail = _select_walk(n, *args)
-            anchors.append((n, s, log_tail))
-            return s, log_tail
+            s, p = _select_walk(n, *args)
+            anchors.append((n, s, p))
+            return s, p
 
         monkeypatch.setattr(binomial_kernel, "_select_walk", spy)
         for alpha in (0.05, 1e-6, p_value(BinomialOutcome(1000, 532), tail)):
             anchors.clear()
             list(_march(alpha, mode, tail, 5000))
             assert len(anchors) >= 4
-            for n, s, log_tail in anchors:
-                assert log_tail == _log_upper_tail(n, s), (alpha, n, s)
+            for n, s, p in anchors:
+                assert p == p_value(BinomialOutcome(n, s), tail), (alpha, n, s)
+
+    def test_nearest_hand_overs_at_ties_read_the_strict_walks_terms(self, lgamma_calls):
+        # p((n+1)/2) = .5 exactly at every odd n, so one-sided nearest mode hands over at each of them;
+        # the hand-over reads the anchor's list: 547,363 calls where it built its own
+        assert find_crossing(0.5, 0.9999, SelectionMode.NEAREST_TO_ALPHA, TailConvention.ONE_SIDED_UPPER,
+                             n_max=1500) is None
+        assert lgamma_calls() <= 300_000
 
     def test_lgamma_calls_per_scanned_n(self, lgamma_calls):
         # lgamma(n+1) and the term of s-1 (3 calls) each n, 2 more when the pick is not s-1, none
