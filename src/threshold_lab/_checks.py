@@ -21,12 +21,12 @@ MAX_SHAPE = 1e6
 _FLOAT_MAX = sys.float_info.max
 
 
-def _check_n(n, name: str = "trial count n", limit: int | None = MAX_N) -> int:
-    """Reject an n that is not a positive int, or that exceeds `limit`."""
+def _check_n(n, name: str = "trial count n", limit: float = MAX_N) -> int:
+    """Reject an n that is not a positive int, or that exceeds `limit` (compared exactly, also as a float)."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f"{name} must be a positive integer, got {n!r}")
-    if limit is not None and n > limit:
-        raise ValueError(f"{name} must be at most {limit} (the largest n the tail routines accept), got {n}")
+    if n > limit:
+        raise ValueError(f"{name} must be at most {limit}, got {n}")
     return n
 
 

@@ -158,8 +158,8 @@ def evidence_at_threshold(
 ) -> ThresholdEvidence:
     """Evidence carried by a result that is barely significant at alpha.
 
-    Composes select_barely_significant with posterior_h0; strict-mode
-    infeasibility propagates unchanged.
+    Composes select_barely_significant with posterior_h0; its InfeasibleError
+    propagates unchanged.
     """
     s, p_achieved = select_barely_significant(n, alpha, mode, tail)
     report = posterior_h0(BinomialOutcome(n, s), prior, prior_prob_h0)

@@ -50,13 +50,13 @@ class InfeasibleError(ValueError):
 
 @dataclass(frozen=True)
 class BinomialOutcome:
-    """n trials, s successes."""
+    """n trials, s successes; n at most 1e305."""
 
     n: int
     s: int
 
     def __post_init__(self) -> None:
-        _check_n(self.n, limit=None)
+        _check_n(self.n, limit=1e305)  # lgamma(n + 1), the ln n! in ln L0, overflows a float near 2.56e305
         if not isinstance(self.s, int) or isinstance(self.s, bool) or not 0 <= self.s <= self.n:
             raise ValueError(f"success count s must be an integer in [0, {self.n}], got {self.s!r}")
 
@@ -254,14 +254,10 @@ def _select_walk(n: int, alpha: float, mode: SelectionMode, tail: TailConvention
             best_i, best_d = i, d
         elif p > alpha:
             break  # past alpha the distance only grows
-    if mode is SelectionMode.STRICT_AT_MOST_ALPHA:
-        if strict_i is None:
-            raise InfeasibleError(
-                f"no success count reaches p <= {alpha:g} at n={n} "
-                f"(most extreme p is {min_attainable_p(n, tail):.6g})"
-            )
-        best_i = strict_i
-    s = top - best_i
+    if strict_i is None:  # in either mode; top = n here, and the fold of k = n alone is min_attainable_p
+        raise InfeasibleError(f"no success count reaches p <= {alpha:g} at n={n} "
+                              f"(most extreme p is {min_attainable_p(n, tail):.6g})")
+    s = top - (strict_i if mode is SelectionMode.STRICT_AT_MOST_ALPHA else best_i)
     # the tail sums k = _tail_start(n, s) down to s; its cut-off passes top only where s passes c, and p underflows
     start = _tail_start(n, s)
     return s, _tail_p(_log_sum(terms[top - start:top - s + 1]) if start <= top else _log_upper_tail(n, s), tail)
@@ -276,8 +272,8 @@ def select_barely_significant(
     """Success count in (n/2, n] whose p-value sits at the significance threshold.
 
     NEAREST_TO_ALPHA minimizes |p_value(s) - alpha| (ties to the larger s);
-    STRICT_AT_MOST_ALPHA returns the smallest s with p_value(s) <= alpha and
-    raises InfeasibleError when even s = n stays above alpha.  p_achieved is
+    STRICT_AT_MOST_ALPHA returns the smallest s with p_value(s) <= alpha.  Both
+    raise InfeasibleError when even s = n stays above alpha.  p_achieved is
     taken from _select_walk's fold, so it is bit-equal to p_value by construction.
     """
     _check_n(n)

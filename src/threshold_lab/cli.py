@@ -36,11 +36,17 @@ from .sweep_report import (
 __all__ = ["parse_and_dispatch", "main"]
 
 def _alpha_n_pair(text: str) -> tuple[float, int]:
+    values = text.split(",")
+    if len(values) != 2:
+        raise argparse.ArgumentTypeError(f"expected ALPHA,N (two comma-separated values), got {text!r}")
     try:
-        alpha, n = text.split(",")
-        return float(alpha), int(n)
-    except ValueError:  # not two values, or not a real and an integer
-        raise argparse.ArgumentTypeError(f"expected ALPHA,N (two comma-separated values), got {text!r}") from None
+        alpha = float(values[0])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"ALPHA must be a real number, got {values[0]!r}") from None
+    try:
+        return alpha, int(values[1])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"N must be an integer, got {values[1]!r}") from None
 
 
 def _alpha_list(text: str) -> tuple[float, ...]:
@@ -263,11 +269,8 @@ def parse_and_dispatch(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse prints its own message; --help exits 0
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+    except SystemExit as exc:  # argparse prints its own message and exits 0 (--help) or 2
+        return exc.code
     try:
         payload = args.handler(args)  # None when the handler wrote its own output (sweep)
         if payload is not None:

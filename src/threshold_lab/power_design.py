@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ._checks import _check_instance, _check_n, _check_pair, _check_positive, _check_real, _check_unit
+from ._checks import _FLOAT_MAX, _check_instance, _check_n, _check_pair, _check_positive, _check_real, _check_unit
 from .bayes_evidence import BetaPrior, _exp_or_inf, evidence_at_threshold
 from .binomial_kernel import SelectionMode, TailConvention
 from .gaussian_numerics import normal_cdf, normal_quantile
@@ -52,9 +52,9 @@ class DiagnosticityGain(NamedTuple):
 def achieved_power(n: int, design: ZTestDesign) -> float:
     """Power of the one-sided z-test at sample size n.
 
-    Phi(delta*sqrt(n)/sigma - z_{1-alpha}), with z_{1-alpha} = -Phi^{-1}(alpha).
+    Phi(delta*sqrt(n)/sigma - z_{1-alpha}), with z_{1-alpha} = -Phi^{-1}(alpha); n must convert to a float.
     """
-    _check_n(n, "sample size n", limit=None)
+    _check_n(n, "sample size n", limit=_FLOAT_MAX)
     z_alpha = -normal_quantile(_check_instance(design, ZTestDesign, "design").alpha)
     return normal_cdf(design.effect * math.sqrt(n) / design.sigma - z_alpha)
 
@@ -101,7 +101,7 @@ def diagnosticity_gain(
     outcome at that (alpha, n) carries; ratio = odds_b / odds_a measures how
     much more diagnostic the second operating point is.  It is taken from the
     two ln BF01, so it stays finite where both odds overflow or underflow.
-    Strict-mode infeasibility at either point propagates.
+    An InfeasibleError at either point propagates.
     """
     alpha_a, n_a = _check_pair(point_a, "point_a")
     alpha_b, n_b = _check_pair(point_b, "point_b")

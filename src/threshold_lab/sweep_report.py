@@ -18,7 +18,7 @@ from typing import IO, Iterable, NamedTuple
 
 from ._checks import _check_instance, _check_n, _check_real, _check_unit
 from .bayes_evidence import BetaPrior, _prior_or_uniform, _scorer, posterior_h0
-from .binomial_kernel import BinomialOutcome, SelectionMode, TailConvention, _march, _select_walk, min_attainable_p
+from .binomial_kernel import BinomialOutcome, InfeasibleError, SelectionMode, TailConvention, _march, _select_walk
 
 __all__ = [
     "DEFAULT_N_VALUES",
@@ -98,13 +98,13 @@ class JitterViolation(NamedTuple):
     posterior_drop: float
 
 
-def _evaluate_cell(alpha: float, n: int, grid: SweepGrid, min_p: float, terms: list[float]) -> SweepRow:
-    """One cell as evidence_at_threshold scores it where min_p <= alpha; where no s attains alpha the row is
-    empty, though nearest-mode evidence_at_threshold gives s = n there.  min_p and terms are shared at n."""
+def _evaluate_cell(alpha: float, n: int, grid: SweepGrid, terms: list[float]) -> SweepRow:
+    """One cell as evidence_at_threshold scores it, or an empty row where it raises InfeasibleError; terms per n."""
     mode, tail = grid.mode, grid.tail
-    if min_p > alpha:
+    try:
+        s, p = _select_walk(n, alpha, mode, tail, terms, grid.alphas[-1])
+    except InfeasibleError:
         return SweepRow(alpha, n, None, None, None, None, mode.value, tail.value)
-    s, p = _select_walk(n, alpha, mode, tail, terms, grid.alphas[-1])
     report = posterior_h0(BinomialOutcome(n, s), grid.prior)
     return SweepRow(alpha, n, s, p, report.log_l0 - report.log_l1, report.posterior_h0, mode.value, tail.value)
 
@@ -112,15 +112,15 @@ def _evaluate_cell(alpha: float, n: int, grid: SweepGrid, min_p: float, terms: l
 def run_sweep(grid: SweepGrid) -> list[SweepRow]:
     """Evaluate every (alpha, n) cell in the calling thread; rows come alpha-major / n-minor.
 
-    Cells are scored n-major: at each n, min_attainable_p is taken once and
-    all walks read one list of terms from the smallest alpha's walk start (the
-    alphas decrease, so every walk starts at or below it).  The rows depend on
-    the grid alone; the test suite pins the default grid's CSV byte for byte.
+    Cells are scored n-major: at each n all walks read one list of terms from
+    the smallest alpha's walk start (the alphas decrease, so every walk starts
+    at or below it).  The rows depend on the grid alone; the test suite pins
+    the default grid's CSV byte for byte.
     """
-    by_n, tail = [], grid.tail
+    by_n = []
     for n in grid.n_values:
-        min_p, terms = min_attainable_p(n, tail), []
-        by_n.append([_evaluate_cell(alpha, n, grid, min_p, terms) for alpha in grid.alphas])
+        terms = []
+        by_n.append([_evaluate_cell(alpha, n, grid, terms) for alpha in grid.alphas])
     return [row for by_alpha in zip(*by_n) for row in by_alpha]
 
 

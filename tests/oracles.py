@@ -35,7 +35,8 @@ def reference_walk(n: int, alpha: float, mode: str, two_sided: bool = True) -> t
     point down, as the library walked before it folded its certified prefix in one pass.
 
     Returns (s, p), p from the tail folded from the cut-off above s down to s, or None where
-    strict mode finds no s.  Same floats as the library, so a pick must match it exactly.
+    no p folded is at most alpha, in either mode.  Same floats as the library, so a pick must
+    match it exactly.
     """
     shift = math.log(2.0) if two_sided else 0.0
     lg, w = math.lgamma(n + 1), n * math.log(2.0)
@@ -51,9 +52,9 @@ def reference_walk(n: int, alpha: float, mode: str, two_sided: bool = True) -> t
             best_s, best_d = k, d
         elif p > alpha:
             break
-    s = strict_s if mode == "strict" else best_s
-    if s is None:
+    if strict_s is None:
         return None
+    s = strict_s if mode == "strict" else best_s
     acc = -math.inf
     for k in range(_cutoff(n, s), s - 1, -1):
         acc = _fold(acc, _upper_term(n, k, lg, w))

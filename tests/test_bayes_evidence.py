@@ -193,6 +193,11 @@ class TestEvidenceAtThreshold:
         with pytest.raises(InfeasibleError):
             evidence_at_threshold(4, 0.05, SelectionMode.STRICT_AT_MOST_ALPHA)
 
+    def test_nearest_infeasibility_propagates(self):
+        # no s scores at n = 20, alpha = 1e-10 (the smallest p is 2**-19); s = n used to be scored
+        with pytest.raises(InfeasibleError, match="n=20"):
+            evidence_at_threshold(20, 1e-10)
+
     def test_one_sided_tail_threads_through(self):
         got = evidence_at_threshold(100, 0.05, tail=TailConvention.ONE_SIDED_UPPER)
         s, p = select_barely_significant(100, 0.05, tail=TailConvention.ONE_SIDED_UPPER)

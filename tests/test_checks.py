@@ -86,6 +86,16 @@ def test_an_int_too_large_for_a_float_is_a_value_error():
         ZTestDesign(10**400, 0.5, 1.0, 0.05, 0.2)
 
 
+def test_a_huge_n_is_a_value_error():
+    # were OverflowErrors from lgamma(n + 1) and from sqrt(n); the bounds themselves are accepted
+    with pytest.raises(ValueError, match="at most 1e\\+305"):
+        posterior_h0(BinomialOutcome(2**1030, 5))
+    with pytest.raises(ValueError, match="sample size n must be at most"):
+        achieved_power(10**400, DESIGN)
+    assert posterior_h0(BinomialOutcome(int(1e305), 5)).posterior_h0 == 0.0
+    assert achieved_power(int(1.7976931348623157e308), DESIGN) == 1.0
+
+
 # (entry point and argument, the name its ValueError gives, the call with an object that is not the expected one)
 OBJECT_ARGUMENTS = [
     ("p_value outcome", "outcome", lambda: p_value(None)),

@@ -12,6 +12,8 @@ import threshold_lab
 from threshold_lab import BinomialOutcome, TailConvention, p_rep, p_value
 from threshold_lab.cli import parse_and_dispatch
 
+import reference
+
 
 def run_cli(capsys, *argv):
     code = parse_and_dispatch(list(argv))
@@ -62,17 +64,39 @@ class TestCriticalCommand:
         assert out == ""
         assert err.startswith("error:") and "n=4" in err
 
+    @pytest.mark.parametrize("mode", ["nearest", "strict"])
+    def test_unattainable_alpha_is_infeasible_in_both_modes(self, capsys, tmp_path, mode):
+        # s = 20 has p = 2**-19 > 1e-10: nearest mode used to print it; now it agrees with sweep and crossing
+        code, out, err = run_cli(capsys, "critical", "--n", "20", "--alpha", "1e-10", "--mode", mode)
+        assert (code, out) == (1, "")
+        assert err == "error: no success count reaches p <= 1e-10 at n=20 (most extreme p is 1.90735e-06)\n"
+        code, out, err = run_cli(capsys, "diagnosticity", "--a", "1e-10,20", "--b", "0.05,100", "--mode", mode)
+        assert code == 1 and out == "" and "n=20" in err
+        grid = tmp_path / "grid.json"
+        grid.write_text("[20]", encoding="utf-8")
+        code, out, err = run_cli(capsys, "sweep", "--grid", str(grid), "--alphas", "1e-10", "--mode", mode)
+        assert code == 0 and out.splitlines()[1] == f"1e-10,20,,,,,{mode},two"
+        code, out, err = run_cli(capsys, "crossing", "--alpha", "1e-10", "--level", "0.01", "--n-max", "20",
+                                 "--mode", mode)
+        assert code == 0 and json.loads(out)["n"] is None
+
     def test_bad_count_token_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "critical", "--n", "abc", "--alpha", "0.05")
         assert code == 2 and out == "" and "abc" in err
 
     @pytest.mark.parametrize("alpha", ["1e-310", "5e-324"])
     def test_subnormal_alpha(self, capsys, alpha):
-        code, out, err = run_cli(capsys, "critical", "--n", "100", "--alpha", alpha)
-        assert code == 0 and err == "" and json.loads(out)["s"] == 100
-        code, out, err = run_cli(capsys, "critical", "--n", "100", "--alpha", alpha, "--mode", "strict")
-        assert code == 1 and out == ""
-        assert err.startswith("error: no success count reaches") and "n=100" in err
+        # attainable at n = 1100, where 2 * 2**-1100 underflows to 0; at n = 100 neither mode has an s
+        for mode in ("nearest", "strict"):
+            code, out, err = run_cli(capsys, "critical", "--n", "1100", "--alpha", alpha, "--mode", mode)
+            assert code == 0 and err == "" and json.loads(out)["p_achieved"] <= float(alpha)
+            code, out, err = run_cli(capsys, "critical", "--n", "100", "--alpha", alpha, "--mode", mode)
+            assert code == 1 and out == ""
+            assert err.startswith("error: no success count reaches") and "n=100" in err
+        # one-sided: the reference's normal guess cannot take 5e-324 / 2
+        code, out, err = run_cli(capsys, "critical", "--n", "1100", "--alpha", alpha,
+                                 "--mode", "strict", "--tail", "one")
+        assert json.loads(out)["s"] == reference.select(1100, float(alpha), True, False)
 
     def test_n_above_limit_fails_fast(self, capsys):
         start = time.perf_counter()
@@ -240,6 +264,13 @@ class TestDiagnosticityCommand:
         code, out, err = run_cli(capsys, "diagnosticity", "--a", "0.05,20.5", "--b", "0.01,30")
         assert code == 2 and out == "" and "--a" in err and "_alpha" not in err
 
+    @pytest.mark.parametrize("pair,message", [("0.05,1e3", "N must be an integer, got '1e3'"),
+                                              ("x,30", "ALPHA must be a real number, got 'x'")])
+    def test_a_pair_of_two_says_which_value_is_wrong(self, capsys, pair, message):
+        code, out, err = run_cli(capsys, "diagnosticity", "--a", pair, "--b", "0.01,30")
+        assert code == 2 and out == ""
+        assert f"argument --a: {message}" in err and "comma-separated" not in err
+
 
 class TestParsingAndHelp:
     def test_no_command_exits_2(self, capsys):
@@ -291,6 +322,9 @@ class TestParsingAndHelp:
     (["power", "--mu0", "0", "--mu-alt", "1", "--sigma", "1", "--alpha", "0.05", "--beta", "1.5"], "1.5"),
     (["power", "--mu0", "0", "--mu-alt", "1", "--sigma", "1", "--alpha", "0.05", "--beta", "0.2",
       "--show-power-at", "-2"], "-2"),
+    (["posterior", "--n", str(10**400), "--s", "5"], "at most 1e+305"),
+    (["power", "--mu0", "0", "--mu-alt", "1", "--sigma", "1", "--alpha", "0.05", "--beta", "0.2",
+      "--show-power-at", str(10**400)], "at most 1.79769"),
     (["sweep", "--alphas", "0.05,1.5"], "1.5"),
     (["diagnosticity", "--a", "2.5,98", "--b", "0.01,137"], "2.5"),
     (["diagnosticity", "--a", "0.05,98", "--b", "0.01,-137"], "-137"),

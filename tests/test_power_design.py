@@ -161,3 +161,8 @@ class TestDiagnosticityGain:
     def test_strict_infeasibility_propagates(self):
         with pytest.raises(InfeasibleError):
             diagnosticity_gain((0.05, 4), (0.05, 100), mode=SelectionMode.STRICT_AT_MOST_ALPHA)
+
+    def test_nearest_infeasibility_propagates(self):
+        # odds_a used to be 49,932, scored at s = n = 20 with p = 1.9e-6 far above 1e-10
+        with pytest.raises(InfeasibleError, match="n=20"):
+            diagnosticity_gain((1e-10, 20), (0.05, 100))

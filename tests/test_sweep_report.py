@@ -10,6 +10,7 @@ from threshold_lab import (
     DEFAULT_N_VALUES,
     BetaPrior,
     BinomialOutcome,
+    InfeasibleError,
     JitterViolation,
     SelectionMode,
     SweepGrid,
@@ -26,7 +27,7 @@ from threshold_lab import (
     run_sweep,
 )
 
-from threshold_lab import binomial_kernel
+from threshold_lab import binomial_kernel, sweep_report
 from threshold_lab.binomial_kernel import _log_term, _march, _select_walk
 
 import reference
@@ -98,6 +99,10 @@ class TestSweepGrid:
         with pytest.raises(ValueError):
             SweepGrid(prior=(1.0, 1.0))
 
+    def test_rejects_empty_alphas(self):
+        with pytest.raises(ValueError, match="alphas must be non-empty"):
+            SweepGrid(alphas=())
+
 
 class TestRunSweep:
     def test_row_count_and_order(self, default_rows):
@@ -138,7 +143,9 @@ class TestRunSweep:
             want = []
             for alpha in grid.alphas:
                 for n in grid.n_values:
-                    if min_attainable_p(n, tail) > alpha:
+                    if min_attainable_p(n, tail) > alpha:  # the walk's one feasibility rule, bit for bit
+                        with pytest.raises(InfeasibleError):
+                            evidence_at_threshold(n, alpha, mode, tail, prior)
                         want.append(SweepRow(alpha, n, None, None, None, None, mode.value, tail.value))
                         continue
                     s, p, report = evidence_at_threshold(n, alpha, mode, tail, prior)
@@ -169,6 +176,21 @@ class TestRunSweep:
         for r in rows[:3]:
             assert (r.s_selected, r.p_achieved, r.log_bf01, r.posterior_h0) == (None,) * 4
             assert r.mode == "nearest" and r.tail == "two"
+
+    def test_feasibility_is_left_to_the_walk(self, monkeypatch):
+        # an empty row is the walk's InfeasibleError; the sweep takes no min_attainable_p of its own
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return min_attainable_p(*args)
+
+        monkeypatch.setattr(binomial_kernel, "min_attainable_p", spy)
+        monkeypatch.setattr(sweep_report, "min_attainable_p", spy, raising=False)
+        run_sweep(SweepGrid())
+        assert calls == []
+        rows = run_sweep(SweepGrid(n_values=(4, 20), alphas=(0.05,)))
+        assert [r.feasible for r in rows] == [False, True] and len(calls) == 1  # the error message's p
 
     def test_strict_mode_marks_infeasible_instead_of_raising(self):
         rows = run_sweep(SweepGrid(n_values=(4,), alphas=(0.05,), mode=SelectionMode.STRICT_AT_MOST_ALPHA))
@@ -460,6 +482,15 @@ class TestEmitAndParse:
     def test_emit_rejects_unknown_format(self):
         with pytest.raises(ValueError):
             emit([], "xml", io.StringIO())
+
+    def test_emit_passes_an_open_files_error_on_unchanged(self):
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(28, "No space left on device")
+
+        with pytest.raises(OSError) as err:
+            emit([], "csv", Full())
+        assert str(err.value) == "[Errno 28] No space left on device" and err.value.__cause__ is None
 
     def test_emit_reports_unwritable_destination(self):
         with pytest.raises(OSError) as err:
