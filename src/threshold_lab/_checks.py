@@ -8,6 +8,7 @@ raises a ValueError that names the argument.
 
 from __future__ import annotations
 
+import math
 import sys
 
 # Largest n of the O(sqrt(n)) tail routines: a selection there takes tens of ms,
@@ -21,26 +22,34 @@ MAX_SHAPE = 1e6
 _FLOAT_MAX = sys.float_info.max
 
 
+def _shown(x) -> str:
+    """repr(x), or for an int of more than 30 digits its digit count: its str() is long, and fails past 4300 digits."""
+    if not isinstance(x, int) or abs(x) < 10**30:
+        return repr(x)
+    r = round(math.log10(abs(x)))  # log10 |x| to rounding, so |x| has r + 1 digits if it reaches 10**r, else r
+    return f"a {'negative ' if x < 0 else ''}{r + (abs(x) >= 10**r)}-digit integer"
+
+
 def _check_n(n, name: str = "trial count n", limit: float = MAX_N) -> int:
     """Reject an n that is not a positive int, or that exceeds `limit` (compared exactly, also as a float)."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"{name} must be a positive integer, got {n!r}")
+        raise ValueError(f"{name} must be a positive integer, got {_shown(n)}")
     if n > limit:
-        raise ValueError(f"{name} must be at most {limit}, got {n}")
+        raise ValueError(f"{name} must be at most {limit}, got {_shown(n)}")
     return n
 
 
 def _check_instance(value, cls: type, name: str):
     """The value if it is a cls instance, such as an enum member (a bare "two" is not) or an outcome."""
     if not isinstance(value, cls):
-        raise ValueError(f"{name} must be a {cls.__name__}, got {value!r}")
+        raise ValueError(f"{name} must be a {cls.__name__}, got {_shown(value)}")
     return value
 
 
 def _check_pair(value, name: str) -> tuple:
     """The value if it is a tuple or list of two items, such as an (alpha, n) operating point."""
     if not isinstance(value, (tuple, list)) or len(value) != 2:
-        raise ValueError(f"{name} must be a pair such as (alpha, n), got {value!r}")
+        raise ValueError(f"{name} must be a pair such as (alpha, n), got {_shown(value)}")
     return value
 
 
@@ -49,7 +58,7 @@ def _check_real(x, name: str, what: str = "a finite real number", within=None) -
     # abs(x) <= _FLOAT_MAX is false for nan and +-inf, and compares an int too large for a float exactly
     if (not isinstance(x, (int, float)) or isinstance(x, bool) or not abs(x) <= _FLOAT_MAX
             or (within is not None and not within(x))):
-        raise ValueError(f"{name} must be {what}, got {x!r}")
+        raise ValueError(f"{name} must be {what}, got {_shown(x)}")
     return float(x)
 
 

@@ -76,11 +76,7 @@ _UNIFORM = BetaPrior.uniform()
 
 def _prior_or_uniform(prior: BetaPrior | None) -> BetaPrior:
     """The prior itself, or the one shared flat Beta(1, 1) for None; any other type is a ValueError."""
-    if prior is None:
-        return _UNIFORM
-    if not isinstance(prior, BetaPrior):
-        raise ValueError(f"prior must be a BetaPrior, got {prior!r}")
-    return prior
+    return _UNIFORM if prior is None else _check_instance(prior, BetaPrior, "prior")
 
 
 def _betaln(x: float, y: float) -> float:

@@ -9,13 +9,14 @@ A sign-test tail costs O(sqrt(n)) terms, not O(n): it starts at a cut-off
 ceil(6 sqrt(n)) + 10 terms above max(s, n/2), and the mass above the cut-off
 is below 2**-60 of the mass it keeps, far under half an ulp of the sum; a
 one-sided tail for s below n/2 stops at the mirror index n - cut-off, below
-which the mass equals the mass above the cut-off.  The selection walk starts
-at the cut-off too, reads its terms from a list that grows on demand (a
-sweep shares one per n) and folds them in one pass down to a Chernoff point,
-above which every p is at most alpha; it returns the pick and the p folded
-from that list, bit-equal to p_value.  find_crossing's scan over n (_march)
-bounds the walk's rounding once, for every n to N = n_max + _ANCHOR_EVERY,
-and hands over to it where a margin is thin.  The tail routines take n <= MAX_N.
+which the mass equals the mass above the cut-off, and reads each term below
+n/2 from its mirror.  The selection walk starts at the cut-off too, reads its
+terms from a list that grows on demand (a sweep shares one per n) and folds
+them in one pass down to a Chernoff point, above which every p is at most
+alpha; it returns the pick and the p folded from that list, bit-equal to
+p_value.  find_crossing's scan over n (_march) bounds the walk's rounding
+once, for every n to N = n_max + _ANCHOR_EVERY, and hands over to it where a
+margin is thin.  The tail routines take n <= MAX_N.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from ._checks import MAX_N, _check_instance, _check_n, _check_real, _check_unit
+from ._checks import MAX_N, _check_instance, _check_n, _check_real, _check_unit, _shown
 
 __all__ = [
     "BinomialOutcome",
@@ -58,7 +59,7 @@ class BinomialOutcome:
     def __post_init__(self) -> None:
         _check_n(self.n, limit=1e305)  # lgamma(n + 1), the ln n! in ln L0, overflows a float near 2.56e305
         if not isinstance(self.s, int) or isinstance(self.s, bool) or not 0 <= self.s <= self.n:
-            raise ValueError(f"success count s must be an integer in [0, {self.n}], got {self.s!r}")
+            raise ValueError(f"success count s must be an integer in [0, {_shown(self.n)}], got {_shown(self.s)}")
 
 
 @dataclass(frozen=True)
@@ -126,16 +127,13 @@ def _log_term(n: int, k: int) -> float:
 
 
 def _log_terms(n: int, start: int, stop: int) -> list[float]:
-    """[_log_term(n, k) for k = start, start-1, ..., stop+1], lgamma mapped over each argument's range; the smaller
-    argument's is subtracted first, as in log_choose, so the maps swap for k at or below n/2 (p_value's tails only)."""
-    lgamma, lg, w, mid = math.lgamma, math.lgamma(n + 1), n * _LN2, max(stop, n // 2)
-    terms = [lg - a - b - w for a, b in zip(map(lgamma, range(n - start + 1, n - mid + 1)),
-                                            map(lgamma, range(start + 1, mid + 1, -1)))]
-    if stop < mid:  # k in (stop, top] lies at or below n/2
-        top = min(start, mid)
-        terms += [lg - a - b - w for a, b in zip(map(lgamma, range(top + 1, stop + 1, -1)),
-                                                 map(lgamma, range(n - top + 1, n - stop + 1)))]
-    return terms
+    """[_log_term(n, k) for k = start, start-1, ..., stop+1]: one lgamma map pair over k above n/2, from
+    max(start, n - stop - 1) down; a term below n/2 is its mirror n - k's (log_choose orders its arguments)."""
+    lgamma, lg, w = math.lgamma, math.lgamma(n + 1), n * _LN2
+    mid, top = max(stop, (n - 1) // 2), max(start, n - stop - 1)
+    terms = [lg - a - b - w for a, b in zip(map(lgamma, range(n - top + 1, n - mid + 1)),
+                                            map(lgamma, range(top + 1, mid + 1, -1)))]
+    return terms[top - start:top - mid] + terms[top - n + stop + 1:top - n + min(start, mid) + 1][::-1]
 
 
 def _log_sum(terms: list[float]) -> float:
@@ -195,9 +193,9 @@ def min_attainable_p(n: int, tail: TailConvention = TailConvention.TWO_SIDED_SYM
 
 def _walk_start(n: int, alpha: float, shift: float) -> tuple[int, int]:
     # (c, start): Hoeffding gives P(X >= n/2 + z*sqrt(n)/2) <= exp(-z^2/2), so p <= alpha from c up and
-    # the answer lies at or below it.  zb is taken in log space: a subnormal alpha cannot overflow.
+    # the answer lies at or below it; c is capped at n.  zb is taken in log space: a subnormal alpha cannot overflow.
     zb = math.sqrt(-2.0 * (math.log(alpha) - shift))
-    c = math.ceil(n / 2.0 + zb * math.sqrt(n) / 2.0)
+    c = min(n, math.ceil(n / 2.0 + zb * math.sqrt(n) / 2.0))
     return c, _tail_start(n, c)
 
 
@@ -226,18 +224,17 @@ def _select_walk(n: int, alpha: float, mode: SelectionMode, tail: TailConvention
     acc, best_i, best_d, strict_i = -math.inf, 0, math.inf, None
     # the list grows in chunks that run sqrt(n)/2 + 1 terms past the term needed, never to n/2: walks
     # break 0.2 to 0.6 sqrt(n) below c for alpha in [1e-10, .5], so the first chunk holds most of them
-    step, need = 2 + (math.isqrt(n) >> 1), c if c < k else k  # c > k only where c > n
-    if top - len(terms) >= need:
-        terms += _log_terms(n, top - len(terms), need - step if need - step > n // 2 else n // 2)
+    step = 2 + (math.isqrt(n) >> 1)
+    if top - len(terms) >= c:
+        terms += _log_terms(n, top - len(terms), c - step if c - step > n // 2 else n // 2)
     end = len(terms)
     i = top - k  # terms[i] is the term of k = top - i; the walk tracks s by its index
-    if k - c >= 8:  # a shorter prefix does not pay for its fold
-        folded = _log_sum(terms[i:top - c + 1])
-        p = exp(shift + folded)
-        # Hoeffding's c gives p <= alpha on every input tried (alpha/p(c) >= 1.98 over all n < 3000, 300 n to 1e7,
-        # 13 alphas, both tails); the check stays, as the prefix rests on p(c) as folded, not as bounded
-        if p <= alpha and exp(shift + terms[i]) >= 2.0**-1022:  # a normal first p
-            acc, best_d, strict_i, best_i, i = folded, alpha - p, top - c, top - c, top - c + 1
+    folded = _log_sum(terms[i:top - c + 1])  # k >= c: the prefix holds one term or more
+    p = exp(shift + folded)
+    # Hoeffding's c gives p <= alpha on every input tried (alpha/p(c) >= 1.98 over all n < 3000, 300 n to 1e7,
+    # 13 alphas, both tails); the check stays, as the prefix rests on p(c) as folded, not as bounded
+    if p <= alpha and exp(shift + terms[i]) >= 2.0**-1022:  # a normal first p
+        acc, best_d, strict_i, best_i, i = folded, alpha - p, top - c, top - c, top - c + 1
     for i in range(i, top - n // 2):
         if i == end:  # the list ran out above n/2
             terms += _log_terms(n, top - i, top - i - step if top - i - step > n // 2 else n // 2)
@@ -336,5 +333,4 @@ def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int):
                 break
             fresh = True
         pick = _select_walk(n, alpha, mode, tail, terms)[0] if nearest and not sure else s - (nearest and d2 < d1)
-        lo = pick if 2 * pick <= n else n - pick
-        yield n, pick, log_pm1 if pick == s - 1 else lg - lgamma(lo + 1) - lgamma(n - lo + 1) - w
+        yield n, pick, log_pm1 if pick == s - 1 else lg - lgamma(n - pick + 1) - lgamma(pick + 1) - w  # pick > n/2

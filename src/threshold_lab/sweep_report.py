@@ -195,12 +195,6 @@ def dump_json(payload, fh: IO[str]) -> None:
     fh.write("\n")
 
 
-def _csv_field(x) -> str:
-    if x is None:
-        return ""
-    return _fmt_real(x) if isinstance(x, float) else str(x)
-
-
 def emit(rows: Iterable[SweepRow], format: str, destination) -> None:
     """Serialize rows to CSV or JSON at `destination` (path or open text file).
 
@@ -220,7 +214,8 @@ def emit(rows: Iterable[SweepRow], format: str, destination) -> None:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(_COLUMNS)
                 for r in rows:
-                    writer.writerow([_csv_field(getattr(r, c)) for c in _COLUMNS])
+                    values = [getattr(r, c) for c in _COLUMNS]  # csv writes None as "", an int or a str as str()
+                    writer.writerow([_fmt_real(v) if isinstance(v, float) else v for v in values])
     except OSError as exc:
         if is_file:
             raise

@@ -264,7 +264,7 @@ class TestSelection:
     @pytest.mark.parametrize("tail", [ONE, TWO], ids=lambda t: t.value)
     @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
     def test_walk_matches_the_per_term_reference(self, mode, tail):
-        # every n <= 400, with and without a certified prefix: none where c passes n - 8 (small n,
+        # every n <= 400, with and without a certified prefix: none where c reaches n (small n,
         # tiny alpha); the large-n test below reaches the prefixes refused for a subnormal first p
         for alpha in (0.9, 0.5, 0.25, 0.05, 1e-3, 1e-10, 1e-300, 1e-310, 5e-324):
             for n in range(1, 401):
@@ -409,10 +409,13 @@ class TestTailCutoff:
                 want = min(1.0, math.exp(math.log(2.0) + _full_log_tail(n, max(s, n - s))))
             assert p_value(BinomialOutcome(n, s), tail) == want, (n, s, tail)
 
-    def test_one_sided_p_value_far_below_half_sums_order_sqrt_n_terms(self, lgamma_calls):
-        # 24,043 calls: the sum stops at the mirror cut-off n - _tail_start(n, s); down to s = 0 it made 1,012,023
-        assert p_value(BinomialOutcome(10**6, 0), ONE) == 0.9999999994167044
-        assert 0 < lgamma_calls() <= 30_000
+    @pytest.mark.parametrize("s,p", [(0, 0.9999999994167044), (499_000, 0.9773038314763918)])
+    def test_one_sided_p_value_far_below_half_sums_order_sqrt_n_terms(self, lgamma_calls, s, p):
+        # 12,023 calls at either s: the sum stops at the mirror cut-off n - _tail_start(n, s), and each term below
+        # n/2 is read from its mirror.  Down to s = 0 it made 1,012,023; computing the terms below n/2 as well
+        # made 24,043 at s = 0 and 14,023 at s = 499,000
+        assert p_value(BinomialOutcome(10**6, s), ONE) == p
+        assert 0 < lgamma_calls() <= 12_100
 
     def test_large_n_selection_sums_order_sqrt_n_terms(self, lgamma_calls):
         select_barely_significant(10**6, 0.001)
@@ -422,7 +425,7 @@ class TestTailCutoff:
         assert 0 < lgamma_calls() <= 14_000
 
     def test_default_sweep_computes_each_term_once_per_n(self, lgamma_calls):
-        # 8,120 calls: one list of terms per n serves all four alphas; scoring each cell on its
+        # 8,075 calls: one list of terms per n serves all four alphas; scoring each cell on its
         # own made 27,270
         run_sweep(SweepGrid())
         assert 0 < lgamma_calls() <= 10_000

@@ -96,6 +96,28 @@ def test_a_huge_n_is_a_value_error():
     assert achieved_power(int(1.7976931348623157e308), DESIGN) == 1.0
 
 
+@pytest.mark.parametrize("name,digits,call", [
+    ("trial count n", 5001, lambda: BinomialOutcome(10**5000, 5)),
+    ("success count s", 5001, lambda: BinomialOutcome(10, 10**5000)),
+    ("trial count n", 5001, lambda: select_barely_significant(10**5000, 0.05)),
+    ("alpha", 5001, lambda: select_barely_significant(100, 10**5000)),
+    ("p must", 5001, lambda: p_rep(10**5000)),
+    ("sample size n", 5001, lambda: achieved_power(10**5000, DESIGN)),
+    ("trial count n", 401, lambda: BinomialOutcome(10**400, 5)),
+    ("trial count n", 31, lambda: select_barely_significant(-(10**30), 0.05)),
+    ("outcome", 5001, lambda: p_value(10**5000)),
+    ("mode", 5001, lambda: find_crossing(0.05, 0.5, 10**5000)),
+    ("prior", 5001, lambda: posterior_h0(BinomialOutcome(5, 2), 10**5000)),
+    ("point_a", 5001, lambda: diagnosticity_gain(10**5000, (0.05, 100))),
+], ids=["outcome n", "outcome s", "select n", "select alpha", "p_rep p", "power n", "outcome n 1e400", "negative n",
+        "p_value outcome", "crossing mode", "posterior prior", "diagnosticity point_a"])
+def test_a_huge_int_is_shown_by_its_digit_count(name, digits, call):
+    # past 4300 digits the message raised Python's own "Exceeds the limit" error; 10**400 was printed whole
+    with pytest.raises(ValueError, match=name) as err:
+        call()
+    assert f"{digits}-digit integer" in str(err.value) and len(str(err.value)) < 200
+
+
 # (entry point and argument, the name its ValueError gives, the call with an object that is not the expected one)
 OBJECT_ARGUMENTS = [
     ("p_value outcome", "outcome", lambda: p_value(None)),

@@ -336,6 +336,13 @@ def test_out_of_range_flag_is_the_library_error(capsys, argv, value):
     assert err.startswith("error:") and value in err and "usage" not in err
 
 
+def test_a_huge_n_flag_is_one_short_error_line(capsys):
+    # a 4,001-digit n was printed whole, in a 4,053-character line
+    code, out, err = run_cli(capsys, "critical", "--n", str(10**4000), "--alpha", "0.05")
+    assert code == 2 and out == ""
+    assert err == "error: trial count n must be at most 10000000, got a 4001-digit integer\n"
+
+
 @pytest.mark.parametrize("argv,key", [
     (["posterior", "--n", "2000", "--s", "0"], "posterior_odds_h1"),
     (["diagnosticity", "--a", "0.05,20", "--b", "5e-324,1000000"], "ratio"),

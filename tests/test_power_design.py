@@ -79,6 +79,12 @@ class TestRequiredN:
         assert n > 2**53
         assert achieved_power(n, d) >= 0.8 > achieved_power(n - 1, d)
 
+    def test_closed_form_above_the_minimum_gallops_down(self):
+        # the closed form gives 3,013,236, where power has already reached 1 - beta three steps lower
+        d = ZTestDesign(mu0=0.0, mu_alt=0.005, sigma=1.0, alpha=0.05, beta=1e-12)
+        assert required_n(d) == 3_013_233
+        assert achieved_power(3_013_233, d) >= 1.0 - 1e-12 > achieved_power(3_013_232, d)
+
     @pytest.mark.parametrize("mu_alt, sigma", [(1e-200, 1e200), (1e-150, 1e150)])
     def test_overflowing_closed_form_names_the_ratio(self, mu_alt, sigma):
         # the first overflows to inf before squaring, the second in the square

@@ -474,10 +474,11 @@ class TestEmitAndParse:
         parsed = parse_json(io.StringIO(buf.getvalue()))
         assert not parsed[0].feasible
 
-    def test_emit_to_path(self, tmp_path, default_rows):
-        target = tmp_path / "sweep.csv"
-        emit(default_rows[:3], "csv", str(target))
-        assert parse_csv(str(target))[0].n == 20
+    @pytest.mark.parametrize("fmt,parse", [("csv", parse_csv), ("json", parse_json)], ids=["csv", "json"])
+    def test_emit_to_path(self, tmp_path, default_rows, fmt, parse):
+        target = tmp_path / f"sweep.{fmt}"
+        emit(default_rows[:3], fmt, str(target))
+        assert parse(str(target))[0].n == 20
 
     def test_emit_rejects_unknown_format(self):
         with pytest.raises(ValueError):
