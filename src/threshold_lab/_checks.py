@@ -23,7 +23,10 @@ _FLOAT_MAX = sys.float_info.max
 
 
 def _shown(x) -> str:
-    """repr(x), or for an int of more than 30 digits its digit count: its str() is long, and fails past 4300 digits."""
+    """repr(x), or for a str of more than 30 characters its length, and for an int of more than 30 digits its digit
+    count: such a value would fill a message, and an int's str() fails past 4300 digits."""
+    if isinstance(x, str) and len(x) > 30:
+        return f"a {len(x)}-character value"
     if not isinstance(x, int) or abs(x) < 10**30:
         return repr(x)
     r = round(math.log10(abs(x)))  # log10 |x| to rounding, so |x| has r + 1 digits if it reaches 10**r, else r

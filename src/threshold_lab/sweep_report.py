@@ -16,7 +16,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple
 
-from ._checks import _check_instance, _check_n, _check_real, _check_unit
+from ._checks import _check_instance, _check_n, _check_real, _check_unit, _shown
 from .bayes_evidence import BetaPrior, _prior_or_uniform, _scorer, posterior_h0
 from .binomial_kernel import BinomialOutcome, InfeasibleError, SelectionMode, TailConvention, _march, _select_walk
 
@@ -224,35 +224,36 @@ def emit(rows: Iterable[SweepRow], format: str, destination) -> None:
 
 def parse_csv(source) -> list[SweepRow]:
     """Inverse of emit(..., 'csv', ...): floats round-trip bit-equal because
-    12-significant-digit decimal survives the str -> float -> str cycle."""
+    12-significant-digit decimal survives the str -> float -> str cycle.  An error names the row by its
+    number, counting the first one after the header as 1."""
     rows = []
     with nullcontext(source) if hasattr(source, "read") else open(source, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != list(_COLUMNS):
             raise ValueError(f"unexpected sweep CSV header: {header!r}")
-        for rec in reader:
+        for i, rec in enumerate(reader, 1):
             try:
                 if len(rec) != len(_COLUMNS):
                     raise ValueError(f"{len(rec)} fields, not {len(_COLUMNS)}")
                 rows.append(_make_row(rec, text=True))
             except ValueError as exc:
-                raise ValueError(f"malformed sweep CSV row {rec!r}: {exc}") from None
+                raise ValueError(f"malformed sweep CSV row {i}: {exc}") from None
     return rows
 
 
 def parse_json(source) -> list[SweepRow]:
-    """Inverse of emit(..., 'json', ...)."""
+    """Inverse of emit(..., 'json', ...).  An error names the row by its number, counting from 1."""
     with nullcontext(source) if hasattr(source, "read") else open(source, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, list):
         raise ValueError(f"sweep JSON must be an array of row objects, got {type(payload).__name__}")
     rows = []
-    for rec in payload:
+    for i, rec in enumerate(payload, 1):
         try:
             rows.append(_make_row([rec[c] for c in _COLUMNS], text=False))
         except (KeyError, TypeError, ValueError) as exc:  # a missing field, a non-object row, a bad value
-            raise ValueError(f"malformed sweep JSON row {rec!r}: {type(exc).__name__}: {exc}") from None
+            raise ValueError(f"malformed sweep JSON row {i}: {type(exc).__name__}: {exc}") from None
     return rows
 
 
@@ -268,14 +269,17 @@ def _make_row(values: list, text: bool) -> SweepRow:
             fields.append(None)
             continue
         if text:
-            value = kind(value)
+            try:
+                value = kind(value)
+            except ValueError:  # Python's own message from float() repeats the whole value
+                raise ValueError(f"{name} must be of type {kind.__name__}, got {_shown(value)}") from None
         elif kind is not float and (isinstance(value, bool) or not isinstance(value, kind)):
-            raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
+            raise ValueError(f"{name} must be of type {kind.__name__}, got {_shown(value)}")
         if kind is float:
             value = _check_real(value, name)
         elif kind is int and value < 0:
-            raise ValueError(f"{name} must be non-negative, got {value}")
+            raise ValueError(f"{name} must be non-negative, got {_shown(value)}")
         if name in _CHOICES and value not in _CHOICES[name]:
-            raise ValueError(f"{name} must be one of {sorted(_CHOICES[name])}, got {value!r}")
+            raise ValueError(f"{name} must be one of {sorted(_CHOICES[name])}, got {_shown(value)}")
         fields.append(value)
     return SweepRow(*fields)

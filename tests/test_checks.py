@@ -118,6 +118,14 @@ def test_a_huge_int_is_shown_by_its_digit_count(name, digits, call):
     assert f"{digits}-digit integer" in str(err.value) and len(str(err.value)) < 200
 
 
+def test_a_long_string_is_shown_by_its_length():
+    with pytest.raises(ValueError, match="alpha") as err:
+        select_barely_significant(100, "5" * 5000)
+    assert str(err.value).endswith("got a 5000-character value") and len(str(err.value)) < 200
+    with pytest.raises(ValueError, match=f"got '{'5' * 30}'$"):  # 30 characters are still shown whole
+        select_barely_significant(100, "5" * 30)
+
+
 # (entry point and argument, the name its ValueError gives, the call with an object that is not the expected one)
 OBJECT_ARGUMENTS = [
     ("p_value outcome", "outcome", lambda: p_value(None)),

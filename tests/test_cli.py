@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -10,9 +11,12 @@ import pytest
 
 import threshold_lab
 from threshold_lab import BinomialOutcome, TailConvention, p_rep, p_value
-from threshold_lab.cli import parse_and_dispatch
+from threshold_lab.cli import build_parser, parse_and_dispatch
 
 import reference
+from workloads import WORKLOADS, make_plan
+
+COMMANDS = ["posterior", "critical", "sweep", "crossing", "prep", "power", "diagnosticity"]
 
 
 def run_cli(capsys, *argv):
@@ -286,9 +290,7 @@ class TestParsingAndHelp:
         assert code == 0
         assert "posterior" in out and "sweep" in out and "10000" in out
 
-    @pytest.mark.parametrize("command", [
-        "posterior", "critical", "sweep", "crossing", "prep", "power", "diagnosticity",
-    ])
+    @pytest.mark.parametrize("command", COMMANDS)
     def test_subcommand_help(self, capsys, command):
         code, out, _ = run_cli(capsys, command, "--help")
         assert code == 0 and out != ""
@@ -356,7 +358,7 @@ def test_non_finite_values_print_as_json_null(capsys, argv, key):
     assert json.loads(out, parse_constant=reject)[key] is None
 
 
-@pytest.mark.parametrize("golden_file,argv", [
+GOLDEN_ARGV = [
     ("posterior.json", ["posterior", "--n", "100", "--s", "60", "--pi0", "0.9"]),
     ("critical.json", ["critical", "--n", "100", "--alpha", "0.05"]),
     ("crossing.json", ["crossing", "--alpha", "0.05", "--level", "0.4"]),
@@ -366,14 +368,28 @@ def test_non_finite_values_print_as_json_null(capsys, argv, key):
     ("diagnosticity.json", ["diagnosticity", "--a", "0.05,98", "--b", "0.01,137"]),
     ("sweep_strict_one.json", ["sweep", "--format", "json", "--mode", "strict", "--tail", "one",
                                "--alphas", "0.05,1e-10"]),
-])
+]
+
+
+@pytest.mark.parametrize("golden_file,argv", GOLDEN_ARGV)
 def test_json_output_matches_golden(capsys, golden, golden_file, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     assert out == golden(golden_file)
 
 
-def test_installed_entry_point_runs():
+def _check_script_runs(command, golden, **kwargs):
+    """The script prints the top-level help, and a command's JSON, taking its arguments from sys.argv."""
+    result = subprocess.run([*command, "--help"], capture_output=True, text=True, timeout=60, **kwargs)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: threshold-lab")
+    result = subprocess.run([*command, "critical", "--n", "100", "--alpha", "0.05"],
+                            capture_output=True, text=True, timeout=60, **kwargs)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == golden("critical.json")
+
+
+def test_installed_entry_point_runs(golden):
     # Start the threshold-lab script that pyproject.toml declares, as an installer's
     # launcher would, from the tree under test rather than from whatever is on PATH.
     tomllib = pytest.importorskip("tomllib")
@@ -387,18 +403,91 @@ def test_installed_entry_point_runs():
     src = str(Path(threshold_lab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run([sys.executable, "-c", launcher, "--help"],
-                            capture_output=True, text=True, timeout=60, env=env)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith("usage: threshold-lab")
+    _check_script_runs([sys.executable, "-c", launcher], golden, env=env)
 
 
 _SCRIPT_ON_PATH = shutil.which("threshold-lab")
 
 
 @pytest.mark.skipif(_SCRIPT_ON_PATH is None, reason="no threshold-lab console script on PATH")
-def test_console_script_on_path_runs():
-    result = subprocess.run([_SCRIPT_ON_PATH, "--help"],
-                            capture_output=True, text=True, timeout=60)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith("usage: threshold-lab")
+def test_console_script_on_path_runs(golden):
+    _check_script_runs([_SCRIPT_ON_PATH], golden)
+
+
+# help, errors at the top level and in a subparser, an abbreviated flag, and every golden's argv
+PARITY_ARGV = [
+    ["--help"], *([command, "--help"] for command in COMMANDS), ["-h", "critical"], [], ["bogus"],
+    ["critical", "--n", "100"], ["critical", "--n", "5", "--alpha", ".05", "--bogus"], ["critical", "--mode", "wrong"],
+    ["critical", "--n", "100", "--alph", "0.05"], ["prep", "--p", "x"], *(argv for _, argv in GOLDEN_ARGV),
+]
+
+
+def parsed(parser, argv, capsys):
+    """The namespace parser makes of argv, or the exit status of its help or error, with what it printed."""
+    try:
+        result = vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGV, ids=lambda argv: " ".join(argv) or "no arguments")
+def test_the_command_parser_reads_argv_as_the_full_tree_does(capsys, argv):
+    # parse_and_dispatch builds build_parser(argv[0]); help text, errors and values must not tell it apart
+    assert parsed(build_parser(argv[0] if argv else None), argv, capsys) == parsed(build_parser(), argv, capsys)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_the_command_parser_reads_every_benchmark_request_as_the_full_tree_does(capsys, workload):
+    full = build_parser()
+    for seed in (1, 2, 3):
+        for argv in make_plan(workload, seed).requests:
+            assert parsed(build_parser(argv[0]), argv, capsys) == parsed(full, argv, capsys), argv
+
+
+@pytest.mark.parametrize("argv,parsers", [
+    (["critical", "--n", "100", "--alpha", "0.05"], 2),
+    (["prep", "--p", "x"], 2),
+    (["sweep", "--help"], 2),
+    (["--help"], 8),
+    (["-h", "critical"], 8),
+    (["bogus"], 8),
+    ([], 8),
+])
+def test_a_known_command_builds_only_its_own_parser(capsys, monkeypatch, argv, parsers):
+    # the top level and one subparser; help, no command and an unknown one get the top level and all seven
+    built = 0
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    parse_and_dispatch(argv)
+    assert built == parsers
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["critical", "--n", "9" * 5000, "--alpha", "0.05"], "argument --n: invalid int value: a 5000-character value"),
+    (["critical", "--n", "100", "--alpha", "x" * 31], "argument --alpha: invalid float value: a 31-character value"),
+    (["sweep", "--alphas", "0.05," + "x" * 40],
+     "argument --alphas: expected comma-separated real numbers, got a 45-character value"),
+    (["diagnosticity", "--a", "0.05," * 10, "--b", "0.01,30"],
+     "argument --a: expected ALPHA,N (two comma-separated values), got a 50-character value"),
+    (["diagnosticity", "--a", "x" * 40 + ",30", "--b", "0.01,30"],
+     "argument --a: ALPHA must be a real number, got a 40-character value"),
+    (["diagnosticity", "--a", "0.05," + "9" * 5000, "--b", "0.01,30"],
+     "argument --a: N must be an integer, got a 5000-character value"),
+    # 30 characters or fewer: the value itself, as argparse shows it
+    (["critical", "--n", "abc", "--alpha", "0.05"], "argument --n: invalid int value: 'abc'"),
+    (["critical", "--n", "9" * 29 + "x", "--alpha", "0.05"], f"argument --n: invalid int value: '{'9' * 29}x'"),
+    (["prep", "--p", "x"], "argument --p: invalid float value: 'x'"),
+    (["sweep", "--alphas", "0.05,x"], "argument --alphas: expected comma-separated real numbers, got '0.05,x'"),
+])
+def test_a_refused_flag_value_over_30_characters_is_shown_by_its_length(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: threshold-lab ") and err.endswith(f": error: {message}\n") and len(err) < 600

@@ -543,3 +543,24 @@ class TestEmitAndParse:
     def test_parse_csv_rejects_bad_fields(self, line, needle):
         with pytest.raises(ValueError, match=needle):
             parse_csv(io.StringIO(csv_text([]) + line + "\n"))
+
+    @pytest.mark.parametrize("fmt,row,column,shown", [
+        ("csv", f"0.05,-{'9' * 4000},,,,,nearest,two", "n", "a negative 4000-digit integer"),
+        ("csv", f"0.05,20,{'9' * 5000},,,,nearest,two", "s_selected", "a 5000-character value"),
+        ("csv", f"0.05,20,15,{'x' * 4000},,,nearest,two", "p_achieved", "a 4000-character value"),
+        ("csv", f"0.05,20,,,,,{'x' * 4000},two", "mode", "a 4000-character value"),
+        ("json", json_row(n=-(10**4000))[1:-1], "n", "a negative 4001-digit integer"),
+        ("json", json_row(tail="x" * 4000)[1:-1], "tail", "a 4000-character value"),
+        ("json", json_row(s_selected="x" * 4000)[1:-1], "s_selected", "a 4000-character value"),
+    ])
+    def test_an_oversized_value_is_named_by_row_and_column_in_a_short_message(self, fmt, row, column, shown):
+        # a bad value of any size gives a message that names its row and column and stays short
+        if fmt == "csv":
+            text, parse = csv_text([]) + f"0.05,20,,,,,nearest,two\n{row}\n", parse_csv
+        else:
+            text, parse = f"[{json_row()[1:-1]}, {row}]", parse_json
+        with pytest.raises(ValueError) as err:
+            parse(io.StringIO(text))
+        message = str(err.value)
+        assert message.startswith(f"malformed sweep {fmt.upper()} row 2: ") and f"{column} must be" in message
+        assert message.endswith(shown) and len(message) < 300
