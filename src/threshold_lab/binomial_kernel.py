@@ -5,15 +5,15 @@ neither overflow nor lose the tail mass to underflow.  The only distribution
 involved is Binomial(n, theta); p-values are always evaluated under the null
 theta = 0.5.
 
-A sign-test tail costs O(sqrt(n)) terms, not O(n): it starts at a cut-off
-ceil(6 sqrt(n)) + 10 terms above max(s, n/2), and the mass above the cut-off
-is below 2**-60 of the mass it keeps, far under half an ulp of the sum; a
-one-sided tail for s below n/2 stops at the mirror index n - cut-off, below
-which the mass equals the mass above the cut-off, and reads each term below
-n/2 from its mirror.  The selection walk starts at the cut-off too, reads its
-terms from a list that grows on demand (a sweep shares one per n) and folds
-them in one pass down to a Chernoff point, above which every p is at most
-alpha; it returns the pick and the p folded from that list, bit-equal to
+A sign-test tail costs O(sqrt(n)) terms, not O(n): for s >= n/2 it starts at
+a cut-off ceil(6 sqrt(n)) + 10 terms above s, and the mass above the cut-off
+is below 2**-60 of the mass it keeps, far under half an ulp of the sum.  A
+one-sided tail below n/2 is the complement 1 - P(X >= n - s + 1), so every
+term summed lies at or above n/2 (at n = 1e6, 12,023 lgamma calls at s =
+499,000 and 1 at s = 0).  The selection walk starts at the cut-off too, reads
+its terms from a list that grows on demand (a sweep shares one per n) and
+folds them in one pass down to a Chernoff point, above which every p is at
+most alpha; it returns the pick and the p folded from that list, bit-equal to
 p_value.  find_crossing's scan over n (_march) bounds the walk's rounding
 once, for every n to N = n_max + _ANCHOR_EVERY, and hands over to it where a
 margin is thin.  The tail routines take n <= MAX_N.
@@ -127,13 +127,11 @@ def _log_term(n: int, k: int) -> float:
 
 
 def _log_terms(n: int, start: int, stop: int) -> list[float]:
-    """[_log_term(n, k) for k = start, start-1, ..., stop+1]: one lgamma map pair over k above n/2, from
-    max(start, n - stop - 1) down; a term below n/2 is its mirror n - k's (log_choose orders its arguments)."""
+    """[_log_term(n, k) for k = start, start-1, ..., stop+1], for stop >= (n - 1) // 2: every k lies at or above
+    n/2, where log_choose's lower argument is n - k, so one lgamma map pair gives every term."""
     lgamma, lg, w = math.lgamma, math.lgamma(n + 1), n * _LN2
-    mid, top = max(stop, (n - 1) // 2), max(start, n - stop - 1)
-    terms = [lg - a - b - w for a, b in zip(map(lgamma, range(n - top + 1, n - mid + 1)),
-                                            map(lgamma, range(top + 1, mid + 1, -1)))]
-    return terms[top - start:top - mid] + terms[top - n + stop + 1:top - n + min(start, mid) + 1][::-1]
+    return [lg - a - b - w for a, b in zip(map(lgamma, range(n - start + 1, n - stop + 1)),
+                                           map(lgamma, range(start + 1, stop + 1, -1)))]
 
 
 def _log_sum(terms: list[float]) -> float:
@@ -146,18 +144,17 @@ def _log_sum(terms: list[float]) -> float:
 
 
 def _tail_start(n: int, s: int) -> int:
-    # Certified cut-off: above m >= n/2 the terms fall as pmf(m+j)/pmf(m) <=
-    # exp(-j^2/(n/2+j)), so the mass above this index is below 2**-60 of the
-    # mass from s up to it (checked with exact integers in the tests).
-    return min(n, max(s, n // 2) + math.ceil(6.0 * math.sqrt(n)) + 10)
+    # Certified cut-off for s >= n/2: above s the terms fall as pmf(s+j)/pmf(s) <= exp(-j^2/(n/2+j)), so the mass
+    # above this index is below 2**-60 of the mass from s up to it (checked with exact integers in the tests).
+    return min(n, s + math.ceil(6.0 * math.sqrt(n)) + 10)
 
 
 def _log_upper_tail(n: int, s: int) -> float:
-    """ln P(X >= s) under Binomial(n, 0.5), summed from the cut-off _tail_start(n, s) inward, the smallest term first,
-    so the running sum is free of cancellation.  It stops at max(s, n - cut-off): by symmetry the mass below n - cut-off
-    equals the mass above the cut-off, so the tail costs O(sqrt(n)) terms for s far below n/2 too."""
-    start = _tail_start(n, s)
-    return _log_sum(_log_terms(n, start, max(s, n - start) - 1))
+    """ln P(X >= s) under Binomial(n, 0.5): from s >= n/2, summed from the cut-off _tail_start(n, s) in, the smallest
+    term first, free of cancellation; below n/2, 1 - P(X >= n - s + 1), which keeps its digits near 1."""
+    if 2 * s < n:
+        return math.log1p(-math.exp(_log_upper_tail(n, n - s + 1)))
+    return _log_sum(_log_terms(n, _tail_start(n, s), s - 1))
 
 
 def _shift(tail: TailConvention) -> float:

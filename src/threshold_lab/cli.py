@@ -7,6 +7,7 @@ printed as "error: ..." with status 2; a flag value that does not parse is
 argparse's usage error, which shows a value over 30 characters by its length.
 Standard output carries data only; every diagnostic goes to standard error.
 
+Each command is declared once, in _COMMANDS, and each flag once, in _FLAGS.
 A call that names a command builds only that command's subparser, with the
 same help text and messages as the full tree, which --help, no arguments or
 an unknown command still get.
@@ -42,19 +43,6 @@ from .sweep_report import (
 __all__ = ["parse_and_dispatch", "main"]
 
 
-def _number(kind: type):
-    """int or float as a flag type: argparse's own message, but a value over 30 characters is shown by its length."""
-    def parse(text: str):
-        try:
-            return kind(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {_shown(text)}") from None
-    return parse
-
-
-_int, _float = _number(int), _number(float)
-
-
 def _alpha_n_pair(text: str) -> tuple[float, int]:
     values = text.split(",")
     if len(values) != 2:
@@ -74,23 +62,6 @@ def _alpha_list(text: str) -> tuple[float, ...]:
         return tuple(float(p) for p in text.split(",") if p != "")
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated real numbers, got {_shown(text)}") from None
-
-
-def _add_mode_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mode", choices=sorted(m.value for m in SelectionMode), default="nearest",
-                        help="how the barely-significant s is chosen (default: nearest)")
-
-
-def _add_tail_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tail", choices=sorted(t.value for t in TailConvention), default="two",
-                        help="sign-test tail convention (default: two, i.e. two-sided symmetric)")
-
-
-def _add_prior_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--prior-a", type=_float, default=1.0, metavar="R",
-                        help="Beta prior shape a for the alternative (default: 1)")
-    parser.add_argument("--prior-b", type=_float, default=1.0, metavar="R",
-                        help="Beta prior shape b for the alternative (default: 1)")
 
 
 def _cmd_posterior(args: argparse.Namespace) -> dict:
@@ -122,7 +93,7 @@ def _load_grid_file(path: str) -> tuple[int, ...]:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot read grid file {path!r}: {exc}") from exc
+        raise ValueError(f"cannot read grid file {path!r}: {getattr(exc, 'strerror', None) or exc}") from exc
     if (not isinstance(payload, list) or not payload
             or any(isinstance(v, bool) or not isinstance(v, int) for v in payload)):
         raise ValueError(f"grid file {path!r} must hold a non-empty JSON array of integers")
@@ -184,14 +155,86 @@ def _cmd_diagnosticity(args: argparse.Namespace) -> dict:
     }
 
 
-_HANDLERS = {"posterior": _cmd_posterior, "critical": _cmd_critical, "sweep": _cmd_sweep, "crossing": _cmd_crossing,
-             "prep": _cmd_prep, "power": _cmd_power, "diagnosticity": _cmd_diagnosticity}
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose own messages show a command-line value of over 30 characters by its length."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.argv = sys.argv[1:] if args is None else args  # the values error() shortens
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message):
+        for value in (part for arg in self.argv for part in (arg, arg.partition("=")[2]) if len(part) > 30):
+            message = message.replace(repr(value), _shown(value)).replace(value, _shown(value))
+        super().error(message)
+
+
+# Each flag's argparse keywords, once; a command lists the flags it takes in _COMMANDS.
+_FLAGS = {
+    "--n": dict(type=int, required=True, help="trial count"),
+    "--s": dict(type=int, required=True, help="success count"),
+    "--alpha": dict(type=float, required=True, help="significance threshold"),
+    "--mode": dict(choices=sorted(m.value for m in SelectionMode), default="nearest",
+                   help="how the barely-significant s is chosen (default: nearest)"),
+    "--tail": dict(choices=sorted(t.value for t in TailConvention), default="two",
+                   help="sign-test tail convention (default: two, i.e. two-sided symmetric)"),
+    "--prior-a": dict(type=float, default=1.0, metavar="R",
+                      help="Beta prior shape a for the alternative (default: 1)"),
+    "--prior-b": dict(type=float, default=1.0, metavar="R",
+                      help="Beta prior shape b for the alternative (default: 1)"),
+    "--pi0": dict(type=float, default=0.5, metavar="R", help="prior probability of the null model (default: 0.5)"),
+    "--grid": dict(metavar="FILE", help="JSON file holding the list of trial counts (default: built-in ladder)"),
+    "--alphas": dict(type=_alpha_list, metavar="LIST", help="comma-separated significance levels, strictly "
+                                                             "decreasing (default: 0.05,0.01,0.001,0.0001)"),
+    "--format": dict(choices=("csv", "json"), default="csv", help="output format (default: csv)"),
+    "--out": dict(metavar="PATH", help="write to this file instead of standard output"),
+    "--level": dict(type=float, required=True, help="posterior level to reach"),
+    "--n-max": dict(type=int, default=20000, help="largest n to consider (default: 20000)"),
+    "--p": dict(type=float, required=True, help="realized p-value"),
+    "--mu0": dict(type=float, required=True, help="null mean"),
+    "--mu-alt": dict(type=float, required=True, help="alternative mean"),
+    "--sigma": dict(type=float, required=True, help="known standard deviation"),
+    "--beta": dict(type=float, required=True, help="maximum type-II error rate"),
+    "--show-power-at": dict(type=int, metavar="INT", help="also report achieved power at this n"),
+    "--a": dict(type=_alpha_n_pair, required=True, metavar="ALPHA,N", help="first operating point"),
+    "--b": dict(type=_alpha_n_pair, required=True, metavar="ALPHA,N", help="second operating point"),
+}
+
+# Each command once: (handler, help, description, its flags in --help order).
+_COMMANDS = {
+    "posterior": (_cmd_posterior, "evidence report for an observed (n, s)",
+                  "Posterior probability of the point null theta=0.5 against a Beta-prior alternative, for n "
+                  "trials with s successes. Defaults: Beta(1,1) prior, pi0=0.5.",
+                  ("--n", "--s", "--prior-a", "--prior-b", "--pi0")),
+    "critical": (_cmd_critical, "barely-significant success count for (n, alpha)",
+                 "The success count whose sign-test p-value sits at the significance threshold. Defaults: "
+                 "mode=nearest, tail=two.", ("--n", "--alpha", "--mode", "--tail")),
+    "sweep": (_cmd_sweep, "posterior grid over alpha x n (CSV or JSON)",
+              "Evaluate the barely-significant posterior over a grid of (alpha, n) cells. Defaults: the built-in "
+              f"15-point trial-count ladder {', '.join(str(n) for n in DEFAULT_N_VALUES)}; alphas 0.05, 0.01, "
+              "0.001, 0.0001; mode=nearest; tail=two; Beta(1,1) prior; CSV to standard output.",
+              ("--grid", "--alphas", "--mode", "--tail", "--prior-a", "--prior-b", "--format", "--out")),
+    "crossing": (_cmd_crossing, "first n whose posterior reaches a level",
+                 "Smallest trial count at which the barely-significant posterior first touches the given level "
+                 "(the curve is jittery, so this is first-touch). Every n up to n-max is scored, so null means no "
+                 "n reaches the level; the time grows linearly with the answer, or with n-max (about 0.06 s at "
+                 "20000). Defaults: mode=nearest, tail=two, Beta(1,1) prior, n-max=20000.",
+                 ("--alpha", "--level", "--n-max", "--mode", "--tail", "--prior-a", "--prior-b")),
+    "prep": (_cmd_prep, "replication probability for a realized p-value",
+             "Probability that an equally powered replication reproduces the effect's direction, given a "
+             "realized one-tailed p-value.", ("--p",)),
+    "power": (_cmd_power, "one-sided z-test minimal sample size",
+              "Minimal n for a one-sided z-test of mu0 vs mu-alt with known sigma to keep the type-II rate at or "
+              "below beta.", ("--mu0", "--mu-alt", "--sigma", "--alpha", "--beta", "--show-power-at")),
+    "diagnosticity": (_cmd_diagnosticity, "posterior odds against the null at two (alpha, n) points",
+                      "Compare the evidence carried by barely-significant results at two operating points; "
+                      "reports both odds and their ratio. Defaults: mode=nearest, Beta(1,1) prior.",
+                      ("--a", "--b", "--mode", "--prior-a", "--prior-b")),
+}
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser with every command's subparser, or only `command`'s when it names one (a fifth of the cost)."""
-    every = command not in _HANDLERS
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="threshold-lab",
         description="Evidence calibration for significance thresholds: what a just-significant "
                     "result implies about the null, about replication, and about sample-size cost.",
@@ -200,93 +243,11 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                "(15 values) for sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    if every or command == "posterior":
-        p = sub.add_parser("posterior", help="evidence report for an observed (n, s)",
-                           description="Posterior probability of the point null theta=0.5 against a "
-                                       "Beta-prior alternative, for n trials with s successes. "
-                                       "Defaults: Beta(1,1) prior, pi0=0.5.")
-        p.add_argument("--n", type=_int, required=True, help="trial count")
-        p.add_argument("--s", type=_int, required=True, help="success count")
-        _add_prior_flags(p)
-        p.add_argument("--pi0", type=_float, default=0.5, metavar="R",
-                       help="prior probability of the null model (default: 0.5)")
-
-    if every or command == "critical":
-        p = sub.add_parser("critical", help="barely-significant success count for (n, alpha)",
-                           description="The success count whose sign-test p-value sits at the "
-                                       "significance threshold. Defaults: mode=nearest, tail=two.")
-        p.add_argument("--n", type=_int, required=True, help="trial count")
-        p.add_argument("--alpha", type=_float, required=True, help="significance threshold")
-        _add_mode_flag(p)
-        _add_tail_flag(p)
-
-    if every or command == "sweep":
-        p = sub.add_parser("sweep", help="posterior grid over alpha x n (CSV or JSON)",
-                           description="Evaluate the barely-significant posterior over a grid of "
-                                       "(alpha, n) cells. Defaults: the built-in 15-point trial-count "
-                                       f"ladder {', '.join(str(n) for n in DEFAULT_N_VALUES)}; "
-                                       "alphas 0.05, 0.01, 0.001, 0.0001; mode=nearest; tail=two; "
-                                       "Beta(1,1) prior; CSV to standard output.")
-        p.add_argument("--grid", metavar="FILE",
-                       help="JSON file holding the list of trial counts (default: built-in ladder)")
-        p.add_argument("--alphas", type=_alpha_list, metavar="LIST",
-                       help="comma-separated significance levels, strictly decreasing "
-                            "(default: 0.05,0.01,0.001,0.0001)")
-        _add_mode_flag(p)
-        _add_tail_flag(p)
-        _add_prior_flags(p)
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="output format (default: csv)")
-        p.add_argument("--out", metavar="PATH",
-                       help="write to this file instead of standard output")
-
-    if every or command == "crossing":
-        p = sub.add_parser("crossing", help="first n whose posterior reaches a level",
-                           description="Smallest trial count at which the barely-significant posterior "
-                                       "first touches the given level (the curve is jittery, so this is "
-                                       "first-touch). Every n up to n-max is scored, so null means no n "
-                                       "reaches the level; the time grows linearly with the answer, or "
-                                       "with n-max (about 0.06 s at 20000). Defaults: mode=nearest, "
-                                       "tail=two, Beta(1,1) prior, n-max=20000.")
-        p.add_argument("--alpha", type=_float, required=True, help="significance threshold")
-        p.add_argument("--level", type=_float, required=True, help="posterior level to reach")
-        p.add_argument("--n-max", type=_int, default=20000,
-                       help="largest n to consider (default: 20000)")
-        _add_mode_flag(p)
-        _add_tail_flag(p)
-        _add_prior_flags(p)
-
-    if every or command == "prep":
-        p = sub.add_parser("prep", help="replication probability for a realized p-value",
-                           description="Probability that an equally powered replication reproduces "
-                                       "the effect's direction, given a realized one-tailed p-value.")
-        p.add_argument("--p", type=_float, required=True, help="realized p-value")
-
-    if every or command == "power":
-        p = sub.add_parser("power", help="one-sided z-test minimal sample size",
-                           description="Minimal n for a one-sided z-test of mu0 vs mu-alt with known "
-                                       "sigma to keep the type-II rate at or below beta.")
-        p.add_argument("--mu0", type=_float, required=True, help="null mean")
-        p.add_argument("--mu-alt", type=_float, required=True, help="alternative mean")
-        p.add_argument("--sigma", type=_float, required=True, help="known standard deviation")
-        p.add_argument("--alpha", type=_float, required=True, help="significance threshold")
-        p.add_argument("--beta", type=_float, required=True, help="maximum type-II error rate")
-        p.add_argument("--show-power-at", type=_int, metavar="INT",
-                       help="also report achieved power at this n")
-
-    if every or command == "diagnosticity":
-        p = sub.add_parser("diagnosticity", help="posterior odds against the null at two (alpha, n) points",
-                           description="Compare the evidence carried by barely-significant results at "
-                                       "two operating points; reports both odds and their ratio. "
-                                       "Defaults: mode=nearest, Beta(1,1) prior.")
-        p.add_argument("--a", type=_alpha_n_pair, required=True, metavar="ALPHA,N",
-                       help="first operating point")
-        p.add_argument("--b", type=_alpha_n_pair, required=True, metavar="ALPHA,N",
-                       help="second operating point")
-        _add_mode_flag(p)
-        _add_prior_flags(p)
-
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        _, help_text, description, flags = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text, description=description)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -298,7 +259,7 @@ def parse_and_dispatch(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse prints its own message and exits 0 (--help) or 2
         return exc.code
     try:
-        payload = _HANDLERS[args.command](args)  # None when the handler wrote its own output (sweep)
+        payload = _COMMANDS[args.command][0](args)  # None when the handler wrote its own output (sweep)
         if payload is not None:
             dump_json(payload, sys.stdout)
         return 0

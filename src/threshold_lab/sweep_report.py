@@ -219,7 +219,7 @@ def emit(rows: Iterable[SweepRow], format: str, destination) -> None:
     except OSError as exc:
         if is_file:
             raise
-        raise OSError(f"cannot write sweep output to {destination!r}: {exc}") from exc
+        raise OSError(f"cannot write sweep output to {destination!r}: {exc.strerror or exc}") from exc
 
 
 def parse_csv(source) -> list[SweepRow]:

@@ -252,11 +252,11 @@ class TestSelection:
                     assert terms[i] == log_pmf(BinomialOutcome(n, top - i), HALF), (n, top - i)
 
     def test_log_terms_are_log_term_bit_for_bit(self):
-        # ranges on one side of n/2, across it, and out to k = n and k = 0
+        # ranges from the lowest stop the domain allows, (n - 1) // 2, and above it, out to k = n
         for n in (1, 2, 7, 20, 101, 1000, 4097):
-            half = n // 2
-            for start, stop in {(n, -1), (n, half), (n, n - 1), (half, -1), (min(n, half + 40), max(-1, half - 40)),
-                                (min(n, half + 3), max(-1, half - 3)), (n, max(-1, n - 40)), (min(n, 39), -1)}:
+            low, half = (n - 1) // 2, n // 2
+            for start, stop in {(n, low), (n, half), (n, n - 1), (min(n, half + 40), low), (min(n, half + 3), low),
+                                (min(n, half + 3), half), (n, max(low, n - 40)), (min(n, half + 40), half + 1)}:
                 if start > stop:
                     assert _log_terms(n, start, stop) == [_log_term(n, k) for k in range(start, stop, -1)], (
                         n, start, stop)
@@ -398,24 +398,35 @@ class TestTailCutoff:
             assert first_skipped * (c + 2) * 2**60 < kept * (2 * c + 3 - n), (n, s, c)
 
     def test_p_value_bit_equal_to_full_sum(self):
+        # a tail at or above n/2 is the full sum to the last bit; a one-sided tail below n/2 is the complement of
+        # the tail above n - s, whose fold of every term from n down would lose up to 1e-10 where p is near 1
         rng = random.Random(20261018)
         for _ in range(200):
             n = rng.randint(1, 30000)
             tail = rng.choice([ONE, TWO])
             s = rng.randint(0, n)
+            if tail is ONE and 2 * s < n:
+                assert p_value(BinomialOutcome(n, s), tail) == pytest.approx(float(reference.upper_tail(n, s)),
+                                                                              rel=1e-10, abs=0), (n, s)
+                continue
             if tail is ONE:
                 want = min(1.0, math.exp(_full_log_tail(n, s)))
             else:
                 want = min(1.0, math.exp(math.log(2.0) + _full_log_tail(n, max(s, n - s))))
             assert p_value(BinomialOutcome(n, s), tail) == want, (n, s, tail)
 
-    @pytest.mark.parametrize("s,p", [(0, 0.9999999994167044), (499_000, 0.9773038314763918)])
-    def test_one_sided_p_value_far_below_half_sums_order_sqrt_n_terms(self, lgamma_calls, s, p):
-        # 12,023 calls at either s: the sum stops at the mirror cut-off n - _tail_start(n, s), and each term below
-        # n/2 is read from its mirror.  Down to s = 0 it made 1,012,023; computing the terms below n/2 as well
-        # made 24,043 at s = 0 and 14,023 at s = 499,000
-        assert p_value(BinomialOutcome(10**6, s), ONE) == p
+    @pytest.mark.parametrize("s", [0, 499_000])
+    def test_one_sided_p_value_far_below_half_sums_order_sqrt_n_terms(self, lgamma_calls, s):
+        # the complement of the tail above n - s: 1 call at s = 0, where that tail is empty, and 12,023 at
+        # s = 499,000.  Summing up to s = 0 made 1,012,023; the mirror-index sum of the terms below n/2 made
+        # 12,023 at either s and read 0.9999999994167044 at s = 0, and 5.8e-10 off the reference at 499,000
+        got = p_value(BinomialOutcome(10**6, s), ONE)
         assert 0 < lgamma_calls() <= 12_100
+        if s == 0:
+            assert got == 1.0
+        else:
+            want = float(reference.upper_tail(10**6, s))
+            assert abs(got - want) <= 2e-11 * want and got == pytest.approx(0.97730383206, abs=1e-11)
 
     def test_large_n_selection_sums_order_sqrt_n_terms(self, lgamma_calls):
         select_barely_significant(10**6, 0.001)

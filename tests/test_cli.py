@@ -147,6 +147,14 @@ class TestSweepCommand:
         code, out, err = run_cli(capsys, "sweep", "--grid", str(missing))
         assert code == 2 and out == "" and str(missing) in err
 
+    def test_a_file_error_names_its_path_once(self, capsys, tmp_path):
+        # the OSError's own text repeated the path: a 4,000-character one made an 8,069-character line
+        path = (str(tmp_path / "missing") + "/g" * 2000)[:3999] + "g"  # 4,000 characters, within PATH_MAX
+        for argv, code, message in ((["--grid", path], 2, "cannot read grid file"),
+                                    (["--out", path], 1, "cannot write sweep output to")):
+            want = f"error: {message} {path!r}: No such file or directory\n"
+            assert run_cli(capsys, "sweep", *argv) == (code, "", want)
+
     def test_grid_file_must_hold_integers(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('["twenty"]')
@@ -422,6 +430,40 @@ PARITY_ARGV = [
 ]
 
 
+# The flags' samples: an int, a real, an ALPHA,N pair and a word.
+TYPE_SAMPLES = ("7", "0.25", "0.05,20", "x")
+
+
+def _returns(kind, sample):
+    # the value, or "refused" for a ValueError (argparse's message) or an ArgumentTypeError (the type's)
+    try:
+        return repr(sample if kind is None else kind(sample))
+    except (ValueError, argparse.ArgumentTypeError):
+        return "refused"
+
+
+def cli_surface(parser):
+    """Each command's help, description and flags in order: option strings, dest, default, required, choices,
+    metavar, help, and what its type returns for each of TYPE_SAMPLES (the tests above pin the messages).  It
+    reads what the parser declares, not its --help text, which differs across Python versions (3.10 says
+    "optional arguments:")."""
+    sub = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    helps = {choice.dest: choice.help for choice in sub._choices_actions}
+    return {name: {"help": helps[name], "description": command.description, "flags": [
+        {"options": action.option_strings, "dest": action.dest, "default": repr(action.default),
+         "required": action.required, "choices": action.choices and list(action.choices), "metavar": action.metavar,
+         "help": action.help, "type": [_returns(action.type, sample) for sample in TYPE_SAMPLES]}
+        for action in command._actions if not isinstance(action, argparse._HelpAction)]}
+        for name, command in sub.choices.items()}
+
+
+def test_the_parser_declares_the_pinned_surface(golden):
+    # cli_surface.json is json.dumps(cli_surface(build_parser()), indent=1) + "\n" of the parser that declared
+    # each command in its own block, before the tables; a command or flag declared wrongly in them shows here
+    assert cli_surface(build_parser()) == json.loads(golden("cli_surface.json"))
+    assert list(cli_surface(build_parser("sweep"))) == ["sweep"]
+
+
 def parsed(parser, argv, capsys):
     """The namespace parser makes of argv, or the exit status of its help or error, with what it printed."""
     try:
@@ -491,3 +533,23 @@ def test_a_refused_flag_value_over_30_characters_is_shown_by_its_length(capsys, 
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("usage: threshold-lab ") and err.endswith(f": error: {message}\n") and len(err) < 600
+
+
+@pytest.mark.parametrize("argv,echo", [
+    (["critical", "--n", "5", "--alpha", ".05", "--mode", "x" * 5000], "invalid choice: a 5000-character value ("),
+    (["critical", "--n", "5", "--alpha", ".05", "--mode=" + "x" * 5000], "invalid choice: a 5000-character value ("),
+    (["prep", "--p", ".5", "y" * 5000], "unrecognized arguments: a 5000-character value\n"),
+    (["prep", "--p", ".5", "y" * 50, "z"], "unrecognized arguments: a 50-character value z\n"),
+    (["c" * 5000], "invalid choice: a 5000-character value ("),
+    (["posterior", "--n", "5", "--s", "1", "--p=" + "q" * 5000], "ambiguous option: a 5004-character value could"),
+    # 30 characters or fewer: as argparse prints them
+    (["critical", "--n", "5", "--alpha", ".05", "--mode", "x" * 30], f"invalid choice: '{'x' * 30}' ("),
+    (["prep", "--p", ".5", "y" * 30], f"unrecognized arguments: {'y' * 30}\n"),
+    (["c" * 30], f"invalid choice: '{'c' * 30}' ("),
+], ids=["choice", "choice-after-equals", "unrecognized", "unrecognized-and-short", "command", "ambiguous",
+        "choice-30", "unrecognized-30", "command-30"])
+def test_argparse_shows_a_value_over_30_characters_by_its_length(capsys, argv, echo):
+    # its own messages printed the whole value: 5,231 characters for the invalid choice, 5,085 for the
+    # unrecognized argument and 5,190 for the unknown command
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and echo in err and len(err) < 400

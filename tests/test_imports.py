@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used, or re-exported through __all__."""
+"""Every module-level import in the package is used, or re-exported through __all__, and every module-level
+private name is used somewhere in the package."""
 
 import ast
 import types
@@ -73,3 +74,35 @@ def test_sweep_report_takes_two_private_kernel_names():
     private = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom) and node.module == "binomial_kernel"
                for alias in node.names if alias.name.startswith("_")}
     assert private == {"_march", "_select_walk"}
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    """The module-level functions, classes and assigned names that start with one underscore."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def references(tree: ast.Module) -> set[str]:
+    """Names the module reads, as a name, an attribute or an import: a definition or assignment is not a read."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            | {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names})
+
+
+def test_no_unused_private_name():
+    # a helper the package no longer calls, such as a flag helper left behind when a table replaced it
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    defined = set().union(*map(private_definitions, trees))
+    assert defined - set().union(*map(references, trees)) == set()
+
+
+def test_the_check_sees_an_unused_private_name():
+    tree = ast.parse("import os\n_A = 1\n_B, _C = 2, _A\ndef _f(): pass\nclass _K: pass\ndef g(): return _K, os._x\n")
+    assert private_definitions(tree) == {"_A", "_B", "_C", "_f", "_K"}
+    assert private_definitions(tree) - references(tree) == {"_B", "_C", "_f"}
