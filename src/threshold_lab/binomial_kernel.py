@@ -10,13 +10,12 @@ a cut-off ceil(6 sqrt(n)) + 10 terms above s, and the mass above the cut-off
 is below 2**-60 of the mass it keeps, far under half an ulp of the sum.  A
 one-sided tail below n/2 is the complement 1 - P(X >= n - s + 1), so every
 term summed lies at or above n/2 (at n = 1e6, 12,023 lgamma calls at s =
-499,000 and 1 at s = 0).  The selection walk starts at the cut-off too, reads
-its terms from a list that grows on demand (a sweep shares one per n) and
-folds them in one pass down to a Chernoff point, above which every p is at
-most alpha; it returns the pick and the p folded from that list, bit-equal to
-p_value.  find_crossing's scan over n (_march) bounds the walk's rounding
-once, for every n to N = n_max + _ANCHOR_EVERY, and hands over to it where a
-margin is thin.  The tail routines take n <= MAX_N.
+499,000 and 1 at s = 0).  The selection walk starts at the cut-off too and
+folds one list of terms per n, grown on demand, down to a Chernoff point,
+above which every p is at most alpha; each alpha's p is folded from that list,
+bit-equal to p_value.  find_crossing's scan over n (_march) bounds the walk's
+rounding once, for every n to N = n_max + _ANCHOR_EVERY, and hands over to it
+where a margin is thin.  The tail routines take n <= MAX_N.
 """
 
 from __future__ import annotations
@@ -196,14 +195,14 @@ def _walk_start(n: int, alpha: float, shift: float) -> tuple[int, int]:
     return c, _tail_start(n, c)
 
 
-def _select_walk(n: int, alpha: float, mode: SelectionMode, tail: TailConvention,
-                 terms: list[float] | None = None, floor: float | None = None) -> tuple[int, float]:
-    """(s, p): the barely-significant s in (n/2, n], picked by walking s downward, and its p-value.
+def _select_walk(n: int, alphas: tuple[float, ...], mode: SelectionMode, tail: TailConvention) -> list:
+    """One (s, p) per alpha, or None where no s attains it: the barely-significant s in (n/2, n], picked
+    by walking s downward, and its p-value.
 
-    The walk folds a running upper-tail sum, as _log_sum folds, from the
-    _tail_start cut-off above the Chernoff point c: O(sqrt(n)) terms, read for
-    k = top, top-1, ... from `terms`, a list it grows on demand; top is the walk
-    start of `floor` (default alpha), the smallest alpha of the walks sharing it.
+    Each walk folds a running upper-tail sum, as _log_sum folds, from the
+    _tail_start cut-off above its Chernoff point c: O(sqrt(n)) terms, read for
+    k = top, top-1, ... from one list for all the walks, grown on demand; top is
+    the walk start of the last alpha, the smallest, as the alphas strictly decrease.
     p strictly increases as s decreases, which justifies the strict bookkeeping
     and the early break.  Certified prefix: every true p from c up is at most
     alpha.  If the sum folded to c in one pass gives p <= alpha and the first p
@@ -215,46 +214,47 @@ def _select_walk(n: int, alpha: float, mode: SelectionMode, tail: TailConvention
     order, so p is bit-equal to p_value.
     """
     exp, log1p, shift = math.exp, math.log1p, _shift(tail)
-    c, k = _walk_start(n, alpha, shift)
-    terms = [] if terms is None else terms
-    top = k if floor is None else _walk_start(n, floor, shift)[1]
-    acc, best_i, best_d, strict_i = -math.inf, 0, math.inf, None
+    top, terms, picks = _walk_start(n, alphas[-1], shift)[1], [], []
     # the list grows in chunks that run sqrt(n)/2 + 1 terms past the term needed, never to n/2: walks
     # break 0.2 to 0.6 sqrt(n) below c for alpha in [1e-10, .5], so the first chunk holds most of them
     step = 2 + (math.isqrt(n) >> 1)
-    if top - len(terms) >= c:
-        terms += _log_terms(n, top - len(terms), c - step if c - step > n // 2 else n // 2)
-    end = len(terms)
-    i = top - k  # terms[i] is the term of k = top - i; the walk tracks s by its index
-    folded = _log_sum(terms[i:top - c + 1])  # k >= c: the prefix holds one term or more
-    p = exp(shift + folded)
-    # Hoeffding's c gives p <= alpha on every input tried (alpha/p(c) >= 1.98 over all n < 3000, 300 n to 1e7,
-    # 13 alphas, both tails); the check stays, as the prefix rests on p(c) as folded, not as bounded
-    if p <= alpha and exp(shift + terms[i]) >= 2.0**-1022:  # a normal first p
-        acc, best_d, strict_i, best_i, i = folded, alpha - p, top - c, top - c, top - c + 1
-    for i in range(i, top - n // 2):
-        if i == end:  # the list ran out above n/2
-            terms += _log_terms(n, top - i, top - i - step if top - i - step > n // 2 else n // 2)
-            end = len(terms)
-        term = terms[i]
-        acc = term + log1p(exp(acc - term)) if term > acc else acc + log1p(exp(term - acc))
-        p = exp(shift + acc)
-        if p > 1.0:
-            p = 1.0  # min(1.0, p) as p_value clamps, without a builtin call per term
-        if p <= alpha:
-            strict_i = i  # overwritten while descending: ends at the smallest such s
-        d = abs(p - alpha)
-        if d < best_d:  # strict '<' breaks ties toward the larger s / smaller p
-            best_i, best_d = i, d
-        elif p > alpha:
-            break  # past alpha the distance only grows
-    if strict_i is None:  # in either mode; top = n here, and the fold of k = n alone is min_attainable_p
-        raise InfeasibleError(f"no success count reaches p <= {alpha:g} at n={n} "
-                              f"(most extreme p is {min_attainable_p(n, tail):.6g})")
-    s = top - (strict_i if mode is SelectionMode.STRICT_AT_MOST_ALPHA else best_i)
-    # the tail sums k = _tail_start(n, s) down to s; its cut-off passes top only where s passes c, and p underflows
-    start = _tail_start(n, s)
-    return s, _tail_p(_log_sum(terms[top - start:top - s + 1]) if start <= top else _log_upper_tail(n, s), tail)
+    for alpha in alphas:
+        c, k = _walk_start(n, alpha, shift)
+        acc, best_i, best_d, strict_i = -math.inf, 0, math.inf, None
+        if top - len(terms) >= c:
+            terms += _log_terms(n, top - len(terms), c - step if c - step > n // 2 else n // 2)
+        end = len(terms)
+        i = top - k  # terms[i] is the term of k = top - i; the walk tracks s by its index
+        folded = _log_sum(terms[i:top - c + 1])  # k >= c: the prefix holds one term or more
+        p = exp(shift + folded)
+        # Hoeffding's c gives p <= alpha on every input tried (alpha/p(c) >= 1.98 over all n < 3000, 300 n to
+        # 1e7, 13 alphas, both tails); the check stays, as the prefix rests on p(c) as folded, not as bounded
+        if p <= alpha and exp(shift + terms[i]) >= 2.0**-1022:  # a normal first p
+            acc, best_d, strict_i, best_i, i = folded, alpha - p, top - c, top - c, top - c + 1
+        for i in range(i, top - n // 2):
+            if i == end:  # the list ran out above n/2
+                terms += _log_terms(n, top - i, top - i - step if top - i - step > n // 2 else n // 2)
+                end = len(terms)
+            term = terms[i]
+            acc = term + log1p(exp(acc - term)) if term > acc else acc + log1p(exp(term - acc))
+            p = exp(shift + acc)
+            if p > 1.0:
+                p = 1.0  # min(1.0, p) as p_value clamps, without a builtin call per term
+            if p <= alpha:
+                strict_i = i  # overwritten while descending: ends at the smallest such s
+            d = abs(p - alpha)
+            if d < best_d:  # strict '<' breaks ties toward the larger s / smaller p
+                best_i, best_d = i, d
+            elif p > alpha:
+                break  # past alpha the distance only grows
+        if strict_i is None:  # in either mode; top = n here, and the fold of k = n alone is min_attainable_p
+            picks.append(None)
+            continue
+        s = top - (strict_i if mode is SelectionMode.STRICT_AT_MOST_ALPHA else best_i)
+        start = _tail_start(n, s)  # the tail's cut-off passes top only where s passes c, and p underflows
+        log_tail = _log_sum(terms[top - start:top - s + 1]) if start <= top else _log_upper_tail(n, s)
+        picks.append((s, _tail_p(log_tail, tail)))
+    return picks
 
 
 def select_barely_significant(
@@ -267,14 +267,18 @@ def select_barely_significant(
 
     NEAREST_TO_ALPHA minimizes |p_value(s) - alpha| (ties to the larger s);
     STRICT_AT_MOST_ALPHA returns the smallest s with p_value(s) <= alpha.  Both
-    raise InfeasibleError when even s = n stays above alpha.  p_achieved is
-    taken from _select_walk's fold, so it is bit-equal to p_value by construction.
+    raise InfeasibleError when even s = n stays above alpha (_select_walk's None).
+    p_achieved is _select_walk's fold, bit-equal to p_value by construction.
     """
     _check_n(n)
     _check_instance(mode, SelectionMode, "mode")
     _check_instance(tail, TailConvention, "tail")
     alpha = _check_unit(alpha, "alpha")
-    return CriticalValue(*_select_walk(n, alpha, mode, tail))
+    [pick] = _select_walk(n, (alpha,), mode, tail)
+    if pick is None:
+        raise InfeasibleError(f"no success count reaches p <= {alpha:g} at n={n} "
+                              f"(most extreme p is {min_attainable_p(n, tail):.6g})")
+    return CriticalValue(*pick)
 
 
 # Steps of find_crossing's forward scan between re-anchors on the exact kernel.
@@ -291,13 +295,14 @@ def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int):
     Each pmf is exp of a _log_term, so T and the walk's sum differ by
     rounding alone: a few ulps of lgamma(n+1) per term, an ulp per scan step
     (at most _ANCHOR_EVERY) and an ulp of ln p per walk step (at most
-    7 sqrt(n) + 10).  So s and T = p / c come from the strict walk (p bit-equal to
-    p_value) at the first feasible n, every _ANCHOR_EVERY steps, and where a decision
-    margin (alpha - p(s), p(s-1) - alpha, in nearest mode their difference)
-    is within tol = 32 (eps alpha (lgamma(N+1) + m (1 - ln alpha)) + m ulp(0)),
+    7 sqrt(n) + 10).  So one walk in the scan's own mode sets s and T = p / c (p bit-equal to p_value;
+    a nearest pick with p > alpha is s - 1, and T drops its term) at the first feasible n, every
+    _ANCHOR_EVERY steps, and where a decision margin (alpha - p(s), p(s-1) - alpha, in nearest mode
+    their difference) is within tol = 32 (eps alpha (lgamma(N+1) + m (1 - ln alpha)) + m ulp(0)),
     m = 7 sqrt(N) + 10 + _ANCHOR_EVERY, N = n_max + _ANCHOR_EVERY, taken once per scan;
     the largest difference seen (n to 2e5, alpha to 1e-100) is tol/16 at N = n + _ANCHOR_EVERY.
-    A nearest hand-over reads the strict walk's terms.  Other n cost O(1).
+    The scan yields the walk's pick there; elsewhere a sure margin makes s the strict threshold,
+    whatever pick set it: too large an s leaves d2 <= tol, too small an s d1 <= tol.  Other n cost O(1).
     """
     c = 2.0 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 1.0
     nearest = mode is SelectionMode.NEAREST_TO_ALPHA
@@ -315,9 +320,9 @@ def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int):
             s += moved
         while True:
             if fresh:
-                anchor, moved, terms = n, False, []
-                s, p = _select_walk(n, alpha, SelectionMode.STRICT_AT_MOST_ALPHA, tail, terms)
-                T = p / c
+                [(pick, p)] = _select_walk(n, (alpha,), mode, tail)
+                anchor, moved, T = n, p > alpha, p / c
+                s = pick + moved
             lo = s - 1 if 2 * s - 2 <= n else n - s + 1  # log_choose's lower argument
             log_pm1 = lg - lgamma(lo + 1) - lgamma(n - lo + 1) - w
             pm1 = exp(log_pm1)
@@ -329,5 +334,5 @@ def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int):
             if sure or fresh:
                 break
             fresh = True
-        pick = _select_walk(n, alpha, mode, tail, terms)[0] if nearest and not sure else s - (nearest and d2 < d1)
+        pick = pick if fresh else s - (nearest and d2 < d1)
         yield n, pick, log_pm1 if pick == s - 1 else lg - lgamma(n - pick + 1) - lgamma(pick + 1) - w  # pick > n/2

@@ -92,7 +92,7 @@ def _load_grid_file(path: str) -> tuple[int, ...]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read grid file {path!r}: {getattr(exc, 'strerror', None) or exc}") from exc
     if (not isinstance(payload, list) or not payload
             or any(isinstance(v, bool) or not isinstance(v, int) for v in payload)):

@@ -18,7 +18,7 @@ from typing import IO, Iterable, NamedTuple
 
 from ._checks import _check_instance, _check_n, _check_real, _check_unit, _shown
 from .bayes_evidence import BetaPrior, _prior_or_uniform, _scorer, posterior_h0
-from .binomial_kernel import BinomialOutcome, InfeasibleError, SelectionMode, TailConvention, _march, _select_walk
+from .binomial_kernel import BinomialOutcome, SelectionMode, TailConvention, _march, _select_walk
 
 __all__ = [
     "DEFAULT_N_VALUES",
@@ -98,29 +98,24 @@ class JitterViolation(NamedTuple):
     posterior_drop: float
 
 
-def _evaluate_cell(alpha: float, n: int, grid: SweepGrid, terms: list[float]) -> SweepRow:
-    """One cell as evidence_at_threshold scores it, or an empty row where it raises InfeasibleError; terms per n."""
-    mode, tail = grid.mode, grid.tail
-    try:
-        s, p = _select_walk(n, alpha, mode, tail, terms, grid.alphas[-1])
-    except InfeasibleError:
-        return SweepRow(alpha, n, None, None, None, None, mode.value, tail.value)
-    report = posterior_h0(BinomialOutcome(n, s), grid.prior)
-    return SweepRow(alpha, n, s, p, report.log_l0 - report.log_l1, report.posterior_h0, mode.value, tail.value)
+def _evaluate_cell(alpha: float, n: int, grid: SweepGrid, pick: tuple[int, float] | None) -> SweepRow:
+    """One cell as evidence_at_threshold scores the walk's (s, p) pick, or an empty row where there is none."""
+    mode, tail = grid.mode.value, grid.tail.value
+    if pick is None:
+        return SweepRow(alpha, n, None, None, None, None, mode, tail)
+    report = posterior_h0(BinomialOutcome(n, pick[0]), grid.prior)
+    return SweepRow(alpha, n, *pick, report.log_l0 - report.log_l1, report.posterior_h0, mode, tail)
 
 
 def run_sweep(grid: SweepGrid) -> list[SweepRow]:
     """Evaluate every (alpha, n) cell in the calling thread; rows come alpha-major / n-minor.
 
-    Cells are scored n-major: at each n all walks read one list of terms from
-    the smallest alpha's walk start (the alphas decrease, so every walk starts
-    at or below it).  The rows depend on the grid alone; the test suite pins
-    the default grid's CSV byte for byte.
+    Cells are scored n-major: one walk call per n picks for every alpha.  The
+    rows depend on the grid alone; the test suite pins the default grid's CSV
+    byte for byte.
     """
-    by_n = []
-    for n in grid.n_values:
-        terms = []
-        by_n.append([_evaluate_cell(alpha, n, grid, terms) for alpha in grid.alphas])
+    walks = ((n, _select_walk(n, grid.alphas, grid.mode, grid.tail)) for n in grid.n_values)
+    by_n = [[_evaluate_cell(alpha, n, grid, pick) for alpha, pick in zip(grid.alphas, picks)] for n, picks in walks]
     return [row for by_alpha in zip(*by_n) for row in by_alpha]
 
 

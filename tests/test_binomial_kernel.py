@@ -210,8 +210,8 @@ class TestSelection:
         assert checked >= 2000
 
     def test_walk_p_is_p_value_bit_for_bit(self):
-        # sweep cells print this p and the crossing scan's anchors take T from it, each walk with its own
-        # list; a sweep's walks share one, filled from the smallest alpha's higher start: the same (s, p)
+        # sweep cells print this p and the crossing scan's walks take T from it; with a smaller alpha after
+        # it, the walk reads one list filled from that alpha's higher start: the same (s, p)
         rng = random.Random(14)
         checked = 0
         for _ in range(700):
@@ -219,34 +219,39 @@ class TestSelection:
             alpha = math.exp(rng.uniform(math.log(1e-12), math.log(0.9)))
             mode = rng.choice(list(SelectionMode))
             tail = rng.choice([ONE, TWO])
-            try:
-                s, p = _select_walk(n, alpha, mode, tail, [])
-            except InfeasibleError:
+            [pick] = _select_walk(n, (alpha,), mode, tail)
+            if pick is None:
                 continue
+            s, p = pick
             assert p == p_value(BinomialOutcome(n, s), tail), (n, alpha, mode, tail)
-            shared, floor = [], alpha * 1e-3
-            try:
-                _select_walk(n, floor, SelectionMode.NEAREST_TO_ALPHA, tail, shared, floor)
-            except InfeasibleError:
-                pass  # an empty sweep cell still fills the shared list, from k = n down
-            assert _select_walk(n, alpha, mode, tail, shared, floor) == (s, p), (n, alpha, mode, tail)
+            # the smaller alpha may find no s: its walk still fills the list, from k = n down
+            assert _select_walk(n, (alpha, alpha * 1e-3), mode, tail)[0] == (s, p), (n, alpha, mode, tail)
             checked += 1
         assert checked >= 500
 
-    def test_walk_terms_are_log_pmf_bit_for_bit(self):
-        # the list the walk reads, its own or one shared from a smaller floor's higher top, holds log_pmf's terms
+    def test_walk_terms_are_log_pmf_bit_for_bit(self, monkeypatch):
+        # the list the walk reads, for one alpha or from a smaller alpha's higher top, holds log_pmf's terms
+        runs = []
+
+        def recorded(n, start, stop):
+            runs.append((start, stop, _log_terms(n, start, stop)))
+            return runs[-1][2]
+
+        monkeypatch.setattr(binomial_kernel, "_log_terms", recorded)
         rng = random.Random(20261018)
         for _ in range(60):
             n = int(math.exp(rng.uniform(0.0, math.log(10**6))))
             alpha = math.exp(rng.uniform(math.log(1e-12), math.log(0.9)))
             tail = rng.choice([ONE, TWO])
-            for floor in (alpha, alpha * 1e-3):
-                terms, top = [], _walk_start(n, floor, _shift(tail))[1]
-                try:
-                    s = _select_walk(n, alpha, SelectionMode.NEAREST_TO_ALPHA, tail, terms, floor)[0]
-                except InfeasibleError:
-                    s = n  # the walk read the term k = n before it gave up
-                assert terms and top - len(terms) + 1 <= s
+            for alphas in ((alpha,), (alpha, alpha * 1e-3)):
+                runs.clear()
+                top = _walk_start(n, alphas[-1], _shift(tail))[1]
+                pick = _select_walk(n, alphas, SelectionMode.NEAREST_TO_ALPHA, tail)[0]
+                s = n if pick is None else pick[0]  # the walk read the term k = n before it gave up
+                # the runs tile the list from top down, one after the other
+                assert runs and runs[0][0] == top and all(a[1] == b[0] for a, b in zip(runs, runs[1:]))
+                terms = [t for _, _, run in runs for t in run]
+                assert top - len(terms) + 1 <= s
                 for i in sorted({0, len(terms) - 1, *(rng.randrange(len(terms)) for _ in range(20))}):
                     assert top - i > n / 2
                     assert terms[i] == log_pmf(BinomialOutcome(n, top - i), HALF), (n, top - i)
@@ -282,7 +287,7 @@ class TestSelection:
     def test_a_start_below_the_answer_is_not_folded_as_certified(self, monkeypatch):
         # Hoeffding's c keeps p(c) near alpha/2 or below, so only a start that is no bound reaches the
         # p(c) <= alpha check: here c = n/2 + 1, where p(c) is near 1, and the walk must decide per term
-        cases = [(n, alpha, mode, tail) for n in (200, 1000, 20000) for alpha in (0.05, 1e-3, 1e-8)
+        cases = [(n, (alpha,), mode, tail) for n in (200, 1000, 20000) for alpha in (0.05, 1e-3, 1e-8)
                  for mode in SelectionMode for tail in (ONE, TWO)]
         want = [_select_walk(*case) for case in cases]
 
@@ -294,12 +299,8 @@ class TestSelection:
 
     @staticmethod
     def _check_against_reference(n, alpha, mode, tail):
-        want = oracles.reference_walk(n, alpha, mode.value, tail is TWO)
-        if want is None:
-            with pytest.raises(InfeasibleError):
-                _select_walk(n, alpha, mode, tail)
-            return
-        assert _select_walk(n, alpha, mode, tail) == want, (n, alpha, mode, tail)
+        want = oracles.reference_walk(n, alpha, mode.value, tail is TWO)  # None where no s attains alpha
+        assert _select_walk(n, (alpha,), mode, tail) == [want], (n, alpha, mode, tail)
 
     def test_tie_breaks_to_larger_s(self):
         # alpha exactly midway between p(10,9) = 22/1024 and p(10,8) = 112/1024;

@@ -155,6 +155,14 @@ class TestSweepCommand:
             want = f"error: {message} {path!r}: No such file or directory\n"
             assert run_cli(capsys, "sweep", *argv) == (code, "", want)
 
+    def test_a_grid_file_that_is_not_utf8_is_named(self, capsys, tmp_path):
+        # a UTF-16 byte-order mark: the codec's error escaped with no path
+        grid = tmp_path / "grid.json"
+        grid.write_bytes(b"\xff\xfe[\x002\x000\x00]\x00")
+        want = (f"error: cannot read grid file {str(grid)!r}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                "invalid start byte\n")
+        assert run_cli(capsys, "sweep", "--grid", str(grid)) == (2, "", want)
+
     def test_grid_file_must_hold_integers(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('["twenty"]')

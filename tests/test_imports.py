@@ -68,7 +68,7 @@ def test_the_package_exports_exactly_what_its_modules_export():
 
 
 def test_sweep_report_takes_two_private_kernel_names():
-    # the kernel owns selection and the crossing scan; sweep cells call _select_walk directly, because
+    # the kernel owns selection and the crossing scan; run_sweep calls _select_walk once per n, because
     # perfbench/test_perfbench.py asserts sweep_report._select_walk is binomial_kernel._select_walk
     tree = ast.parse((PACKAGE / "sweep_report.py").read_text(encoding="utf-8"))
     private = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom) and node.module == "binomial_kernel"

@@ -190,7 +190,20 @@ class TestRunSweep:
         run_sweep(SweepGrid())
         assert calls == []
         rows = run_sweep(SweepGrid(n_values=(4, 20), alphas=(0.05,)))
-        assert [r.feasible for r in rows] == [False, True] and len(calls) == 1  # the error message's p
+        assert [r.feasible for r in rows] == [False, True] and calls == []  # the walk's None has no message
+
+    def test_one_walk_call_per_n(self, monkeypatch):
+        # the walk picks for every alpha of an n at once: 15 calls on the default grid, not 15 x 4
+        calls = []
+
+        def spy(n, alphas, *args):
+            calls.append((n, alphas))
+            return _select_walk(n, alphas, *args)
+
+        monkeypatch.setattr(sweep_report, "_select_walk", spy)
+        grid = SweepGrid()
+        run_sweep(grid)
+        assert calls == [(n, grid.alphas) for n in grid.n_values]
 
     def test_strict_mode_marks_infeasible_instead_of_raising(self):
         rows = run_sweep(SweepGrid(n_values=(4,), alphas=(0.05,), mode=SelectionMode.STRICT_AT_MOST_ALPHA))
@@ -300,14 +313,14 @@ class TestMarch:
         # every n up to 800, then a seeded sample of the rest
         rng = random.Random(f"{alpha}/{mode.value}/{tail.value}")
         ns = [n for n in feasible if n <= 800] + rng.sample([n for n in feasible if n > 800], 25)
-        assert [got[n] for n in ns] == [_select_walk(n, alpha, mode, tail)[0] for n in ns]
+        assert [got[n] for n in ns] == [_select_walk(n, (alpha,), mode, tail)[0][0] for n in ns]
 
     @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
     @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("alpha", [0.5, 0.75, 0.95])
     def test_matches_the_walk_where_s_sits_just_above_half_n(self, alpha, mode, tail):
         got = {n: s for n, s, _ in _march(alpha, mode, tail, 400)}
-        assert got == {n: _select_walk(n, alpha, mode, tail)[0]
+        assert got == {n: _select_walk(n, (alpha,), mode, tail)[0][0]
                        for n in range(1, 401) if min_attainable_p(n, tail) <= alpha}
 
     @pytest.mark.parametrize("n, s", [(1000, 532), (999, 531), (2000, 1046), (3000, 1560)])
@@ -323,7 +336,8 @@ class TestMarch:
             walked.clear()
             got = {m: s for m, s, _ in _march(alpha, mode, tail, n)}[n]
             assert n in walked
-            assert got == _select_walk(n, alpha, mode, tail)[0]
+            assert walked.count(n) == 1  # one walk, in the scan's own mode
+            assert got == _select_walk(n, (alpha,), mode, tail)[0][0]
 
     def test_walks_only_at_anchors(self, walked):
         # the first feasible n and every 1024 steps; a thin-margin hand-over is rare
@@ -343,14 +357,14 @@ class TestMarch:
     @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
     @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
     def test_anchor_tail_is_log_upper_tail_bit_for_bit(self, monkeypatch, mode, tail):
-        # every anchor's T = p / c takes p from the strict walk's own terms, and p is p_value's;
-        # thin margins (alpha = p(1000, 532)) add hand-over walks
+        # every walk's T = p / c (less the pick's term where a nearest pick lies below the strict s) takes
+        # p from the walk's own terms, and p is p_value's; thin margins (alpha = p(1000, 532)) add hand-over walks
         anchors = []
 
         def spy(n, *args):
-            s, p = _select_walk(n, *args)
+            [(s, p)] = picks = _select_walk(n, *args)
             anchors.append((n, s, p))
-            return s, p
+            return picks
 
         monkeypatch.setattr(binomial_kernel, "_select_walk", spy)
         for alpha in (0.05, 1e-6, p_value(BinomialOutcome(1000, 532), tail)):
@@ -360,11 +374,13 @@ class TestMarch:
             for n, s, p in anchors:
                 assert p == p_value(BinomialOutcome(n, s), tail), (alpha, n, s)
 
-    def test_nearest_hand_overs_at_ties_read_the_strict_walks_terms(self, lgamma_calls):
-        # p((n+1)/2) = .5 exactly at every odd n, so one-sided nearest mode hands over at each of them;
-        # the hand-over reads the anchor's list: 547,363 calls where it built its own
+    def test_nearest_hand_overs_at_ties_walk_once_per_n(self, walked, lgamma_calls):
+        # p((n+1)/2) = .5 exactly at every odd n, so one-sided nearest mode hands over at each of them,
+        # with one walk in nearest mode: 750 walks and 277,413 lgamma calls (a strict walk and a nearest
+        # one made 1,500 walks; with a list of its own, the nearest one made 547,363 calls)
         assert find_crossing(0.5, 0.9999, SelectionMode.NEAREST_TO_ALPHA, TailConvention.ONE_SIDED_UPPER,
                              n_max=1500) is None
+        assert len(walked) <= 760
         assert lgamma_calls() <= 300_000
 
     def test_lgamma_calls_per_scanned_n(self, lgamma_calls):
