@@ -22,6 +22,17 @@ MAX_SHAPE = 1e6
 _FLOAT_MAX = sys.float_info.max
 
 
+class _Checked:
+    """Base of a checked NamedTuple record: _make, hence _replace and copy.replace, builds through the checks in
+    the record's __new__, not around them."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 def _shown(x) -> str:
     """repr(x), or for a str of more than 30 characters its length, and for an int of more than 30 digits its digit
     count: such a value would fill a message, and an int's str() fails past 4300 digits."""

@@ -9,10 +9,9 @@ so no quadrature happens at runtime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from ._checks import MAX_SHAPE, _check_instance, _check_positive, _check_unit
+from ._checks import MAX_SHAPE, _Checked, _check_instance, _check_positive, _check_unit
 from .binomial_kernel import (
     BinomialOutcome,
     SelectionMode,
@@ -30,16 +29,15 @@ __all__ = [
     "evidence_at_threshold",
 ]
 
-@dataclass(frozen=True)
-class BetaPrior:
+class BetaPrior(_Checked, NamedTuple("BetaPrior", [("a", float), ("b", float)])):
     """Beta(a, b) shape pair for the alternative's success probability; each shape in (0, MAX_SHAPE]."""
 
-    a: float
-    b: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_positive(self.a, "prior shape a", MAX_SHAPE)
-        _check_positive(self.b, "prior shape b", MAX_SHAPE)
+    def __new__(cls, a: float, b: float):
+        _check_positive(a, "prior shape a", MAX_SHAPE)
+        _check_positive(b, "prior shape b", MAX_SHAPE)
+        return super().__new__(cls, a, b)
 
     @classmethod
     def uniform(cls) -> "BetaPrior":
@@ -47,8 +45,7 @@ class BetaPrior:
         return cls(1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class EvidenceReport:
+class EvidenceReport(NamedTuple):
     """Everything the null-vs-alternative comparison yields for one outcome.
 
     bf01 and posterior_odds_h1 (= 1/bf01) depend on the data and prior only;

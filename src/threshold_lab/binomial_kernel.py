@@ -21,11 +21,10 @@ where a margin is thin.  The tail routines take n <= MAX_N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from ._checks import MAX_N, _check_instance, _check_n, _check_real, _check_unit, _shown
+from ._checks import MAX_N, _Checked, _check_instance, _check_n, _check_real, _check_unit, _shown
 
 __all__ = [
     "BinomialOutcome",
@@ -48,27 +47,26 @@ class InfeasibleError(ValueError):
     """No success count can satisfy the requested significance constraint."""
 
 
-@dataclass(frozen=True)
-class BinomialOutcome:
+class BinomialOutcome(_Checked, NamedTuple("BinomialOutcome", [("n", int), ("s", int)])):
     """n trials, s successes; n at most 1e305."""
 
-    n: int
-    s: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_n(self.n, limit=1e305)  # lgamma(n + 1), the ln n! in ln L0, overflows a float near 2.56e305
-        if not isinstance(self.s, int) or isinstance(self.s, bool) or not 0 <= self.s <= self.n:
-            raise ValueError(f"success count s must be an integer in [0, {_shown(self.n)}], got {_shown(self.s)}")
+    def __new__(cls, n: int, s: int):
+        _check_n(n, limit=1e305)  # lgamma(n + 1), the ln n! in ln L0, overflows a float near 2.56e305
+        if not isinstance(s, int) or isinstance(s, bool) or not 0 <= s <= n:
+            raise ValueError(f"success count s must be an integer in [0, {_shown(n)}], got {_shown(s)}")
+        return super().__new__(cls, n, s)
 
 
-@dataclass(frozen=True)
-class BinomialModel:
+class BinomialModel(_Checked, NamedTuple("BinomialModel", [("theta", float)])):
     """Success probability theta in [0, 1]; the null model is theta = 0.5."""
 
-    theta: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_real(self.theta, "theta", "a real number in [0, 1]", lambda t: 0.0 <= t <= 1.0)
+    def __new__(cls, theta: float):
+        _check_real(theta, "theta", "a real number in [0, 1]", lambda t: 0.0 <= t <= 1.0)
+        return super().__new__(cls, theta)
 
 
 class TailConvention(Enum):

@@ -68,11 +68,11 @@ def _cmd_posterior(args: argparse.Namespace) -> dict:
     outcome = BinomialOutcome(args.n, args.s)
     report = posterior_h0(outcome, BetaPrior(args.prior_a, args.prior_b), args.pi0)
     return {
-        **vars(outcome),
+        **outcome._asdict(),
         "prior_a": args.prior_a,
         "prior_b": args.prior_b,
         "pi0": args.pi0,
-        **vars(report),
+        **report._asdict(),
     }
 
 
@@ -127,7 +127,7 @@ def _cmd_crossing(args: argparse.Namespace) -> dict:
 
 
 def _cmd_prep(args: argparse.Namespace) -> dict:
-    return vars(p_rep(args.p))
+    return p_rep(args.p)._asdict()
 
 
 def _cmd_power(args: argparse.Namespace) -> dict:
@@ -138,7 +138,7 @@ def _cmd_power(args: argparse.Namespace) -> dict:
     if args.show_power_at is not None:
         power_at = {"n": args.show_power_at, "power": achieved_power(args.show_power_at, design)}
     return {
-        **vars(design),
+        **design._asdict(),
         "required_n": n,
         "achieved_power": achieved_power(n, design),
         "power_at": power_at,

@@ -9,10 +9,10 @@ N=98 for alpha=.05 and N=137 for alpha=.01 (two-sided would give 107/146).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from ._checks import _FLOAT_MAX, _check_instance, _check_n, _check_pair, _check_positive, _check_real, _check_unit
+from ._checks import (_FLOAT_MAX, _Checked, _check_instance, _check_n, _check_pair, _check_positive, _check_real,
+                      _check_unit)
 from .bayes_evidence import BetaPrior, _exp_or_inf, evidence_at_threshold
 from .binomial_kernel import SelectionMode, TailConvention
 from .gaussian_numerics import normal_cdf, normal_quantile
@@ -20,23 +20,20 @@ from .gaussian_numerics import normal_cdf, normal_quantile
 __all__ = ["ZTestDesign", "DiagnosticityGain", "required_n", "achieved_power", "diagnosticity_gain"]
 
 
-@dataclass(frozen=True)
-class ZTestDesign:
+class ZTestDesign(_Checked, NamedTuple("ZTestDesign", [("mu0", float), ("mu_alt", float), ("sigma", float),
+                                                       ("alpha", float), ("beta", float)])):
     """mu0/mu_alt/sigma plus the error budget (alpha, beta)."""
 
-    mu0: float
-    mu_alt: float
-    sigma: float
-    alpha: float
-    beta: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        mu0, mu_alt = _check_real(self.mu0, "mu0"), _check_real(self.mu_alt, "mu_alt")
-        _check_positive(self.sigma, "sigma")
-        if mu_alt == mu0:
+    def __new__(cls, mu0: float, mu_alt: float, sigma: float, alpha: float, beta: float):
+        m0, m1 = _check_real(mu0, "mu0"), _check_real(mu_alt, "mu_alt")
+        _check_positive(sigma, "sigma")
+        if m1 == m0:
             raise ValueError("mu_alt must differ from mu0 (zero effect has no power curve)")
-        _check_unit(self.alpha, "alpha")
-        _check_unit(self.beta, "beta")
+        _check_unit(alpha, "alpha")
+        _check_unit(beta, "beta")
+        return super().__new__(cls, mu0, mu_alt, sigma, alpha, beta)
 
     @property
     def effect(self) -> float:

@@ -9,7 +9,7 @@ on the same side of zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._checks import _check_unit
 from .gaussian_numerics import normal_cdf, normal_quantile
@@ -19,8 +19,7 @@ __all__ = ["PrepReport", "p_rep"]
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class PrepReport:
+class PrepReport(NamedTuple):
     p_in: float
     p_rep: float
     failure_prob: float

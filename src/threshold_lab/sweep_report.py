@@ -13,10 +13,9 @@ import csv
 import json
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple
 
-from ._checks import _check_instance, _check_n, _check_real, _check_unit, _shown
+from ._checks import _Checked, _check_instance, _check_n, _check_real, _check_unit, _shown
 from .bayes_evidence import BetaPrior, _prior_or_uniform, _scorer, posterior_h0
 from .binomial_kernel import BinomialOutcome, SelectionMode, TailConvention, _march, _select_walk
 
@@ -44,34 +43,33 @@ _COLUMNS = {"alpha": (float, False), "n": (int, False), "s_selected": (int, True
             "log_bf01": (float, True), "posterior_h0": (float, True), "mode": (str, False), "tail": (str, False)}
 _CHOICES = {"mode": {m.value for m in SelectionMode}, "tail": {t.value for t in TailConvention}}
 
-@dataclass(frozen=True)
-class SweepGrid:
-    """Grid definition: which n values, which alphas, and how cells are scored."""
+class SweepGrid(_Checked, NamedTuple("SweepGrid", [("n_values", tuple[int, ...]), ("alphas", tuple[float, ...]),
+                                                   ("mode", SelectionMode), ("tail", TailConvention),
+                                                   ("prior", BetaPrior)])):
+    """Grid definition: which n values, which alphas, and how cells are scored (a None prior is the flat one)."""
 
-    n_values: tuple[int, ...] = DEFAULT_N_VALUES
-    alphas: tuple[float, ...] = DEFAULT_ALPHAS
-    mode: SelectionMode = SelectionMode.NEAREST_TO_ALPHA
-    tail: TailConvention = TailConvention.TWO_SIDED_SYMMETRIC
-    prior: BetaPrior = BetaPrior(1.0, 1.0)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "n_values", tuple(_check_n(n, "n_values entries") for n in self.n_values))
-        object.__setattr__(self, "alphas", tuple(_check_unit(a, "alphas entries") for a in self.alphas))
-        object.__setattr__(self, "prior", _prior_or_uniform(self.prior))
-        if not self.n_values:
+    def __new__(cls, n_values: Iterable[int] = DEFAULT_N_VALUES, alphas: Iterable[float] = DEFAULT_ALPHAS,
+                mode: SelectionMode = SelectionMode.NEAREST_TO_ALPHA,
+                tail: TailConvention = TailConvention.TWO_SIDED_SYMMETRIC, prior: BetaPrior | None = None):
+        n_values = tuple(_check_n(n, "n_values entries") for n in n_values)
+        alphas = tuple(_check_unit(a, "alphas entries") for a in alphas)
+        prior = _prior_or_uniform(prior)
+        if not n_values:
             raise ValueError("n_values must be non-empty")
-        if any(a >= b for a, b in zip(self.n_values, self.n_values[1:])):
-            raise ValueError(f"n_values must be strictly increasing, got {self.n_values}")
-        if not self.alphas:
+        if any(a >= b for a, b in zip(n_values, n_values[1:])):
+            raise ValueError(f"n_values must be strictly increasing, got {n_values}")
+        if not alphas:
             raise ValueError("alphas must be non-empty")
-        if any(a <= b for a, b in zip(self.alphas, self.alphas[1:])):
-            raise ValueError(f"alphas must be strictly decreasing, got {self.alphas}")
-        _check_instance(self.mode, SelectionMode, "mode")
-        _check_instance(self.tail, TailConvention, "tail")
+        if any(a <= b for a, b in zip(alphas, alphas[1:])):
+            raise ValueError(f"alphas must be strictly decreasing, got {alphas}")
+        _check_instance(mode, SelectionMode, "mode")
+        _check_instance(tail, TailConvention, "tail")
+        return super().__new__(cls, n_values, alphas, mode, tail, prior)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One (alpha, n) cell.  Infeasible cells keep their place in the grid
     with the four result fields set to None rather than being dropped."""
 
@@ -171,14 +169,14 @@ def _fmt_real(x: float) -> str:
 
 
 def _quantize(obj):
-    """Round every float in a JSON payload (through dicts and lists) to 12
+    """Round every float in a JSON payload (through dicts, lists and tuples, records included) to 12
     significant digits; float(_fmt_real(x)) is a fixed point of this map.
     A non-finite float becomes None (null): RFC 8259 JSON has no inf or nan."""
     if isinstance(obj, float):
         return float(_fmt_real(obj)) if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _quantize(v) for k, v in obj.items()}
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         return [_quantize(v) for v in obj]
     return obj
 
@@ -193,7 +191,7 @@ def dump_json(payload, fh: IO[str]) -> None:
 def emit(rows: Iterable[SweepRow], format: str, destination) -> None:
     """Serialize rows to CSV or JSON at `destination` (path or open text file).
 
-    CSV: mandatory header, columns exactly as in the row type plus mode/tail,
+    CSV: mandatory header, one column per SweepRow field in field order,
     reals at 12 significant digits, rows in the order given.  JSON: an array
     of objects with the same field names.  I/O failures on a path are
     re-raised with the destination attached.
@@ -204,13 +202,12 @@ def emit(rows: Iterable[SweepRow], format: str, destination) -> None:
     try:
         with nullcontext(destination) if is_file else open(destination, "w", encoding="utf-8", newline="") as fh:
             if format == "json":
-                dump_json([{c: getattr(r, c) for c in _COLUMNS} for r in rows], fh)
+                dump_json([r._asdict() for r in rows], fh)
             else:
                 writer = csv.writer(fh, lineterminator="\n")
                 writer.writerow(_COLUMNS)
-                for r in rows:
-                    values = [getattr(r, c) for c in _COLUMNS]  # csv writes None as "", an int or a str as str()
-                    writer.writerow([_fmt_real(v) if isinstance(v, float) else v for v in values])
+                for r in rows:  # csv writes None as "", an int or a str as str()
+                    writer.writerow([_fmt_real(v) if isinstance(v, float) else v for v in r])
     except OSError as exc:
         if is_file:
             raise

@@ -14,6 +14,7 @@ from threshold_lab import BinomialOutcome, TailConvention, p_rep, p_value
 from threshold_lab.cli import build_parser, parse_and_dispatch
 
 import reference
+from check import check
 from workloads import WORKLOADS, make_plan
 
 COMMANDS = ["posterior", "critical", "sweep", "crossing", "prep", "power", "diagnosticity"]
@@ -392,6 +393,7 @@ def test_json_output_matches_golden(capsys, golden, golden_file, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == ""
     assert out == golden(golden_file)
+    assert check(argv, 0, out) is None
 
 
 def _check_script_runs(command, golden, **kwargs):

@@ -1,7 +1,11 @@
-"""Every module-level import in the package is used, or re-exported through __all__, and every module-level
-private name is used somewhere in the package."""
+"""Every module-level import in the package is used, or re-exported through __all__, every module-level
+private name is used somewhere in the package, and importing the CLI loads only light standard modules."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -106,3 +110,15 @@ def test_the_check_sees_an_unused_private_name():
     tree = ast.parse("import os\n_A = 1\n_B, _C = 2, _A\ndef _f(): pass\nclass _K: pass\ndef g(): return _K, os._x\n")
     assert private_definitions(tree) == {"_A", "_B", "_C", "_f", "_K"}
     assert private_definitions(tree) - references(tree) == {"_B", "_C", "_f"}
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    # dataclasses pulled in inspect, ast, dis and tokenize on every CLI call; compared with the modules loaded
+    # before the import, since site may load inspect itself
+    script = ("import json, sys; before = set(sys.modules); import threshold_lab.cli; "
+              "print(json.dumps(sorted(set(sys.modules) - before)))")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, check=True,
+                            env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    added = {name.split(".")[0] for name in json.loads(result.stdout)} - {"threshold_lab"}
+    assert not {"dataclasses", "inspect"} & added
+    assert added <= sys.stdlib_module_names

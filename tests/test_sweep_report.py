@@ -454,6 +454,12 @@ class TestEmitAndParse:
         assert len(lines) == 2
         assert lines[1] == "0.05,20,15,0.041389465332,-1.16956783934,0.236933108226,nearest,two"
 
+    def test_a_record_in_a_json_payload_is_rounded_like_any_float(self):
+        # records are tuples, which json.dump writes as arrays; their floats get the same 12 digits
+        fh = io.StringIO()
+        sweep_report.dump_json({"prior": BetaPrior(0.1 + 0.2, 1.0), "pair": (1 / 3,)}, fh)
+        assert json.loads(fh.getvalue()) == {"prior": [0.3, 1.0], "pair": [0.333333333333]}
+
     def test_infeasible_row_serializes_with_empty_fields(self):
         rows = run_sweep(SweepGrid(n_values=(4,), alphas=(0.0001,)))
         assert csv_text(rows).splitlines()[1] == "0.0001,4,,,,,nearest,two"
