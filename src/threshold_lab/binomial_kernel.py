@@ -201,55 +201,47 @@ def _select_walk(n: int, alphas: tuple[float, ...], mode: SelectionMode, tail: T
     _tail_start cut-off above its Chernoff point c: O(sqrt(n)) terms, read for
     k = top, top-1, ... from one list for all the walks, grown on demand; top is
     the walk start of the last alpha, the smallest, as the alphas strictly decrease.
-    p strictly increases as s decreases, which justifies the strict bookkeeping
-    and the early break.  Certified prefix: every true p from c up is at most
-    alpha.  If the sum folded to c in one pass gives p <= alpha and the first p
-    is normal, ln p grows by log1p(1/m) or more a step (m <= 7 sqrt(n) + 10),
-    so deciding at every term would leave both picks at c and best_d =
-    alpha - p(c); a larger nearest pick, kept where alpha - p rounds alike,
-    lasts to the end only if (n + 1)(m + 1) > 2**52.  So the walk decides per
-    term below c only.  The tail is folded from the list in _log_upper_tail's
-    order, so p is bit-equal to p_value.
+    p never falls as s decreases, so a walk stops at the first p above alpha: the
+    strict s is the one before it, and the nearest s is the strict s or s - 1,
+    whichever p lies nearer alpha, ties to the strict s, the rule _march applies.
+    Certified prefix: every true p from c up is at most alpha.  Where the sum
+    folded to c in one pass gives p <= alpha, the first p above alpha lies below
+    c by monotonicity, so the walk decides per term below c only.  The tail is
+    folded from the list in _log_upper_tail's order, so p is bit-equal to p_value.
     """
     exp, log1p, shift = math.exp, math.log1p, _shift(tail)
+    nearest = mode is SelectionMode.NEAREST_TO_ALPHA
     top, terms, picks = _walk_start(n, alphas[-1], shift)[1], [], []
     # the list grows in chunks that run sqrt(n)/2 + 1 terms past the term needed, never to n/2: walks
-    # break 0.2 to 0.6 sqrt(n) below c for alpha in [1e-10, .5], so the first chunk holds most of them
+    # break 0.2 to 0.6 sqrt(n) below c for alpha in [1e-10, .5], so the first chunk, built past the
+    # first alpha's c, the smallest, holds every prefix and most walks
     step = 2 + (math.isqrt(n) >> 1)
+    terms += _log_terms(n, top, max(_walk_start(n, alphas[0], shift)[0] - step, n // 2))
     for alpha in alphas:
         c, k = _walk_start(n, alpha, shift)
-        acc, best_i, best_d, strict_i = -math.inf, 0, math.inf, None
-        if top - len(terms) >= c:
-            terms += _log_terms(n, top - len(terms), c - step if c - step > n // 2 else n // 2)
-        end = len(terms)
+        acc, strict_i = -math.inf, None
         i = top - k  # terms[i] is the term of k = top - i; the walk tracks s by its index
         folded = _log_sum(terms[i:top - c + 1])  # k >= c: the prefix holds one term or more
         p = exp(shift + folded)
         # Hoeffding's c gives p <= alpha on every input tried (alpha/p(c) >= 1.98 over all n < 3000, 300 n to
         # 1e7, 13 alphas, both tails); the check stays, as the prefix rests on p(c) as folded, not as bounded
-        if p <= alpha and exp(shift + terms[i]) >= 2.0**-1022:  # a normal first p
-            acc, best_d, strict_i, best_i, i = folded, alpha - p, top - c, top - c, top - c + 1
+        if p <= alpha:
+            acc, strict_i, below, i = folded, top - c, p, top - c + 1
         for i in range(i, top - n // 2):
-            if i == end:  # the list ran out above n/2
-                terms += _log_terms(n, top - i, top - i - step if top - i - step > n // 2 else n // 2)
-                end = len(terms)
+            if i == len(terms):  # the list ran out above n/2
+                terms += _log_terms(n, top - i, max(top - i - step, n // 2))
             term = terms[i]
             acc = term + log1p(exp(acc - term)) if term > acc else acc + log1p(exp(term - acc))
             p = exp(shift + acc)
-            if p > 1.0:
-                p = 1.0  # min(1.0, p) as p_value clamps, without a builtin call per term
-            if p <= alpha:
-                strict_i = i  # overwritten while descending: ends at the smallest such s
-            d = abs(p - alpha)
-            if d < best_d:  # strict '<' breaks ties toward the larger s / smaller p
-                best_i, best_d = i, d
-            elif p > alpha:
-                break  # past alpha the distance only grows
+            if p > alpha:
+                p = min(1.0, p)  # as p_value clamps; a p at or below alpha < 1 needs no clamp
+                break
+            strict_i, below = i, p  # overwritten while descending: ends at the smallest s with p <= alpha
         if strict_i is None:  # in either mode; top = n here, and the fold of k = n alone is min_attainable_p
             picks.append(None)
             continue
-        s = top - (strict_i if mode is SelectionMode.STRICT_AT_MOST_ALPHA else best_i)
-        start = _tail_start(n, s)  # the tail's cut-off passes top only where s passes c, and p underflows
+        s = top - strict_i - (nearest and p > alpha and p - alpha < alpha - below)
+        start = _tail_start(n, s)  # the tail's cut-off passes top only where s passes c: where p(c) exceeds alpha
         log_tail = _log_sum(terms[top - start:top - s + 1]) if start <= top else _log_upper_tail(n, s)
         picks.append((s, _tail_p(log_tail, tail)))
     return picks
@@ -263,8 +255,9 @@ def select_barely_significant(
 ) -> CriticalValue:
     """Success count in (n/2, n] whose p-value sits at the significance threshold.
 
-    NEAREST_TO_ALPHA minimizes |p_value(s) - alpha| (ties to the larger s);
-    STRICT_AT_MOST_ALPHA returns the smallest s with p_value(s) <= alpha.  Both
+    STRICT_AT_MOST_ALPHA returns the smallest s with p_value(s) <= alpha;
+    NEAREST_TO_ALPHA returns that s or s - 1 (where s - 1 > n/2), whichever
+    p_value lies nearer alpha, ties to the strict s.  Both
     raise InfeasibleError when even s = n stays above alpha (_select_walk's None).
     p_achieved is _select_walk's fold, bit-equal to p_value by construction.
     """

@@ -30,16 +30,27 @@ def expected():
     return lambda name: (EXPECTED_DIR / name).read_bytes().decode("utf-8")
 
 
-@pytest.fixture
-def lgamma_calls(monkeypatch):
-    """Counts math.lgamma calls from here to the end of the test; call it to read the count."""
+def _counted(monkeypatch, name):
+    """Counts calls to math.<name> from here to the end of the test; call the result to read the count."""
     calls = 0
-    lgamma = math.lgamma
+    func = getattr(math, name)
 
     def counted(x):
         nonlocal calls
         calls += 1
-        return lgamma(x)
+        return func(x)
 
-    monkeypatch.setattr(math, "lgamma", counted)
+    monkeypatch.setattr(math, name, counted)
     return lambda: calls
+
+
+@pytest.fixture
+def lgamma_calls(monkeypatch):
+    """Counts math.lgamma calls from here to the end of the test; call it to read the count."""
+    return _counted(monkeypatch, "lgamma")
+
+
+@pytest.fixture
+def log1p_calls(monkeypatch):
+    """Counts math.log1p calls, one per term a tail fold adds, as lgamma_calls counts lgamma."""
+    return _counted(monkeypatch, "log1p")

@@ -34,27 +34,24 @@ def reference_walk(n: int, alpha: float, mode: str, two_sided: bool = True) -> t
     """The float selection walk that decides at every term, from the cut-off above the Chernoff
     point down, as the library walked before it folded its certified prefix in one pass.
 
-    Returns (s, p), p from the tail folded from the cut-off above s down to s, or None where
-    no p folded is at most alpha, in either mode.  Same floats as the library, so a pick must
-    match it exactly.
+    It stops at the first p above alpha: the strict s is the one before it, and the nearest s is
+    the strict s or s - 1, whichever p lies nearer alpha, ties to the strict s.  Returns (s, p), p
+    from the tail folded from the cut-off above s down to s, or None where no p folded is at most
+    alpha, in either mode.  Same floats as the library, so a pick must match it exactly.
     """
     shift = math.log(2.0) if two_sided else 0.0
     lg, w = math.lgamma(n + 1), n * math.log(2.0)
     zb = math.sqrt(-2.0 * (math.log(alpha) - shift))
-    acc, best_s, best_d, strict_s = -math.inf, n, math.inf, None
+    acc, strict_s = -math.inf, None
     for k in range(_cutoff(n, math.ceil(n / 2.0 + zb * math.sqrt(n) / 2.0)), n // 2, -1):
         acc = _fold(acc, _upper_term(n, k, lg, w))
         p = min(1.0, math.exp(shift + acc))
-        if p <= alpha:
-            strict_s = k
-        d = abs(p - alpha)
-        if d < best_d:
-            best_s, best_d = k, d
-        elif p > alpha:
+        if p > alpha:
             break
+        strict_s, below = k, p
     if strict_s is None:
         return None
-    s = strict_s if mode == "strict" else best_s
+    s = strict_s - (mode != "strict" and p > alpha and p - alpha < alpha - below)
     acc = -math.inf
     for k in range(_cutoff(n, s), s - 1, -1):
         acc = _fold(acc, _upper_term(n, k, lg, w))

@@ -270,13 +270,14 @@ class TestSelection:
     @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
     def test_walk_matches_the_per_term_reference(self, mode, tail):
         # every n <= 400, with and without a certified prefix: none where c reaches n (small n,
-        # tiny alpha); the large-n test below reaches the prefixes refused for a subnormal first p
+        # tiny alpha); the large-n test below reaches the subnormal plateaus, runs of equal float p
         for alpha in (0.9, 0.5, 0.25, 0.05, 1e-3, 1e-10, 1e-300, 1e-310, 5e-324):
             for n in range(1, 401):
                 self._check_against_reference(n, alpha, mode, tail)
 
     def test_walk_matches_the_per_term_reference_at_large_n(self):
-        # three cases in ten have alpha 1e-300 or below; above n = 1,400 or so their first p is subnormal
+        # three cases in ten have alpha 1e-300 or below; above n = 1,400 or so their walks start at a
+        # subnormal p, and at 1e-310 and 5e-324 they decide on a plateau of equal subnormal p
         rng = random.Random(15)
         for _ in range(500):
             n = int(math.exp(rng.uniform(0.0, math.log(10**6))))
@@ -286,7 +287,8 @@ class TestSelection:
 
     def test_a_start_below_the_answer_is_not_folded_as_certified(self, monkeypatch):
         # Hoeffding's c keeps p(c) near alpha/2 or below, so only a start that is no bound reaches the
-        # p(c) <= alpha check: here c = n/2 + 1, where p(c) is near 1, and the walk must decide per term
+        # p(c) <= alpha check: here c = n/2 + 1, where p(c) is near 1, and the walk must decide per term;
+        # its picks lie above c, so their tails pass the list's top and come from _log_upper_tail
         cases = [(n, (alpha,), mode, tail) for n in (200, 1000, 20000) for alpha in (0.05, 1e-3, 1e-8)
                  for mode in SelectionMode for tail in (ONE, TWO)]
         want = [_select_walk(*case) for case in cases]
@@ -436,6 +438,12 @@ class TestTailCutoff:
         # would make ~2e6, and a second pass re-deriving p_achieved ~12,000 more
         assert 0 < lgamma_calls() <= 14_000
 
+    def test_a_tiny_alpha_folds_its_certified_prefix_in_one_pass(self, log1p_calls):
+        # 12,085 calls, one per term folded (12,327 at alpha .001); a walk that decided per term from its
+        # start wherever the first p was subnormal made 18,097
+        select_barely_significant(10**6, 1e-300)
+        assert 0 < log1p_calls() <= 13_000
+
     def test_default_sweep_computes_each_term_once_per_n(self, lgamma_calls):
         # 8,075 calls: one list of terms per n serves all four alphas; scoring each cell on its
         # own made 27,270
@@ -479,6 +487,23 @@ class TestSelectionContract:
                     select_barely_significant(n, alpha, mode, tail)
             else:
                 assert select_barely_significant(n, alpha, mode, tail).s == want, (n, alpha, mode, tail)
+
+    def test_nearest_is_the_strict_s_or_the_one_below(self):
+        # the walk stops at the first p above alpha and picks one of its two neighbours, as _march and
+        # reference.select do; a running best |p - alpha| kept its own start on a plateau of equal p
+        for alpha in (0.5, 0.05, 1e-3, 1e-300, 1e-320, 1e-322, 1e-323, 5e-324):
+            for tail in (ONE, TWO):
+                for n in range(1, 1201):
+                    strict = _select_walk(n, (alpha,), SelectionMode.STRICT_AT_MOST_ALPHA, tail)[0]
+                    nearest = _select_walk(n, (alpha,), SelectionMode.NEAREST_TO_ALPHA, tail)[0]
+                    assert (nearest is None) == (strict is None), (n, alpha, tail)
+                    assert strict is None or strict[0] - nearest[0] in (0, 1), (n, alpha, tail, strict, nearest)
+
+    def test_nearest_on_a_subnormal_plateau_matches_the_exact_reference(self):
+        # p is 0.0 as a float from s = 2239 up (exactly .294 alpha there) and 1e-323 at 2238 (1.773 alpha):
+        # the strict s is nearer alpha; the running-best walk returned its start, 2608
+        s = select_barely_significant(2610, 5e-324, SelectionMode.NEAREST_TO_ALPHA, ONE).s
+        assert s == reference.select(2610, 5e-324, False, False) == 2239
 
 
 class TestTrialCountLimit:

@@ -155,11 +155,12 @@ class TestDiagnosticityGain:
         assert gain.ratio == pytest.approx(1.05e-133, rel=1e-2)
         assert diagnosticity_gain((0.05, 2000), (0.05, 200), prior=prior).ratio == math.inf
         assert diagnosticity_gain((0.05, 200), (0.05, 2000), prior=prior).ratio == 0.0
-        # a subnormal alpha at n = 1e6 and 2e6: ln BF01 is -734.5 and -734.2, so both odds overflow to inf
-        # and odds_b / odds_a would be inf / inf = nan
+        # a subnormal alpha at n = 1e6 and 2e6: ln BF01 is -733.5 and -733.2, so both odds overflow to inf
+        # and odds_b / odds_a would be inf / inf = nan.  The picks, 519,236 and 1,027,205, have float p 5e-324
+        # and the next s down 1e-323; their exact p is 1.451 alpha and 1.473 alpha
         gain = diagnosticity_gain((5e-324, 10**6), (5e-324, 2 * 10**6))
         assert gain.odds_a == gain.odds_b == math.inf
-        assert gain.ratio == pytest.approx(0.712047336517, rel=1e-11)
+        assert gain.ratio == pytest.approx(0.688724906693, rel=1e-11)
         s_a, s_b = (evidence_at_threshold(n, 5e-324).s for n in (10**6, 2 * 10**6))
         exact = reference.evidence(2 * 10**6, s_b)["odds_h1"] / reference.evidence(10**6, s_a)["odds_h1"]
         assert gain.ratio == pytest.approx(float(exact), rel=1e-8)  # the pmf's relative error at n = 1e6 is 2e-9

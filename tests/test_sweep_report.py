@@ -305,7 +305,7 @@ class TestMarch:
 
     @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
     @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
-    @pytest.mark.parametrize("alpha", [0.2, 0.05, 0.02, 0.01, 0.001, 1e-4])
+    @pytest.mark.parametrize("alpha", [0.2, 0.05, 0.02, 0.01, 0.001, 1e-4, 1e-323, 5e-324])
     def test_matches_the_walk(self, alpha, mode, tail):
         got = {n: s for n, s, _ in _march(alpha, mode, tail, 6000)}
         feasible = [n for n in range(1, 6001) if min_attainable_p(n, tail) <= alpha]
