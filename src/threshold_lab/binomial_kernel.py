@@ -6,11 +6,12 @@ involved is Binomial(n, theta); p-values are always evaluated under the null
 theta = 0.5.
 
 A sign-test tail costs O(sqrt(n)) terms, not O(n): for s >= n/2 it starts at
-a cut-off ceil(6 sqrt(n)) + 10 terms above s, and the mass above the cut-off
-is below 2**-60 of the mass it keeps, far under half an ulp of the sum.  A
-one-sided tail below n/2 is the complement 1 - P(X >= n - s + 1), so every
-term summed lies at or above n/2 (at n = 1e6, 12,023 lgamma calls at s =
-499,000 and 1 at s = 0).  The selection walk starts at the cut-off too and
+the cut-off ceil(n/2 + sqrt((s - n/2)^2 + (n/2) L)) + 2, L = 60 ln 2 +
+ln(1 + sqrt(n / (480 ln 2))), which comes nearer s as s moves above n/2; the
+mass above it is below 2**-60 of the mass it keeps, far under half an ulp of
+the sum.  A one-sided tail below n/2 is the complement 1 - P(X >= n - s + 1),
+so every term summed lies at or above n/2 (at n = 1e6, 7,765 lgamma calls at
+s = 499,000 and 1 at s = 0).  The selection walk starts at the cut-off too and
 folds one list of terms per n, grown on demand, down to a Chernoff point,
 above which every p is at most alpha; each alpha's p is folded from that list,
 bit-equal to p_value.  find_crossing's scan over n (_march) bounds the walk's
@@ -140,10 +141,19 @@ def _log_sum(terms: list[float]) -> float:
     return acc
 
 
+_L60 = 60.0 * _LN2  # ln 2**60: the skipped mass of a tail is below 2**-60 of the kept mass
+
+
 def _tail_start(n: int, s: int) -> int:
-    # Certified cut-off for s >= n/2: above s the terms fall as pmf(s+j)/pmf(s) <= exp(-j^2/(n/2+j)), so the mass
-    # above this index is below 2**-60 of the mass from s up to it (checked with exact integers in the tests).
-    return min(n, s + math.ceil(6.0 * math.sqrt(n)) + 10)
+    # Certified cut-off for s >= n/2, with m = n/2, d = s - m and J = start - s.  For k = m + y >= s,
+    # pmf(k+1)/pmf(k) <= (1 - y/m)/(1 + y/m) <= exp(-2y/m), so the mass above start is at most
+    # pmf(s) exp(-(J+1)(2d+J)/m) (1 + m/(2(d+J+1))).  With (d+J)^2 >= d^2 + mL below, (J+1)(2d+J) >= mL and
+    # d + J + 1 >= sqrt(60 m ln 2), so that mass is below 2**-60 of the kept mass (checked with exact integers
+    # in the tests); the + 2 covers rounding.  L does not depend on s, so the cut-off never falls as s grows, as
+    # _select_walk needs, and for n <= MAX_N it stays within s + ceil(6 sqrt(n)) + 10, as _march's tol assumes.
+    m = 0.5 * n
+    L = _L60 + math.log1p(math.sqrt(m / (4.0 * _L60)))
+    return min(n, math.ceil(m + math.sqrt((s - m) ** 2 + m * L)) + 2)
 
 
 def _log_upper_tail(n: int, s: int) -> float:

@@ -18,7 +18,11 @@ from scipy import integrate, special
 # --- the per-term selection walk -------------------------------------------
 
 def _cutoff(n: int, s: int) -> int:
-    return min(n, max(s, n // 2) + math.ceil(6.0 * math.sqrt(n)) + 10)
+    # the first index summed for a tail from s >= n/2: its distance x from the mode n/2 solves
+    # x^2 = (s - n/2)^2 + (n/2) L, L = ln 2**60 + ln(1 + sqrt(n / (480 ln 2))), rounded up and padded by 2
+    half, budget = n / 2.0, 60.0 * math.log(2.0)
+    ln_bound = budget + math.log1p(math.sqrt(half / (4.0 * budget)))
+    return min(n, math.ceil(half + math.sqrt((s - half) ** 2 + half * ln_bound)) + 2)
 
 
 def _upper_term(n: int, k: int, lg: float, w: float) -> float:

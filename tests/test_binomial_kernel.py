@@ -400,6 +400,29 @@ class TestTailCutoff:
             # skipped mass is at most first_skipped / (1 - r) = first_skipped (c+2) / (2c+3-n)
             assert first_skipped * (c + 2) * 2**60 < kept * (2 * c + 3 - n), (n, s, c)
 
+    def test_skipped_mass_is_below_2_to_minus_60_of_kept_at_every_s_for_small_n(self):
+        # the exact skipped and kept masses, from suffix sums of C(n, k), at every s in [ceil(n/2), n]
+        for n in range(1, 601):
+            above = [0] * (n + 2)  # above[k] = sum of C(n, j) over j >= k
+            for k in range(n, -1, -1):
+                above[k] = above[k + 1] + math.comb(n, k)
+            for s in range((n + 1) // 2, n + 1):
+                c = _tail_start(n, s)
+                assert above[c + 1] * 2**60 < above[s] - above[c + 1], (n, s, c)
+
+    def test_cutoff_never_falls_as_s_grows_nor_passes_the_fixed_width_one(self):
+        # _select_walk's fallback to _log_upper_tail stays unreachable only while the cut-off never falls as s
+        # grows, and _march's tolerance counts at most 7 sqrt(n) + 10 walk steps: the fixed-width cut-off
+        # s + ceil(6 sqrt(n)) + 10 that this one replaced bounds it
+        for n in sorted({*range(1, 200), *(round(10 ** (x / 20)) for x in range(46, 141)), MAX_N}):
+            lo, width = (n + 1) // 2, math.ceil(6.0 * math.sqrt(n)) + 10
+            steps = {round(math.exp(x / 8)) for x in range(0, math.ceil(8 * math.log(n + 1)))}
+            ss = sorted({s for s in (*range(lo, lo + 300), *(lo + d for d in steps), n) if lo <= s <= n})
+            starts = [_tail_start(n, s) for s in ss]
+            assert starts == sorted(starts), n
+            for s, start in zip(ss, starts):
+                assert s < start <= min(n, s + width) or start == s == n, (n, s, start)
+
     def test_p_value_bit_equal_to_full_sum(self):
         # a tail at or above n/2 is the full sum to the last bit; a one-sided tail below n/2 is the complement of
         # the tail above n - s, whose fold of every term from n down would lose up to 1e-10 where p is near 1
@@ -420,11 +443,12 @@ class TestTailCutoff:
 
     @pytest.mark.parametrize("s", [0, 499_000])
     def test_one_sided_p_value_far_below_half_sums_order_sqrt_n_terms(self, lgamma_calls, s):
-        # the complement of the tail above n - s: 1 call at s = 0, where that tail is empty, and 12,023 at
-        # s = 499,000.  Summing up to s = 0 made 1,012,023; the mirror-index sum of the terms below n/2 made
-        # 12,023 at either s and read 0.9999999994167044 at s = 0, and 5.8e-10 off the reference at 499,000
+        # the complement of the tail above n - s: 1 call at s = 0, where that tail is empty, and 7,765 at
+        # s = 499,000 (12,023 with the fixed-width cut-off s + ceil(6 sqrt(n)) + 10).  Summing up to s = 0 made
+        # 1,012,023; the mirror-index sum of the terms below n/2 made 12,023 at either s and read
+        # 0.9999999994167044 at s = 0, and 5.8e-10 off the reference at 499,000
         got = p_value(BinomialOutcome(10**6, s), ONE)
-        assert 0 < lgamma_calls() <= 12_100
+        assert 0 < lgamma_calls() <= 8_000
         if s == 0:
             assert got == 1.0
         else:
@@ -433,22 +457,23 @@ class TestTailCutoff:
 
     def test_large_n_selection_sums_order_sqrt_n_terms(self, lgamma_calls):
         select_barely_significant(10**6, 0.001)
-        # 13,025 calls: the walk from the cut-off above its Chernoff bound, whose
-        # terms (grown in chunks past the pick) also give p_achieved; an O(n) loop
-        # would make ~2e6, and a second pass re-deriving p_achieved ~12,000 more
-        assert 0 < lgamma_calls() <= 14_000
+        # 7,427 calls: the walk from the cut-off above its Chernoff bound, whose
+        # terms (grown in chunks past the pick) also give p_achieved; the fixed-width
+        # cut-off made 13,025, an O(n) loop would make ~2e6, and a second pass
+        # re-deriving p_achieved ~7,000 more
+        assert 0 < lgamma_calls() <= 8_000
 
     def test_a_tiny_alpha_folds_its_certified_prefix_in_one_pass(self, log1p_calls):
-        # 12,085 calls, one per term folded (12,327 at alpha .001); a walk that decided per term from its
-        # start wherever the first p was subnormal made 18,097
+        # 1,283 calls, one per term folded and one per cut-off (6,930 at alpha .001); the fixed-width cut-off
+        # made 12,085, and a walk that decided per term from its start wherever the first p was subnormal 18,097
         select_barely_significant(10**6, 1e-300)
-        assert 0 < log1p_calls() <= 13_000
+        assert 0 < log1p_calls() <= 1_500
 
     def test_default_sweep_computes_each_term_once_per_n(self, lgamma_calls):
-        # 8,075 calls: one list of terms per n serves all four alphas; scoring each cell on its
-        # own made 27,270
+        # 4,929 calls: one list of terms per n serves all four alphas; the fixed-width cut-off
+        # made 8,075, and scoring each cell on its own 27,270
         run_sweep(SweepGrid())
-        assert 0 < lgamma_calls() <= 10_000
+        assert 0 < lgamma_calls() <= 5_500
 
 
 def _select_by_bisection(n, alpha, mode, tail):

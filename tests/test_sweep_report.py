@@ -376,8 +376,9 @@ class TestMarch:
 
     def test_nearest_hand_overs_at_ties_walk_once_per_n(self, walked, lgamma_calls):
         # p((n+1)/2) = .5 exactly at every odd n, so one-sided nearest mode hands over at each of them,
-        # with one walk in nearest mode: 750 walks and 277,413 lgamma calls (a strict walk and a nearest
-        # one made 1,500 walks; with a list of its own, the nearest one made 547,363 calls)
+        # with one walk in nearest mode: 750 walks and 193,447 lgamma calls (277,413 with the fixed-width
+        # cut-off; a strict walk and a nearest one made 1,500 walks; with a list of its own, the nearest one
+        # made 547,363 calls)
         assert find_crossing(0.5, 0.9999, SelectionMode.NEAREST_TO_ALPHA, TailConvention.ONE_SIDED_UPPER,
                              n_max=1500) is None
         assert len(walked) <= 760
@@ -385,7 +386,7 @@ class TestMarch:
 
     def test_lgamma_calls_per_scanned_n(self, lgamma_calls):
         # lgamma(n+1) and the term of s-1 (3 calls) each n, 2 more when the pick is not s-1, none
-        # for the flat prior's score, plus the anchors' walks: 30,956 over 6,513 n, under 6 per n
+        # for the flat prior's score, plus the anchors' walks: 28,944 over 6,513 n, under 5 per n
         assert find_crossing(0.01, 0.7) == 6520
         assert lgamma_calls() <= 39_000
 
