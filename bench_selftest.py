@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import subprocess
 import sys
 import tempfile
 import unittest
 from pathlib import Path
+from unittest import mock
+
+import bench
 
 ROOT = Path(__file__).resolve().parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -88,6 +92,24 @@ class BenchScript(unittest.TestCase):
         done = _bench("--show", self._write("wrong.json", wrong))
         self.assertEqual(done.returncode, 1)
         self.assertIn("not correct", done.stderr)
+
+
+class ChildEnvironment(unittest.TestCase):
+    def test_run_py_starts_with_bytecode_writing_on(self):
+        # run.py's untimed first start writes the bytecode cache its set-up samples load; where the caller
+        # sets PYTHONDONTWRITEBYTECODE, bench.py drops it and keeps the rest of the environment
+        seen = {}
+        result = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
+
+        def run(cmd, **kwargs):
+            seen.update(kwargs["env"])
+            return subprocess.CompletedProcess(cmd, 0, f"facts {{}}\n{json.dumps(result)}\n", "")
+
+        with mock.patch.dict(os.environ, {"PYTHONDONTWRITEBYTECODE": "1", "BENCH_SELFTEST_KEPT": "yes"}), \
+                mock.patch.object(bench.subprocess, "run", run):
+            self.assertTrue(bench._run_once("point_queries", 1, 1, 0)["correct"])
+        self.assertNotIn("PYTHONDONTWRITEBYTECODE", seen)
+        self.assertEqual(seen["BENCH_SELFTEST_KEPT"], "yes")
 
 
 if __name__ == "__main__":

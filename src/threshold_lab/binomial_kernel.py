@@ -12,11 +12,14 @@ mass above it is below 2**-60 of the mass it keeps, far under half an ulp of
 the sum.  A one-sided tail below n/2 is the complement 1 - P(X >= n - s + 1),
 so every term summed lies at or above n/2 (at n = 1e6, 7,765 lgamma calls at
 s = 499,000 and 1 at s = 0).  The selection walk starts at the cut-off too and
-folds one list of terms per n, grown on demand, down to a Chernoff point,
-above which every p is at most alpha; each alpha's p is folded from that list,
-bit-equal to p_value.  find_crossing's scan over n (_march) bounds the walk's
-rounding once, for every n to N = n_max + _ANCHOR_EVERY, and hands over to it
-where a margin is thin.  The tail routines take n <= MAX_N.
+folds one list of terms per n, grown on demand, in one downward pass for every
+alpha: in one go down to a Chernoff point, above which every p is at most the
+smallest alpha, then term by term past each alpha's break; each pick's p is
+folded from that list, bit-equal to p_value.  find_crossing's scan over n
+(_march) bounds the walk's rounding once, for every n to N = n_max +
+_ANCHOR_EVERY, and hands over to it where a margin is thin; it reads each ln j!
+from a band of O(sqrt(n)) values, one lgamma call as s moves up, so a scanned n
+costs about 1.5 lgamma calls.  The tail routines take n <= MAX_N.
 """
 
 from __future__ import annotations
@@ -207,50 +210,68 @@ def _select_walk(n: int, alphas: tuple[float, ...], mode: SelectionMode, tail: T
     """One (s, p) per alpha, or None where no s attains it: the barely-significant s in (n/2, n], picked
     by walking s downward, and its p-value.
 
-    Each walk folds a running upper-tail sum, as _log_sum folds, from the
-    _tail_start cut-off above its Chernoff point c: O(sqrt(n)) terms, read for
-    k = top, top-1, ... from one list for all the walks, grown on demand; top is
-    the walk start of the last alpha, the smallest, as the alphas strictly decrease.
-    p never falls as s decreases, so a walk stops at the first p above alpha: the
-    strict s is the one before it, and the nearest s is the strict s or s - 1,
-    whichever p lies nearer alpha, ties to the strict s, the rule _march applies.
-    Certified prefix: every true p from c up is at most alpha.  Where the sum
-    folded to c in one pass gives p <= alpha, the first p above alpha lies below
-    c by monotonicity, so the walk decides per term below c only.  The tail is
-    folded from the list in _log_upper_tail's order, so p is bit-equal to p_value.
+    One pass folds a running upper-tail sum, as _log_sum folds, from top, the
+    _tail_start cut-off above the Chernoff point c of the last alpha, the smallest
+    (the alphas strictly decrease): O(sqrt(n)) terms, read for k = top, top-1, ...
+    from one list, grown on demand.  Every true p from c up is at most alpha, so
+    where the sum folded to c in one _log_sum gives p <= alpha, the pass decides
+    per term below c only.  p never falls as s decreases, so the pass notes each
+    alpha's break, the first p above it, the smallest alpha first: the strict s is
+    the one before it, and the nearest s is the strict s or s - 1, whichever p
+    lies nearer alpha, ties to the strict s, the rule _march applies.
+    The smallest alpha folds as a one-alpha call does.  A larger alpha's own walk
+    starts at its lower cut-off: the sums differ by the mass above it (below
+    2**-60 of alpha) and by at most eps (|ln p| + 2) of rounding per fold step in
+    each, so p differs by less than tol = 32 m (eps alpha (1 - ln alpha) + ulp(0)),
+    m = top - n/2.  Where a decision margin (alpha - p(s), p(s-1) - alpha, in
+    nearest mode their difference) is within tol, a one-alpha call picks, as
+    _march hands over.  The pick's tail is folded from the list in
+    _log_upper_tail's order, so p is bit-equal to p_value.
     """
     exp, log1p, shift = math.exp, math.log1p, _shift(tail)
     nearest = mode is SelectionMode.NEAREST_TO_ALPHA
-    top, terms, picks = _walk_start(n, alphas[-1], shift)[1], [], []
+    c, top = _walk_start(n, alphas[-1], shift)
     # the list grows in chunks that run sqrt(n)/2 + 1 terms past the term needed, never to n/2: walks
     # break 0.2 to 0.6 sqrt(n) below c for alpha in [1e-10, .5], so the first chunk, built past the
-    # first alpha's c, the smallest, holds every prefix and most walks
+    # first alpha's c, the largest alpha's, holds the prefix and most walks
     step = 2 + (math.isqrt(n) >> 1)
-    terms += _log_terms(n, top, max(_walk_start(n, alphas[0], shift)[0] - step, n // 2))
-    for alpha in alphas:
-        c, k = _walk_start(n, alpha, shift)
-        acc, strict_i = -math.inf, None
-        i = top - k  # terms[i] is the term of k = top - i; the walk tracks s by its index
-        folded = _log_sum(terms[i:top - c + 1])  # k >= c: the prefix holds one term or more
-        p = exp(shift + folded)
-        # Hoeffding's c gives p <= alpha on every input tried (alpha/p(c) >= 1.98 over all n < 3000, 300 n to
-        # 1e7, 13 alphas, both tails); the check stays, as the prefix rests on p(c) as folded, not as bounded
-        if p <= alpha:
-            acc, strict_i, below, i = folded, top - c, p, top - c + 1
-        for i in range(i, top - n // 2):
-            if i == len(terms):  # the list ran out above n/2
-                terms += _log_terms(n, top - i, max(top - i - step, n // 2))
-            term = terms[i]
-            acc = term + log1p(exp(acc - term)) if term > acc else acc + log1p(exp(term - acc))
-            p = exp(shift + acc)
-            if p > alpha:
-                p = min(1.0, p)  # as p_value clamps; a p at or below alpha < 1 needs no clamp
+    terms = _log_terms(n, top, max(_walk_start(n, alphas[0], shift)[0] - step, n // 2))
+    j, alpha = len(alphas) - 1, alphas[-1]  # the alpha the pass has yet to break, the smallest left
+    acc, strict_i, below, i, breaks = -math.inf, None, None, 0, []
+    folded = _log_sum(terms[:top - c + 1])  # k >= c: the prefix holds one term or more
+    p = exp(shift + folded)
+    # Hoeffding's c gives p <= alpha on every input tried (alpha/p(c) >= 1.98 over all n < 3000, 300 n to
+    # 1e7, 13 alphas, both tails); the check stays, as the prefix rests on p(c) as folded, not as bounded
+    if p <= alpha:
+        acc, strict_i, below, i = folded, top - c, p, top - c + 1
+    for i in range(i, top - n // 2):
+        if i == len(terms):  # the list ran out above n/2
+            terms += _log_terms(n, top - i, max(top - i - step, n // 2))
+        term = terms[i]
+        acc = term + log1p(exp(acc - term)) if term > acc else acc + log1p(exp(term - acc))
+        p = exp(shift + acc)
+        if p > alpha:
+            while j >= 0 and p > alphas[j]:  # each alpha this p passes: (strict s's index, its p, the break's p)
+                breaks.append((strict_i, below, min(1.0, p)))  # as p_value clamps; p <= alpha < 1 needs none
+                j -= 1
+            if j < 0:
                 break
-            strict_i, below = i, p  # overwritten while descending: ends at the smallest s with p <= alpha
+            alpha = alphas[j]
+        strict_i, below = i, p  # overwritten while descending: ends at the smallest s with p <= alpha
+    breaks += [(strict_i, below, None)] * (j + 1)  # no p above these alphas down to n/2
+    picks, m = [], top - n // 2
+    for alpha, (strict_i, below, p) in zip(alphas, reversed(breaks)):
+        d1 = math.inf if strict_i is None else alpha - below
+        d2 = math.inf if p is None else p - alpha
+        if alpha > alphas[-1]:
+            tol = 32.0 * m * (math.ulp(1.0) * alpha * (1.0 - math.log(alpha)) + math.ulp(0.0))
+            if min(d1, d2) <= tol or nearest and abs(d2 - d1) <= tol:
+                picks += _select_walk(n, (alpha,), mode, tail)
+                continue
         if strict_i is None:  # in either mode; top = n here, and the fold of k = n alone is min_attainable_p
             picks.append(None)
             continue
-        s = top - strict_i - (nearest and p > alpha and p - alpha < alpha - below)
+        s = top - strict_i - (nearest and d2 < d1)
         start = _tail_start(n, s)  # the tail's cut-off passes top only where s passes c: where p(c) exceeds alpha
         log_tail = _log_sum(terms[top - start:top - s + 1]) if start <= top else _log_upper_tail(n, s)
         picks.append((s, _tail_p(log_tail, tail)))
@@ -303,37 +324,48 @@ def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int):
     m = 7 sqrt(N) + 10 + _ANCHOR_EVERY, N = n_max + _ANCHOR_EVERY, taken once per scan;
     the largest difference seen (n to 2e5, alpha to 1e-100) is tol/16 at N = n + _ANCHOR_EVERY.
     The scan yields the walk's pick there; elsewhere a sure margin makes s the strict threshold,
-    whatever pick set it: too large an s leaves d2 <= tol, too small an s d1 <= tol.  Other n cost O(1).
+    whatever pick set it: too large an s leaves d2 <= tol, too small an s d1 <= tol.  Other n cost O(1):
+    every ln j! = lgamma(j+1) the terms read has j in [n - s, s], and n - s never falls between walks,
+    so a band from n - s - 2 at the last walk up to s, O(sqrt(n) + _ANCHOR_EVERY) floats, holds them,
+    one lgamma more as s moves up, each bit-equal to a fresh call.  (A table of every ln j! to n saves
+    6% more calls for 32 B a scanned n: 320 MB at MAX_N.)
     """
     c = 2.0 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 1.0
     nearest = mode is SelectionMode.NEAREST_TO_ALPHA
-    lgamma, exp = math.lgamma, math.exp
+    inf, lgamma, exp = math.inf, math.lgamma, math.exp
     top = n_max + _ANCHOR_EVERY
     m = 7.0 * math.sqrt(top) + 10.0 + _ANCHOR_EVERY
     tol = 32.0 * (math.ulp(1.0) * alpha * (lgamma(top + 1) + m * (1.0 - math.log(alpha))) + m * math.ulp(0.0))
-    first = anchor = next((n for n in range(1, n_max + 1) if min_attainable_p(n, tail) <= alpha), n_max + 1)
-    for n in range(first, n_max + 1):
-        lg, w = lgamma(n + 1), n * _LN2
-        fresh = n == first or n - anchor >= _ANCHOR_EVERY
+    due = next((n for n in range(1, n_max + 1) if min_attainable_p(n, tail) <= alpha), n_max + 1)
+    band, off, hi = [], 0, 0  # band[j - off] = lgamma(j + 1), ln j!, for j in [off, hi): n - s - 2 or above up to s
+    for n in range(due, n_max + 1):
+        lg, w, half = lgamma(n + 1), n * _LN2, n // 2
+        fresh = n >= due
         if not fresh:
             T += 0.5 * pm1
-            moved = c * T > alpha or s <= n // 2
+            moved = c * T > alpha or s <= half
             s += moved
         while True:
             if fresh:
                 [(pick, p)] = _select_walk(n, (alpha,), mode, tail)
-                anchor, moved, T = n, p > alpha, p / c
+                due, moved, T = n + _ANCHOR_EVERY, p > alpha, p / c
                 s = pick + moved
+                cut = max(0, n - s - 2) - off  # n - s never falls between walks, so ln j! below n - s - 2 goes
+                band, off = band[cut:] if cut >= 0 else [], off + cut  # a cut below 0, never seen, refills
+                hi = off + len(band)
+            while hi <= s:  # one entry as s moves up; a walk's s may need more
+                band.append(lgamma(hi + 1))
+                hi += 1
             lo = s - 1 if 2 * s - 2 <= n else n - s + 1  # log_choose's lower argument
-            log_pm1 = lg - lgamma(lo + 1) - lgamma(n - lo + 1) - w
+            log_pm1 = lg - band[lo - off] - band[n - lo - off] - w
             pm1 = exp(log_pm1)
             if moved:
                 T -= pm1
             d1 = alpha - c * T
-            d2 = c * (T + pm1) - alpha if s - 1 > n // 2 else math.inf  # the walk stops above n/2
+            d2 = c * (T + pm1) - alpha if s - 1 > half else inf  # the walk stops above n/2
             sure = d1 > tol and d2 > tol and (not nearest or abs(d2 - d1) > tol)
             if sure or fresh:
                 break
             fresh = True
         pick = pick if fresh else s - (nearest and d2 < d1)
-        yield n, pick, log_pm1 if pick == s - 1 else lg - lgamma(n - pick + 1) - lgamma(pick + 1) - w  # pick > n/2
+        yield n, pick, log_pm1 if pick == s - 1 else lg - band[n - pick - off] - band[pick - off] - w  # pick > n/2

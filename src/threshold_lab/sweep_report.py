@@ -130,9 +130,10 @@ def find_crossing(
     First-touch semantics: jitter makes "every later n stays above" ill-posed,
     so the answer is the first n whose posterior touches the level.  Every n
     where some success count attains alpha is scored as evidence_at_threshold
-    scores it, by one forward scan (_march) with O(1) work per n (about five lgamma calls);
-    the cost is linear in the answer, or in n_max when no n up to n_max touches the level
-    and None is returned (about 0.06 s at n_max = 20000 on a 2-core Xeon).
+    scores it, by one forward scan (_march) with O(1) work per n (about 1.5 lgamma calls,
+    from an O(sqrt(n)) band of ln j!); the cost is linear in the answer, or in n_max when no
+    n up to n_max touches the level and None is returned (about 0.06 s at n_max = 20000 on a
+    2-core Xeon).
     """
     alpha = _check_unit(alpha, "alpha")
     level = _check_unit(level, "level")

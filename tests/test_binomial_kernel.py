@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from threshold_lab import (
+    DEFAULT_ALPHAS,
+    DEFAULT_N_VALUES,
     BinomialModel,
     BinomialOutcome,
     InfeasibleError,
@@ -299,6 +302,38 @@ class TestSelection:
         monkeypatch.setattr(binomial_kernel, "_walk_start", low_start)
         assert [_select_walk(*case) for case in cases] == want
 
+    @pytest.mark.parametrize("tail", [ONE, TWO], ids=lambda t: t.value)
+    @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
+    def test_one_pass_picks_what_one_alpha_calls_pick(self, monkeypatch, mode, tail):
+        # every subset of the default alphas at every default n: one pass gives each one-alpha call's (s, p)
+        one = {(n, a): _select_walk(n, (a,), mode, tail)[0] for n in DEFAULT_N_VALUES for a in DEFAULT_ALPHAS}
+        for n in DEFAULT_N_VALUES:
+            for size in range(1, len(DEFAULT_ALPHAS) + 1):
+                for alphas in itertools.combinations(DEFAULT_ALPHAS, size):
+                    assert _select_walk(n, alphas, mode, tail) == [one[n, a] for a in alphas], (n, alphas)
+        # thin margins: a larger alpha set to the pass's own p at its break, or at the index before it, leaves
+        # alpha - p(s) at 0, and halfway between the two leaves nearest mode's two margins equal; there the
+        # pass must hand that alpha over to a one-alpha call, and nowhere else
+        handed = []
+
+        def spy(n, alphas, *args):
+            handed.append(alphas)
+            return _select_walk(n, alphas, *args)
+
+        monkeypatch.setattr(binomial_kernel, "_select_walk", spy)
+        small, shift = DEFAULT_ALPHAS[-1], _shift(tail)
+        for n in DEFAULT_N_VALUES:
+            top = _walk_start(n, small, shift)[1]
+            ps = [math.exp(shift + acc) for acc in itertools.accumulate(_log_terms(n, top, n // 2), _fold)]
+            for big in DEFAULT_ALPHAS[:-1]:
+                i = next(i for i, p in enumerate(ps) if p > big)
+                for alpha, thin in ((ps[i], True), (ps[i - 1], True),
+                                    ((ps[i - 1] + ps[i]) / 2, mode is SelectionMode.NEAREST_TO_ALPHA)):
+                    want = [_select_walk(n, (alpha,), mode, tail)[0], one[n, small]]
+                    handed.clear()
+                    assert _select_walk(n, (alpha, small), mode, tail) == want, (n, alpha)
+                    assert handed == ([(alpha,)] if thin else []), (n, alpha)
+
     @staticmethod
     def _check_against_reference(n, alpha, mode, tail):
         want = oracles.reference_walk(n, alpha, mode.value, tail is TWO)  # None where no s attains alpha
@@ -368,6 +403,11 @@ class TestSelection:
             select_barely_significant(10, 0.0)
         with pytest.raises(ValueError):
             select_barely_significant(10, 1.0)
+
+
+def _fold(acc, term):
+    """One step of the kernel's tail fold, as _log_sum and the selection walk take it."""
+    return term + math.log1p(math.exp(acc - term)) if term > acc else acc + math.log1p(math.exp(term - acc))
 
 
 def _full_log_tail(n, s):
@@ -474,6 +514,12 @@ class TestTailCutoff:
         # made 8,075, and scoring each cell on its own 27,270
         run_sweep(SweepGrid())
         assert 0 < lgamma_calls() <= 5_500
+
+    def test_default_sweep_folds_each_term_once_per_n(self, log1p_calls):
+        # 9,614 calls: one pass per n folds the terms down to the largest alpha's break, and each pick
+        # folds its own p_achieved; a prefix fold and a walk for each alpha made 14,953
+        run_sweep(SweepGrid())
+        assert 0 < log1p_calls() <= 10_000
 
 
 def _select_by_bisection(n, alpha, mode, tail):

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -376,19 +377,32 @@ class TestMarch:
 
     def test_nearest_hand_overs_at_ties_walk_once_per_n(self, walked, lgamma_calls):
         # p((n+1)/2) = .5 exactly at every odd n, so one-sided nearest mode hands over at each of them,
-        # with one walk in nearest mode: 750 walks and 193,447 lgamma calls (277,413 with the fixed-width
-        # cut-off; a strict walk and a nearest one made 1,500 walks; with a list of its own, the nearest one
-        # made 547,363 calls)
+        # with one walk in nearest mode: 750 walks and 187,491 lgamma calls (193,447 when the scan took
+        # its ln j! afresh each n, 277,413 with the fixed-width cut-off; a strict walk and a nearest one
+        # made 1,500 walks; with a list of its own, the nearest one made 547,363 calls)
         assert find_crossing(0.5, 0.9999, SelectionMode.NEAREST_TO_ALPHA, TailConvention.ONE_SIDED_UPPER,
                              n_max=1500) is None
         assert len(walked) <= 760
         assert lgamma_calls() <= 300_000
 
     def test_lgamma_calls_per_scanned_n(self, lgamma_calls):
-        # lgamma(n+1) and the term of s-1 (3 calls) each n, 2 more when the pick is not s-1, none
-        # for the flat prior's score, plus the anchors' walks: 28,944 over 6,513 n, under 5 per n
+        # lgamma(n+1) each n and one ln j! for the band each time s moves up, about every other n: the
+        # terms of s-1 and of the pick read the band, the flat prior's score takes none, and the anchors'
+        # walks add theirs: 12,570 over 6,513 n, under 2 per n (28,944 when each n took its ln j! afresh)
         assert find_crossing(0.01, 0.7) == 6520
-        assert lgamma_calls() <= 39_000
+        assert lgamma_calls() <= 14_000
+
+    def test_scan_memory_is_order_sqrt_n(self):
+        # the band holds ln j! for j in [n - s - 2, s], trimmed at each anchor: under 800 floats to
+        # n = 10,000 and a 42 KB peak; a table of every ln j! up to n, 32 B a scanned n, peaks at 171 KB
+        find_crossing(0.01, 0.9999, n_max=100)  # imports and first-call caches stay out of the peak
+        tracemalloc.start()
+        try:
+            assert find_crossing(0.01, 0.9999, n_max=10_000) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100_000
 
 
 def min_p_feasible(n):
