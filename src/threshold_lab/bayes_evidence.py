@@ -111,6 +111,35 @@ def _scorer(prior: BetaPrior | None, pi0: float):
     return score
 
 
+def _ln_bf_floor(prior: BetaPrior | None, pi0: float, level: float) -> float:
+    """A floor under ln(L0 (n + 1)), L0 = exp(log_l0), at every (n, s, log_l0) with n <= MAX_N that
+    _scorer(prior, pi0) scores at level or above; -inf for a prior that is not flat, and for level = ulp(0).
+
+    Under the flat prior ln L1 = -log(n + 1), as ln B(1, 1) = lgamma(1) + lgamma(1) - lgamma(2) is +0
+    (C99 Annex F), so ln BF01 = ln(L0 (n + 1)), and the posterior reaches lo exactly where ln BF01 >=
+    T = ln odds + ln(lo / (1 - lo)), ln odds = ln((1 - pi0) / pi0).  With eps = 2**-52, the floor gives way
+    to score's roundings:
+    - the logistic.  exp errs by at most eps relative, or ulp(0) absolute where it is subnormal, and the sum
+      and the quotient by eps/2 each, so a posterior that rounds to level or above is the rounding of an
+      exact logistic of score's d of at least lo = (level - ulp(0)) (1 - 4 eps).  In d that costs about
+      4 eps / (1 - level) near level -> 1 (2 at level = 1 - 2**-53) and about ulp(0) / level at a subnormal
+      level; at level = ulp(0), lo = 0 bounds nothing.  (Where lo is subnormal, the product rounds back to
+      level - ulp(0): at most 4 eps in ln lo, inside the margin below.)
+    - d = ln odds - (l0 - l1), l0 - l1 and log(n + 1), which round by eps/2, eps/2 and eps of their sizes.
+      Near the floor d is near ln((1 - lo) / lo) and l0 - l1 near T, and ln(n + 1) < 17, so each size is
+      below S = |ln odds| + |ln lo| + |ln(1 - lo)| + 64: 2 eps S in all.
+    - T itself, from two logs and two sums, 3 eps S, and the floor's own subtraction, eps S.
+    So 8 eps S under the float T is a floor.  _march adds the rounding of its own bound.
+    """
+    prior = _prior_or_uniform(prior)
+    eps = math.ulp(1.0)
+    lo = (level - math.ulp(0.0)) * (1.0 - 4.0 * eps)
+    if prior.a != 1.0 or prior.b != 1.0 or lo <= 0.0:
+        return -math.inf
+    log_prior_odds, log_lo, log_hi = math.log1p(-pi0) - math.log(pi0), math.log(lo), math.log1p(-lo)
+    return log_prior_odds + (log_lo - log_hi) - 8.0 * eps * (abs(log_prior_odds) + abs(log_lo) - log_hi + 64.0)
+
+
 def _exp_or_inf(x: float) -> float:
     try:
         return math.exp(x)

@@ -19,7 +19,9 @@ folded from that list, bit-equal to p_value.  find_crossing's scan over n
 (_march) bounds the walk's rounding once, for every n to N = n_max +
 _ANCHOR_EVERY, and hands over to it where a margin is thin; it reads each ln j!
 from a band of O(sqrt(n)) values, one lgamma call as s moves up, so a scanned n
-costs about 1.5 lgamma calls.  The tail routines take n <= MAX_N.
+costs about 1.5 lgamma calls.  Given a floor under ln(L0 (n + 1)), the scan yields
+only the n whose bound at s - 1 reaches it, so find_crossing scores only the n
+near its level.  The tail routines take n <= MAX_N.
 """
 
 from __future__ import annotations
@@ -307,9 +309,10 @@ def select_barely_significant(
 _ANCHOR_EVERY = 1024
 
 
-def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int):
-    """(n, s, ln L0) for each n in 1 .. n_max at which alpha is attainable: s is _select_walk's
-    pick, ln L0 _log_term(n, s)'s expression with lgamma(n+1) and n ln 2 taken once per n.
+def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int, floor: float = -math.inf):
+    """(n, s, ln L0) for each n in 1 .. n_max at which alpha is attainable and ln(L0 (n+1)) may reach
+    floor: s is _select_walk's pick, ln L0 _log_term(n, s)'s expression with lgamma(n+1) and n ln 2
+    taken once per n.
 
     One forward scan carries the strict threshold s (the smallest s > n/2 with
     p <= alpha) and T = P_n(X >= s) in linear space: T += pmf_{n-1}(s-1)/2,
@@ -329,17 +332,28 @@ def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int):
     so a band from n - s - 2 at the last walk up to s, O(sqrt(n) + _ANCHOR_EVERY) floats, holds them,
     one lgamma more as s moves up, each bit-equal to a fresh call.  (A table of every ln j! to n saves
     6% more calls for 32 B a scanned n: 320 MB at MAX_N.)
+
+    A floor yields only the n where B = lgamma(n+2) - ln(s-1)! - ln(n-s+1)! - n ln 2, that is
+    ln(pmf(s-1) (n+1)), reaches floor - 64 eps lgamma(N+1).  As s > n/2, pmf(s) = pmf(s-1) (n-s+1)/s
+    <= pmf(s-1), so B bounds the ln(L0 (n+1)) of either pick, s or s - 1.  lgamma(n+2) is the next
+    n's lgamma(n+1), taken once and carried, so B costs no call.  B and the pick's ln L0 each take
+    three lgamma values (each within 8 ulps), n ln 2 (an ulp) and three roundings, all of size at
+    most lgamma(N+1): 2 (24 + 1 + 3/2) = 53 < 64 ulps of it (2e-6 at MAX_N; the largest excess seen,
+    n_max to 20000, is 1.7).  The default floor, -inf, yields every feasible n.
     """
     c = 2.0 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 1.0
     nearest = mode is SelectionMode.NEAREST_TO_ALPHA
     inf, lgamma, exp = math.inf, math.lgamma, math.exp
     top = n_max + _ANCHOR_EVERY
     m = 7.0 * math.sqrt(top) + 10.0 + _ANCHOR_EVERY
-    tol = 32.0 * (math.ulp(1.0) * alpha * (lgamma(top + 1) + m * (1.0 - math.log(alpha))) + m * math.ulp(0.0))
+    eps, lg_top = math.ulp(1.0), lgamma(top + 1)  # lg_top bounds every lgamma the scan takes, lgamma(n + 2) too
+    tol = 32.0 * (eps * alpha * (lg_top + m * (1.0 - math.log(alpha))) + m * math.ulp(0.0))
+    floor -= 64.0 * eps * lg_top
     due = next((n for n in range(1, n_max + 1) if min_attainable_p(n, tail) <= alpha), n_max + 1)
     band, off, hi = [], 0, 0  # band[j - off] = lgamma(j + 1), ln j!, for j in [off, hi): n - s - 2 or above up to s
+    lg1 = lgamma(due + 1)
     for n in range(due, n_max + 1):
-        lg, w, half = lgamma(n + 1), n * _LN2, n // 2
+        lg, lg1, w, half = lg1, lgamma(n + 2), n * _LN2, n // 2  # lgamma(n + 2) is the next n's lgamma(n + 1)
         fresh = n >= due
         if not fresh:
             T += 0.5 * pm1
@@ -357,7 +371,8 @@ def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int):
                 band.append(lgamma(hi + 1))
                 hi += 1
             lo = s - 1 if 2 * s - 2 <= n else n - s + 1  # log_choose's lower argument
-            log_pm1 = lg - band[lo - off] - band[n - lo - off] - w
+            ln_lo, ln_hi = band[lo - off], band[n - lo - off]
+            log_pm1 = lg - ln_lo - ln_hi - w
             pm1 = exp(log_pm1)
             if moved:
                 T -= pm1
@@ -367,5 +382,7 @@ def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int):
             if sure or fresh:
                 break
             fresh = True
+        if lg1 - ln_lo - ln_hi - w < floor:  # ln(L0 (n + 1)) at s - 1 bounds the pick's: below the floor, skip n
+            continue
         pick = pick if fresh else s - (nearest and d2 < d1)
         yield n, pick, log_pm1 if pick == s - 1 else lg - band[n - pick - off] - band[pick - off] - w  # pick > n/2

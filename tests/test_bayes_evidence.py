@@ -19,7 +19,7 @@ from threshold_lab import (
 )
 
 from threshold_lab._checks import MAX_SHAPE
-from threshold_lab.bayes_evidence import _prior_or_uniform, _scorer
+from threshold_lab.bayes_evidence import _ln_bf_floor, _prior_or_uniform, _scorer
 from threshold_lab.binomial_kernel import _log_term
 
 import oracles
@@ -233,3 +233,25 @@ class TestSharedScorer:
             assert (log_l0, *got) == (report.log_l0, report.log_l1, report.posterior_h0), (n, s, prior, pi0)
             assert got == _full_bracket_score(n, s, float(prior.a), float(prior.b), pi0), (n, s, prior, pi0)
         assert flat >= 500
+
+    def test_crossing_floor_lies_under_every_score_that_reaches_the_level(self):
+        # find_crossing skips n whose ln(L0 (n + 1)) lies below _ln_bf_floor, so no posterior that rounds to
+        # the level or above may lie below it: here from subnormal posteriors (ln BF01 near -745) to 1 - 2**-53
+        # (near +37), at levels equal to the posterior and one float below.  The float log(n + 1) errs by an
+        # ulp, far inside the floor's margin; without the margin, 1,249 of these 9,621 levels fail.
+        rng = random.Random(30)
+        for i in range(5000):
+            n, pi0 = rng.randrange(1, 10**7), 0.5 if i % 2 else rng.uniform(0.01, 0.99)
+            ln_bf = rng.uniform(*rng.choice([(-746.0, 38.0), (-746.0, -700.0), (30.0, 38.0)]))
+            log_l0 = ln_bf - math.log(n + 1)
+            post = _scorer(None, pi0)(n, n, log_l0)[1]
+            for level in {math.nextafter(post, 0.0), post} - {0.0, 1.0}:
+                floor = _ln_bf_floor(BetaPrior(1, 1), pi0, level)
+                assert math.fsum([log_l0, math.log(n + 1)]) >= floor, (n, pi0, level)
+
+    def test_crossing_floor_is_off_where_it_bounds_nothing(self):
+        # a prior that is not flat has an lgamma bracket the floor does not bound; level = ulp(0) is reached
+        # by any posterior that rounds above 0
+        assert _ln_bf_floor(BetaPrior(2, 3), 0.5, 0.5) == _ln_bf_floor(BetaPrior(1, 0.5), 0.5, 0.5) == -math.inf
+        assert _ln_bf_floor(None, 0.5, 5e-324) == -math.inf < _ln_bf_floor(None, 0.5, 1e-323)
+        assert -1e-12 < _ln_bf_floor(None, 0.5, 0.5) == _ln_bf_floor(BetaPrior(1, 1), 0.5, 0.5) < 0.0

@@ -29,6 +29,7 @@ from threshold_lab import (
 )
 
 from threshold_lab import binomial_kernel, sweep_report
+from threshold_lab.bayes_evidence import _scorer
 from threshold_lab.binomial_kernel import _log_term, _march, _select_walk
 
 import reference
@@ -247,17 +248,57 @@ class TestFindCrossing:
         # posterior .4026 at n = 36; no power of two up to 40 reaches .4
         assert find_crossing(0.05, 0.4, n_max=40) == 36
 
+    @pytest.mark.parametrize("prior", [None, BetaPrior(2, 3), BetaPrior(0.5, 0.5), BetaPrior(1, 1)],
+                             ids=lambda p: "default" if p is None else f"beta{p.a}-{p.b}")
     @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
     @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
-    def test_first_touch_over_every_n_for_every_n_max(self, mode, tail):
-        # ground truth by brute force: every feasible n <= 150 scored through evidence_at_threshold
+    def test_first_touch_over_every_n_for_every_n_max(self, mode, tail, prior):
+        # ground truth by brute force: every feasible n <= 150 scored through evidence_at_threshold; the flat
+        # prior, by default or given, takes the floored scan, and any other prior scores every n
         for alpha in (0.05, 0.01):
-            post = [(n, evidence_at_threshold(n, alpha, mode, tail).report.posterior_h0)
+            post = [(n, evidence_at_threshold(n, alpha, mode, tail, prior).report.posterior_h0)
                     for n in range(1, 151) if min_attainable_p(n, tail) <= alpha]
-            for level in (0.2, 0.3, 0.4, 0.5, 0.6):
+            for level in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6):
                 for n_max in (40, 90, 150):
                     want = next((n for n, x in post if n <= n_max and x >= level), None)
-                    assert find_crossing(alpha, level, mode, tail, n_max=n_max) == want
+                    assert find_crossing(alpha, level, mode, tail, prior, n_max) == want
+
+    @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
+    @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
+    def test_floored_scan_finds_what_scoring_every_n_finds(self, mode, tail):
+        # levels equal to a posterior the scan scores, or one float either side, are where rounding decides;
+        # there a floor without its margin skips touches in nearest mode (16 to 26 of the 2,438 searches)
+        score = _scorer(None, 0.5)
+        for alpha in (0.3, 0.05, 0.01, 0.001, 1e-10, 1e-300, 5e-324):
+            post = [(n, score(n, s, log_l0)[1]) for n, s, log_l0 in _march(alpha, mode, tail, 2500)]
+            rng = random.Random(f"{alpha}/{mode.value}/{tail.value}")
+            levels = {1e-320, 5e-324, 1.0 - 2.0 ** -53, 0.5}
+            for _, x in post[:8] + rng.sample(post, 20):  # the first n, and a seeded sample of the rest
+                levels |= {math.nextafter(x, 0.0), x, math.nextafter(x, 1.0)}
+            for level in sorted(levels - {0.0, 1.0}):
+                want = next((n for n, x in post if x >= level), None)
+                assert find_crossing(alpha, level, mode, tail, n_max=2500) == want, (alpha, level)
+
+    def test_only_n_near_the_level_are_scored(self, monkeypatch):
+        scored = []
+
+        def scorer(prior, pi0):
+            score = _scorer(prior, pi0)
+
+            def spy(n, s, log_l0):
+                scored.append(n)
+                return score(n, s, log_l0)
+
+            return spy
+
+        monkeypatch.setattr(sweep_report, "_scorer", scorer)
+        # 114 n scored; every feasible n, 6,513 of them, without the floor
+        assert find_crossing(0.01, 0.7) == 6520
+        assert len(scored) <= 200
+        # a prior that is not flat has no floor: every feasible n is scored, from n = 8 (2 * 2**-n <= .01)
+        scored.clear()
+        n = find_crossing(0.01, 0.4, prior=BetaPrior(2, 3), n_max=2000)
+        assert scored == list(range(8, (n or 2000) + 1))
 
     @pytest.mark.parametrize("case", CROSSINGS, ids=lambda c: f"alpha{c['alpha']}-level{c['level']}")
     def test_matches_brute_force_oracle(self, case):
