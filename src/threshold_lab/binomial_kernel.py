@@ -17,11 +17,11 @@ alpha: in one go down to a Chernoff point, above which every p is at most the
 smallest alpha, then term by term past each alpha's break; each pick's p is
 folded from that list, bit-equal to p_value.  find_crossing's scan over n
 (_march) bounds the walk's rounding once, for every n to N = n_max +
-_ANCHOR_EVERY, and hands over to it where a margin is thin; it reads each ln j!
-from a band of O(sqrt(n)) values, one lgamma call as s moves up, so a scanned n
-costs about 1.5 lgamma calls.  Given a floor under ln(L0 (n + 1)), the scan yields
-only the n whose bound at s - 1 reaches it, so find_crossing scores only the n
-near its level.  The tail routines take n <= MAX_N.
+_ANCHOR_EVERY, and hands over to it where a margin is thin; between walks it
+steps pmf(s - 1) by its exact term ratio, so a scanned n takes no lgamma and no
+exp.  Given a floor under ln(L0 (n + 1)), the scan yields only the n whose (n + 1)
+pmf(s - 1) reaches it, each with three lgamma calls for its ln L0, so find_crossing
+scores only the n near its level.  The tail routines take n <= MAX_N.
 """
 
 from __future__ import annotations
@@ -307,73 +307,73 @@ def select_barely_significant(
 
 # Steps of find_crossing's forward scan between re-anchors on the exact kernel.
 _ANCHOR_EVERY = 1024
+_TINY = 2.0 ** -1021  # the scan steps no pm1 below this: times n, then over 2k <= 2n, one above it stays normal
 
 
 def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int, floor: float = -math.inf):
-    """(n, s, ln L0) for each n in 1 .. n_max at which alpha is attainable and ln(L0 (n+1)) may reach
-    floor: s is _select_walk's pick, ln L0 _log_term(n, s)'s expression with lgamma(n+1) and n ln 2
-    taken once per n.
+    """(n, s, ln L0) for each n in 1 .. n_max at which alpha is attainable and ln(L0 (n+1)) may reach floor: s is
+    _select_walk's pick, ln L0 _log_term(n, s).
 
-    One forward scan carries the strict threshold s (the smallest s > n/2 with
-    p <= alpha) and T = P_n(X >= s) in linear space: T += pmf_{n-1}(s-1)/2,
-    and s moves up at most one, as P_n(X >= s+1) <= P_{n-1}(X >= s) <= P_n(X >= s).
-    Each pmf is exp of a _log_term, so T and the walk's sum differ by
-    rounding alone: a few ulps of lgamma(n+1) per term, an ulp per scan step
-    (at most _ANCHOR_EVERY) and an ulp of ln p per walk step (at most
-    7 sqrt(n) + 10).  So one walk in the scan's own mode sets s and T = p / c (p bit-equal to p_value;
-    a nearest pick with p > alpha is s - 1, and T drops its term) at the first feasible n, every
-    _ANCHOR_EVERY steps, and where a decision margin (alpha - p(s), p(s-1) - alpha, in nearest mode
-    their difference) is within tol = 32 (eps alpha (lgamma(N+1) + m (1 - ln alpha)) + m ulp(0)),
-    m = 7 sqrt(N) + 10 + _ANCHOR_EVERY, N = n_max + _ANCHOR_EVERY, taken once per scan;
-    the largest difference seen (n to 2e5, alpha to 1e-100) is tol/16 at N = n + _ANCHOR_EVERY.
-    The scan yields the walk's pick there; elsewhere a sure margin makes s the strict threshold,
-    whatever pick set it: too large an s leaves d2 <= tol, too small an s d1 <= tol.  Other n cost O(1):
-    every ln j! = lgamma(j+1) the terms read has j in [n - s, s], and n - s never falls between walks,
-    so a band from n - s - 2 at the last walk up to s, O(sqrt(n) + _ANCHOR_EVERY) floats, holds them,
-    one lgamma more as s moves up, each bit-equal to a fresh call.  (A table of every ln j! to n saves
-    6% more calls for 32 B a scanned n: 320 MB at MAX_N.)
+    One forward scan carries the strict threshold s (the smallest s > n/2 with p <= alpha), T = P_n(X >= s) and
+    pm1 = pmf_n(s-1) in linear space: T += pm1/2 (the last n's pm1), and s moves up at most one, as P_n(X >= s+1) <=
+    P_{n-1}(X >= s) <= P_n(X >= s).  pm1 steps by its exact ratio, n / (2 (n-s+1)) where s stays and n / (2s) where
+    it moves up (the old s), so a scanned n takes no lgamma and no exp.  pm1 is taken afresh,
+    exp(_log_term(n, s-1)), where it lies below _TINY and at each walk.  One walk in the scan's own mode sets s and
+    T = p / c (p bit-equal to p_value; a nearest pick with p > alpha is s - 1, and T drops its term) at the first
+    feasible n, every _ANCHOR_EVERY steps, and where a decision margin (alpha - p(s), p(s-1) - alpha, in nearest
+    mode their difference) is within tol = 32 (eps alpha (lgamma(N+1) + m (1 - ln alpha)) + m ulp(0)),
+    m = 7 sqrt(N) + 10 + _ANCHOR_EVERY, N = n_max + _ANCHOR_EVERY, taken once per scan.  The scan yields the walk's
+    pick there; elsewhere a sure margin makes s the strict threshold, whatever pick set it: too large an s leaves
+    d2 <= tol, too small an s d1 <= tol.
 
-    A floor yields only the n where B = lgamma(n+2) - ln(s-1)! - ln(n-s+1)! - n ln 2, that is
-    ln(pmf(s-1) (n+1)), reaches floor - 64 eps lgamma(N+1).  As s > n/2, pmf(s) = pmf(s-1) (n-s+1)/s
-    <= pmf(s-1), so B bounds the ln(L0 (n+1)) of either pick, s or s - 1.  lgamma(n+2) is the next
-    n's lgamma(n+1), taken once and carried, so B costs no call.  B and the pick's ln L0 each take
-    three lgamma values (each within 8 ulps), n ln 2 (an ulp) and three roundings, all of size at
-    most lgamma(N+1): 2 (24 + 1 + 3/2) = 53 < 64 ulps of it (2e-6 at MAX_N; the largest excess seen,
-    n_max to 20000, is 1.7).  The default floor, -inf, yields every feasible n.
+    tol bounds how far c T and c (T + pm1) lie from the walk's p(s) and p(s-1).  The walk's fold errs by an ulp of
+    ln p a step (at most 7 sqrt(n) + 10 steps); the anchor's pm1 by a few ulps of lgamma(N+1), a factor every pm1 to
+    the next walk shares, so it moves T by that share of T's change, at most alpha/c; a scan step rounds twice in T
+    and twice in pm1 (the product and the quotient, normal as the pm1 stepped is at least _TINY), eps/2 each, so pm1
+    drifts by at most 2 _ANCHOR_EVERY eps between walks.  Summed by parts, a rounding in pm1 moves T by its share of
+    the exact sum of the later terms, a difference of two tails, each at most T + pm1 = p(s-1)/c.  As c pm1 <=
+    alpha s/(n-s+1), and s/(n-s+1) <= 8 (1 - ln alpha) by Hoeffding, a step moves d1, d2 and d2 - d1 by at most 14,
+    22 and 36 eps alpha (1 - ln alpha); c pm1 <= 1.36 alpha (1 - ln alpha) in every case tried (n to 20000, alpha .5
+    to 1e-307), which makes them under 10, against the 32 a step that m's _ANCHOR_EVERY adds to tol.  A pm1 taken
+    afresh errs as an anchor's; a subnormal T or pm1 adds ulp(0)/2 a sum, inside m ulp(0).  The largest difference
+    seen (n to 2e5 at alpha .2 to 1e-100, to 3e4 at 1e-300 to 1e-318) is tol/17.
+
+    A floor yields only the n where (n+1) pm1 reaches low = exp(floor - margin), taken once per scan, margin = eps
+    (64 lgamma(N+1) + 2 _ANCHOR_EVERY + 2).  As s > n/2, pmf(s) = pmf(s-1) (n-s+1)/s <= pmf(s-1), so (n+1) pmf(s-1)
+    bounds the L0 (n+1) of either pick, s or s - 1.  The pick's ln L0 and the anchor's ln pm1 each take three lgamma
+    values (each within 8 ulps), n ln 2 (an ulp) and three roundings, all of size at most lgamma(N+1):
+    2 (24 + 1 + 3/2) = 53 < 64 ulps of it (2e-6 at MAX_N; the largest excess seen, n_max to 20000, is 1.7), the rest
+    covering low's subtraction.  The drift adds 2 _ANCHOR_EVERY eps, and (n+1) pm1 and low's exp a rounding each,
+    where both are normal, as a stepped pm1 is.  A pm1 under _TINY is a normal product or exp(_log_term), which may
+    be subnormal, where rounding is not relative; either way its pmf(s-1) is under 2**-1020, so where low >=
+    (n_max + 1) 2**-1020 such an n is skipped, rightly, as (n+1) pm1 < low/2 and (n+1) pmf(s-1) < low.  Below that
+    cut-over (a level under about n_max 1e-307) the floor is off.  The default floor, -inf, yields every feasible n.
     """
     c = 2.0 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 1.0
     nearest = mode is SelectionMode.NEAREST_TO_ALPHA
-    inf, lgamma, exp = math.inf, math.lgamma, math.exp
+    inf, exp = math.inf, math.exp
     top = n_max + _ANCHOR_EVERY
     m = 7.0 * math.sqrt(top) + 10.0 + _ANCHOR_EVERY
-    eps, lg_top = math.ulp(1.0), lgamma(top + 1)  # lg_top bounds every lgamma the scan takes, lgamma(n + 2) too
-    tol = 32.0 * (eps * alpha * (lg_top + m * (1.0 - math.log(alpha))) + m * math.ulp(0.0))
-    floor -= 64.0 * eps * lg_top
+    eps, lg_top = math.ulp(1.0), math.lgamma(top + 1)  # lg_top bounds every lgamma the scan takes
+    # alpha multiplies first: eps * alpha underflows to 0 from alpha = 1.1e-308 down
+    tol = 32.0 * (eps * (alpha * (lg_top + m * (1.0 - math.log(alpha)))) + m * math.ulp(0.0))
+    low = exp(floor - eps * (64.0 * lg_top + 2 * _ANCHOR_EVERY + 2))
+    low = low if low >= 2.0 * _TINY * (n_max + 1) else 0.0  # below the cut-over, yield every n
     due = next((n for n in range(1, n_max + 1) if min_attainable_p(n, tail) <= alpha), n_max + 1)
-    band, off, hi = [], 0, 0  # band[j - off] = lgamma(j + 1), ln j!, for j in [off, hi): n - s - 2 or above up to s
-    lg1 = lgamma(due + 1)
     for n in range(due, n_max + 1):
-        lg, lg1, w, half = lg1, lgamma(n + 2), n * _LN2, n // 2  # lgamma(n + 2) is the next n's lgamma(n + 1)
+        half = n // 2
         fresh = n >= due
         if not fresh:
             T += 0.5 * pm1
             moved = c * T > alpha or s <= half
+            pm1 = pm1 * n / (2 * (s if moved else n - s + 1)) if pm1 >= _TINY else exp(_log_term(n, s + moved - 1))
             s += moved
         while True:
             if fresh:
                 [(pick, p)] = _select_walk(n, (alpha,), mode, tail)
                 due, moved, T = n + _ANCHOR_EVERY, p > alpha, p / c
                 s = pick + moved
-                cut = max(0, n - s - 2) - off  # n - s never falls between walks, so ln j! below n - s - 2 goes
-                band, off = band[cut:] if cut >= 0 else [], off + cut  # a cut below 0, never seen, refills
-                hi = off + len(band)
-            while hi <= s:  # one entry as s moves up; a walk's s may need more
-                band.append(lgamma(hi + 1))
-                hi += 1
-            lo = s - 1 if 2 * s - 2 <= n else n - s + 1  # log_choose's lower argument
-            ln_lo, ln_hi = band[lo - off], band[n - lo - off]
-            log_pm1 = lg - ln_lo - ln_hi - w
-            pm1 = exp(log_pm1)
+                pm1 = exp(_log_term(n, s - 1))
             if moved:
                 T -= pm1
             d1 = alpha - c * T
@@ -382,7 +382,7 @@ def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int, 
             if sure or fresh:
                 break
             fresh = True
-        if lg1 - ln_lo - ln_hi - w < floor:  # ln(L0 (n + 1)) at s - 1 bounds the pick's: below the floor, skip n
+        if (n + 1) * pm1 < low:  # (n + 1) pmf(s - 1) bounds the pick's L0 (n + 1): below the floor, skip n
             continue
         pick = pick if fresh else s - (nearest and d2 < d1)
-        yield n, pick, log_pm1 if pick == s - 1 else lg - band[n - pick - off] - band[pick - off] - w  # pick > n/2
+        yield n, pick, _log_term(n, pick)

@@ -130,7 +130,7 @@ def find_crossing(
     First-touch semantics: jitter makes "every later n stays above" ill-posed,
     so the answer is the first n whose posterior touches the level.  One forward
     scan (_march) visits every n where some success count attains alpha, with O(1)
-    work per n (about 1.5 lgamma calls, from an O(sqrt(n)) band of ln j!); the cost is
+    work per n (pmf(s - 1) steps by its term ratio: no lgamma and no exp); the cost is
     linear in the answer, or in n_max when no n up to n_max touches the level and None
     is returned (about 0.02 s at n_max = 20000 on a 2-core Xeon).  The n it yields are
     scored as evidence_at_threshold scores them: under the flat prior only those whose

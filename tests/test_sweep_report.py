@@ -30,7 +30,7 @@ from threshold_lab import (
 
 from threshold_lab import binomial_kernel, sweep_report
 from threshold_lab.bayes_evidence import _scorer
-from threshold_lab.binomial_kernel import _log_term, _march, _select_walk
+from threshold_lab.binomial_kernel import _ANCHOR_EVERY, _log_term, _march, _select_walk
 
 import reference
 from check import EXPECTED_DIR, check
@@ -267,9 +267,11 @@ class TestFindCrossing:
     @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
     def test_floored_scan_finds_what_scoring_every_n_finds(self, mode, tail):
         # levels equal to a posterior the scan scores, or one float either side, are where rounding decides;
-        # there a floor without its margin skips touches in nearest mode (16 to 26 of the 2,438 searches)
+        # there a floor without its margin skips touches in nearest mode (16 to 26 of the 2,438 searches).
+        # At alpha 1e-323 and 5e-324 the levels, and so exp(floor), are subnormal: there the scan turns its
+        # floor off, and a scan that compared the subnormal products skips touches at 1e-323 in nearest mode
         score = _scorer(None, 0.5)
-        for alpha in (0.3, 0.05, 0.01, 0.001, 1e-10, 1e-300, 5e-324):
+        for alpha in (0.3, 0.05, 0.01, 0.001, 1e-10, 1e-300, 1e-323, 5e-324):
             post = [(n, score(n, s, log_l0)[1]) for n, s, log_l0 in _march(alpha, mode, tail, 2500)]
             rng = random.Random(f"{alpha}/{mode.value}/{tail.value}")
             levels = {1e-320, 5e-324, 1.0 - 2.0 ** -53, 0.5}
@@ -365,12 +367,15 @@ class TestMarch:
         assert got == {n: _select_walk(n, (alpha,), mode, tail)[0][0]
                        for n in range(1, 401) if min_attainable_p(n, tail) <= alpha}
 
-    @pytest.mark.parametrize("n, s", [(1000, 532), (999, 531), (2000, 1046), (3000, 1560)])
+    @pytest.mark.parametrize("n, s", [(1000, 532), (999, 531), (2000, 1046), (3000, 1560),
+                                      (1104, 1094), (1585, 1478)])
     @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
     @pytest.mark.parametrize("tie", ["p(s)", "mid"])
     def test_a_thin_margin_hands_over_to_the_walk(self, walked, n, s, tail, tie):
         # alpha is p(s), so at n the scan's alpha - p(s) is rounding alone in
-        # both modes; or halfway to p(s-1), so nearest mode's choice is
+        # both modes; or halfway to p(s-1), so nearest mode's choice is.  At (1104, 1094) and (1585, 1478) p(s)
+        # is 3e-309 to 9e-309, where eps * alpha underflows: a tolerance taken in that order kept only its
+        # ulp(0) term, and the scan picked s + 1 on its own rounding
         p = p_value(BinomialOutcome(n, s), tail)
         alpha = p if tie == "p(s)" else (p + p_value(BinomialOutcome(n, s - 1), tail)) / 2
         modes = list(SelectionMode) if tie == "p(s)" else [SelectionMode.NEAREST_TO_ALPHA]
@@ -427,15 +432,22 @@ class TestMarch:
         assert lgamma_calls() <= 300_000
 
     def test_lgamma_calls_per_scanned_n(self, lgamma_calls):
-        # lgamma(n+1) each n and one ln j! for the band each time s moves up, about every other n: the
-        # terms of s-1 and of the pick read the band, the flat prior's score takes none, and the anchors'
-        # walks add theirs: 12,570 over 6,513 n, under 2 per n (28,944 when each n took its ln j! afresh)
+        # a scanned n steps pmf(s-1) by its term ratio and takes no lgamma; the anchors' walks and exp(ln pmf)
+        # take theirs, and each yielded n three for its ln L0: 3,054 over 6,513 n (12,570 with an ln j! band
+        # and one lgamma call as s moved up, 28,944 when each n took its ln j! afresh)
         assert find_crossing(0.01, 0.7) == 6520
-        assert lgamma_calls() <= 14_000
+        assert lgamma_calls() <= 4_000
 
-    def test_scan_memory_is_order_sqrt_n(self):
-        # the band holds ln j! for j in [n - s - 2, s], trimmed at each anchor: under 800 floats to
-        # n = 10,000 and a 42 KB peak; a table of every ln j! up to n, 32 B a scanned n, peaks at 171 KB
+    def test_lgamma_calls_where_no_n_touches_the_level(self, lgamma_calls):
+        # no n reaches the floor, so the 20 anchor walks and their pmf(s-1) make all 12,834 calls (43,038 with
+        # the ln j! band)
+        assert find_crossing(0.0001, 0.9) is None
+        assert lgamma_calls() <= 13_000
+
+    def test_scan_memory_is_constant_beside_its_walks(self):
+        # between walks the scan holds a few floats; the peak, 17 KB to n = 10,000 and 24 KB to 20,000, is an
+        # anchor walk's O(sqrt(n)) term list (42 KB with an ln j! band beside it, 171 KB with a table of every
+        # ln j! up to n)
         find_crossing(0.01, 0.9999, n_max=100)  # imports and first-call caches stay out of the peak
         tracemalloc.start()
         try:
@@ -443,7 +455,25 @@ class TestMarch:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 100_000
+        assert peak <= 30_000
+
+    @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
+    @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
+    def test_most_drifted_steps_match_a_fresh_walk(self, walked, mode, tail):
+        # pmf(s-1) drifts by its ratio's roundings most at the step before a walk, _ANCHOR_EVERY - 1 steps
+        # after an anchor; there (n, s, ln L0) must be a fresh walk's, bit for bit.  At alpha 1e-310 pmf(s-1)
+        # lies below the scan's _TINY and is taken afresh each step; at 5e-324 every margin is thin: each n walks
+        checked = 0
+        for alpha in (0.3, 0.05, 0.01, 1e-3, 1e-10, 1e-100, 1e-300, 1e-306, 1e-310, 5e-324):
+            walked.clear()
+            steps = {n: (s, log_l0) for n, s, log_l0 in _march(alpha, mode, tail, 4200)}
+            anchors = sorted(set(walked))
+            drifted = [b - 1 for a, b in zip(anchors, anchors[1:]) if b - a > 1] + [anchors[-1] + _ANCHOR_EVERY - 1]
+            for n in [n for n in drifted if n in steps]:
+                [(s, _)] = _select_walk(n, (alpha,), mode, tail)
+                assert steps[n] == (s, _log_term(n, s)), (alpha, n)
+                checked += 1
+        assert checked >= 30  # 4 spans at alpha .3 to 1e-100 and 3 or 4 at 1e-300 to 1e-310, and hand-overs
 
 
 def min_p_feasible(n):
