@@ -1,0 +1,167 @@
+"""Run one fixed corpus in this checkout and in another revision, and name every case whose output differs.
+
+Usage, from anywhere (it compares the checkout that holds it):
+
+    python3 samecheck.py --against REV
+
+REV is a revision of this checkout's git repository.  It is unpacked with
+`git archive REV | tar -x` into a temporary directory, removed afterwards.
+Each tree runs the corpus in its own interpreter, with that tree's src first
+on the path; the corpus itself is built here, so both trees run the same
+cases:
+
+  - CLI calls through parse_and_dispatch: the benchmark's requests at seeds
+    101, 102 and 7 (perfbench.workloads.make_plan, with their grid files);
+    --help, each COMMAND --help and -h COMMAND, no arguments and an unknown
+    command; the argv of the goldens in tests/test_cli.py; the default sweep in
+    CSV and JSON, and the 18 benchmark crossings, in each mode x tail;
+  - the selection differential, in each mode x tail: for every alpha of
+    ALPHAS, one _select_walk call per n <= N_MAX and _march's yields to N_MAX,
+    and one _select_walk call per n for all of ALPHAS at once.
+
+A case's output is its exit code, stdout and stderr; a library case prints
+one line per n, and a call that raises exits 1 with the exception on stderr.
+Each case whose output differs is printed with a unified diff of the two.
+The exit status is 1 if any case differs, 2 if a tree could not be run, and
+0 otherwise.  The run takes about 20 s on a 2-core host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import contextlib
+import difflib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent
+SEEDS = (101, 102, 7)
+MODES, TAILS = ("nearest", "strict"), ("two", "one")
+ALPHAS = (0.9, 0.5, 0.05, 0.01, 1e-3, 1e-10, 1e-300, 1e-308, 1e-310, 1e-320, 5e-324)
+N_MAX = 2000
+
+
+def _golden_argv() -> list[list[str]]:
+    """The argv of each golden output, read from tests/test_cli.py's GOLDEN_ARGV without importing the tests."""
+    tree = ast.parse((ROOT / "tests" / "test_cli.py").read_text(encoding="utf-8"))
+    node = next(n for n in tree.body if isinstance(n, ast.Assign) and n.targets[0].id == "GOLDEN_ARGV")
+    return [argv for _, argv in ast.literal_eval(node.value)]
+
+
+def corpus(work: Path) -> list[list]:
+    """Every case as [name, kind, argument]; writes the benchmark's grid files under work, one folder a seed."""
+    from perfbench.workloads import CROSSING_ALPHAS, CROSSING_LEVELS, WORKLOADS, make_plan
+
+    argvs = []
+    for seed in SEEDS:
+        for workload in WORKLOADS:
+            plan = make_plan(workload, seed)
+            for path, text in plan.files.items():
+                (work / str(seed) / path).parent.mkdir(parents=True, exist_ok=True)
+                (work / str(seed) / path).write_text(text, encoding="utf-8")
+            argvs += [[f"{seed}/{a}" if a in plan.files else a for a in argv] for argv in plan.requests]
+    commands = json.loads((ROOT / "tests" / "data" / "cli_surface.json").read_text(encoding="utf-8"))
+    argvs += [["--help"], *([c, "--help"] for c in commands), *(["-h", c] for c in commands), [], ["bogus"]]
+    argvs += _golden_argv()
+    for mode in MODES:
+        for tail in TAILS:
+            argvs += [["sweep", "--mode", mode, "--tail", tail, "--format", f] for f in ("csv", "json")]
+            argvs += [["crossing", "--alpha", a, "--level", level, "--mode", mode, "--tail", tail]
+                      for a in CROSSING_ALPHAS for level in CROSSING_LEVELS]
+    cases = {" ".join(["cli", *argv]): ["cli", argv] for argv in argvs}  # a request repeated across seeds runs once
+    for mode in MODES:
+        for tail in TAILS:
+            for alpha in ALPHAS:
+                for kind in ("walk", "march"):
+                    cases[f"{kind} {mode} {tail} alpha={alpha!r}"] = [kind, [mode, tail, [alpha]]]
+            cases[f"walk {mode} {tail} every alpha"] = ["walk", [mode, tail, list(ALPHAS)]]
+    return [[name, *case] for name, case in cases.items()]
+
+
+def _library(kind: str, mode: str, tail: str, alphas: list[float]) -> int:
+    from threshold_lab.binomial_kernel import SelectionMode, TailConvention, _march, _select_walk
+
+    mode, tail = SelectionMode(mode), TailConvention(tail)
+    if kind == "march":
+        for n, s, log_l0 in _march(alphas[0], mode, tail, N_MAX):
+            print(n, s, repr(log_l0))
+    else:
+        for n in range(1, N_MAX + 1):
+            print(n, *_select_walk(n, tuple(alphas), mode, tail))
+    return 0
+
+
+def run_corpus(corpus_path: str, out_path: str) -> None:
+    """Run every case of the corpus file in this interpreter and write {name: [exit code, stdout, stderr]}."""
+    from threshold_lab.cli import parse_and_dispatch
+
+    results = {}
+    for name, kind, arg in json.loads(Path(corpus_path).read_text(encoding="utf-8")):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = parse_and_dispatch(arg) if kind == "cli" else _library(kind, *arg)
+            except Exception as exc:  # a revision without the name, or a call that fails: part of its output
+                print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+                code = 1
+        results[name] = [code, out.getvalue(), err.getvalue()]
+    Path(out_path).write_text(json.dumps(results), encoding="utf-8")
+
+
+def _start(tree: Path, work: Path, tag: str) -> tuple[subprocess.Popen, Path]:
+    """Start run_corpus in a fresh interpreter with tree/src first on the path, in work (where the grid files are)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(ROOT)]), PYTHONDONTWRITEBYTECODE="1")
+    out = work / f"{tag}.json"
+    code = "import sys, samecheck; samecheck.run_corpus(sys.argv[1], sys.argv[2])"
+    cmd = [sys.executable, "-c", code, str(work / "corpus.json"), str(out)]
+    return subprocess.Popen(cmd, cwd=work, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True), out
+
+
+def _lines(result: list) -> list[str]:
+    code, out, err = result
+    return [f"exit {code}\n", "stdout:\n", *out.splitlines(True), "stderr:\n", *err.splitlines(True)]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", required=True, metavar="REV", help="the git revision to compare with")
+    rev = parser.parse_args().against
+    with tempfile.TemporaryDirectory() as tmp:
+        base, work = Path(tmp) / "rev", Path(tmp) / "work"
+        base.mkdir()
+        work.mkdir()
+        archive = subprocess.Popen(["git", "archive", rev], cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        untar = subprocess.run(["tar", "-x", "-C", str(base)], stdin=archive.stdout, capture_output=True)
+        archive.stdout.close()
+        fault = archive.stderr.read().decode(errors="replace")
+        archive.stderr.close()
+        if archive.wait() != 0 or untar.returncode != 0:
+            print(f"samecheck: cannot unpack {rev}: {fault or untar.stderr.decode(errors='replace')}", file=sys.stderr)
+            return 2
+        cases = corpus(work)
+        (work / "corpus.json").write_text(json.dumps(cases), encoding="utf-8")
+        runs = [_start(base, work, "rev"), _start(ROOT, work, "checkout")]
+        results = []
+        for proc, out in runs:
+            _, err = proc.communicate()
+            if proc.returncode != 0:
+                print(f"samecheck: the corpus did not run in {out.stem}:\n{err}", file=sys.stderr)
+                return 2
+            results.append(json.loads(out.read_text(encoding="utf-8")))
+    old, new = results
+    differ = [name for name, _, _ in cases if old[name] != new[name]]
+    for name in differ:
+        print(f"differs: {name}")
+        sys.stdout.writelines(difflib.unified_diff(_lines(old[name]), _lines(new[name]), rev, "checkout", n=1))
+    print(f"samecheck: {len(differ)} of {len(cases)} cases differ against {rev}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,13 +15,13 @@ s = 499,000 and 1 at s = 0).  The selection walk starts at the cut-off too and
 folds one list of terms per n, grown on demand, in one downward pass for every
 alpha: in one go down to a Chernoff point, above which every p is at most the
 smallest alpha, then term by term past each alpha's break; each pick's p is
-folded from that list, bit-equal to p_value.  find_crossing's scan over n
-(_march) bounds the walk's rounding once, for every n to N = n_max +
-_ANCHOR_EVERY, and hands over to it where a margin is thin; between walks it
-steps pmf(s - 1) by its exact term ratio, so a scanned n takes no lgamma and no
-exp.  Given a floor under ln(L0 (n + 1)), the scan yields only the n whose (n + 1)
-pmf(s - 1) reaches it, each with three lgamma calls for its ln L0, so find_crossing
-scores only the n near its level.  The tail routines take n <= MAX_N.
+folded from that list, bit-equal to p_value.  Where a margin lies within _tol,
+one rounding bound, the pass and find_crossing's scan over n (_march) hand
+over to a one-alpha walk; between walks the scan steps pmf(s - 1) by its exact
+term ratio, so a scanned n takes no lgamma and no exp.  Given a floor under
+ln(L0 (n + 1)), the scan yields only the n whose (n + 1) pmf(s - 1) reaches it,
+each with three lgamma calls for its ln L0, so find_crossing scores only the n
+near its level.  The tail routines take n <= MAX_N.
 """
 
 from __future__ import annotations
@@ -208,6 +208,27 @@ def _walk_start(n: int, alpha: float, shift: float) -> tuple[int, int]:
     return c, _tail_start(n, c)
 
 
+def _tol(alpha: float, m: float, lg: float) -> float:
+    """F (eps (alpha (lg + m (1 - ln alpha))) + m ulp(0)), F = 37: how far a fast path's decision margins may lie
+    from the one-alpha walk's, after m rounding steps and an anchor's lgamma values of at most lg.
+    Where a margin d1 = alpha - p(s), d2 = p(s-1) - alpha or d2 - d1 is thin, p(s) <= alpha and p(s-1) <= 2 alpha.  A
+    fold step rounds ln p by eps (|ln p| + 2) at most, and p (|ln p| + 2) grows with p: d2 - d1 moves 8 eps alpha
+    (1 - ln alpha), 16 in two walks: _select_walk's pass and a one-alpha walk from a lower cut-off, m = top - n//2
+    steps each (lg = 0, as both fold the same terms; the mass above the cut-off is below 2**-60 of p), or _march's
+    walk at n and its anchor's, 7 sqrt(N) + 10 steps each of its m = 7 sqrt(N) + 10 + _ANCHOR_EVERY.  A scan step
+    rounds T and pm1 twice each (a stepped pm1, at least _TINY, is normal), so pm1 drifts 2 eps a step; summed by
+    parts, a rounding in pm1 moves T by its share of a difference of two tails, each at most p(s-1)/c, and c pm1 <=
+    alpha s/(n-s+1) <= 8 alpha (1 - ln alpha) (Hoeffding): a step moves d1, d2, d2 - d1 by 14, 22, 36 eps alpha
+    (1 - ln alpha) at most.  An anchor's pm1, exp(_log_term(n, s-1)), errs by a factor 1 + delta, |delta| <= 18.5 eps
+    lg + eps/2 (lgamma values within 8 ulps, the lower two summing to at most lg; three subtractions; n ln 2), shared
+    by the terms stepped from it: c T errs by c delta (T - T0), T0 the anchor's strict tail, both in [0, alpha/c], so
+    d2 - d1 by 2 delta alpha.  A subnormal p, T or pm1 rounds by ulp(0)/2, 2 ulp(0) a step.  So F needs 36 for m's
+    eps term (a scan step's proven bound), 37 for lg's (eps alpha fits m's spare unit) and 2 for ulp(0)'s; alpha
+    multiplies first, as eps alpha is 0 below alpha = 1.1e-308.
+    """
+    return 37.0 * (math.ulp(1.0) * (alpha * (lg + m * (1.0 - math.log(alpha)))) + m * math.ulp(0.0))
+
+
 def _select_walk(n: int, alphas: tuple[float, ...], mode: SelectionMode, tail: TailConvention) -> list:
     """One (s, p) per alpha, or None where no s attains it: the barely-significant s in (n/2, n], picked
     by walking s downward, and its p-value.
@@ -221,14 +242,10 @@ def _select_walk(n: int, alphas: tuple[float, ...], mode: SelectionMode, tail: T
     alpha's break, the first p above it, the smallest alpha first: the strict s is
     the one before it, and the nearest s is the strict s or s - 1, whichever p
     lies nearer alpha, ties to the strict s, the rule _march applies.
-    The smallest alpha folds as a one-alpha call does.  A larger alpha's own walk
-    starts at its lower cut-off: the sums differ by the mass above it (below
-    2**-60 of alpha) and by at most eps (|ln p| + 2) of rounding per fold step in
-    each, so p differs by less than tol = 32 m (eps alpha (1 - ln alpha) + ulp(0)),
-    m = top - n/2.  Where a decision margin (alpha - p(s), p(s-1) - alpha, in
-    nearest mode their difference) is within tol, a one-alpha call picks, as
-    _march hands over.  The pick's tail is folded from the list in
-    _log_upper_tail's order, so p is bit-equal to p_value.
+    The smallest alpha folds as a one-alpha call does; where a larger alpha's
+    margin lies within _tol(alpha, top - n//2, 0), its own walk picks.  Each
+    pick's tail is folded from the list in _log_upper_tail's order, so p is
+    bit-equal to p_value.
     """
     exp, log1p, shift = math.exp, math.log1p, _shift(tail)
     nearest = mode is SelectionMode.NEAREST_TO_ALPHA
@@ -261,12 +278,12 @@ def _select_walk(n: int, alphas: tuple[float, ...], mode: SelectionMode, tail: T
             alpha = alphas[j]
         strict_i, below = i, p  # overwritten while descending: ends at the smallest s with p <= alpha
     breaks += [(strict_i, below, None)] * (j + 1)  # no p above these alphas down to n/2
-    picks, m = [], top - n // 2
+    picks = []
     for alpha, (strict_i, below, p) in zip(alphas, reversed(breaks)):
         d1 = math.inf if strict_i is None else alpha - below
         d2 = math.inf if p is None else p - alpha
         if alpha > alphas[-1]:
-            tol = 32.0 * m * (math.ulp(1.0) * alpha * (1.0 - math.log(alpha)) + math.ulp(0.0))
+            tol = _tol(alpha, top - n // 2, 0.0)
             if min(d1, d2) <= tol or nearest and abs(d2 - d1) <= tol:
                 picks += _select_walk(n, (alpha,), mode, tail)
                 continue
@@ -320,32 +337,17 @@ def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int, 
     it moves up (the old s), so a scanned n takes no lgamma and no exp.  pm1 is taken afresh,
     exp(_log_term(n, s-1)), where it lies below _TINY and at each walk.  One walk in the scan's own mode sets s and
     T = p / c (p bit-equal to p_value; a nearest pick with p > alpha is s - 1, and T drops its term) at the first
-    feasible n, every _ANCHOR_EVERY steps, and where a decision margin (alpha - p(s), p(s-1) - alpha, in nearest
-    mode their difference) is within tol = 32 (eps alpha (lgamma(N+1) + m (1 - ln alpha)) + m ulp(0)),
-    m = 7 sqrt(N) + 10 + _ANCHOR_EVERY, N = n_max + _ANCHOR_EVERY, taken once per scan.  The scan yields the walk's
-    pick there; elsewhere a sure margin makes s the strict threshold, whatever pick set it: too large an s leaves
-    d2 <= tol, too small an s d1 <= tol.
-
-    tol bounds how far c T and c (T + pm1) lie from the walk's p(s) and p(s-1).  The walk's fold errs by an ulp of
-    ln p a step (at most 7 sqrt(n) + 10 steps); the anchor's pm1 by a few ulps of lgamma(N+1), a factor every pm1 to
-    the next walk shares, so it moves T by that share of T's change, at most alpha/c; a scan step rounds twice in T
-    and twice in pm1 (the product and the quotient, normal as the pm1 stepped is at least _TINY), eps/2 each, so pm1
-    drifts by at most 2 _ANCHOR_EVERY eps between walks.  Summed by parts, a rounding in pm1 moves T by its share of
-    the exact sum of the later terms, a difference of two tails, each at most T + pm1 = p(s-1)/c.  As c pm1 <=
-    alpha s/(n-s+1), and s/(n-s+1) <= 8 (1 - ln alpha) by Hoeffding, a step moves d1, d2 and d2 - d1 by at most 14,
-    22 and 36 eps alpha (1 - ln alpha); c pm1 <= 1.36 alpha (1 - ln alpha) in every case tried (n to 20000, alpha .5
-    to 1e-307), which makes them under 10, against the 32 a step that m's _ANCHOR_EVERY adds to tol.  A pm1 taken
-    afresh errs as an anchor's; a subnormal T or pm1 adds ulp(0)/2 a sum, inside m ulp(0).  The largest difference
-    seen (n to 2e5 at alpha .2 to 1e-100, to 3e4 at 1e-300 to 1e-318) is tol/17.
+    feasible n, every _ANCHOR_EVERY steps, and where a margin (_tol's d1, d2, or d2 - d1 in nearest mode) lies within
+    tol = _tol(alpha, 7 sqrt(N) + 10 + _ANCHOR_EVERY, lgamma(N+1)), N = n_max + _ANCHOR_EVERY, and yields its pick; a
+    sure margin makes s the strict threshold whatever pick set it (too large an s leaves d2 <= tol, too small d1).
 
     A floor yields only the n where (n+1) pm1 reaches low = exp(floor - margin), taken once per scan, margin = eps
     (64 lgamma(N+1) + 2 _ANCHOR_EVERY + 2).  As s > n/2, pmf(s) = pmf(s-1) (n-s+1)/s <= pmf(s-1), so (n+1) pmf(s-1)
-    bounds the L0 (n+1) of either pick, s or s - 1.  The pick's ln L0 and the anchor's ln pm1 each take three lgamma
-    values (each within 8 ulps), n ln 2 (an ulp) and three roundings, all of size at most lgamma(N+1):
-    2 (24 + 1 + 3/2) = 53 < 64 ulps of it (2e-6 at MAX_N; the largest excess seen, n_max to 20000, is 1.7), the rest
-    covering low's subtraction.  The drift adds 2 _ANCHOR_EVERY eps, and (n+1) pm1 and low's exp a rounding each,
-    where both are normal, as a stepped pm1 is.  A pm1 under _TINY is a normal product or exp(_log_term), which may
-    be subnormal, where rounding is not relative; either way its pmf(s-1) is under 2**-1020, so where low >=
+    bounds the L0 (n+1) of either pick, s or s - 1.  The pick's ln L0 and the anchor's ln pm1 each err by at most
+    18.5 eps lgamma(N+1), as in _tol: 37 of the 64 (2e-6 at MAX_N; the largest excess seen, n_max to 20000, is 1.7),
+    the rest covering low's subtraction.  The drift adds 2 _ANCHOR_EVERY eps, and (n+1) pm1 and low's exp a rounding
+    each, where both are normal, as a stepped pm1 is.  A pm1 under _TINY is a normal product or exp(_log_term), which
+    may be subnormal, where rounding is not relative; either way its pmf(s-1) is under 2**-1020, so where low >=
     (n_max + 1) 2**-1020 such an n is skipped, rightly, as (n+1) pm1 < low/2 and (n+1) pmf(s-1) < low.  Below that
     cut-over (a level under about n_max 1e-307) the floor is off.  The default floor, -inf, yields every feasible n.
     """
@@ -353,11 +355,9 @@ def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int, 
     nearest = mode is SelectionMode.NEAREST_TO_ALPHA
     inf, exp = math.inf, math.exp
     top = n_max + _ANCHOR_EVERY
-    m = 7.0 * math.sqrt(top) + 10.0 + _ANCHOR_EVERY
-    eps, lg_top = math.ulp(1.0), math.lgamma(top + 1)  # lg_top bounds every lgamma the scan takes
-    # alpha multiplies first: eps * alpha underflows to 0 from alpha = 1.1e-308 down
-    tol = 32.0 * (eps * (alpha * (lg_top + m * (1.0 - math.log(alpha)))) + m * math.ulp(0.0))
-    low = exp(floor - eps * (64.0 * lg_top + 2 * _ANCHOR_EVERY + 2))
+    lg_top = math.lgamma(top + 1)  # bounds every lgamma the scan takes
+    tol = _tol(alpha, 7.0 * math.sqrt(top) + 10.0 + _ANCHOR_EVERY, lg_top)
+    low = exp(floor - math.ulp(1.0) * (64.0 * lg_top + 2 * _ANCHOR_EVERY + 2))
     low = low if low >= 2.0 * _TINY * (n_max + 1) else 0.0  # below the cut-over, yield every n
     due = next((n for n in range(1, n_max + 1) if min_attainable_p(n, tail) <= alpha), n_max + 1)
     for n in range(due, n_max + 1):

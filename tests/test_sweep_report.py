@@ -386,6 +386,23 @@ class TestMarch:
             assert walked.count(n) == 1  # one walk, in the scan's own mode
             assert got == _select_walk(n, (alpha,), mode, tail)[0][0]
 
+    @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
+    @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
+    def test_a_margin_inside_tol_hands_over_and_one_outside_does_not(self, walked, mode, tail):
+        # alpha = p(s) + share * tol at n = 5000, not an anchor; the scan's own rounding is far under half a tol (under
+        # a nineteenth where measured).  At N = 6024 the lg term, the anchor's lgamma error, is 5/6 of tol: without it,
+        # a margin of half a tol would not hand over
+        n = 5000
+        s = _select_walk(n, (0.01,), SelectionMode.STRICT_AT_MOST_ALPHA, tail)[0][0]
+        p = p_value(BinomialOutcome(n, s), tail)
+        top = n + _ANCHOR_EVERY
+        tol = binomial_kernel._tol(p, 7.0 * math.sqrt(top) + 10.0 + _ANCHOR_EVERY, math.lgamma(top + 1))
+        for share, thin in ((0.5, True), (2.0, False)):
+            walked.clear()
+            got = {m: k for m, k, _ in _march(p + share * tol, mode, tail, n)}[n]
+            assert (n in walked) == thin, share
+            assert got == s
+
     def test_walks_only_at_anchors(self, walked):
         # the first feasible n and every 1024 steps; a thin-margin hand-over is rare
         steps = list(_march(0.01, SelectionMode.NEAREST_TO_ALPHA, TailConvention.TWO_SIDED_SYMMETRIC, 6000))
