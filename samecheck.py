@@ -17,10 +17,12 @@ cases:
     CSV and JSON, and the 18 benchmark crossings, in each mode x tail;
   - the selection differential, in each mode x tail: for every alpha of
     ALPHAS, one _select_walk call per n <= N_MAX and _march's yields to N_MAX,
-    and one _select_walk call per n for all of ALPHAS at once.
+    or to LONG_N_MAX for the alphas of LONG_ALPHAS, and one _select_walk call
+    per n for all of ALPHAS at once.
 
 A case's output is its exit code, stdout and stderr; a library case prints
-one line per n, and a call that raises exits 1 with the exception on stderr.
+one line per n, a scan to LONG_N_MAX its line count and the sha256 of its
+lines, and a call that raises exits 1 with the exception on stderr.
 Each case whose output differs is printed with a unified diff of the two.
 The exit status is 1 if any case differs, 2 if a tree could not be run, and
 0 otherwise.  The run takes about 20 s on a 2-core host.
@@ -32,6 +34,7 @@ import argparse
 import ast
 import contextlib
 import difflib
+import hashlib
 import io
 import json
 import os
@@ -45,6 +48,7 @@ SEEDS = (101, 102, 7)
 MODES, TAILS = ("nearest", "strict"), ("two", "one")
 ALPHAS = (0.9, 0.5, 0.05, 0.01, 1e-3, 1e-10, 1e-300, 1e-308, 1e-310, 1e-320, 5e-324)
 N_MAX = 2000
+LONG_ALPHAS, LONG_N_MAX = (0.05, 0.01, 1e-10, 1e-308), 20_000  # the scan's spans between walks run to n_max
 
 
 def _golden_argv() -> list[list[str]]:
@@ -78,19 +82,23 @@ def corpus(work: Path) -> list[list]:
     for mode in MODES:
         for tail in TAILS:
             for alpha in ALPHAS:
-                for kind in ("walk", "march"):
-                    cases[f"{kind} {mode} {tail} alpha={alpha!r}"] = [kind, [mode, tail, [alpha]]]
+                n_max = LONG_N_MAX if alpha in LONG_ALPHAS else N_MAX
+                cases[f"walk {mode} {tail} alpha={alpha!r}"] = ["walk", [mode, tail, [alpha]]]
+                cases[f"march {mode} {tail} alpha={alpha!r} n_max={n_max}"] = ["march", [mode, tail, [alpha], n_max]]
             cases[f"walk {mode} {tail} every alpha"] = ["walk", [mode, tail, list(ALPHAS)]]
     return [[name, *case] for name, case in cases.items()]
 
 
-def _library(kind: str, mode: str, tail: str, alphas: list[float]) -> int:
+def _library(kind: str, mode: str, tail: str, alphas: list[float], n_max: int = N_MAX) -> int:
     from threshold_lab.binomial_kernel import SelectionMode, TailConvention, _march, _select_walk
 
     mode, tail = SelectionMode(mode), TailConvention(tail)
     if kind == "march":
-        for n, s, log_l0 in _march(alphas[0], mode, tail, N_MAX):
-            print(n, s, repr(log_l0))
+        lines = [f"{n} {s} {log_l0!r}\n" for n, s, log_l0 in _march(alphas[0], mode, tail, n_max)]
+        if n_max > N_MAX:  # a digest keeps the result files small
+            print(len(lines), hashlib.sha256("".join(lines).encode()).hexdigest())
+        else:
+            sys.stdout.writelines(lines)
     else:
         for n in range(1, N_MAX + 1):
             print(n, *_select_walk(n, tuple(alphas), mode, tail))

@@ -209,21 +209,22 @@ def _walk_start(n: int, alpha: float, shift: float) -> tuple[int, int]:
 
 
 def _tol(alpha: float, m: float, lg: float) -> float:
-    """F (eps (alpha (lg + m (1 - ln alpha))) + m ulp(0)), F = 37: how far a fast path's decision margins may lie
-    from the one-alpha walk's, after m rounding steps and an anchor's lgamma values of at most lg.
-    Where a margin d1 = alpha - p(s), d2 = p(s-1) - alpha or d2 - d1 is thin, p(s) <= alpha and p(s-1) <= 2 alpha.  A
-    fold step rounds ln p by eps (|ln p| + 2) at most, and p (|ln p| + 2) grows with p: d2 - d1 moves 8 eps alpha
-    (1 - ln alpha), 16 in two walks: _select_walk's pass and a one-alpha walk from a lower cut-off, m = top - n//2
-    steps each (lg = 0, as both fold the same terms; the mass above the cut-off is below 2**-60 of p), or _march's
-    walk at n and its anchor's, 7 sqrt(N) + 10 steps each of its m = 7 sqrt(N) + 10 + _ANCHOR_EVERY.  A scan step
-    rounds T and pm1 twice each (a stepped pm1, at least _TINY, is normal), so pm1 drifts 2 eps a step; summed by
-    parts, a rounding in pm1 moves T by its share of a difference of two tails, each at most p(s-1)/c, and c pm1 <=
-    alpha s/(n-s+1) <= 8 alpha (1 - ln alpha) (Hoeffding): a step moves d1, d2, d2 - d1 by 14, 22, 36 eps alpha
-    (1 - ln alpha) at most.  An anchor's pm1, exp(_log_term(n, s-1)), errs by a factor 1 + delta, |delta| <= 18.5 eps
-    lg + eps/2 (lgamma values within 8 ulps, the lower two summing to at most lg; three subtractions; n ln 2), shared
-    by the terms stepped from it: c T errs by c delta (T - T0), T0 the anchor's strict tail, both in [0, alpha/c], so
-    d2 - d1 by 2 delta alpha.  A subnormal p, T or pm1 rounds by ulp(0)/2, 2 ulp(0) a step.  So F needs 36 for m's
-    eps term (a scan step's proven bound), 37 for lg's (eps alpha fits m's spare unit) and 2 for ulp(0)'s; alpha
+    """F (eps (alpha (lg + m (1 - ln alpha))) + m ulp(0)), F = 37: how far a fast path's decision margins may lie from
+    the one-alpha walk's, after m rounding steps and anchors whose lgamma values total at most lg, linear in both, so a
+    caller sums it over what happened, each error once.  Where a margin d1 = alpha - p(s), d2 = p(s-1) - alpha or
+    d2 - d1 is thin, p(s) <= alpha and p(s-1) <= 2 alpha.  A fold step rounds ln p by eps (|ln p| + 2) at most, and
+    p (|ln p| + 2) grows with p: d2 - d1 moves 8 eps alpha (1 - ln alpha), 16 in two walks: _select_walk's pass and a
+    one-alpha walk from a lower cut-off, m = top - n//2 steps each (lg = 0, as both fold the same terms; the mass above
+    the cut-off is below 2**-60 of p), or _march's walk and a later fresh one, 7 sqrt(n_max) + 10 steps each
+    (_tail_start).  A scan step (m = 1) rounds T and pm1 twice each (a stepped pm1, at least _TINY, is normal), so pm1
+    drifts 2 eps a step; summed by parts, a rounding in pm1 moves T by its share of a difference of two tails, each at
+    most p(s-1)/c, and c pm1 <= alpha s/(n-s+1) <= 8 alpha (1 - ln alpha) (Hoeffding): a step moves d1, d2, d2 - d1 by
+    14, 22, 36 eps alpha (1 - ln alpha) at most.  An anchor's pm1, exp(_log_term(n, s-1)), at a walk or afresh below
+    _TINY, errs by a factor 1 + delta, |delta| <= 18.5 eps lg + eps/2 (lgamma values within 8 ulps, the lower two
+    summing to at most lg = lgamma(n_max+1); three subtractions; n ln 2), shared by the terms stepped from it: c T errs
+    by c delta (T1 - T0), T there and at the next anchor both in [0, alpha/c], so d2 - d1 by 2 delta alpha, once per
+    anchor.  A subnormal p, T or pm1 rounds by ulp(0)/2, 2 ulp(0) a step.  So F needs 36 for m's eps term (a scan
+    step's), 37 for lg's (delta's eps/2 fits the spare unit of the m that takes the anchor) and 2 for ulp(0)'s; alpha
     multiplies first, as eps alpha is 0 below alpha = 1.1e-308.
     """
     return 37.0 * (math.ulp(1.0) * (alpha * (lg + m * (1.0 - math.log(alpha)))) + m * math.ulp(0.0))
@@ -322,8 +323,6 @@ def select_barely_significant(
     return CriticalValue(*pick)
 
 
-# Steps of find_crossing's forward scan between re-anchors on the exact kernel.
-_ANCHOR_EVERY = 1024
 _TINY = 2.0 ** -1021  # the scan steps no pm1 below this: times n, then over 2k <= 2n, one above it stays normal
 
 
@@ -332,54 +331,55 @@ def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int, 
     _select_walk's pick, ln L0 _log_term(n, s).
 
     One forward scan carries the strict threshold s (the smallest s > n/2 with p <= alpha), T = P_n(X >= s) and
-    pm1 = pmf_n(s-1) in linear space: T += pm1/2 (the last n's pm1), and s moves up at most one, as P_n(X >= s+1) <=
-    P_{n-1}(X >= s) <= P_n(X >= s).  pm1 steps by its exact ratio, n / (2 (n-s+1)) where s stays and n / (2s) where
-    it moves up (the old s), so a scanned n takes no lgamma and no exp.  pm1 is taken afresh,
+    pm1 = pmf_n(s-1) in linear space: T += pm1/2 (the last n's pm1), and s moves up at most one, as
+    P_n(X >= s+1) <= P_{n-1}(X >= s) <= P_n(X >= s).  pm1 steps by its exact ratio, n / (2 (n-s+1)) where s stays and
+    n / (2s) where it moves up (the old s), so a scanned n takes no lgamma and no exp; it is taken afresh,
     exp(_log_term(n, s-1)), where it lies below _TINY and at each walk.  One walk in the scan's own mode sets s and
     T = p / c (p bit-equal to p_value; a nearest pick with p > alpha is s - 1, and T drops its term) at the first
-    feasible n, every _ANCHOR_EVERY steps, and where a margin (_tol's d1, d2, or d2 - d1 in nearest mode) lies within
-    tol = _tol(alpha, 7 sqrt(N) + 10 + _ANCHOR_EVERY, lgamma(N+1)), N = n_max + _ANCHOR_EVERY, and yields its pick; a
-    sure margin makes s the strict threshold whatever pick set it (too large an s leaves d2 <= tol, too small d1).
+    feasible n and where a margin (_tol's d1, d2, or d2 - d1 in nearest mode) lies within tol, and yields its pick; a
+    sure margin makes s the strict threshold whatever pick set it (too large an s leaves d2 <= tol, too small d1).  tol
+    is _tol over what happened since the last walk, carried as one float: _tol(alpha, 7 sqrt(n_max) + 10, lg) at the
+    walk, lg = lgamma(n_max+1), plus _tol(alpha, 1, 0) a step and _tol(alpha, 0, lg) a pm1 taken afresh below _TINY; its
+    n_max <= 1e7 sums, eps/2 each, take under 3e-9 of it, inside F's spare 1/37.
 
-    A floor yields only the n where (n+1) pm1 reaches low = exp(floor - margin), taken once per scan, margin = eps
-    (64 lgamma(N+1) + 2 _ANCHOR_EVERY + 2).  As s > n/2, pmf(s) = pmf(s-1) (n-s+1)/s <= pmf(s-1), so (n+1) pmf(s-1)
-    bounds the L0 (n+1) of either pick, s or s - 1.  The pick's ln L0 and the anchor's ln pm1 each err by at most
-    18.5 eps lgamma(N+1), as in _tol: 37 of the 64 (2e-6 at MAX_N; the largest excess seen, n_max to 20000, is 1.7),
-    the rest covering low's subtraction.  The drift adds 2 _ANCHOR_EVERY eps, and (n+1) pm1 and low's exp a rounding
-    each, where both are normal, as a stepped pm1 is.  A pm1 under _TINY is a normal product or exp(_log_term), which
-    may be subnormal, where rounding is not relative; either way its pmf(s-1) is under 2**-1020, so where low >=
-    (n_max + 1) 2**-1020 such an n is skipped, rightly, as (n+1) pm1 < low/2 and (n+1) pmf(s-1) < low.  Below that
+    A floor yields only the n where (n+1) pm1 reaches low = exp(floor - margin), taken once per scan,
+    margin = eps (64 lg + 2 n_max + 745 + 2).  As s > n/2, pmf(s) = pmf(s-1) (n-s+1)/s <= pmf(s-1), so (n+1) pm1 bounds
+    the L0 (n+1) of either pick, s or s - 1.  The pick's ln L0 and the last fresh pm1's ln each err by at most
+    18.5 eps lg + eps/2, as in _tol: 37 of the 64 (1.7 seen, n_max to 20000).  pm1 drifts 2 eps a step from its last
+    fresh value, which may lie n_max steps back.  floor - margin rounds by eps |floor| / 2, and |floor| <= 745 wherever
+    low's exp neither overflows nor is 0.  The + 2 covers the two eps/2 and a rounding each of (n+1) pm1 and low's exp,
+    where both are normal, as a stepped pm1 is.  A pm1 under _TINY is a normal product or exp(_log_term), which may be
+    subnormal, where rounding is not relative; either way its pmf(s-1) is under 2**-1020, so where
+    low >= (n_max + 1) 2**-1020 such an n is skipped, as (n+1) pm1 < low/2 and (n+1) pmf(s-1) < low.  Below that
     cut-over (a level under about n_max 1e-307) the floor is off.  The default floor, -inf, yields every feasible n.
     """
     c = 2.0 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 1.0
     nearest = mode is SelectionMode.NEAREST_TO_ALPHA
     inf, exp = math.inf, math.exp
-    top = n_max + _ANCHOR_EVERY
-    lg_top = math.lgamma(top + 1)  # bounds every lgamma the scan takes
-    tol = _tol(alpha, 7.0 * math.sqrt(top) + 10.0 + _ANCHOR_EVERY, lg_top)
-    low = exp(floor - math.ulp(1.0) * (64.0 * lg_top + 2 * _ANCHOR_EVERY + 2))
+    lg = math.lgamma(n_max + 1)  # bounds every lgamma the scan takes
+    at_walk, step, anchor = _tol(alpha, 7.0 * math.sqrt(n_max) + 10.0, lg), _tol(alpha, 1.0, 0.0), _tol(alpha, 0.0, lg)
+    low = exp(floor - math.ulp(1.0) * (64.0 * lg + 2.0 * n_max + 747.0))
     low = low if low >= 2.0 * _TINY * (n_max + 1) else 0.0  # below the cut-over, yield every n
-    due = next((n for n in range(1, n_max + 1) if min_attainable_p(n, tail) <= alpha), n_max + 1)
-    for n in range(due, n_max + 1):
-        half = n // 2
-        fresh = n >= due
+    first = next((n for n in range(1, n_max + 1) if min_attainable_p(n, tail) <= alpha), n_max + 1)
+    for n in range(first, n_max + 1):
+        half, fresh = n // 2, n == first
         if not fresh:
             T += 0.5 * pm1
             moved = c * T > alpha or s <= half
+            tol += step if pm1 >= _TINY else step + anchor
             pm1 = pm1 * n / (2 * (s if moved else n - s + 1)) if pm1 >= _TINY else exp(_log_term(n, s + moved - 1))
             s += moved
         while True:
             if fresh:
                 [(pick, p)] = _select_walk(n, (alpha,), mode, tail)
-                due, moved, T = n + _ANCHOR_EVERY, p > alpha, p / c
+                moved, T, tol = p > alpha, p / c, at_walk
                 s = pick + moved
                 pm1 = exp(_log_term(n, s - 1))
             if moved:
                 T -= pm1
             d1 = alpha - c * T
             d2 = c * (T + pm1) - alpha if s - 1 > half else inf  # the walk stops above n/2
-            sure = d1 > tol and d2 > tol and (not nearest or abs(d2 - d1) > tol)
-            if sure or fresh:
+            if fresh or d1 > tol and d2 > tol and (not nearest or abs(d2 - d1) > tol):  # a walk's pick, or a sure s
                 break
             fresh = True
         if (n + 1) * pm1 < low:  # (n + 1) pmf(s - 1) bounds the pick's L0 (n + 1): below the floor, skip n

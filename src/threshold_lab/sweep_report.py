@@ -132,7 +132,7 @@ def find_crossing(
     scan (_march) visits every n where some success count attains alpha, with O(1)
     work per n (pmf(s - 1) steps by its term ratio: no lgamma and no exp); the cost is
     linear in the answer, or in n_max when no n up to n_max touches the level and None
-    is returned (about 0.02 s at n_max = 20000 on a 2-core Xeon).  The n it yields are
+    is returned (about 0.01 s at n_max = 20000 on a 2-core Xeon).  The n it yields are
     scored as evidence_at_threshold scores them: under the flat prior only those whose
     bound on ln BF01 reaches the level's floor (_ln_bf_floor), 114 of the 6,513 visited
     for (.01, .7); under any other prior every one.

@@ -1,3 +1,4 @@
+import collections
 import io
 import json
 import math
@@ -30,7 +31,7 @@ from threshold_lab import (
 
 from threshold_lab import binomial_kernel, sweep_report
 from threshold_lab.bayes_evidence import _scorer
-from threshold_lab.binomial_kernel import _ANCHOR_EVERY, _log_term, _march, _select_walk
+from threshold_lab.binomial_kernel import _log_term, _march, _select_walk
 
 import reference
 from check import EXPECTED_DIR, check
@@ -389,25 +390,32 @@ class TestMarch:
     @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
     @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
     def test_a_margin_inside_tol_hands_over_and_one_outside_does_not(self, walked, mode, tail):
-        # alpha = p(s) + share * tol at n = 5000, not an anchor; the scan's own rounding is far under half a tol (under
-        # a nineteenth where measured).  At N = 6024 the lg term, the anchor's lgamma error, is 5/6 of tol: without it,
-        # a margin of half a tol would not hand over
+        # alpha = p(s) + share * tol at n = 5000, tol carried from the one walk, at the first feasible n0: the walk's
+        # _tol(p, 7 sqrt(n) + 10, lgamma(n + 1)), and _tol(p, 1, 0) for each of the n - n0 steps.  At 1e-312 every
+        # pm1 lies below _TINY and each step takes it afresh, adding _tol(p, 0, lgamma(n + 1)) for its own anchor
+        # error.  The scan's own rounding is far under a tenth of tol.  At .01 the steps make 2/5 of tol and
+        # lgamma(n + 1) over half; at 1e-312 the refreshes nearly half: without any one of them, a margin of 0.9 tol
+        # would not hand over, nor would it under one bound per scan with a walk every 1024 steps (4/5 and 1/5 of tol)
         n = 5000
-        s = _select_walk(n, (0.01,), SelectionMode.STRICT_AT_MOST_ALPHA, tail)[0][0]
-        p = p_value(BinomialOutcome(n, s), tail)
-        top = n + _ANCHOR_EVERY
-        tol = binomial_kernel._tol(p, 7.0 * math.sqrt(top) + 10.0 + _ANCHOR_EVERY, math.lgamma(top + 1))
-        for share, thin in ((0.5, True), (2.0, False)):
-            walked.clear()
-            got = {m: k for m, k, _ in _march(p + share * tol, mode, tail, n)}[n]
-            assert (n in walked) == thin, share
-            assert got == s
+        for alpha in (0.01, 1e-312):
+            s = _select_walk(n, (alpha,), SelectionMode.STRICT_AT_MOST_ALPHA, tail)[0][0]
+            p = p_value(BinomialOutcome(n, s), tail)
+            n0 = next(m for m in range(1, n) if min_attainable_p(m, tail) <= p)
+            lg = math.lgamma(n + 1)
+            per_step = binomial_kernel._tol(p, 1.0, 0.0) + (p < 1e-310) * binomial_kernel._tol(p, 0.0, lg)
+            tol = binomial_kernel._tol(p, 7.0 * math.sqrt(n) + 10.0, lg) + (n - n0) * per_step
+            for share, thin in ((0.9, True), (1.1, False)):
+                walked.clear()
+                got = {m: k for m, k, _ in _march(p + share * tol, mode, tail, n)}[n]
+                assert walked == ([n0, n] if thin else [n0]), (alpha, share)
+                assert got == s
 
     def test_walks_only_at_anchors(self, walked):
-        # the first feasible n and every 1024 steps; a thin-margin hand-over is rare
+        # the first feasible n, and where a margin lies inside the bound carried since the last walk: here no margin
+        # does (6 walks with a walk every 1024 steps)
         steps = list(_march(0.01, SelectionMode.NEAREST_TO_ALPHA, TailConvention.TWO_SIDED_SYMMETRIC, 6000))
         assert [n for n, _, _ in steps] == list(range(8, 6001))  # 2 * 2**-n <= .01 from n = 8
-        assert len(walked) <= 8
+        assert walked == [8]
 
     @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
     @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
@@ -422,7 +430,7 @@ class TestMarch:
     @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
     def test_anchor_tail_is_log_upper_tail_bit_for_bit(self, monkeypatch, mode, tail):
         # every walk's T = p / c (less the pick's term where a nearest pick lies below the strict s) takes
-        # p from the walk's own terms, and p is p_value's; thin margins (alpha = p(1000, 532)) add hand-over walks
+        # p from the walk's own terms, and p is p_value's; thin margins (alpha = p(n, s)) force hand-over walks at n
         anchors = []
 
         def spy(n, *args):
@@ -431,12 +439,12 @@ class TestMarch:
             return picks
 
         monkeypatch.setattr(binomial_kernel, "_select_walk", spy)
-        for alpha in (0.05, 1e-6, p_value(BinomialOutcome(1000, 532), tail)):
-            anchors.clear()
+        ties = [(1000, 532), (2000, 1046), (3000, 1560), (1104, 1094)]
+        for alpha in (0.05, 1e-6, *(p_value(BinomialOutcome(n, s), tail) for n, s in ties)):
             list(_march(alpha, mode, tail, 5000))
-            assert len(anchors) >= 4
-            for n, s, p in anchors:
-                assert p == p_value(BinomialOutcome(n, s), tail), (alpha, n, s)
+        assert {n for n, s in ties} <= {n for n, _, _ in anchors}
+        for n, s, p in anchors:
+            assert p == p_value(BinomialOutcome(n, s), tail), (n, s)
 
     def test_nearest_hand_overs_at_ties_walk_once_per_n(self, walked, lgamma_calls):
         # p((n+1)/2) = .5 exactly at every odd n, so one-sided nearest mode hands over at each of them,
@@ -449,17 +457,17 @@ class TestMarch:
         assert lgamma_calls() <= 300_000
 
     def test_lgamma_calls_per_scanned_n(self, lgamma_calls):
-        # a scanned n steps pmf(s-1) by its term ratio and takes no lgamma; the anchors' walks and exp(ln pmf)
-        # take theirs, and each yielded n three for its ln L0: 3,054 over 6,513 n (12,570 with an ln j! band
-        # and one lgamma call as s moved up, 28,944 when each n took its ln j! afresh)
+        # a scanned n steps pmf(s-1) by its term ratio and takes no lgamma; the one walk and its exp(ln pmf) take
+        # theirs, and each yielded n three for its ln L0: 356 over 6,513 n (3,054 with a walk every 1024 steps,
+        # 12,570 with an ln j! band and one lgamma call as s moved up, 28,944 when each n took its ln j! afresh)
         assert find_crossing(0.01, 0.7) == 6520
-        assert lgamma_calls() <= 4_000
+        assert lgamma_calls() <= 400
 
     def test_lgamma_calls_where_no_n_touches_the_level(self, lgamma_calls):
-        # no n reaches the floor, so the 20 anchor walks and their pmf(s-1) make all 12,834 calls (43,038 with
-        # the ln j! band)
+        # no n reaches the floor and no margin is thin, so the walk at the first feasible n and its pmf(s-1) make
+        # all 14 calls (12,834 with a walk every 1024 steps, 43,038 with the ln j! band)
         assert find_crossing(0.0001, 0.9) is None
-        assert lgamma_calls() <= 13_000
+        assert lgamma_calls() <= 20
 
     def test_scan_memory_is_constant_beside_its_walks(self):
         # between walks the scan holds a few floats; the peak, 17 KB to n = 10,000 and 24 KB to 20,000, is an
@@ -477,20 +485,36 @@ class TestMarch:
     @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
     @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
     def test_most_drifted_steps_match_a_fresh_walk(self, walked, mode, tail):
-        # pmf(s-1) drifts by its ratio's roundings most at the step before a walk, _ANCHOR_EVERY - 1 steps
-        # after an anchor; there (n, s, ln L0) must be a fresh walk's, bit for bit.  At alpha 1e-310 pmf(s-1)
-        # lies below the scan's _TINY and is taken afresh each step; at 5e-324 every margin is thin: each n walks
+        # the scan's T and pmf(s-1) drift most at the step before a hand-over and at the end of a span, up to
+        # n_max steps after the last walk; there (n, s, ln L0) must be a fresh walk's, bit for bit.  At alpha
+        # 1e-310 pmf(s-1) lies below the scan's _TINY and is taken afresh each step; at 5e-324 every margin is
+        # thin: each n walks
         checked = 0
         for alpha in (0.3, 0.05, 0.01, 1e-3, 1e-10, 1e-100, 1e-300, 1e-306, 1e-310, 5e-324):
             walked.clear()
             steps = {n: (s, log_l0) for n, s, log_l0 in _march(alpha, mode, tail, 4200)}
             anchors = sorted(set(walked))
-            drifted = [b - 1 for a, b in zip(anchors, anchors[1:]) if b - a > 1] + [anchors[-1] + _ANCHOR_EVERY - 1]
+            drifted = [b - 1 for a, b in zip(anchors, anchors[1:]) if b - a > 1] + list(range(4196, 4201))
             for n in [n for n in drifted if n in steps]:
                 [(s, _)] = _select_walk(n, (alpha,), mode, tail)
                 assert steps[n] == (s, _log_term(n, s)), (alpha, n)
                 checked += 1
-        assert checked >= 30  # 4 spans at alpha .3 to 1e-100 and 3 or 4 at 1e-300 to 1e-310, and hand-overs
+        assert checked >= 50  # the last 5 n at each alpha, and the steps before hand-overs
+
+    @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
+    @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("alpha, n_max", [(0.05, 100_000), (1e-10, 100_000), (1e-308, 20_000)])
+    def test_a_long_span_ends_on_a_fresh_walk_s_picks(self, walked, alpha, n_max, mode, tail):
+        # the scan walks at the first feasible n and where a margin lies inside its carried bound: 1 to 3 times
+        # here, against 98 (to 100,000) and 19 (to 20,000) with a walk every 1024 steps.  The last 20 n lie up to
+        # n_max steps from a walk, yet are a fresh walk's (s, ln L0) bit for bit.  At 1e-308 pmf(s-1) lies below
+        # _TINY and is taken afresh at nearly every step, each time with its own anchor error
+        last = collections.deque(_march(alpha, mode, tail, n_max), maxlen=20)
+        assert len(walked) <= 3
+        assert [n for n, _, _ in last] == list(range(n_max - 19, n_max + 1))
+        for n, s, log_l0 in last:
+            [(want, _)] = _select_walk(n, (alpha,), mode, tail)
+            assert (s, log_l0) == (want, _log_term(n, want)), n
 
 
 def min_p_feasible(n):
