@@ -17,8 +17,9 @@ alpha: in one go down to a Chernoff point, above which every p is at most the
 smallest alpha, then term by term past each alpha's break; each pick's p is
 folded from that list, bit-equal to p_value.  Where a margin lies within _tol,
 one rounding bound, the pass and find_crossing's scan over n (_march) hand
-over to a one-alpha walk; between walks the scan steps pmf(s - 1) by its exact
-term ratio, so a scanned n takes no lgamma and no exp.  Given a floor under
+over to a one-alpha walk; between walks the scan steps pmf(s - 1), times
+2**512 so that it stays normal, by its exact term ratio, so a scanned n takes
+no lgamma and no exp.  Given a floor under
 ln(L0 (n + 1)), the scan yields only the n whose (n + 1) pmf(s - 1) reaches it,
 each with three lgamma calls for its ln L0, so find_crossing scores only the n
 near its level.  The tail routines take n <= MAX_N.
@@ -47,6 +48,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_SCALE, _LN_SCALE = 2.0 ** 512, 512.0 * _LN2  # the unit of _tol: alpha and the pmf the scan carries stay normal in it
 
 
 class InfeasibleError(ValueError):
@@ -208,26 +210,29 @@ def _walk_start(n: int, alpha: float, shift: float) -> tuple[int, int]:
     return c, _tail_start(n, c)
 
 
-def _tol(alpha: float, m: float, lg: float) -> float:
-    """F (eps (alpha (lg + m (1 - ln alpha))) + m ulp(0)), F = 37: how far a fast path's decision margins may lie from
-    the one-alpha walk's, after m rounding steps and anchors whose lgamma values total at most lg, linear in both, so a
-    caller sums it over what happened, each error once.  Where a margin d1 = alpha - p(s), d2 = p(s-1) - alpha or
-    d2 - d1 is thin, p(s) <= alpha and p(s-1) <= 2 alpha.  A fold step rounds ln p by eps (|ln p| + 2) at most, and
-    p (|ln p| + 2) grows with p: d2 - d1 moves 8 eps alpha (1 - ln alpha), 16 in two walks: _select_walk's pass and a
-    one-alpha walk from a lower cut-off, m = top - n//2 steps each (lg = 0, as both fold the same terms; the mass above
-    the cut-off is below 2**-60 of p), or _march's walk and a later fresh one, 7 sqrt(n_max) + 10 steps each
-    (_tail_start).  A scan step (m = 1) rounds T and pm1 twice each (a stepped pm1, at least _TINY, is normal), so pm1
-    drifts 2 eps a step; summed by parts, a rounding in pm1 moves T by its share of a difference of two tails, each at
-    most p(s-1)/c, and c pm1 <= alpha s/(n-s+1) <= 8 alpha (1 - ln alpha) (Hoeffding): a step moves d1, d2, d2 - d1 by
-    14, 22, 36 eps alpha (1 - ln alpha) at most.  An anchor's pm1, exp(_log_term(n, s-1)), at a walk or afresh below
-    _TINY, errs by a factor 1 + delta, |delta| <= 18.5 eps lg + eps/2 (lgamma values within 8 ulps, the lower two
-    summing to at most lg = lgamma(n_max+1); three subtractions; n ln 2), shared by the terms stepped from it: c T errs
-    by c delta (T1 - T0), T there and at the next anchor both in [0, alpha/c], so d2 - d1 by 2 delta alpha, once per
-    anchor.  A subnormal p, T or pm1 rounds by ulp(0)/2, 2 ulp(0) a step.  So F needs 36 for m's eps term (a scan
-    step's), 37 for lg's (delta's eps/2 fits the spare unit of the m that takes the anchor) and 2 for ulp(0)'s; alpha
-    multiplies first, as eps alpha is 0 below alpha = 1.1e-308.
+def _tol(alpha: float, m: float, lg: float, w: float) -> float:
+    """F _SCALE (eps alpha (lg + m (1 - ln alpha)) + w ulp(0)), F = 37: how far a fast path's decision margins, times
+    _SCALE, may lie from the one-alpha walk's, after w walk comparisons, m rounding steps and walks whose pm1 errors
+    total at most lg, linear in all three, so a caller sums it over what happened, each error once.  Times _SCALE, alpha
+    and a walk's p are exact, and for n <= MAX_N the scan's pm1 = pmf(s-1) >= alpha/(c (n+1)) and T >= pmf(s) >= pm1/n
+    are normal.  Where a margin d1 = alpha - p(s), d2 = p(s-1) - alpha or d2 - d1 is thin, p(s) <= alpha and
+    p(s-1) <= 2 alpha.  A fold step rounds ln p by eps (|ln p| + 2) at most, and p (|ln p| + 2) grows with p: d2 - d1
+    moves 8 eps alpha (1 - ln alpha), 16 in two walks: _select_walk's pass and a one-alpha walk from a lower cut-off,
+    m = top - n//2 steps each (lg = 0, as both fold the same terms; the mass above the cut-off is below 2**-60 of p), or
+    _march's walk and a later fresh one, 7 sqrt(n_max) + 10 steps each (_tail_start).  A walk's p is one exp, rounded
+    once, by ulp(0)/2 where it is subnormal: 2 ulp(0) in d2 - d1 for a comparison of two walks (w = 1).  A scan step
+    (m = 1) rounds T and pm1 twice each, so pm1 drifts 2 eps a step; summed by parts, a rounding in pm1 moves T by its
+    share of a difference of two tails, each at most p(s-1)/c, and c pm1 <= alpha s/(n-s+1) <= 8 alpha (1 - ln alpha)
+    (Hoeffding): a step moves d1, d2, d2 - d1 by 14, 22, 36 eps alpha (1 - ln alpha) at most, and by no ulp(0).  A
+    walk's pm1, exp(_log_term(n, s-1) + 512 ln 2), errs by a factor 1 + delta, |delta| <= 18.5 eps lg + eps/2 for
+    lg = lgamma(n_max+1) + 14: lgamma values within 8 ulps, the lower two summing to at most lgamma(n_max+1); three
+    subtractions; n ln 2; and the shift, under 18.5 eps 14, as the float 512 ln 2 lies 53.5 eps off and the sum rounds
+    by eps/2 |ln pm1 + 512 ln 2| <= 203.2 eps (ln pm1 >= ln(2**-1074/(2e7 + 2))).  delta is shared by the terms stepped
+    from that pm1: c T errs by c delta (T1 - T0), T there and at the next walk both in [0, alpha/c], so d2 - d1 by
+    2 delta alpha, once per walk.  So F needs 36 for m's eps term (a scan step's), 37 for lg's (delta's eps/2 fits the
+    spare unit of the m that takes the walk) and 2 for w's.
     """
-    return 37.0 * (math.ulp(1.0) * (alpha * (lg + m * (1.0 - math.log(alpha)))) + m * math.ulp(0.0))
+    return 37.0 * (math.ulp(1.0) * (alpha * _SCALE) * (lg + m * (1.0 - math.log(alpha))) + w * math.ulp(0.0) * _SCALE)
 
 
 def _select_walk(n: int, alphas: tuple[float, ...], mode: SelectionMode, tail: TailConvention) -> list:
@@ -244,9 +249,9 @@ def _select_walk(n: int, alphas: tuple[float, ...], mode: SelectionMode, tail: T
     the one before it, and the nearest s is the strict s or s - 1, whichever p
     lies nearer alpha, ties to the strict s, the rule _march applies.
     The smallest alpha folds as a one-alpha call does; where a larger alpha's
-    margin lies within _tol(alpha, top - n//2, 0), its own walk picks.  Each
-    pick's tail is folded from the list in _log_upper_tail's order, so p is
-    bit-equal to p_value.
+    margin, times _SCALE, lies within _tol(alpha, top - n//2, 0, 1), its own
+    walk picks.  Each pick's tail is folded from the list in _log_upper_tail's
+    order, so p is bit-equal to p_value.
     """
     exp, log1p, shift = math.exp, math.log1p, _shift(tail)
     nearest = mode is SelectionMode.NEAREST_TO_ALPHA
@@ -281,10 +286,10 @@ def _select_walk(n: int, alphas: tuple[float, ...], mode: SelectionMode, tail: T
     breaks += [(strict_i, below, None)] * (j + 1)  # no p above these alphas down to n/2
     picks = []
     for alpha, (strict_i, below, p) in zip(alphas, reversed(breaks)):
-        d1 = math.inf if strict_i is None else alpha - below
-        d2 = math.inf if p is None else p - alpha
+        d1 = math.inf if strict_i is None else (alpha - below) * _SCALE  # equals alpha _SCALE - below _SCALE exactly
+        d2 = math.inf if p is None else (p - alpha) * _SCALE
         if alpha > alphas[-1]:
-            tol = _tol(alpha, top - n // 2, 0.0)
+            tol = _tol(alpha, top - n // 2, 0.0, 1.0)
             if min(d1, d2) <= tol or nearest and abs(d2 - d1) <= tol:
                 picks += _select_walk(n, (alpha,), mode, tail)
                 continue
@@ -323,62 +328,56 @@ def select_barely_significant(
     return CriticalValue(*pick)
 
 
-_TINY = 2.0 ** -1021  # the scan steps no pm1 below this: times n, then over 2k <= 2n, one above it stays normal
-
-
 def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int, floor: float = -math.inf):
     """(n, s, ln L0) for each n in 1 .. n_max at which alpha is attainable and ln(L0 (n+1)) may reach floor: s is
     _select_walk's pick, ln L0 _log_term(n, s).
 
     One forward scan carries the strict threshold s (the smallest s > n/2 with p <= alpha), T = P_n(X >= s) and
-    pm1 = pmf_n(s-1) in linear space: T += pm1/2 (the last n's pm1), and s moves up at most one, as
-    P_n(X >= s+1) <= P_{n-1}(X >= s) <= P_n(X >= s).  pm1 steps by its exact ratio, n / (2 (n-s+1)) where s stays and
-    n / (2s) where it moves up (the old s), so a scanned n takes no lgamma and no exp; it is taken afresh,
-    exp(_log_term(n, s-1)), where it lies below _TINY and at each walk.  One walk in the scan's own mode sets s and
-    T = p / c (p bit-equal to p_value; a nearest pick with p > alpha is s - 1, and T drops its term) at the first
-    feasible n and where a margin (_tol's d1, d2, or d2 - d1 in nearest mode) lies within tol, and yields its pick; a
-    sure margin makes s the strict threshold whatever pick set it (too large an s leaves d2 <= tol, too small d1).  tol
-    is _tol over what happened since the last walk, carried as one float: _tol(alpha, 7 sqrt(n_max) + 10, lg) at the
-    walk, lg = lgamma(n_max+1), plus _tol(alpha, 1, 0) a step and _tol(alpha, 0, lg) a pm1 taken afresh below _TINY; its
-    n_max <= 1e7 sums, eps/2 each, take under 3e-9 of it, inside F's spare 1/37.
+    pm1 = pmf_n(s-1) in linear space, times _SCALE, as it compares them with alpha and tol times _SCALE (_tol):
+    T += pm1/2 (the last n's pm1), and s moves up at most one, as P_n(X >= s+1) <= P_{n-1}(X >= s) <= P_n(X >= s).
+    pm1 steps by its exact ratio, n / (2 (n-s+1)) where s stays and n / (2s) where it moves up (the old s), so a
+    scanned n takes no lgamma and no exp.  One walk in the scan's own mode, at the first feasible n and where a margin
+    (_tol's d1, d2, or d2 - d1 in nearest mode) lies within tol, yields its pick and sets s, T = p _SCALE / c (p is
+    p_value's; a nearest pick with p > alpha is s - 1, and T drops its term) and pm1 = exp(_log_term(n, s-1) + 512
+    ln 2); a sure margin makes s the strict threshold whatever pick set it (too large an s leaves d2 <= tol, too small
+    d1).  tol is _tol over what happened since the last walk, carried as one float: _tol(alpha, 7 sqrt(n_max) + 10,
+    lg, 1) at the walk, lg = lgamma(n_max+1) + 14, plus _tol(alpha, 1, 0, 0) a step; its n_max <= 1e7 sums, eps/2
+    each, take under 3e-9 of it, inside F's spare 1/37.
 
-    A floor yields only the n where (n+1) pm1 reaches low = exp(floor - margin), taken once per scan,
-    margin = eps (64 lg + 2 n_max + 745 + 2).  As s > n/2, pmf(s) = pmf(s-1) (n-s+1)/s <= pmf(s-1), so (n+1) pm1 bounds
-    the L0 (n+1) of either pick, s or s - 1.  The pick's ln L0 and the last fresh pm1's ln each err by at most
-    18.5 eps lg + eps/2, as in _tol: 37 of the 64 (1.7 seen, n_max to 20000).  pm1 drifts 2 eps a step from its last
-    fresh value, which may lie n_max steps back.  floor - margin rounds by eps |floor| / 2, and |floor| <= 745 wherever
-    low's exp neither overflows nor is 0.  The + 2 covers the two eps/2 and a rounding each of (n+1) pm1 and low's exp,
-    where both are normal, as a stepped pm1 is.  A pm1 under _TINY is a normal product or exp(_log_term), which may be
-    subnormal, where rounding is not relative; either way its pmf(s-1) is under 2**-1020, so where
-    low >= (n_max + 1) 2**-1020 such an n is skipped, as (n+1) pm1 < low/2 and (n+1) pmf(s-1) < low.  Below that
-    cut-over (a level under about n_max 1e-307) the floor is off.  The default floor, -inf, yields every feasible n.
+    A floor yields only the n where (n+1) pm1 reaches low = exp(floor - margin + 512 ln 2), taken once per scan,
+    margin = eps (64 lg + 2 n_max + 745 + 2 + 250).  As s > n/2, pmf(s) = pmf(s-1) (n-s+1)/s <= pmf(s-1), so (n+1) pm1
+    bounds the L0 (n+1) of either pick, s or s - 1.  The pick's ln L0 and the last walk's ln pm1 each err by at most
+    18.5 eps lg + eps/2, as in _tol: 37 of the 64 (1.7 seen, n_max to 20000).  pm1 drifts 2 eps a step from the last
+    walk, which may lie n_max steps back.  floor - margin rounds by eps |floor| / 2, under the 745, as find_crossing's
+    finite floors (_ln_bf_floor at even prior odds) lie in [-745, 35]; the + 2 covers the two eps/2 and a rounding
+    each of (n+1) pm1 and low's exp, both normal; the shift's sum rounds by eps/2 |floor - margin + 512 ln 2| <= 195
+    eps and its float 512 ln 2 lies 53.5 eps off: the 250.  The default floor, -inf, yields every feasible n.
     """
     c = 2.0 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 1.0
     nearest = mode is SelectionMode.NEAREST_TO_ALPHA
     inf, exp = math.inf, math.exp
-    lg = math.lgamma(n_max + 1)  # bounds every lgamma the scan takes
-    at_walk, step, anchor = _tol(alpha, 7.0 * math.sqrt(n_max) + 10.0, lg), _tol(alpha, 1.0, 0.0), _tol(alpha, 0.0, lg)
-    low = exp(floor - math.ulp(1.0) * (64.0 * lg + 2.0 * n_max + 747.0))
-    low = low if low >= 2.0 * _TINY * (n_max + 1) else 0.0  # below the cut-over, yield every n
+    lg = math.lgamma(n_max + 1) + 14.0  # bounds every lgamma the scan takes, and each walk's shift (_tol)
+    at_walk, step = _tol(alpha, 7.0 * math.sqrt(n_max) + 10.0, lg, 1.0), _tol(alpha, 1.0, 0.0, 0.0)
+    a, low = alpha * _SCALE, exp(floor - math.ulp(1.0) * (64.0 * lg + 2.0 * n_max + 747.0 + 250.0) + _LN_SCALE)
     first = next((n for n in range(1, n_max + 1) if min_attainable_p(n, tail) <= alpha), n_max + 1)
     for n in range(first, n_max + 1):
         half, fresh = n // 2, n == first
         if not fresh:
             T += 0.5 * pm1
-            moved = c * T > alpha or s <= half
-            tol += step if pm1 >= _TINY else step + anchor
-            pm1 = pm1 * n / (2 * (s if moved else n - s + 1)) if pm1 >= _TINY else exp(_log_term(n, s + moved - 1))
+            moved = c * T > a or s <= half
+            tol += step
+            pm1 = pm1 * n / (2 * (s if moved else n - s + 1))
             s += moved
         while True:
             if fresh:
                 [(pick, p)] = _select_walk(n, (alpha,), mode, tail)
-                moved, T, tol = p > alpha, p / c, at_walk
+                moved, T, tol = p > alpha, p * _SCALE / c, at_walk
                 s = pick + moved
-                pm1 = exp(_log_term(n, s - 1))
+                pm1 = exp(_log_term(n, s - 1) + _LN_SCALE)
             if moved:
                 T -= pm1
-            d1 = alpha - c * T
-            d2 = c * (T + pm1) - alpha if s - 1 > half else inf  # the walk stops above n/2
+            d1 = a - c * T
+            d2 = c * (T + pm1) - a if s - 1 > half else inf  # the walk stops above n/2
             if fresh or d1 > tol and d2 > tol and (not nearest or abs(d2 - d1) > tol):  # a walk's pick, or a sure s
                 break
             fresh = True

@@ -216,7 +216,7 @@ _COMMANDS = {
     "crossing": (_cmd_crossing, "first n whose posterior reaches a level",
                  "Smallest trial count at which the barely-significant posterior first touches the given level "
                  "(the curve is jittery, so this is first-touch). Every n up to n-max is scored, so null means no "
-                 "n reaches the level; the time grows linearly with the answer, or with n-max (about 0.02 s at "
+                 "n reaches the level; the time grows linearly with the answer, or with n-max (about 0.01 s at "
                  "20000). Defaults: mode=nearest, tail=two, Beta(1,1) prior, n-max=20000.",
                  ("--alpha", "--level", "--n-max", "--mode", "--tail", "--prior-a", "--prior-b")),
     "prep": (_cmd_prep, "replication probability for a realized p-value",

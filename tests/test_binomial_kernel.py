@@ -333,31 +333,34 @@ class TestSelection:
                     handed.clear()
                     assert _select_walk(n, (alpha, small), mode, tail) == want, (n, alpha)
                     assert handed == ([(alpha,)] if thin else []), (n, alpha)
-        # subnormal alphas, where eps alpha is 0: a bound that took it first kept only 32 m ulp(0); a larger alpha
-        # at 0.9 _tol above the pass's p(s) lies far above that and must hand over, one at 1.1 _tol must not
-        small = 1e-312
+        # subnormal alphas, where eps alpha underflows: times _SCALE it stays normal, and the bound's fold share is
+        # over 10 times its ulp(0) share here; a bound taken unscaled kept only 37 ulp(0).  A larger alpha at 0.9 _tol
+        # above the pass's p(s) lies far above that and must hand over, one at 1.1 _tol must not
+        small, scale = 1e-312, binomial_kernel._SCALE
         for n in (1400, 1500, 1800):
             top = _walk_start(n, small, shift)[1]
             ps = [math.exp(shift + acc) for acc in itertools.accumulate(_log_terms(n, top, n // 2), _fold)]
             i = max(i for i, p in enumerate(ps) if p <= 1.1e-308)  # the last p whose eps p is 0: 1.6e-309 or more here
-            tol = binomial_kernel._tol(ps[i], top - n // 2, 0.0)
-            assert 0.9 * tol > 10 * 32 * (top - n // 2) * math.ulp(0.0), n
+            tol = binomial_kernel._tol(ps[i], top - n // 2, 0.0, 1.0)
+            assert 0.9 * tol > 10 * 37 * math.ulp(0.0) * scale, n
             for share, thin in ((0.9, True), (1.1, False)):
-                alpha = ps[i] + share * tol  # subnormal, so alpha - p(s) is share * tol to an ulp(0)
+                alpha = ps[i] + share * tol / scale  # subnormal, so alpha - p(s) is share * tol / scale to an ulp(0)
                 want = [_select_walk(n, (alpha,), mode, tail)[0], _select_walk(n, (small,), mode, tail)[0]]
                 handed.clear()
                 assert _select_walk(n, (alpha, small), mode, tail) == want, (n, alpha)
                 assert handed == ([(alpha,)] if thin else []), (n, alpha)
 
     def test_tol_covers_what_its_derivation_needs(self):
-        # _tol's docstring: per unit, m's eps alpha (1 - ln alpha) term needs 36 (a scan step), lg's eps alpha term 37
-        # (an anchor's error, twice) and m's ulp(0) term 2; compared exactly, and for subnormal alpha too
-        eps, tiny = Fraction(math.ulp(1.0)), Fraction(math.ulp(0.0))
+        # _tol's docstring, times _SCALE: per unit, m's eps alpha (1 - ln alpha) term needs 36 (a scan step), lg's eps
+        # alpha term 37 (a walk's pm1 error, twice) and w's ulp(0) term 2 (a p rounded once in each of two walks), per
+        # comparison, not per m; compared exactly, and for subnormal alpha too, where eps alpha alone underflows
+        eps, tiny, scale = Fraction(math.ulp(1.0)), Fraction(math.ulp(0.0)), Fraction(binomial_kernel._SCALE)
         for alpha in (0.9, 0.05, 1e-10, 1e-300, 1.1e-308, 1e-309, 1e-312, 1e-320, 5e-324):
-            for m, lg in ((1.0, 0.0), (60.0, 0.0), (2000.0, 0.0), (2000.0, 6000.0), (1200.0, 3e6)):
-                need = (eps * Fraction(alpha) * (36 * Fraction(m) * Fraction(1.0 - math.log(alpha)) + 37 * Fraction(lg))
-                        + 2 * Fraction(m) * tiny)
-                assert Fraction(binomial_kernel._tol(alpha, m, lg)) >= need, (alpha, m, lg)
+            for m, lg, w in ((1.0, 0.0, 0.0), (60.0, 0.0, 1.0), (2000.0, 0.0, 1.0), (2000.0, 6000.0, 1.0),
+                             (1200.0, 3e6, 1.0), (0.0, 0.0, 1.0)):
+                need = scale * (eps * Fraction(alpha) * (36 * Fraction(m) * Fraction(1.0 - math.log(alpha))
+                                                         + 37 * Fraction(lg)) + 2 * Fraction(w) * tiny)
+                assert Fraction(binomial_kernel._tol(alpha, m, lg, w)) >= need, (alpha, m, lg, w)
 
     @staticmethod
     def _check_against_reference(n, alpha, mode, tail):

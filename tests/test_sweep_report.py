@@ -269,8 +269,8 @@ class TestFindCrossing:
     def test_floored_scan_finds_what_scoring_every_n_finds(self, mode, tail):
         # levels equal to a posterior the scan scores, or one float either side, are where rounding decides;
         # there a floor without its margin skips touches in nearest mode (16 to 26 of the 2,438 searches).
-        # At alpha 1e-323 and 5e-324 the levels, and so exp(floor), are subnormal: there the scan turns its
-        # floor off, and a scan that compared the subnormal products skips touches at 1e-323 in nearest mode
+        # At alpha 1e-323 and 5e-324 the levels, and so exp(floor), are subnormal: the scan takes that exp and
+        # the products it compares times _SCALE, and one that compared them unscaled skips touches at 1e-323
         score = _scorer(None, 0.5)
         for alpha in (0.3, 0.05, 0.01, 0.001, 1e-10, 1e-300, 1e-323, 5e-324):
             post = [(n, score(n, s, log_l0)[1]) for n, s, log_l0 in _march(alpha, mode, tail, 2500)]
@@ -390,23 +390,22 @@ class TestMarch:
     @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
     @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
     def test_a_margin_inside_tol_hands_over_and_one_outside_does_not(self, walked, mode, tail):
-        # alpha = p(s) + share * tol at n = 5000, tol carried from the one walk, at the first feasible n0: the walk's
-        # _tol(p, 7 sqrt(n) + 10, lgamma(n + 1)), and _tol(p, 1, 0) for each of the n - n0 steps.  At 1e-312 every
-        # pm1 lies below _TINY and each step takes it afresh, adding _tol(p, 0, lgamma(n + 1)) for its own anchor
-        # error.  The scan's own rounding is far under a tenth of tol.  At .01 the steps make 2/5 of tol and
-        # lgamma(n + 1) over half; at 1e-312 the refreshes nearly half: without any one of them, a margin of 0.9 tol
-        # would not hand over, nor would it under one bound per scan with a walk every 1024 steps (4/5 and 1/5 of tol)
-        n = 5000
+        # alpha = p(s) + share * tol / _SCALE at n = 5000, tol carried from the one walk, at the first feasible n0:
+        # the walk's _tol(p, 7 sqrt(n) + 10, lgamma(n + 1) + 14, 1), and _tol(p, 1, 0, 0) for each of the n - n0 steps.
+        # The scan's own rounding is far under a tenth of tol.  At .01 the steps make 2/5 of tol and lgamma(n + 1)
+        # over half; at 1e-312 the steps 6/7 and the walk's ulp(0) 1/57 to 1/90: without the steps or lgamma(n + 1),
+        # a margin of 0.9 tol would not hand over, and with ulp(0) charged a step the bound would grow 45 to 70
+        # times, so a margin of 1.1 tol would hand over too
+        n, scale = 5000, binomial_kernel._SCALE
         for alpha in (0.01, 1e-312):
             s = _select_walk(n, (alpha,), SelectionMode.STRICT_AT_MOST_ALPHA, tail)[0][0]
             p = p_value(BinomialOutcome(n, s), tail)
             n0 = next(m for m in range(1, n) if min_attainable_p(m, tail) <= p)
-            lg = math.lgamma(n + 1)
-            per_step = binomial_kernel._tol(p, 1.0, 0.0) + (p < 1e-310) * binomial_kernel._tol(p, 0.0, lg)
-            tol = binomial_kernel._tol(p, 7.0 * math.sqrt(n) + 10.0, lg) + (n - n0) * per_step
+            tol = (binomial_kernel._tol(p, 7.0 * math.sqrt(n) + 10.0, math.lgamma(n + 1) + 14.0, 1.0)
+                   + (n - n0) * binomial_kernel._tol(p, 1.0, 0.0, 0.0))
             for share, thin in ((0.9, True), (1.1, False)):
                 walked.clear()
-                got = {m: k for m, k, _ in _march(p + share * tol, mode, tail, n)}[n]
+                got = {m: k for m, k, _ in _march(p + share * tol / scale, mode, tail, n)}[n]
                 assert walked == ([n0, n] if thin else [n0]), (alpha, share)
                 assert got == s
 
@@ -487,8 +486,8 @@ class TestMarch:
     def test_most_drifted_steps_match_a_fresh_walk(self, walked, mode, tail):
         # the scan's T and pmf(s-1) drift most at the step before a hand-over and at the end of a span, up to
         # n_max steps after the last walk; there (n, s, ln L0) must be a fresh walk's, bit for bit.  At alpha
-        # 1e-310 pmf(s-1) lies below the scan's _TINY and is taken afresh each step; at 5e-324 every margin is
-        # thin: each n walks
+        # 1e-310 pmf(s-1) is subnormal, and the scan steps it times _SCALE; at 5e-324 every margin is thin: each
+        # n walks
         checked = 0
         for alpha in (0.3, 0.05, 0.01, 1e-3, 1e-10, 1e-100, 1e-300, 1e-306, 1e-310, 5e-324):
             walked.clear()
@@ -503,14 +502,17 @@ class TestMarch:
 
     @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
     @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
-    @pytest.mark.parametrize("alpha, n_max", [(0.05, 100_000), (1e-10, 100_000), (1e-308, 20_000)])
+    @pytest.mark.parametrize("alpha, n_max", [(0.05, 100_000), (1e-10, 100_000), (1e-308, 20_000),
+                                              (1e-317, 20_000), (1e-318, 20_000), (1e-319, 20_000)])
     def test_a_long_span_ends_on_a_fresh_walk_s_picks(self, walked, alpha, n_max, mode, tail):
-        # the scan walks at the first feasible n and where a margin lies inside its carried bound: 1 to 3 times
-        # here, against 98 (to 100,000) and 19 (to 20,000) with a walk every 1024 steps.  The last 20 n lie up to
-        # n_max steps from a walk, yet are a fresh walk's (s, ln L0) bit for bit.  At 1e-308 pmf(s-1) lies below
-        # _TINY and is taken afresh at nearly every step, each time with its own anchor error
+        # the scan walks at the first feasible n and where a margin lies inside its carried bound: 1 to 3 times at
+        # .05, 1e-10 and 1e-308, against 98 (to 100,000) and 19 (to 20,000) with a walk every 1024 steps.  At
+        # 1e-317, 1e-318 and 1e-319 the walk's 37 ulp(0) makes a few margins thin: 2 to 3, 11 to 16 and 67 to 116
+        # walks, against 1,409, 12,857 and 18,940 (nearest, two-sided) with 37 ulp(0) charged each step, when T and
+        # pmf(s-1) were carried unscaled.  The last 20 n lie up to n_max steps from a walk, yet are a fresh walk's
+        # (s, ln L0) bit for bit
         last = collections.deque(_march(alpha, mode, tail, n_max), maxlen=20)
-        assert len(walked) <= 3
+        assert len(walked) <= {1e-317: 5, 1e-318: 30, 1e-319: 200}.get(alpha, 3)
         assert [n for n, _, _ in last] == list(range(n_max - 19, n_max + 1))
         for n, s, log_l0 in last:
             [(want, _)] = _select_walk(n, (alpha,), mode, tail)
