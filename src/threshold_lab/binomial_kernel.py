@@ -14,12 +14,13 @@ so every term summed lies at or above n/2 (at n = 1e6, 7,765 lgamma calls at
 s = 499,000 and 1 at s = 0).  The selection walk starts at the cut-off too and
 folds one list of terms per n, grown on demand, in one downward pass for every
 alpha: in one go down to a Chernoff point, above which every p is at most the
-smallest alpha, then term by term past each alpha's break; each pick's p is
-folded from that list, bit-equal to p_value.  Where a margin lies within _tol,
-one rounding bound, the pass and find_crossing's scan over n (_march) hand
-over to a one-alpha walk; between walks the scan steps pmf(s - 1), times
-2**512 so that it stays normal, by its exact term ratio, so a scanned n takes
-no lgamma and no exp.  Given a floor under
+smallest alpha, then term by term, keeping each p times 2**512, so that none is
+subnormal, in one list bisected for each alpha's break; it tests s = n exactly,
+2**-n <= alpha (doubled two-sided), and folds each pick's p from the list,
+bit-equal to p_value.  Where a margin lies within _tol, one rounding bound, the
+pass and find_crossing's scan over n (_march) hand over to a one-alpha walk;
+between walks the scan steps pmf(s - 1), in the same unit, by its exact term
+ratio, so a scanned n takes no lgamma and no exp.  Given a floor under
 ln(L0 (n + 1)), the scan yields only the n whose (n + 1) pmf(s - 1) reaches it,
 each with three lgamma calls for its ln L0, so find_crossing scores only the n
 near its level.  The tail routines take n <= MAX_N.
@@ -27,6 +28,7 @@ near its level.  The tail routines take n <= MAX_N.
 
 from __future__ import annotations
 
+import bisect
 import math
 from enum import Enum
 from typing import NamedTuple
@@ -48,7 +50,7 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-_SCALE, _LN_SCALE = 2.0 ** 512, 512.0 * _LN2  # the unit of _tol: alpha and the pmf the scan carries stay normal in it
+_SCALE, _LN_SCALE = 2.0 ** 512, 512.0 * _LN2  # the unit of every decision (_tol): no value compared in it is subnormal
 
 
 class InfeasibleError(ValueError):
@@ -210,50 +212,51 @@ def _walk_start(n: int, alpha: float, shift: float) -> tuple[int, int]:
     return c, _tail_start(n, c)
 
 
-def _tol(alpha: float, m: float, lg: float, w: float) -> float:
-    """F _SCALE (eps alpha (lg + m (1 - ln alpha)) + w ulp(0)), F = 37: how far a fast path's decision margins, times
-    _SCALE, may lie from the one-alpha walk's, after w walk comparisons, m rounding steps and walks whose pm1 errors
-    total at most lg, linear in all three, so a caller sums it over what happened, each error once.  Times _SCALE, alpha
-    and a walk's p are exact, and for n <= MAX_N the scan's pm1 = pmf(s-1) >= alpha/(c (n+1)) and T >= pmf(s) >= pm1/n
-    are normal.  Where a margin d1 = alpha - p(s), d2 = p(s-1) - alpha or d2 - d1 is thin, p(s) <= alpha and
-    p(s-1) <= 2 alpha.  A fold step rounds ln p by eps (|ln p| + 2) at most, and p (|ln p| + 2) grows with p: d2 - d1
-    moves 8 eps alpha (1 - ln alpha), 16 in two walks: _select_walk's pass and a one-alpha walk from a lower cut-off,
-    m = top - n//2 steps each (lg = 0, as both fold the same terms; the mass above the cut-off is below 2**-60 of p), or
-    _march's walk and a later fresh one, 7 sqrt(n_max) + 10 steps each (_tail_start).  A walk's p is one exp, rounded
-    once, by ulp(0)/2 where it is subnormal: 2 ulp(0) in d2 - d1 for a comparison of two walks (w = 1).  A scan step
-    (m = 1) rounds T and pm1 twice each, so pm1 drifts 2 eps a step; summed by parts, a rounding in pm1 moves T by its
-    share of a difference of two tails, each at most p(s-1)/c, and c pm1 <= alpha s/(n-s+1) <= 8 alpha (1 - ln alpha)
-    (Hoeffding): a step moves d1, d2, d2 - d1 by 14, 22, 36 eps alpha (1 - ln alpha) at most, and by no ulp(0).  A
-    walk's pm1, exp(_log_term(n, s-1) + 512 ln 2), errs by a factor 1 + delta, |delta| <= 18.5 eps lg + eps/2 for
-    lg = lgamma(n_max+1) + 14: lgamma values within 8 ulps, the lower two summing to at most lgamma(n_max+1); three
-    subtractions; n ln 2; and the shift, under 18.5 eps 14, as the float 512 ln 2 lies 53.5 eps off and the sum rounds
-    by eps/2 |ln pm1 + 512 ln 2| <= 203.2 eps (ln pm1 >= ln(2**-1074/(2e7 + 2))).  delta is shared by the terms stepped
-    from that pm1: c T errs by c delta (T1 - T0), T there and at the next walk both in [0, alpha/c], so d2 - d1 by
-    2 delta alpha, once per walk.  So F needs 36 for m's eps term (a scan step's), 37 for lg's (delta's eps/2 fits the
-    spare unit of the m that takes the walk) and 2 for w's.
+def _tol(alpha: float, m: float, lg: float) -> float:
+    """F _SCALE eps alpha (lg + m (1 - ln alpha)), F = 37: how far a fast path's decision margins, times _SCALE, may lie
+    from the one-alpha walk's, after m rounding steps and walks whose errors total at most lg, linear in both, so a
+    caller sums it over what happened, each error once.  Each decision compares alpha _SCALE, exact, with a walk's c
+    exp(ln P(X >= s) + 512 ln 2) or the scan's c T and c (T + pm1); for n <= MAX_N, pm1 = pmf(s-1) >= alpha/(c (n+1))
+    and T >= pmf(s) >= pm1/n, so none is subnormal: each rounds relatively.  Where a margin d1 = alpha - p(s), d2 =
+    p(s-1) - alpha or d2 - d1 is thin, p(s) <= alpha and p(s-1) <= 2 alpha.  A fold step rounds ln p by eps (|ln p| + 2)
+    at most, and p (|ln p| + 2) grows with p: d2 - d1 moves 8 eps alpha (1 - ln alpha), 16 in two walks: _select_walk's
+    pass and a one-alpha walk from a lower cut-off, m = top - n//2 steps each (the mass above the cut-off is below
+    2**-60 of p), or _march's walk and a later fresh one, 7 sqrt(n_max) + 10 steps each (_tail_start).  A shifted exp,
+    exp(x + 512 ln 2), errs by a factor 1 + delta, |delta| <= 257.2 eps < 18.5 eps 14: the float 512 ln 2 lies 53.5 eps
+    off, the sum rounds by eps/2 |x + 512 ln 2| <= 203.2 eps (x >= ln(2**-1074/(2e7 + 2))) and the exp by eps/2.  It
+    moves d2 - d1 by 2 delta alpha for a walk's p (p(s) + p(s-1) lies within tol of 2 alpha there), 14 in lg, and by 4
+    delta alpha for the scan's T, taken at a walk from the pick's tail (a nearest pick's p lies below 2 alpha), 28: the
+    pass adds 28, for itself and the walk it is checked against, and the scan 42, for its T and a fresh walk.  A scan
+    step (m = 1) rounds T and pm1 twice each, so pm1 drifts 2 eps a step; summed by parts, a rounding in pm1 moves T by
+    its share of a difference of two tails, each at most p(s-1)/c, and c pm1 <= alpha s/(n-s+1) <= 8 alpha (1 - ln
+    alpha) (Hoeffding): a step moves d1, d2, d2 - d1 by 14, 22, 36 eps alpha (1 - ln alpha) at most.  A walk's pm1 =
+    exp(_log_term(n, s-1) + 512 ln 2) errs by 1 + delta, |delta| <= 18.5 eps lg + eps/2 for lg = lgamma(n_max+1) + 14:
+    lgamma values within 8 ulps, the lower two summing to at most lgamma(n_max+1); three subtractions; n ln 2; and the
+    shifted exp's 14.  delta is shared by the terms stepped from that pm1: c T errs by c delta (T1 - T0), T there and at
+    the next walk both in [0, alpha/c], so d2 - d1 by 2 delta alpha, once per walk.  So F needs 36 for m's eps term (a
+    scan step's) and 37 for lg's (delta's eps/2 fits the spare unit of the m that takes the walk).
     """
-    return 37.0 * (math.ulp(1.0) * (alpha * _SCALE) * (lg + m * (1.0 - math.log(alpha))) + w * math.ulp(0.0) * _SCALE)
+    return 37.0 * math.ulp(1.0) * (alpha * _SCALE) * (lg + m * (1.0 - math.log(alpha)))
 
 
 def _select_walk(n: int, alphas: tuple[float, ...], mode: SelectionMode, tail: TailConvention) -> list:
-    """One (s, p) per alpha, or None where no s attains it: the barely-significant s in (n/2, n], picked
-    by walking s downward, and its p-value.
+    """One (s, p, ln P(X >= s)) per alpha, or None where no s attains it: the barely-significant s in (n/2, n], picked
+    by walking s downward, its p-value, and the ln of its upper tail, which only _march reads.
 
-    One pass folds a running upper-tail sum, as _log_sum folds, from top, the
-    _tail_start cut-off above the Chernoff point c of the last alpha, the smallest
-    (the alphas strictly decrease): O(sqrt(n)) terms, read for k = top, top-1, ...
-    from one list, grown on demand.  Every true p from c up is at most alpha, so
-    where the sum folded to c in one _log_sum gives p <= alpha, the pass decides
-    per term below c only.  p never falls as s decreases, so the pass notes each
-    alpha's break, the first p above it, the smallest alpha first: the strict s is
-    the one before it, and the nearest s is the strict s or s - 1, whichever p
-    lies nearer alpha, ties to the strict s, the rule _march applies.
-    The smallest alpha folds as a one-alpha call does; where a larger alpha's
-    margin, times _SCALE, lies within _tol(alpha, top - n//2, 0, 1), its own
-    walk picks.  Each pick's tail is folded from the list in _log_upper_tail's
-    order, so p is bit-equal to p_value.
+    s = n attains alpha where p(n) = 2**-n, doubled two-sided, is at most alpha, tested exactly.  One pass folds a
+    running upper-tail sum, as _log_sum folds, from top, the _tail_start cut-off above the Chernoff point c of the last
+    alpha, the smallest (the alphas strictly decrease): O(sqrt(n)) terms, read for k = top, top-1, ... from one list,
+    grown on demand.  Every true p from c up is at most alpha, so where the sum folded to c in one _log_sum gives p <=
+    alpha, the pass decides per term below c only.  It keeps each tail P(X >= s) times 2**512, _tol's unit, in one list,
+    which never falls as s decreases, up to the first p above the largest alpha, and bisects it for each alpha's break:
+    the strict s is the one before it, or n where no p is at most alpha (a tie p(n) = alpha, rounded up; top = n there),
+    and the nearest s is the strict s or s - 1, whichever p lies nearer alpha, ties to the strict s, the rule _march
+    applies.  The smallest alpha folds as a one-alpha call does; where a larger alpha's margin lies within _tol(alpha,
+    top - n//2, 28), its own walk picks.  Each pick's tail is folded from the list in _log_upper_tail's order, so p is
+    bit-equal to p_value.
     """
     exp, log1p, shift = math.exp, math.log1p, _shift(tail)
+    c_tail = 2.0 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 1.0  # p / P(X >= s), _tol's c
     nearest = mode is SelectionMode.NEAREST_TO_ALPHA
     c, top = _walk_start(n, alphas[-1], shift)
     # the list grows in chunks that run sqrt(n)/2 + 1 terms past the term needed, never to n/2: walks
@@ -261,45 +264,38 @@ def _select_walk(n: int, alphas: tuple[float, ...], mode: SelectionMode, tail: T
     # first alpha's c, the largest alpha's, holds the prefix and most walks
     step = 2 + (math.isqrt(n) >> 1)
     terms = _log_terms(n, top, max(_walk_start(n, alphas[0], shift)[0] - step, n // 2))
-    j, alpha = len(alphas) - 1, alphas[-1]  # the alpha the pass has yet to break, the smallest left
-    acc, strict_i, below, i, breaks = -math.inf, None, None, 0, []
     folded = _log_sum(terms[:top - c + 1])  # k >= c: the prefix holds one term or more
-    p = exp(shift + folded)
+    p = exp(folded + _LN_SCALE)
     # Hoeffding's c gives p <= alpha on every input tried (alpha/p(c) >= 1.98 over all n < 3000, 300 n to
     # 1e7, 13 alphas, both tails); the check stays, as the prefix rests on p(c) as folded, not as bounded
-    if p <= alpha:
-        acc, strict_i, below, i = folded, top - c, p, top - c + 1
+    acc, i, ps = (folded, top - c + 1, [p]) if c_tail * p <= alphas[-1] * _SCALE else (-math.inf, 0, [])
+    s0, largest = top - i + len(ps), alphas[0] * _SCALE / c_tail  # the s of ps[0], and the largest alpha's tail
     for i in range(i, top - n // 2):
         if i == len(terms):  # the list ran out above n/2
             terms += _log_terms(n, top - i, max(top - i - step, n // 2))
         term = terms[i]
         acc = term + log1p(exp(acc - term)) if term > acc else acc + log1p(exp(term - acc))
-        p = exp(shift + acc)
-        if p > alpha:
-            while j >= 0 and p > alphas[j]:  # each alpha this p passes: (strict s's index, its p, the break's p)
-                breaks.append((strict_i, below, min(1.0, p)))  # as p_value clamps; p <= alpha < 1 needs none
-                j -= 1
-            if j < 0:
-                break
-            alpha = alphas[j]
-        strict_i, below = i, p  # overwritten while descending: ends at the smallest s with p <= alpha
-    breaks += [(strict_i, below, None)] * (j + 1)  # no p above these alphas down to n/2
+        t = exp(acc + _LN_SCALE)
+        ps.append(t)
+        if t > largest:
+            break
     picks = []
-    for alpha, (strict_i, below, p) in zip(alphas, reversed(breaks)):
-        d1 = math.inf if strict_i is None else (alpha - below) * _SCALE  # equals alpha _SCALE - below _SCALE exactly
-        d2 = math.inf if p is None else (p - alpha) * _SCALE
-        if alpha > alphas[-1]:
-            tol = _tol(alpha, top - n // 2, 0.0, 1.0)
-            if min(d1, d2) <= tol or nearest and abs(d2 - d1) <= tol:
-                picks += _select_walk(n, (alpha,), mode, tail)
-                continue
-        if strict_i is None:  # in either mode; top = n here, and the fold of k = n alone is min_attainable_p
+    for alpha in alphas:
+        if math.ldexp(c_tail, -n) > alpha:  # p(n) > alpha: no s attains it, in either mode
             picks.append(None)
             continue
-        s = top - strict_i - (nearest and d2 < d1)
+        a = alpha * _SCALE
+        b = bisect.bisect_right(ps, a / c_tail)  # the break's index: c ps[b - 1] <= a < c ps[b], exactly
+        d1 = a - c_tail * ps[b - 1] if b else math.inf
+        d2 = min(c_tail * ps[b], _SCALE) - a if b < len(ps) else math.inf  # as p_value clamps; p(s) needs none
+        tol = _tol(alpha, top - n // 2, 28.0) if alpha > alphas[-1] else -math.inf  # the smallest alpha's is final
+        if min(d1, d2) <= tol or nearest and abs(d2 - d1) <= tol:
+            picks += _select_walk(n, (alpha,), mode, tail)
+            continue
+        s = s0 + 1 - b - (nearest and d2 < d1) if b else n
         start = _tail_start(n, s)  # the tail's cut-off passes top only where s passes c: where p(c) exceeds alpha
         log_tail = _log_sum(terms[top - start:top - s + 1]) if start <= top else _log_upper_tail(n, s)
-        picks.append((s, _tail_p(log_tail, tail)))
+        picks.append((s, _tail_p(log_tail, tail), log_tail))
     return picks
 
 
@@ -311,11 +307,11 @@ def select_barely_significant(
 ) -> CriticalValue:
     """Success count in (n/2, n] whose p-value sits at the significance threshold.
 
-    STRICT_AT_MOST_ALPHA returns the smallest s with p_value(s) <= alpha;
-    NEAREST_TO_ALPHA returns that s or s - 1 (where s - 1 > n/2), whichever
-    p_value lies nearer alpha, ties to the strict s.  Both
-    raise InfeasibleError when even s = n stays above alpha (_select_walk's None).
-    p_achieved is _select_walk's fold, bit-equal to p_value by construction.
+    STRICT_AT_MOST_ALPHA returns the smallest s with p_value(s) <= alpha; NEAREST_TO_ALPHA returns that s or s - 1
+    (where s - 1 > n/2), whichever p_value lies nearer alpha, ties to the strict s.  Both raise InfeasibleError when
+    even s = n stays above alpha (_select_walk's None).  The walk decides on each p times 2**512, so none is rounded
+    as a subnormal.  p_achieved is _select_walk's fold, bit-equal to p_value by construction; at an exact tie
+    (p = alpha) a strict pick's p_achieved may exceed alpha by rounding, as at (3, .5, one): 0.5000000000000004.
     """
     _check_n(n)
     _check_instance(mode, SelectionMode, "mode")
@@ -325,41 +321,42 @@ def select_barely_significant(
     if pick is None:
         raise InfeasibleError(f"no success count reaches p <= {alpha:g} at n={n} "
                               f"(most extreme p is {min_attainable_p(n, tail):.6g})")
-    return CriticalValue(*pick)
+    return CriticalValue(*pick[:2])
 
 
 def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int, floor: float = -math.inf):
-    """(n, s, ln L0) for each n in 1 .. n_max at which alpha is attainable and ln(L0 (n+1)) may reach floor: s is
+    """(n, s, ln L0) for each n in 1 ..  n_max at which alpha is attainable and ln(L0 (n+1)) may reach floor: s is
     _select_walk's pick, ln L0 _log_term(n, s).
 
-    One forward scan carries the strict threshold s (the smallest s > n/2 with p <= alpha), T = P_n(X >= s) and
-    pm1 = pmf_n(s-1) in linear space, times _SCALE, as it compares them with alpha and tol times _SCALE (_tol):
-    T += pm1/2 (the last n's pm1), and s moves up at most one, as P_n(X >= s+1) <= P_{n-1}(X >= s) <= P_n(X >= s).
-    pm1 steps by its exact ratio, n / (2 (n-s+1)) where s stays and n / (2s) where it moves up (the old s), so a
-    scanned n takes no lgamma and no exp.  One walk in the scan's own mode, at the first feasible n and where a margin
-    (_tol's d1, d2, or d2 - d1 in nearest mode) lies within tol, yields its pick and sets s, T = p _SCALE / c (p is
-    p_value's; a nearest pick with p > alpha is s - 1, and T drops its term) and pm1 = exp(_log_term(n, s-1) + 512
-    ln 2); a sure margin makes s the strict threshold whatever pick set it (too large an s leaves d2 <= tol, too small
-    d1).  tol is _tol over what happened since the last walk, carried as one float: _tol(alpha, 7 sqrt(n_max) + 10,
-    lg, 1) at the walk, lg = lgamma(n_max+1) + 14, plus _tol(alpha, 1, 0, 0) a step; its n_max <= 1e7 sums, eps/2
-    each, take under 3e-9 of it, inside F's spare 1/37.
+    One forward scan carries the strict threshold s (the smallest s > n/2 with p <= alpha), T = P_n(X >= s) and pm1 =
+    pmf_n(s-1) in linear space, times _SCALE, as it compares them with alpha and tol times _SCALE (_tol): T += pm1/2
+    (the last n's pm1), and s moves up at most one, as P_n(X >= s+1) <= P_{n-1}(X >= s) <= P_n(X >= s).  pm1 steps by
+    its exact ratio, n / (2 (n-s+1)) where s stays and n / (2s) where it moves up (the old s), so a scanned n takes no
+    lgamma and no exp.  The scan starts at the first n with c 2**-n <= alpha, the walk's exact rule.  One walk in the
+    scan's own mode, there and where a margin (_tol's d1, d2, or d2 - d1 in nearest mode) lies within tol, yields its
+    pick and sets T = exp(ln P(X >= pick) + 512 ln 2) from the walk's own fold, s = pick (pick + 1 where a nearest
+    pick's c T lies above alpha, and T drops its term) and pm1 = exp(_log_term(n, s-1) + 512 ln 2); a sure margin makes
+    s the strict threshold whatever pick set it (too large an s leaves d2 <= tol, too small d1).  tol is _tol over what
+    happened since the last walk, carried as one float: _tol(alpha, 7 sqrt(n_max) + 10, lg + 42) at the walk, lg =
+    lgamma(n_max+1) + 14, plus _tol(alpha, 1, 0) a step; its n_max <= 1e7 sums, eps/2 each, take under 3e-9 of it,
+    inside F's spare 1/37.
 
-    A floor yields only the n where (n+1) pm1 reaches low = exp(floor - margin + 512 ln 2), taken once per scan,
-    margin = eps (64 lg + 2 n_max + 745 + 2 + 250).  As s > n/2, pmf(s) = pmf(s-1) (n-s+1)/s <= pmf(s-1), so (n+1) pm1
-    bounds the L0 (n+1) of either pick, s or s - 1.  The pick's ln L0 and the last walk's ln pm1 each err by at most
-    18.5 eps lg + eps/2, as in _tol: 37 of the 64 (1.7 seen, n_max to 20000).  pm1 drifts 2 eps a step from the last
-    walk, which may lie n_max steps back.  floor - margin rounds by eps |floor| / 2, under the 745, as find_crossing's
-    finite floors (_ln_bf_floor at even prior odds) lie in [-745, 35]; the + 2 covers the two eps/2 and a rounding
-    each of (n+1) pm1 and low's exp, both normal; the shift's sum rounds by eps/2 |floor - margin + 512 ln 2| <= 195
-    eps and its float 512 ln 2 lies 53.5 eps off: the 250.  The default floor, -inf, yields every feasible n.
+    A floor yields only the n where (n+1) pm1 reaches low = exp(floor - margin + 512 ln 2), taken once per scan, margin
+    = eps (64 lg + 2 n_max + 745 + 2 + 250).  As s > n/2, pmf(s) = pmf(s-1) (n-s+1)/s <= pmf(s-1), so (n+1) pm1 bounds
+    the L0 (n+1) of either pick, s or s - 1.  The pick's ln L0 and the last walk's ln pm1 each err by at most 18.5 eps
+    lg + eps/2, as in _tol: 37 of the 64 (1.7 seen, n_max to 20000).  pm1 drifts 2 eps a step from the last walk, which
+    may lie n_max steps back.  floor - margin rounds by eps |floor| / 2, under the 745, as find_crossing's finite floors
+    (_ln_bf_floor at even prior odds) lie in [-745, 35]; the + 2 covers the two eps/2 and a rounding each of (n+1) pm1
+    and low's exp, both normal; the shift's sum rounds by eps/2 |floor - margin + 512 ln 2| <= 195 eps and its float 512
+    ln 2 lies 53.5 eps off: the 250.  The default floor, -inf, yields every feasible n.
     """
     c = 2.0 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 1.0
     nearest = mode is SelectionMode.NEAREST_TO_ALPHA
     inf, exp = math.inf, math.exp
-    lg = math.lgamma(n_max + 1) + 14.0  # bounds every lgamma the scan takes, and each walk's shift (_tol)
-    at_walk, step = _tol(alpha, 7.0 * math.sqrt(n_max) + 10.0, lg, 1.0), _tol(alpha, 1.0, 0.0, 0.0)
+    lg = math.lgamma(n_max + 1) + 14.0  # bounds every lgamma the scan takes, and each walk's pm1 shift (_tol)
+    at_walk, step = _tol(alpha, 7.0 * math.sqrt(n_max) + 10.0, lg + 42.0), _tol(alpha, 1.0, 0.0)
     a, low = alpha * _SCALE, exp(floor - math.ulp(1.0) * (64.0 * lg + 2.0 * n_max + 747.0 + 250.0) + _LN_SCALE)
-    first = next((n for n in range(1, n_max + 1) if min_attainable_p(n, tail) <= alpha), n_max + 1)
+    first = next((n for n in range(1, n_max + 1) if math.ldexp(c, -n) <= alpha), n_max + 1)
     for n in range(first, n_max + 1):
         half, fresh = n // 2, n == first
         if not fresh:
@@ -370,8 +367,9 @@ def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int, 
             s += moved
         while True:
             if fresh:
-                [(pick, p)] = _select_walk(n, (alpha,), mode, tail)
-                moved, T, tol = p > alpha, p * _SCALE / c, at_walk
+                [(pick, _, log_tail)] = _select_walk(n, (alpha,), mode, tail)
+                T, tol = exp(log_tail + _LN_SCALE), at_walk
+                moved = nearest and c * T > a
                 s = pick + moved
                 pm1 = exp(_log_term(n, s - 1) + _LN_SCALE)
             if moved:

@@ -96,13 +96,13 @@ class JitterViolation(NamedTuple):
     posterior_drop: float
 
 
-def _evaluate_cell(alpha: float, n: int, grid: SweepGrid, pick: tuple[int, float] | None) -> SweepRow:
-    """One cell as evidence_at_threshold scores the walk's (s, p) pick, or an empty row where there is none."""
+def _evaluate_cell(alpha: float, n: int, grid: SweepGrid, pick: tuple[int, float, float] | None) -> SweepRow:
+    """One cell as evidence_at_threshold scores the walk's (s, p, ln tail) pick, or an empty row where there is none."""
     mode, tail = grid.mode.value, grid.tail.value
     if pick is None:
         return SweepRow(alpha, n, None, None, None, None, mode, tail)
     report = posterior_h0(BinomialOutcome(n, pick[0]), grid.prior)
-    return SweepRow(alpha, n, *pick, report.log_l0 - report.log_l1, report.posterior_h0, mode, tail)
+    return SweepRow(alpha, n, *pick[:2], report.log_l0 - report.log_l1, report.posterior_h0, mode, tail)
 
 
 def run_sweep(grid: SweepGrid) -> list[SweepRow]:

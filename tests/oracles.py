@@ -38,24 +38,32 @@ def reference_walk(n: int, alpha: float, mode: str, two_sided: bool = True) -> t
     """The float selection walk that decides at every term, from the cut-off above the Chernoff
     point down, as the library walked before it folded its certified prefix in one pass.
 
-    It stops at the first p above alpha: the strict s is the one before it, and the nearest s is
-    the strict s or s - 1, whichever p lies nearer alpha, ties to the strict s.  Returns (s, p), p
-    from the tail folded from the cut-off above s down to s, or None where no p folded is at most
-    alpha, in either mode.  Same floats as the library, so a pick must match it exactly.
+    None where p(n) = c 2**-n exceeds alpha (c = 2 two-sided), tested exactly.  Each decision
+    compares c exp(ln P(X >= k) + 512 ln 2) with alpha 2**512, so no subnormal p is rounded
+    before it is compared.  It stops at the first p above alpha: the strict s is the one before
+    it, or n where no p folded is at most alpha, and the nearest s is the strict s or s - 1,
+    whichever p lies nearer alpha, ties to the strict s.  Returns (s, p), p from the tail folded
+    from the cut-off above s down to s.  Same floats as the library, so a pick must match it exactly.
     """
-    shift = math.log(2.0) if two_sided else 0.0
-    lg, w = math.lgamma(n + 1), n * math.log(2.0)
+    c = 2.0 if two_sided else 1.0
+    if math.ldexp(c, -n) > alpha:
+        return None
+    shift, scale, ln_scale = math.log(c), 2.0 ** 512, 512 * math.log(2.0)
+    lg, w, a = math.lgamma(n + 1), n * math.log(2.0), alpha * scale
     zb = math.sqrt(-2.0 * (math.log(alpha) - shift))
-    acc, strict_s = -math.inf, None
+    acc, strict = -math.inf, None
     for k in range(_cutoff(n, math.ceil(n / 2.0 + zb * math.sqrt(n) / 2.0)), n // 2, -1):
         acc = _fold(acc, _upper_term(n, k, lg, w))
-        p = min(1.0, math.exp(shift + acc))
-        if p > alpha:
+        p = c * math.exp(acc + ln_scale)
+        if p > a:
             break
-        strict_s, below = k, p
-    if strict_s is None:
-        return None
-    s = strict_s - (mode != "strict" and p > alpha and p - alpha < alpha - below)
+        strict, below = k, p
+    else:
+        p = None  # no p above alpha down to n/2
+    if strict is None:  # the tie p(n) = alpha, its fold rounded up
+        s = n
+    else:
+        s = strict - (mode != "strict" and p is not None and min(p, scale) - a < a - below)
     acc = -math.inf
     for k in range(_cutoff(n, s), s - 1, -1):
         acc = _fold(acc, _upper_term(n, k, lg, w))

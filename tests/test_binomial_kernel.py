@@ -225,10 +225,11 @@ class TestSelection:
             [pick] = _select_walk(n, (alpha,), mode, tail)
             if pick is None:
                 continue
-            s, p = pick
+            s, p, log_tail = pick
             assert p == p_value(BinomialOutcome(n, s), tail), (n, alpha, mode, tail)
+            assert log_tail == binomial_kernel._log_upper_tail(n, s), (n, alpha, mode, tail)
             # the smaller alpha may find no s: its walk still fills the list, from k = n down
-            assert _select_walk(n, (alpha, alpha * 1e-3), mode, tail)[0] == (s, p), (n, alpha, mode, tail)
+            assert _select_walk(n, (alpha, alpha * 1e-3), mode, tail)[0] == pick, (n, alpha, mode, tail)
             checked += 1
         assert checked >= 500
 
@@ -273,14 +274,15 @@ class TestSelection:
     @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
     def test_walk_matches_the_per_term_reference(self, mode, tail):
         # every n <= 400, with and without a certified prefix: none where c reaches n (small n,
-        # tiny alpha); the large-n test below reaches the subnormal plateaus, runs of equal float p
+        # tiny alpha); the large-n test below reaches subnormal p, which both walks compare times 2**512
         for alpha in (0.9, 0.5, 0.25, 0.05, 1e-3, 1e-10, 1e-300, 1e-310, 5e-324):
             for n in range(1, 401):
                 self._check_against_reference(n, alpha, mode, tail)
 
     def test_walk_matches_the_per_term_reference_at_large_n(self):
         # three cases in ten have alpha 1e-300 or below; above n = 1,400 or so their walks start at a
-        # subnormal p, and at 1e-310 and 5e-324 they decide on a plateau of equal subnormal p
+        # subnormal p, and at 1e-310 and 5e-324 they decide where float p is a plateau of equal subnormals,
+        # distinct times 2**512
         rng = random.Random(15)
         for _ in range(500):
             n = int(math.exp(rng.uniform(0.0, math.log(10**6))))
@@ -313,7 +315,8 @@ class TestSelection:
                     assert _select_walk(n, alphas, mode, tail) == [one[n, a] for a in alphas], (n, alphas)
         # thin margins: a larger alpha set to the pass's own p at its break, or at the index before it, leaves
         # alpha - p(s) at 0, and halfway between the two leaves nearest mode's two margins equal; there the
-        # pass must hand that alpha over to a one-alpha call, and nowhere else
+        # pass must hand that alpha over to a one-alpha call, and nowhere else.  p is the pass's scaled fold,
+        # c exp(ln tail + 512 ln 2), and alpha its exact quotient by _SCALE
         handed = []
 
         def spy(n, alphas, *args):
@@ -321,51 +324,60 @@ class TestSelection:
             return _select_walk(n, alphas, *args)
 
         monkeypatch.setattr(binomial_kernel, "_select_walk", spy)
-        small, shift = DEFAULT_ALPHAS[-1], _shift(tail)
-        for n in DEFAULT_N_VALUES:
+        small, shift, scale = DEFAULT_ALPHAS[-1], _shift(tail), binomial_kernel._SCALE
+        c = 2.0 if tail is TWO else 1.0
+
+        def scaled_ps(n):
             top = _walk_start(n, small, shift)[1]
-            ps = [math.exp(shift + acc) for acc in itertools.accumulate(_log_terms(n, top, n // 2), _fold)]
+            return top, [c * math.exp(acc + binomial_kernel._LN_SCALE)
+                         for acc in itertools.accumulate(_log_terms(n, top, n // 2), _fold)]
+
+        for n in DEFAULT_N_VALUES:
+            top, ps = scaled_ps(n)
             for big in DEFAULT_ALPHAS[:-1]:
-                i = next(i for i, p in enumerate(ps) if p > big)
-                for alpha, thin in ((ps[i], True), (ps[i - 1], True),
-                                    ((ps[i - 1] + ps[i]) / 2, mode is SelectionMode.NEAREST_TO_ALPHA)):
+                i = next(i for i, p in enumerate(ps) if p > big * scale)
+                # at 0.9 _tol above p(s) the pass hands over, at 1.1 _tol it does not: the bound's 28 for the
+                # shifted exps is 26% to 41% of it at n = 20, so a pass without that share would keep both there
+                tol = binomial_kernel._tol(ps[i - 1] / scale, top - n // 2, 28.0)
+                for alpha, thin in ((ps[i] / scale, True), (ps[i - 1] / scale, True),
+                                    ((ps[i - 1] + ps[i]) / 2 / scale, mode is SelectionMode.NEAREST_TO_ALPHA),
+                                    ((ps[i - 1] + 0.9 * tol) / scale, True), ((ps[i - 1] + 1.1 * tol) / scale, False)):
                     want = [_select_walk(n, (alpha,), mode, tail)[0], one[n, small]]
                     handed.clear()
                     assert _select_walk(n, (alpha, small), mode, tail) == want, (n, alpha)
                     assert handed == ([(alpha,)] if thin else []), (n, alpha)
-        # subnormal alphas, where eps alpha underflows: times _SCALE it stays normal, and the bound's fold share is
-        # over 10 times its ulp(0) share here; a bound taken unscaled kept only 37 ulp(0).  A larger alpha at 0.9 _tol
-        # above the pass's p(s) lies far above that and must hand over, one at 1.1 _tol must not
-        small, scale = 1e-312, binomial_kernel._SCALE
+        # subnormal alphas, where eps alpha underflows: times _SCALE it stays normal.  A larger alpha at 0.9 _tol
+        # above the pass's p(s) must hand over, one at 1.1 _tol must not
+        small = 1e-312
         for n in (1400, 1500, 1800):
-            top = _walk_start(n, small, shift)[1]
-            ps = [math.exp(shift + acc) for acc in itertools.accumulate(_log_terms(n, top, n // 2), _fold)]
-            i = max(i for i, p in enumerate(ps) if p <= 1.1e-308)  # the last p whose eps p is 0: 1.6e-309 or more here
-            tol = binomial_kernel._tol(ps[i], top - n // 2, 0.0, 1.0)
-            assert 0.9 * tol > 10 * 37 * math.ulp(0.0) * scale, n
+            top, ps = scaled_ps(n)
+            i = max(i for i, p in enumerate(ps) if p <= 1.1e-308 * scale)  # the last p below 2**-1022: 1.6e-309 or more
+            tol = binomial_kernel._tol(ps[i] / scale, top - n // 2, 28.0)
             for share, thin in ((0.9, True), (1.1, False)):
-                alpha = ps[i] + share * tol / scale  # subnormal, so alpha - p(s) is share * tol / scale to an ulp(0)
+                alpha = (ps[i] + share * tol) / scale  # subnormal, so alpha - p(s) is share * tol to an ulp(0) _SCALE
+                assert alpha < 2.0 ** -1022
                 want = [_select_walk(n, (alpha,), mode, tail)[0], _select_walk(n, (small,), mode, tail)[0]]
                 handed.clear()
                 assert _select_walk(n, (alpha, small), mode, tail) == want, (n, alpha)
                 assert handed == ([(alpha,)] if thin else []), (n, alpha)
 
     def test_tol_covers_what_its_derivation_needs(self):
-        # _tol's docstring, times _SCALE: per unit, m's eps alpha (1 - ln alpha) term needs 36 (a scan step), lg's eps
-        # alpha term 37 (a walk's pm1 error, twice) and w's ulp(0) term 2 (a p rounded once in each of two walks), per
-        # comparison, not per m; compared exactly, and for subnormal alpha too, where eps alpha alone underflows
-        eps, tiny, scale = Fraction(math.ulp(1.0)), Fraction(math.ulp(0.0)), Fraction(binomial_kernel._SCALE)
+        # _tol's docstring, times _SCALE: per unit, m's eps alpha (1 - ln alpha) term needs 36 (a scan step) and lg's
+        # eps alpha term 37 (a walk's pm1 error, twice); compared exactly, and for subnormal alpha too, where eps alpha
+        # alone underflows.  Every call has m >= 1, whose spare unit covers _tol's own roundings.  No term is left for
+        # ulp(0): nothing compared is subnormal
+        eps, scale = Fraction(math.ulp(1.0)), Fraction(binomial_kernel._SCALE)
         for alpha in (0.9, 0.05, 1e-10, 1e-300, 1.1e-308, 1e-309, 1e-312, 1e-320, 5e-324):
-            for m, lg, w in ((1.0, 0.0, 0.0), (60.0, 0.0, 1.0), (2000.0, 0.0, 1.0), (2000.0, 6000.0, 1.0),
-                             (1200.0, 3e6, 1.0), (0.0, 0.0, 1.0)):
-                need = scale * (eps * Fraction(alpha) * (36 * Fraction(m) * Fraction(1.0 - math.log(alpha))
-                                                         + 37 * Fraction(lg)) + 2 * Fraction(w) * tiny)
-                assert Fraction(binomial_kernel._tol(alpha, m, lg, w)) >= need, (alpha, m, lg, w)
+            for m, lg in ((1.0, 0.0), (60.0, 28.0), (2000.0, 28.0), (2000.0, 6000.0), (1200.0, 3e6), (1.0, 28.0)):
+                need = scale * eps * Fraction(alpha) * (36 * Fraction(m) * Fraction(1.0 - math.log(alpha))
+                                                        + 37 * Fraction(lg))
+                assert Fraction(binomial_kernel._tol(alpha, m, lg)) >= need, (alpha, m, lg)
 
     @staticmethod
     def _check_against_reference(n, alpha, mode, tail):
         want = oracles.reference_walk(n, alpha, mode.value, tail is TWO)  # None where no s attains alpha
-        assert _select_walk(n, (alpha,), mode, tail) == [want], (n, alpha, mode, tail)
+        [pick] = _select_walk(n, (alpha,), mode, tail)
+        assert (pick and pick[:2]) == want, (n, alpha, mode, tail)
 
     def test_tie_breaks_to_larger_s(self):
         # alpha exactly midway between p(10,9) = 22/1024 and p(10,8) = 112/1024;
@@ -600,9 +612,45 @@ class TestSelectionContract:
 
     def test_nearest_on_a_subnormal_plateau_matches_the_exact_reference(self):
         # p is 0.0 as a float from s = 2239 up (exactly .294 alpha there) and 1e-323 at 2238 (1.773 alpha):
-        # the strict s is nearer alpha; the running-best walk returned its start, 2608
+        # the strict s is nearer alpha; the running-best walk returned its start, 2608.  The walk compares
+        # each p times 2**512, where no two of them are equal
         s = select_barely_significant(2610, 5e-324, SelectionMode.NEAREST_TO_ALPHA, ONE).s
         assert s == reference.select(2610, 5e-324, False, False) == 2239
+
+    @pytest.mark.parametrize("alpha, tail", [(1e-322, ONE), (1e-323, ONE), (5e-324, ONE), (1e-322, TWO), (1e-323, TWO)],
+                             ids=lambda x: x.value if isinstance(x, TailConvention) else repr(x))
+    def test_picks_at_the_smallest_alphas_match_the_exact_reference(self, alpha, tail):
+        # every n from just below the first feasible one (2**-n <= alpha, n = 1070 to 1074) to 60 above it, and a
+        # seeded sample up to 2000.  When the walk compared float p, which rounds to a multiple of 5e-324 here, 7,
+        # 73 and 124 strict picks one-sided (5, 76 two-sided) of the 930 or so feasible n <= 2000 differed.  Nearest
+        # picks are checked where the reference's strict pick exists (its nearest mode returns n where none does)
+        first = next(n for n in range(1, 2000) if reference.select(n, alpha, True, tail is TWO) is not None)
+        rng = random.Random(f"{alpha}/{tail.value}")
+        for n in sorted({*range(first - 5, first + 61), *rng.sample(range(first + 61, 2001), 120)}):
+            strict = reference.select(n, alpha, True, tail is TWO)
+            [pick] = _select_walk(n, (alpha,), SelectionMode.STRICT_AT_MOST_ALPHA, tail)
+            assert (pick and pick[0]) == strict, (n, alpha, tail)
+            if strict is not None:
+                [pick] = _select_walk(n, (alpha,), SelectionMode.NEAREST_TO_ALPHA, tail)
+                assert pick[0] == reference.select(n, alpha, False, tail is TWO), (n, alpha, tail)
+
+    @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
+    def test_a_tie_at_s_equal_n_is_feasible(self, mode):
+        # p(n) = c 2**-n = alpha exactly; the float exp(ln c - n ln 2) rounds above alpha, so min_attainable_p
+        # and the fold both read these cells as infeasible.  The walk tests p(n) <= alpha exactly and picks n
+        for n, alpha, tail in ((3, 0.25, TWO), (4, 0.125, TWO), (3, 0.125, ONE)):
+            assert min_attainable_p(n, tail) > alpha  # the float that misread them
+            assert reference.select(n, alpha, True, tail is TWO) == n
+            s, p = select_barely_significant(n, alpha, mode, tail)
+            assert (s, p) == (n, min_attainable_p(n, tail)), (n, alpha, tail)
+
+    def test_a_tie_at_one_half_picks_the_exact_strict_s(self):
+        # P(X >= 2) = 4/8 = .5 at n = 3: the strict s is 2.  The walk's scaled p there falls at or below .5 times
+        # 2**512, so it picks 2, while p_achieved, p_value's own fold, rounds above .5: at an exact tie a strict
+        # pick's float p may exceed alpha
+        assert reference.select(3, 0.5, True, False) == 2
+        s, p = select_barely_significant(3, 0.5, SelectionMode.STRICT_AT_MOST_ALPHA, ONE)
+        assert (s, p) == (2, 0.5000000000000004) and p == p_value(BinomialOutcome(3, 2), ONE)
 
 
 class TestTrialCountLimit:

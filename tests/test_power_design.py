@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from scipy.stats import norm
@@ -156,12 +157,21 @@ class TestDiagnosticityGain:
         assert diagnosticity_gain((0.05, 2000), (0.05, 200), prior=prior).ratio == math.inf
         assert diagnosticity_gain((0.05, 200), (0.05, 2000), prior=prior).ratio == 0.0
         # a subnormal alpha at n = 1e6 and 2e6: ln BF01 is -733.5 and -733.2, so both odds overflow to inf
-        # and odds_b / odds_a would be inf / inf = nan.  The picks, 519,236 and 1,027,205, have float p 5e-324
-        # and the next s down 1e-323; their exact p is 1.451 alpha and 1.473 alpha
+        # and odds_b / odds_a would be inf / inf = nan.  The walk decides on p times 2**512, so the picks are
+        # the exact nearest ones: 519,241, the strict s (exact p .987 alpha, the next s down 1.066 alpha), and
+        # 1,027,212, one below the strict s (1.0063 alpha against .953 alpha).  When the walk compared float p,
+        # rounded to a multiple of 5e-324, it picked 519,236 and 1,027,205, with exact p 1.451 and 1.473 alpha
         gain = diagnosticity_gain((5e-324, 10**6), (5e-324, 2 * 10**6))
         assert gain.odds_a == gain.odds_b == math.inf
-        assert gain.ratio == pytest.approx(0.688724906693, rel=1e-11)
+        assert gain.ratio == pytest.approx(0.686011993042, rel=1e-11)
         s_a, s_b = (evidence_at_threshold(n, 5e-324).s for n in (10**6, 2 * 10**6))
+        assert (s_a, s_b) == (519_241, 1_027_212)
+        alpha = Fraction(5e-324)
+        for n, s in ((10**6, s_a), (2 * 10**6, s_b)):  # reference.select cannot take a two-sided 5e-324
+            p = {k: Fraction(2 * reference.upper_tail(n, k)) for k in (s - 1, s, s + 1)}
+            strict = s if p[s] <= alpha else s + 1
+            assert p[strict] <= alpha < p[strict - 1], n
+            assert abs(p[s] - alpha) < abs(p[s - 1 if s == strict else strict] - alpha), n
         exact = reference.evidence(2 * 10**6, s_b)["odds_h1"] / reference.evidence(10**6, s_a)["odds_h1"]
         assert gain.ratio == pytest.approx(float(exact), rel=1e-8)  # the pmf's relative error at n = 1e6 is 2e-9
 

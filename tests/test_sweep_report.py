@@ -37,6 +37,11 @@ import reference
 from check import EXPECTED_DIR, check
 from workloads import CROSSING_ALPHAS, CROSSING_LEVELS
 
+
+def feasible(n, alpha, tail):
+    """The walk's one feasibility rule, exact: p(n) = c 2**-n <= alpha, c = 2 two-sided."""
+    return math.ldexp(2.0 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 1.0, -n) <= alpha
+
 # Brute-force forward-scan answers (every n, exact reference) for the 18
 # (alpha, level) pairs: the benchmark's expected crossings.
 CROSSINGS = json.loads((EXPECTED_DIR / "crossings.json").read_text())["crossings"]
@@ -146,7 +151,7 @@ class TestRunSweep:
             want = []
             for alpha in grid.alphas:
                 for n in grid.n_values:
-                    if min_attainable_p(n, tail) > alpha:  # the walk's one feasibility rule, bit for bit
+                    if not feasible(n, alpha, tail):
                         with pytest.raises(InfeasibleError):
                             evidence_at_threshold(n, alpha, mode, tail, prior)
                         want.append(SweepRow(alpha, n, None, None, None, None, mode.value, tail.value))
@@ -258,7 +263,7 @@ class TestFindCrossing:
         # prior, by default or given, takes the floored scan, and any other prior scores every n
         for alpha in (0.05, 0.01):
             post = [(n, evidence_at_threshold(n, alpha, mode, tail, prior).report.posterior_h0)
-                    for n in range(1, 151) if min_attainable_p(n, tail) <= alpha]
+                    for n in range(1, 151) if feasible(n, alpha, tail)]
             for level in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6):
                 for n_max in (40, 90, 150):
                     want = next((n for n, x in post if n <= n_max and x >= level), None)
@@ -353,20 +358,22 @@ class TestMarch:
     @pytest.mark.parametrize("alpha", [0.2, 0.05, 0.02, 0.01, 0.001, 1e-4, 1e-323, 5e-324])
     def test_matches_the_walk(self, alpha, mode, tail):
         got = {n: s for n, s, _ in _march(alpha, mode, tail, 6000)}
-        feasible = [n for n in range(1, 6001) if min_attainable_p(n, tail) <= alpha]
-        assert list(got) == feasible
+        ns = [n for n in range(1, 6001) if feasible(n, alpha, tail)]
+        assert list(got) == ns
         # every n up to 800, then a seeded sample of the rest
         rng = random.Random(f"{alpha}/{mode.value}/{tail.value}")
-        ns = [n for n in feasible if n <= 800] + rng.sample([n for n in feasible if n > 800], 25)
+        ns = [n for n in ns if n <= 800] + rng.sample([n for n in ns if n > 800], 25)
         assert [got[n] for n in ns] == [_select_walk(n, (alpha,), mode, tail)[0][0] for n in ns]
 
     @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
     @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
-    @pytest.mark.parametrize("alpha", [0.5, 0.75, 0.95])
+    @pytest.mark.parametrize("alpha", [0.5, 0.75, 0.95, 0.25, 0.125])
     def test_matches_the_walk_where_s_sits_just_above_half_n(self, alpha, mode, tail):
+        # at .25 and .125 the scan starts at a tie, p(n) = alpha (n = 3 two-sided, 3 one-sided at .125), which
+        # min_attainable_p's float, 2**-n rounded up, calls infeasible
         got = {n: s for n, s, _ in _march(alpha, mode, tail, 400)}
         assert got == {n: _select_walk(n, (alpha,), mode, tail)[0][0]
-                       for n in range(1, 401) if min_attainable_p(n, tail) <= alpha}
+                       for n in range(1, 401) if feasible(n, alpha, tail)}
 
     @pytest.mark.parametrize("n, s", [(1000, 532), (999, 531), (2000, 1046), (3000, 1560),
                                       (1104, 1094), (1585, 1478)])
@@ -375,8 +382,8 @@ class TestMarch:
     def test_a_thin_margin_hands_over_to_the_walk(self, walked, n, s, tail, tie):
         # alpha is p(s), so at n the scan's alpha - p(s) is rounding alone in
         # both modes; or halfway to p(s-1), so nearest mode's choice is.  At (1104, 1094) and (1585, 1478) p(s)
-        # is 3e-309 to 9e-309, where eps * alpha underflows: a tolerance taken in that order kept only its
-        # ulp(0) term, and the scan picked s + 1 on its own rounding
+        # is 3e-309 to 9e-309, where eps * alpha underflows: a tolerance taken in that order, not times _SCALE,
+        # was 0, and the scan picked s + 1 on its own rounding
         p = p_value(BinomialOutcome(n, s), tail)
         alpha = p if tie == "p(s)" else (p + p_value(BinomialOutcome(n, s - 1), tail)) / 2
         modes = list(SelectionMode) if tie == "p(s)" else [SelectionMode.NEAREST_TO_ALPHA]
@@ -390,19 +397,19 @@ class TestMarch:
     @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
     @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
     def test_a_margin_inside_tol_hands_over_and_one_outside_does_not(self, walked, mode, tail):
-        # alpha = p(s) + share * tol / _SCALE at n = 5000, tol carried from the one walk, at the first feasible n0:
-        # the walk's _tol(p, 7 sqrt(n) + 10, lgamma(n + 1) + 14, 1), and _tol(p, 1, 0, 0) for each of the n - n0 steps.
-        # The scan's own rounding is far under a tenth of tol.  At .01 the steps make 2/5 of tol and lgamma(n + 1)
-        # over half; at 1e-312 the steps 6/7 and the walk's ulp(0) 1/57 to 1/90: without the steps or lgamma(n + 1),
-        # a margin of 0.9 tol would not hand over, and with ulp(0) charged a step the bound would grow 45 to 70
-        # times, so a margin of 1.1 tol would hand over too
-        n, scale = 5000, binomial_kernel._SCALE
-        for alpha in (0.01, 1e-312):
+        # alpha = p(s) + share * tol / _SCALE at n = 5000 or 12, tol carried from the one walk, at the first feasible
+        # n0: the walk's _tol(p, 7 sqrt(n) + 10, lgamma(n + 1) + 14 + 42), 42 for the shifted T and a fresh walk's p,
+        # and _tol(p, 1, 0)
+        # for each of the n - n0 steps.  The scan's own rounding is far under a tenth of tol.  At .01 the steps make
+        # 2/5 of tol and lgamma(n + 1) over half; at 1e-312 the steps 7/8; at n = 12 the 42 makes 1/6: without the
+        # steps, lgamma(n + 1) or the 42, a margin of 0.9 tol would not hand over
+        scale = binomial_kernel._SCALE
+        for n, alpha in ((5000, 0.01), (5000, 1e-312), (12, 0.1)):
             s = _select_walk(n, (alpha,), SelectionMode.STRICT_AT_MOST_ALPHA, tail)[0][0]
             p = p_value(BinomialOutcome(n, s), tail)
-            n0 = next(m for m in range(1, n) if min_attainable_p(m, tail) <= p)
-            tol = (binomial_kernel._tol(p, 7.0 * math.sqrt(n) + 10.0, math.lgamma(n + 1) + 14.0, 1.0)
-                   + (n - n0) * binomial_kernel._tol(p, 1.0, 0.0, 0.0))
+            n0 = next(m for m in range(1, n) if feasible(m, p, tail))
+            tol = (binomial_kernel._tol(p, 7.0 * math.sqrt(n) + 10.0, math.lgamma(n + 1) + 14.0 + 42.0)
+                   + (n - n0) * binomial_kernel._tol(p, 1.0, 0.0))
             for share, thin in ((0.9, True), (1.1, False)):
                 walked.clear()
                 got = {m: k for m, k, _ in _march(p + share * tol / scale, mode, tail, n)}[n]
@@ -428,22 +435,24 @@ class TestMarch:
     @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
     @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
     def test_anchor_tail_is_log_upper_tail_bit_for_bit(self, monkeypatch, mode, tail):
-        # every walk's T = p / c (less the pick's term where a nearest pick lies below the strict s) takes
-        # p from the walk's own terms, and p is p_value's; thin margins (alpha = p(n, s)) force hand-over walks at n
+        # every walk's T = exp(ln tail + 512 ln 2) (less the pick's term where a nearest pick lies below the strict s)
+        # takes the pick's ln tail from the walk's own terms, _log_upper_tail's bit for bit, and its p is p_value's;
+        # thin margins (alpha = p(n, s)) force hand-over walks at n
         anchors = []
 
         def spy(n, *args):
-            [(s, p)] = picks = _select_walk(n, *args)
-            anchors.append((n, s, p))
+            [(s, p, log_tail)] = picks = _select_walk(n, *args)
+            anchors.append((n, s, p, log_tail))
             return picks
 
         monkeypatch.setattr(binomial_kernel, "_select_walk", spy)
         ties = [(1000, 532), (2000, 1046), (3000, 1560), (1104, 1094)]
         for alpha in (0.05, 1e-6, *(p_value(BinomialOutcome(n, s), tail) for n, s in ties)):
             list(_march(alpha, mode, tail, 5000))
-        assert {n for n, s in ties} <= {n for n, _, _ in anchors}
-        for n, s, p in anchors:
+        assert {n for n, s in ties} <= {n for n, _, _, _ in anchors}
+        for n, s, p, log_tail in anchors:
             assert p == p_value(BinomialOutcome(n, s), tail), (n, s)
+            assert log_tail == binomial_kernel._log_upper_tail(n, s), (n, s)
 
     def test_nearest_hand_overs_at_ties_walk_once_per_n(self, walked, lgamma_calls):
         # p((n+1)/2) = .5 exactly at every odd n, so one-sided nearest mode hands over at each of them,
@@ -486,8 +495,8 @@ class TestMarch:
     def test_most_drifted_steps_match_a_fresh_walk(self, walked, mode, tail):
         # the scan's T and pmf(s-1) drift most at the step before a hand-over and at the end of a span, up to
         # n_max steps after the last walk; there (n, s, ln L0) must be a fresh walk's, bit for bit.  At alpha
-        # 1e-310 pmf(s-1) is subnormal, and the scan steps it times _SCALE; at 5e-324 every margin is thin: each
-        # n walks
+        # 1e-310 pmf(s-1) is subnormal, and the scan steps it times _SCALE; at 5e-324 it walks once, at the first
+        # feasible n, and steps every n after it
         checked = 0
         for alpha in (0.3, 0.05, 0.01, 1e-3, 1e-10, 1e-100, 1e-300, 1e-306, 1e-310, 5e-324):
             walked.clear()
@@ -495,7 +504,7 @@ class TestMarch:
             anchors = sorted(set(walked))
             drifted = [b - 1 for a, b in zip(anchors, anchors[1:]) if b - a > 1] + list(range(4196, 4201))
             for n in [n for n in drifted if n in steps]:
-                [(s, _)] = _select_walk(n, (alpha,), mode, tail)
+                [(s, _, _)] = _select_walk(n, (alpha,), mode, tail)
                 assert steps[n] == (s, _log_term(n, s)), (alpha, n)
                 checked += 1
         assert checked >= 50  # the last 5 n at each alpha, and the steps before hand-overs
@@ -503,19 +512,20 @@ class TestMarch:
     @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
     @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("alpha, n_max", [(0.05, 100_000), (1e-10, 100_000), (1e-308, 20_000),
-                                              (1e-317, 20_000), (1e-318, 20_000), (1e-319, 20_000)])
+                                              (1e-317, 20_000), (1e-318, 20_000), (1e-319, 20_000),
+                                              (1e-322, 20_000), (5e-324, 20_000)])
     def test_a_long_span_ends_on_a_fresh_walk_s_picks(self, walked, alpha, n_max, mode, tail):
         # the scan walks at the first feasible n and where a margin lies inside its carried bound: 1 to 3 times at
-        # .05, 1e-10 and 1e-308, against 98 (to 100,000) and 19 (to 20,000) with a walk every 1024 steps.  At
-        # 1e-317, 1e-318 and 1e-319 the walk's 37 ulp(0) makes a few margins thin: 2 to 3, 11 to 16 and 67 to 116
-        # walks, against 1,409, 12,857 and 18,940 (nearest, two-sided) with 37 ulp(0) charged each step, when T and
-        # pmf(s-1) were carried unscaled.  The last 20 n lie up to n_max steps from a walk, yet are a fresh walk's
-        # (s, ln L0) bit for bit
+        # .05, 1e-10 and 1e-308, against 98 (to 100,000) and 19 (to 20,000) with a walk every 1024 steps.  At 1e-317
+        # to 1e-319, 1e-322 and 5e-324 it walks once: the bound has no ulp(0) term, as nothing it compares is subnormal.
+        # Nearest two-sided, a bound with 37 ulp(0) per walk made 2, 15, 98, 18,930 and 18,926 walks at 1e-317,
+        # 1e-318, 1e-319, 1e-322 and 5e-324, and one with 37 ulp(0) a step 1,409, 12,857 and 18,940 at the first
+        # three.  The last 20 n lie up to n_max steps from a walk, yet are a fresh walk's (s, ln L0) bit for bit
         last = collections.deque(_march(alpha, mode, tail, n_max), maxlen=20)
-        assert len(walked) <= {1e-317: 5, 1e-318: 30, 1e-319: 200}.get(alpha, 3)
+        assert len(walked) <= {1e-322: 5, 5e-324: 5}.get(alpha, 3)
         assert [n for n, _, _ in last] == list(range(n_max - 19, n_max + 1))
         for n, s, log_l0 in last:
-            [(want, _)] = _select_walk(n, (alpha,), mode, tail)
+            [(want, _, _)] = _select_walk(n, (alpha,), mode, tail)
             assert (s, log_l0) == (want, _log_term(n, want)), n
 
 
