@@ -14,7 +14,8 @@ cases:
     101, 102 and 7 (perfbench.workloads.make_plan, with their grid files);
     --help, each COMMAND --help and -h COMMAND, no arguments and an unknown
     command; the argv of the goldens in tests/test_cli.py; the default sweep in
-    CSV and JSON, and the 18 benchmark crossings, in each mode x tail;
+    CSV and JSON, the 18 benchmark crossings and the FAR_CROSSINGS at n-max
+    200000, in each mode x tail;
   - the selection differential, in each mode x tail: for every alpha of
     ALPHAS, one _select_walk call per n <= N_MAX and _march's yields to N_MAX,
     or to LONG_N_MAX for the alphas of LONG_ALPHAS, and one _select_walk call
@@ -26,7 +27,7 @@ count and the sha256 of its lines, and a call that raises exits 1 with the
 exception on stderr.
 Each case whose output differs is printed with a unified diff of the two.
 The exit status is 1 if any case differs, 2 if a tree could not be run, and
-0 otherwise.  The run takes about 15 s on a 2-core host.
+0 otherwise.  The run takes about 20 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -50,6 +51,10 @@ MODES, TAILS = ("nearest", "strict"), ("two", "one")
 ALPHAS = (0.9, 0.5, 0.25, 0.05, 0.01, 1e-3, 1e-10, 1e-300, 1e-308, 1e-310, 1e-318, 1e-320, 1e-322, 1e-323, 5e-324)
 N_MAX = 2000
 LONG_ALPHAS, LONG_N_MAX = (0.05, 0.01, 1e-10, 1e-308, 1e-318), 20_000  # the scan's spans between walks run to n_max
+# (alpha, level) at n-max 200000: five touches past where the scan's envelope first reaches the floor, and two that
+# no n touches, which end where the envelope rules out n_max
+FAR_CROSSINGS = (("0.01", "0.874"), ("0.001", "0.525"), ("0.0001", "0.198"), ("1e-10", "2.03e-07"),
+                 ("1e-300", "2.27e-296"), ("0.0001", "0.9"), ("0.01", "0.9999"))
 
 
 def _golden_argv() -> list[list[str]]:
@@ -79,6 +84,8 @@ def corpus(work: Path) -> list[list]:
             argvs += [["sweep", "--mode", mode, "--tail", tail, "--format", f] for f in ("csv", "json")]
             argvs += [["crossing", "--alpha", a, "--level", level, "--mode", mode, "--tail", tail]
                       for a in CROSSING_ALPHAS for level in CROSSING_LEVELS]
+            argvs += [["crossing", "--alpha", a, "--level", level, "--n-max", "200000", "--mode", mode, "--tail", tail]
+                      for a, level in FAR_CROSSINGS]
     cases = {" ".join(["cli", *argv]): ["cli", argv] for argv in argvs}  # a request repeated across seeds runs once
     for mode in MODES:
         for tail in TAILS:

@@ -23,7 +23,9 @@ between walks the scan steps pmf(s - 1), in the same unit, by its exact term
 ratio, so a scanned n takes no lgamma and no exp.  Given a floor under
 ln(L0 (n + 1)), the scan yields only the n whose (n + 1) pmf(s - 1) reaches it,
 each with three lgamma calls for its ln L0, so find_crossing scores only the n
-near its level.  The tail routines take n <= MAX_N.
+near its level; from N0 = max(256, 16 z^2) on it jumps to the first n where a
+certified envelope of (n + 1) pmf(s - 1), of order alpha sqrt(n), reaches the
+floor, or ends where none does up to n_max.  The tail routines take n <= MAX_N.
 """
 
 from __future__ import annotations
@@ -324,6 +326,32 @@ def select_barely_significant(
     return CriticalValue(*pick[:2])
 
 
+def _cap(alpha: float, c: float) -> tuple[float, int]:
+    """(z, N0): for every n >= N0 the strict threshold s at alpha, p(s) <= alpha < p(s-1) with p = c P(X >= s) (c = 2
+    two-sided), lies below n/2 + z sqrt(n)/2 + 3/2, with z >= 1 independent of n and N0 = max(256, ceil(16 z^2)), so
+    that x = sqrt(n) >= max(16, 4z).
+
+    For n/2 < k < n the term ratios (n-j)/(j+1) fall from j = k on, so P(X >= k) <= pmf(k) (k+1)/(2d+1), d = k - n/2, a
+    geometric tail; Robbins' Stirling bounds, 1/(12m+1) < ln m! - ln(sqrt(2 pi m) (m/e)^m) < 1/(12m), and D(1/2 + t ||
+    1/2) >= 2t^2 give pmf(k) <= sqrt(n/(2 pi k (n-k))) exp(-2d^2/n).  Their product R(d) falls on 1 <= d <= n/4, where
+    the derivative of ln R is at most 4/n - 2/(2d+1) - 4d/n < 0.  At d0 = (z x + 1)/2 it is exp(-z^2/2)/(z sqrt(2 pi))
+    M, the normal tail's bound with its prefactor, where M <= (1 + z/x + 3/n) exp(-z/x - 1/(2n)) (1 - (z/x +
+    1/n)^2)^-1/2 <= exp(5/(2n)) (1 - (1/4 + 1/256)^2)^-1/2 < 1.045, as (1 + t) e^-t <= 1.  So where z^2/2 + ln z >= L =
+    ln(1.045 c / (alpha sqrt(2 pi))), every k >= n/2 + d0 has c P(X >= k) <= c R(d0) <= alpha, the first such k lying
+    within d0 + 1 <= n/4 of n/2; as p(s-1) > alpha where s - 1 > n/2, s - 1 < n/2 + d0.  z is Newton's iterate on that
+    equation from sqrt(2L), or 1 where L <= 1/2: z^2/2 + ln z is convex for z >= 1, so every iterate lies above the
+    root, and the 2**-20 added covers the roundings of L and of the steps, under 1e-12.  Two-sided, z is 2.63 at alpha =
+    .01 and 38.5 at 5e-324, and N0 256 and 23,700: N0 grows with z^2, so the bound holds for every alpha.  (Hoeffding's
+    bound, without the prefactor, puts z at 3.26 at .01.)
+    """
+    big_l = math.log(1.045 * c / math.sqrt(2.0 * math.pi)) - math.log(alpha)  # alpha / c may round to 0: log apart
+    z = math.sqrt(2.0 * max(big_l, 0.5))
+    for _ in range(4):
+        z = max(1.0, z - (0.5 * z * z + math.log(z) - big_l) / (z + 1.0 / z))
+    z += 2.0 ** -20
+    return z, max(256, math.ceil(16.0 * z * z))
+
+
 def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int, floor: float = -math.inf):
     """(n, s, ln L0) for each n in 1 ..  n_max at which alpha is attainable and ln(L0 (n+1)) may reach floor: s is
     _select_walk's pick, ln L0 _log_term(n, s).
@@ -349,6 +377,23 @@ def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int, 
     (_ln_bf_floor at even prior odds) lie in [-745, 35]; the + 2 covers the two eps/2 and a rounding each of (n+1) pm1
     and low's exp, both normal; the shift's sum rounds by eps/2 |floor - margin + 512 ln 2| <= 195 eps and its float 512
     ln 2 lies 53.5 eps off: the 250.  The default floor, -inf, yields every feasible n.
+
+    A finite floor also takes a certified envelope, once, at the first feasible n >= N0 (_cap's z and N0; as N0 >= 256,
+    _cap waits for n = 256).  From N0, with x = sqrt(n), an integer J >= 1 and rho = (n - z x - 2J + 1)/(n + z x + 2J +
+    1), the term ratio (n-k)/(k+1) at k = _cap's bound on s plus J - 2: the ratios from k = s-1 to s+J-2 fall as k grows
+    (the pmf is log-concave), so each is at least rho, and alpha/c >= P(X >= s) >= pmf(s) (1 - rho^J)/(1 - rho) and
+    pmf(s-1) <= pmf(s)/rho give pmf(s-1) <= (alpha/c) (1 - rho)/(rho (1 - rho^J)), which grows as rho falls.  J =
+    floor(2x/5), within 2% of the best J at every z, keeps s + J - 1 <= n, as x >= 4z.  For a fixed J, rho grows with n,
+    so from m, with env that bound at m times _SCALE, (n+1) pmf(s-1) _SCALE <= t env < low at every n with n + 1 <= t =
+    low/(env (1 + 2**-40)): the float env, from sqrt, z x, q = 2 z x + 4J, the two sums, log1p and expm1 on, errs by
+    under 32 eps, and t by eps/2, both inside the 2**-40.  m moves to floor(t) while that gains more than m/256; as env
+    falls like 1/sqrt(m), ln(reach/m) about halves a round: about ten rounds, each of O(1) float work.  Where t passes
+    n_max + 1 the scan ends.  Where m lies more than 5 sqrt(m) past n, the scan jumps there, with a walk, which costs
+    4.2 to 5.2 sqrt(n) scan steps (n = 256 to 8000, a 2-core Xeon); otherwise it scans on from n.  A skipped n scores
+    below the level: its true (n+1) pmf(s-1) _SCALE lies below low, whose ln lies at least 64 eps lg + 375 eps under
+    floor + 512 ln 2 (its roundings take 622 eps of the margin's 997), more than the 18.5 eps lg of the pick's ln L0
+    (_tol).  (.01, .7) jumps from 256 to 3,587 and touches at 6,520; (1e-4, .9) and (.01, .9999) end at N0 = 256 for
+    n_max up to 1e7.
     """
     c = 2.0 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 1.0
     nearest = mode is SelectionMode.NEAREST_TO_ALPHA
@@ -357,29 +402,53 @@ def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int, 
     at_walk, step = _tol(alpha, 7.0 * math.sqrt(n_max) + 10.0, lg + 42.0), _tol(alpha, 1.0, 0.0)
     a, low = alpha * _SCALE, exp(floor - math.ulp(1.0) * (64.0 * lg + 2.0 * n_max + 747.0 + 250.0) + _LN_SCALE)
     first = next((n for n in range(1, n_max + 1) if math.ldexp(c, -n) <= alpha), n_max + 1)
-    for n in range(first, n_max + 1):
-        half, fresh = n // 2, n == first
-        if not fresh:
-            T += 0.5 * pm1
-            moved = c * T > a or s <= half
-            tol += step
-            pm1 = pm1 * n / (2 * (s if moved else n - s + 1))
-            s += moved
-        while True:
-            if fresh:
-                [(pick, _, log_tail)] = _select_walk(n, (alpha,), mode, tail)
-                T, tol = exp(log_tail + _LN_SCALE), at_walk
-                moved = nearest and c * T > a
-                s = pick + moved
-                pm1 = exp(_log_term(n, s - 1) + _LN_SCALE)
-            if moved:
-                T -= pm1
-            d1 = a - c * T
-            d2 = c * (T + pm1) - a if s - 1 > half else inf  # the walk stops above n/2
-            if fresh or d1 > tol and d2 > tol and (not nearest or abs(d2 - d1) > tol):  # a walk's pick, or a sure s
-                break
-            fresh = True
-        if (n + 1) * pm1 < low:  # (n + 1) pmf(s - 1) bounds the pick's L0 (n + 1): below the floor, skip n
+    start = walk_at = first
+    stop = min(max(first, 256), n_max + 1) if floor > -inf else n_max + 1  # where the envelope is due: N0 >= 256
+    while True:
+        for n in range(start, stop):
+            half, fresh = n // 2, n == walk_at
+            if not fresh:
+                T += 0.5 * pm1
+                moved = c * T > a or s <= half
+                tol += step
+                pm1 = pm1 * n / (2 * (s if moved else n - s + 1))
+                s += moved
+            while True:
+                if fresh:
+                    [(pick, _, log_tail)] = _select_walk(n, (alpha,), mode, tail)
+                    T, tol = exp(log_tail + _LN_SCALE), at_walk
+                    moved = nearest and c * T > a
+                    s = pick + moved
+                    pm1 = exp(_log_term(n, s - 1) + _LN_SCALE)
+                if moved:
+                    T -= pm1
+                d1 = a - c * T
+                d2 = c * (T + pm1) - a if s - 1 > half else inf  # the walk stops above n/2
+                if fresh or d1 > tol and d2 > tol and (not nearest or abs(d2 - d1) > tol):  # a walk's pick, or sure s
+                    break
+                fresh = True
+            if (n + 1) * pm1 < low:  # (n + 1) pmf(s - 1) bounds the pick's L0 (n + 1): below the floor, skip n
+                continue
+            pick = pick if fresh else s - (nearest and d2 < d1)
+            yield n, pick, _log_term(n, pick)
+        if stop > n_max:
+            return
+        z, n0 = _cap(alpha, c)
+        if n0 > stop:  # scan on to N0
+            start, stop = stop, min(n0, n_max + 1)
             continue
-        pick = pick if fresh else s - (nearest and d2 < d1)
-        yield n, pick, _log_term(n, pick)
+        m, unit = stop, a / c  # rule out, in rounds, every n from stop on whose envelope lies below low
+        while True:
+            x = math.sqrt(m)
+            j, zx = int(0.4 * x), z * x
+            q = 2.0 * zx + 4 * j
+            t = low / (unit * q / (m - zx - 2 * j + 1) / -math.expm1(j * math.log1p(-q / (m + zx + 2 * j + 1)))
+                       * (1.0 + 2.0 ** -40))
+            if t > n_max + 1:  # no n up to n_max can reach the floor
+                return
+            if t < m + m / 256:
+                break
+            m = int(t)
+        start, stop = stop, n_max + 1
+        if m - start > 5 * math.isqrt(m):  # the skip outweighs a walk
+            start = walk_at = m

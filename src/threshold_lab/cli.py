@@ -215,9 +215,11 @@ _COMMANDS = {
               ("--grid", "--alphas", "--mode", "--tail", "--prior-a", "--prior-b", "--format", "--out")),
     "crossing": (_cmd_crossing, "first n whose posterior reaches a level",
                  "Smallest trial count at which the barely-significant posterior first touches the given level "
-                 "(the curve is jittery, so this is first-touch). Every n up to n-max is scored, so null means no "
-                 "n reaches the level; the time grows linearly with the answer, or with n-max (about 0.01 s at "
-                 "20000). Defaults: mode=nearest, tail=two, Beta(1,1) prior, n-max=20000.",
+                 "(the curve is jittery, so this is first-touch). Null means no n up to n-max reaches it. Under the "
+                 "flat prior the search skips every n that a certified bound on the posterior rules out, so at alpha "
+                 ">= 1e-4 a level that no n reaches returns after a few hundred n; under another prior every n is "
+                 "scored, so the time grows linearly with the answer, or with n-max (about 0.05 s at 20000). "
+                 "Defaults: mode=nearest, tail=two, Beta(1,1) prior, n-max=20000.",
                  ("--alpha", "--level", "--n-max", "--mode", "--tail", "--prior-a", "--prior-b")),
     "prep": (_cmd_prep, "replication probability for a realized p-value",
              "Probability that an equally powered replication reproduces the effect's direction, given a "

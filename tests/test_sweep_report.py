@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -464,18 +465,65 @@ class TestMarch:
         assert len(walked) <= 760
         assert lgamma_calls() <= 300_000
 
-    def test_lgamma_calls_per_scanned_n(self, lgamma_calls):
-        # a scanned n steps pmf(s-1) by its term ratio and takes no lgamma; the one walk and its exp(ln pmf) take
-        # theirs, and each yielded n three for its ln L0: 356 over 6,513 n (3,054 with a walk every 1024 steps,
+    def test_lgamma_calls_per_scanned_n(self, walked, lgamma_calls):
+        # a scanned n steps pmf(s-1) by its term ratio and takes no lgamma; the two walks, at n = 8 and at 3,587, where
+        # the envelope first reaches the floor, and their exp(ln pmf) take theirs, and each yielded n three for its
+        # ln L0: 820 over the 2,942 n scanned (356 over 6,513 n with no envelope, 3,054 with a walk every 1024 steps,
         # 12,570 with an ln j! band and one lgamma call as s moved up, 28,944 when each n took its ln j! afresh)
         assert find_crossing(0.01, 0.7) == 6520
-        assert lgamma_calls() <= 400
+        assert len(walked) == 2
+        assert lgamma_calls() <= 900
 
     def test_lgamma_calls_where_no_n_touches_the_level(self, lgamma_calls):
         # no n reaches the floor and no margin is thin, so the walk at the first feasible n and its pmf(s-1) make
         # all 14 calls (12,834 with a walk every 1024 steps, 43,038 with the ln j! band)
         assert find_crossing(0.0001, 0.9) is None
         assert lgamma_calls() <= 20
+
+    @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
+    @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
+    def test_a_no_touch_search_ends_where_the_envelope_rules_out_n_max(self, walked, mode, tail):
+        # the envelope of (n + 1) pmf(s-1) stays below the floor up to n_max = 1e7, so each search returns None after
+        # its walk at the first feasible n and a scan to N0 = 256, in under 1 ms; a scan of every n took 0.55 s to 1e6
+        start = time.perf_counter()
+        for alpha, level in ((1e-4, 0.9), (0.01, 0.9999)):
+            walked.clear()
+            assert find_crossing(alpha, level, mode, tail, n_max=10**7) is None
+            assert len(walked) <= 2
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("alpha", [0.9, 0.3, 0.05, 0.01, 1e-4, 1e-10, 1e-100, 1e-300, 5e-324])
+    def test_the_cap_solves_the_tail_bound_with_its_prefactor(self, alpha):
+        # z solves z^2/2 + ln z >= ln(M c / (alpha sqrt(2 pi))), M the worst Stirling and continuity factor for x =
+        # sqrt(n) >= max(16, 4z), to within 1e-3 of its root (Hoeffding's z, without the prefactor, is 3.26 at .01
+        # two-sided, against 2.63); N0 makes x that large; and at each n from N0 the walk's strict s lies under the cap
+        m = math.exp(5.0 / 512.0) / math.sqrt(1.0 - (1.0 / 4.0 + 1.0 / 256.0) ** 2)
+        for tail, c in ((TailConvention.ONE_SIDED_UPPER, 1.0), (TailConvention.TWO_SIDED_SYMMETRIC, 2.0)):
+            z, n0 = binomial_kernel._cap(alpha, c)
+            excess = lambda z: math.log(m * c / (z * math.sqrt(2.0 * math.pi))) - z * z / 2.0 - math.log(alpha)
+            assert z >= 1.0 and excess(z) <= 0.0
+            assert z < 1.0 + 1e-3 or excess(z - 1e-3) > 0.0
+            assert n0 >= 256 and n0 >= 16.0 * z * z
+            for n in range(n0, n0 + 40):
+                [(s, _, _)] = _select_walk(n, (alpha,), SelectionMode.STRICT_AT_MOST_ALPHA, tail)
+                assert s < n / 2 + z * math.sqrt(n) / 2 + 1.5, (n, s)
+
+    @pytest.mark.parametrize("alpha, level, mode, tail", [
+        (0.01, 0.874, SelectionMode.NEAREST_TO_ALPHA, TailConvention.TWO_SIDED_SYMMETRIC),
+        (0.001, 0.525, SelectionMode.STRICT_AT_MOST_ALPHA, TailConvention.TWO_SIDED_SYMMETRIC),
+        (1e-4, 0.198, SelectionMode.NEAREST_TO_ALPHA, TailConvention.ONE_SIDED_UPPER),
+        (1e-10, 2.03e-7, SelectionMode.STRICT_AT_MOST_ALPHA, TailConvention.TWO_SIDED_SYMMETRIC),
+        (1e-300, 2.27e-296, SelectionMode.STRICT_AT_MOST_ALPHA, TailConvention.ONE_SIDED_UPPER),
+    ], ids=["01-nearest-two", "001-strict-two", "1e-4-nearest-one", "1e-10-strict-two", "1e-300-strict-one"])
+    def test_a_touch_just_past_the_jump_is_the_first_over_every_n(self, walked, alpha, level, mode, tail):
+        # every n is scored, from the scan without a floor, up to the first touch, at 57,560 to 115,535; the floored
+        # search walks at its first feasible n and at the envelope's reach, 34,291 to 72,833, 1.35 to 1.8 times below
+        # the touch: an envelope half as large reaches the floor four times later, past the touch
+        score = _scorer(None, 0.5)
+        want = next(n for n, s, log_l0 in _march(alpha, mode, tail, 200_000) if score(n, s, log_l0)[1] >= level)
+        walked.clear()
+        assert find_crossing(alpha, level, mode, tail, n_max=200_000) == want
+        assert len(walked) == 2 and walked[1] < want < 2 * walked[1]
 
     def test_scan_memory_is_constant_beside_its_walks(self):
         # between walks the scan holds a few floats; the peak, 17 KB to n = 10,000 and 24 KB to 20,000, is an
