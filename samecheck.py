@@ -27,7 +27,7 @@ count and the sha256 of its lines, and a call that raises exits 1 with the
 exception on stderr.
 Each case whose output differs is printed with a unified diff of the two.
 The exit status is 1 if any case differs, 2 if a tree could not be run, and
-0 otherwise.  The run takes about 20 s on a 2-core host.
+0 otherwise.  The run takes about 15 s on a 2-core host.
 """
 
 from __future__ import annotations
