@@ -48,7 +48,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent
 SEEDS = (101, 102, 7)
 MODES, TAILS = ("nearest", "strict"), ("two", "one")
-ALPHAS = (0.9, 0.5, 0.25, 0.05, 0.01, 1e-3, 1e-10, 1e-300, 1e-308, 1e-310, 1e-318, 1e-320, 1e-322, 1e-323, 5e-324)
+ALPHAS = (0.9, 0.5, 0.25, 0.125, 0.05, 0.01, 1e-3, 2.0 ** -10, 1e-10, 1e-300, 1e-308, 1e-310, 1e-318, 1e-320, 1e-322,
+          1e-323, 5e-324)  # strictly decreasing, for the one walk call per n at every alpha
 N_MAX = 2000
 LONG_ALPHAS, LONG_N_MAX = (0.05, 0.01, 1e-10, 1e-308, 1e-318), 20_000  # the scan's spans between walks run to n_max
 # (alpha, level) at n-max 200000: five touches past where the scan's envelope first reaches the floor, and two that

@@ -19,13 +19,14 @@ subnormal, in one list bisected for each alpha's break; it tests s = n exactly,
 2**-n <= alpha (doubled two-sided), and folds each pick's p from the list,
 bit-equal to p_value.  Where a margin lies within _tol, one rounding bound, the
 pass and find_crossing's scan over n (_march) hand over to a one-alpha walk;
-between walks the scan steps pmf(s - 1), in the same unit, by its exact term
-ratio, so a scanned n takes no lgamma and no exp.  Given a floor under
-ln(L0 (n + 1)), the scan yields only the n whose (n + 1) pmf(s - 1) reaches it,
-each with three lgamma calls for its ln L0, so find_crossing scores only the n
-near its level; from N0 = max(256, 16 z^2) on it jumps to the first n where a
-certified envelope of (n + 1) pmf(s - 1), of order alpha sqrt(n), reaches the
-floor, or ends where none does up to n_max.  The tail routines take n <= MAX_N.
+the scan starts at its first feasible n, in closed form, and between walks
+steps pmf(s - 1), in the same unit, by its exact term ratio, so a scanned n
+takes no lgamma and no exp.  Given a floor under ln(L0 (n + 1)), the scan
+yields only the n whose (n + 1) pmf(s - 1) reaches it, each with three lgamma
+calls for its ln L0, so find_crossing scores only the n near its level; from
+N0 = max(256, 16 z^2) on it jumps to the first n where a certified envelope of
+(n + 1) pmf(s - 1), of order alpha sqrt(n), reaches the floor, or ends where
+none does up to n_max.  The tail routines take n <= MAX_N.
 """
 
 from __future__ import annotations
@@ -200,10 +201,10 @@ def p_value(outcome: BinomialOutcome, tail: TailConvention = TailConvention.TWO_
 
 
 def min_attainable_p(n: int, tail: TailConvention = TailConvention.TWO_SIDED_SYMMETRIC) -> float:
-    """Smallest p-value any success count can reach at this n (attained at s = n)."""
+    """Smallest p-value at this n, that of s = n: c 2**-n exactly (c = 2 two-sided), the walk's feasibility bound."""
     _check_n(n)
     _check_instance(tail, TailConvention, "tail")
-    return _tail_p(-n * _LN2, tail)  # p_value's fold of the one term k = n, bit for bit
+    return math.ldexp(2.0 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 1.0, -n)
 
 
 def _walk_start(n: int, alpha: float, shift: float) -> tuple[int, int]:
@@ -250,12 +251,13 @@ def _select_walk(n: int, alphas: tuple[float, ...], mode: SelectionMode, tail: T
     alpha, the smallest (the alphas strictly decrease): O(sqrt(n)) terms, read for k = top, top-1, ... from one list,
     grown on demand.  Every true p from c up is at most alpha, so where the sum folded to c in one _log_sum gives p <=
     alpha, the pass decides per term below c only.  It keeps each tail P(X >= s) times 2**512, _tol's unit, in one list,
-    which never falls as s decreases, up to the first p above the largest alpha, and bisects it for each alpha's break:
-    the strict s is the one before it, or n where no p is at most alpha (a tie p(n) = alpha, rounded up; top = n there),
-    and the nearest s is the strict s or s - 1, whichever p lies nearer alpha, ties to the strict s, the rule _march
-    applies.  The smallest alpha folds as a one-alpha call does; where a larger alpha's margin lies within _tol(alpha,
-    top - n//2, 28), its own walk picks.  Each pick's tail is folded from the list in _log_upper_tail's order, so p is
-    bit-equal to p_value.
+    which never falls as s decreases, up to the first p above the largest alpha.  At odd n its entry at s = (n+1)/2 is
+    2**511 exactly (P(X >= s) = 1/2 by symmetry); every other lies over 1/sqrt(8 (n+1)) > 1e-4 of 2**512 lower, far
+    beyond a fold's error: no p read from it exceeds 1.  It is bisected for each alpha's break: the strict s is the one
+    before it, or n where no p is at most alpha (a tie p(n) = alpha, rounded up; top = n there), and the nearest s is
+    the strict s or s - 1, whichever p lies nearer alpha, ties to the strict s, the rule _march applies.  The smallest
+    alpha folds as a one-alpha call does; where a larger alpha's margin lies within _tol(alpha, top - n//2, 28), its own
+    walk picks.  Each pick's tail is folded from the list in _log_upper_tail's order, so p is bit-equal to p_value.
     """
     exp, log1p, shift = math.exp, math.log1p, _shift(tail)
     c_tail = 2.0 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 1.0  # p / P(X >= s), _tol's c
@@ -281,6 +283,8 @@ def _select_walk(n: int, alphas: tuple[float, ...], mode: SelectionMode, tail: T
         ps.append(t)
         if t > largest:
             break
+    if s0 + 1 - len(ps) == n - n // 2:  # the last entry is at s = (n+1)/2, n odd: P(X >= s) = 1/2 by symmetry
+        ps[-1] = 0.5 * _SCALE
     picks = []
     for alpha in alphas:
         if math.ldexp(c_tail, -n) > alpha:  # p(n) > alpha: no s attains it, in either mode
@@ -289,7 +293,7 @@ def _select_walk(n: int, alphas: tuple[float, ...], mode: SelectionMode, tail: T
         a = alpha * _SCALE
         b = bisect.bisect_right(ps, a / c_tail)  # the break's index: c ps[b - 1] <= a < c ps[b], exactly
         d1 = a - c_tail * ps[b - 1] if b else math.inf
-        d2 = min(c_tail * ps[b], _SCALE) - a if b < len(ps) else math.inf  # as p_value clamps; p(s) needs none
+        d2 = c_tail * ps[b] - a if b < len(ps) else math.inf
         tol = _tol(alpha, top - n // 2, 28.0) if alpha > alphas[-1] else -math.inf  # the smallest alpha's is final
         if min(d1, d2) <= tol or nearest and abs(d2 - d1) <= tol:
             picks += _select_walk(n, (alpha,), mode, tail)
@@ -360,14 +364,14 @@ def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int, 
     pmf_n(s-1) in linear space, times _SCALE, as it compares them with alpha and tol times _SCALE (_tol): T += pm1/2
     (the last n's pm1), and s moves up at most one, as P_n(X >= s+1) <= P_{n-1}(X >= s) <= P_n(X >= s).  pm1 steps by
     its exact ratio, n / (2 (n-s+1)) where s stays and n / (2s) where it moves up (the old s), so a scanned n takes no
-    lgamma and no exp.  The scan starts at the first n with c 2**-n <= alpha, the walk's exact rule.  One walk in the
-    scan's own mode, there and where a margin (_tol's d1, d2, or d2 - d1 in nearest mode) lies within tol, yields its
-    pick and sets T = exp(ln P(X >= pick) + 512 ln 2) from the walk's own fold, s = pick (pick + 1 where a nearest
-    pick's c T lies above alpha, and T drops its term) and pm1 = exp(_log_term(n, s-1) + 512 ln 2); a sure margin makes
-    s the strict threshold whatever pick set it (too large an s leaves d2 <= tol, too small d1).  tol is _tol over what
-    happened since the last walk, carried as one float: _tol(alpha, 7 sqrt(n_max) + 10, lg + 42) at the walk, lg =
-    lgamma(n_max+1) + 14, plus _tol(alpha, 1, 0) a step; its n_max <= 1e7 sums, eps/2 each, take under 3e-9 of it,
-    inside F's spare 1/37.
+    lgamma and no exp.  The scan starts at the first n with c 2**-n <= alpha, the walk's exact rule, in closed form: n =
+    c - e for alpha = m 2**e, 1/2 <= m < 1.  One walk in the scan's own mode, there and where a margin (_tol's d1, d2,
+    or d2 - d1 in nearest mode) lies within tol, yields its pick and sets T = exp(ln P(X >= pick) + 512 ln 2) from the
+    walk's own fold, s = pick (pick + 1 where a nearest pick's c T lies above alpha, and T drops its term) and pm1 =
+    exp(_log_term(n, s-1) + 512 ln 2); a sure margin makes s the strict threshold whatever pick set it (too large an s
+    leaves d2 <= tol, too small d1).  tol is _tol over what happened since the last walk, carried as one float:
+    _tol(alpha, 7 sqrt(n_max) + 10, lg + 42) at the walk, lg = lgamma(n_max+1) + 14, plus _tol(alpha, 1, 0) a step; its
+    n_max <= 1e7 sums, eps/2 each, take under 3e-9 of it, inside F's spare 1/37.
 
     A floor yields only the n where (n+1) pm1 reaches low = exp(floor - margin + 512 ln 2), taken once per scan, margin
     = eps (64 lg + 2 n_max + 745 + 2 + 250).  As s > n/2, pmf(s) = pmf(s-1) (n-s+1)/s <= pmf(s-1), so (n+1) pm1 bounds
@@ -378,8 +382,8 @@ def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int, 
     and low's exp, both normal; the shift's sum rounds by eps/2 |floor - margin + 512 ln 2| <= 195 eps and its float 512
     ln 2 lies 53.5 eps off: the 250.  The default floor, -inf, yields every feasible n.
 
-    A finite floor also takes a certified envelope, once, at the first feasible n >= N0 (_cap's z and N0; as N0 >= 256,
-    _cap waits for n = 256).  From N0, with x = sqrt(n), an integer J >= 1 and rho = (n - z x - 2J + 1)/(n + z x + 2J +
+    A finite floor also takes a certified envelope, once, at the first feasible n >= N0, from _cap's z and N0, taken in
+    one call before the scan.  From N0, with x = sqrt(n), an integer J >= 1 and rho = (n - z x - 2J + 1)/(n + z x + 2J +
     1), the term ratio (n-k)/(k+1) at k = _cap's bound on s plus J - 2: the ratios from k = s-1 to s+J-2 fall as k grows
     (the pmf is log-concave), so each is at least rho, and alpha/c >= P(X >= s) >= pmf(s) (1 - rho^J)/(1 - rho) and
     pmf(s-1) <= pmf(s)/rho give pmf(s-1) <= (alpha/c) (1 - rho)/(rho (1 - rho^J)), which grows as rho falls.  J =
@@ -401,9 +405,9 @@ def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int, 
     lg = math.lgamma(n_max + 1) + 14.0  # bounds every lgamma the scan takes, and each walk's pm1 shift (_tol)
     at_walk, step = _tol(alpha, 7.0 * math.sqrt(n_max) + 10.0, lg + 42.0), _tol(alpha, 1.0, 0.0)
     a, low = alpha * _SCALE, exp(floor - math.ulp(1.0) * (64.0 * lg + 2.0 * n_max + 747.0 + 250.0) + _LN_SCALE)
-    first = next((n for n in range(1, n_max + 1) if math.ldexp(c, -n) <= alpha), n_max + 1)
-    start = walk_at = first
-    stop = min(max(first, 256), n_max + 1) if floor > -inf else n_max + 1  # where the envelope is due: N0 >= 256
+    start = walk_at = int(c) - math.frexp(alpha)[1]  # the first feasible n, in closed form
+    z, n0 = _cap(alpha, c) if floor > -inf else (0.0, n_max + 1)
+    stop = min(max(start, n0), n_max + 1)  # where the envelope is due
     while True:
         for n in range(start, stop):
             half, fresh = n // 2, n == walk_at
@@ -433,10 +437,6 @@ def _march(alpha: float, mode: SelectionMode, tail: TailConvention, n_max: int, 
             yield n, pick, _log_term(n, pick)
         if stop > n_max:
             return
-        z, n0 = _cap(alpha, c)
-        if n0 > stop:  # scan on to N0
-            start, stop = stop, min(n0, n_max + 1)
-            continue
         m, unit = stop, a / c  # rule out, in rounds, every n from stop on whose envelope lies below low
         while True:
             x = math.sqrt(m)

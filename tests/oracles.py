@@ -54,7 +54,7 @@ def reference_walk(n: int, alpha: float, mode: str, two_sided: bool = True) -> t
     acc, strict = -math.inf, None
     for k in range(_cutoff(n, math.ceil(n / 2.0 + zb * math.sqrt(n) / 2.0)), n // 2, -1):
         acc = _fold(acc, _upper_term(n, k, lg, w))
-        p = c * math.exp(acc + ln_scale)
+        p = c * math.exp(acc + ln_scale) if 2 * k != n + 1 else c * scale / 2  # P(X >= (n+1)/2) = 1/2, n odd
         if p > a:
             break
         strict, below = k, p

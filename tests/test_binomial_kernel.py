@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import random
@@ -28,6 +29,7 @@ from threshold_lab.binomial_kernel import (
     MAX_N,
     _log_term,
     _log_terms,
+    _march,
     _select_walk,
     _shift,
     _tail_start,
@@ -162,11 +164,13 @@ class TestMinAttainableP:
         with pytest.raises(ValueError):
             min_attainable_p(0)
 
-    def test_is_p_value_at_n_bit_for_bit(self):
-        # the fold of the one term k = n that p_value sums for s = n, without building an outcome
-        for n in [*range(1, 2001), *(round(math.exp(x / 40)) for x in range(305, 645)), MAX_N]:
-            for tail in (ONE, TWO):
-                assert min_attainable_p(n, tail) == p_value(BinomialOutcome(n, n), tail), (n, tail)
+    def test_is_c_two_to_the_minus_n_exactly(self):
+        # p(n) = c 2**-n is a float, or underflows to 0.0; p_value's fold of the one term k = n, exp(ln c - n ln 2),
+        # may round above it, as at (3, one): 0.12500000000000003
+        for n in [*range(1, 2001), MAX_N]:
+            for tail, c in ((ONE, 1), (TWO, 2)):
+                assert min_attainable_p(n, tail) == math.ldexp(c, -n), (n, tail)
+                assert n > 1073 or Fraction(min_attainable_p(n, tail)) == Fraction(c, 2 ** n), (n, tail)
 
 
 class TestSelection:
@@ -636,18 +640,47 @@ class TestSelectionContract:
 
     @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
     def test_a_tie_at_s_equal_n_is_feasible(self, mode):
-        # p(n) = c 2**-n = alpha exactly; the float exp(ln c - n ln 2) rounds above alpha, so min_attainable_p
-        # and the fold both read these cells as infeasible.  The walk tests p(n) <= alpha exactly and picks n
+        # p(n) = c 2**-n = alpha exactly: min_attainable_p returns it, and the walk, which tests p(n) <= alpha exactly,
+        # picks n, and calls n - 1 infeasible.  p_achieved is p_value's fold of the one term, exp(ln c - n ln 2),
+        # which rounds above alpha here
         for n, alpha, tail in ((3, 0.25, TWO), (4, 0.125, TWO), (3, 0.125, ONE)):
-            assert min_attainable_p(n, tail) > alpha  # the float that misread them
+            assert min_attainable_p(n, tail) == alpha < min_attainable_p(n - 1, tail)
             assert reference.select(n, alpha, True, tail is TWO) == n
             s, p = select_barely_significant(n, alpha, mode, tail)
-            assert (s, p) == (n, min_attainable_p(n, tail)), (n, alpha, tail)
+            assert (s, p) == (n, p_value(BinomialOutcome(n, n), tail)), (n, alpha, tail)
+            with pytest.raises(InfeasibleError):
+                select_barely_significant(n - 1, alpha, mode, tail)
+
+    def test_a_tie_at_one_half_picks_n_plus_one_over_two_at_every_odd_n(self):
+        # P(X >= (n+1)/2) = 1/2 exactly at odd n, by symmetry, so the strict one-sided pick at alpha = .5 is (n+1)/2:
+        # in the one-alpha walk, in the multi-alpha pass, and in the scan.  A folded half lands on either side of 1/2
+        strict = SelectionMode.STRICT_AT_MOST_ALPHA
+        want = {n: (n + 1) // 2 for n in range(1, 2002, 2)}
+        assert {n: _select_walk(n, (0.5,), strict, ONE)[0][0] for n in want} == want
+        assert {n: _select_walk(n, (0.5, 0.05), strict, ONE)[0][0] for n in want} == want
+        assert {n: s for n, s, _ in _march(0.5, strict, ONE, 2001) if n % 2} == want
+
+    def test_the_dyadic_grid_matches_the_exact_reference_in_strict_mode(self):
+        # every strict pick at the dyadic alphas 2**-e, both tails, n < 600, where exact p lands on alpha at the ties,
+        # against the exact strict s: the smallest s > n/2 with c sum(C(n, k), k >= s) <= 2**(n-e), in integers, as
+        # reference.select decides it for n <= 2000 (its Fraction bisections take three times as long as this test).
+        # One pass per n and tail picks for every alpha; the larger ones' thin margins hand over to one-alpha walks
+        exps = (1, 2, 3, 4, 10)
+        for n in range(1, 600):
+            tails, term = [], 1  # sum(C(n, k), k >= s) for s = n, n-1, ..., n//2 + 1, and C(n, s)
+            for s in range(n, n // 2, -1):
+                tails.append(term + (tails[-1] if tails else 0))
+                term = term * s // (n - s + 1)
+            for tail, log_c in ((ONE, 0), (TWO, 1)):
+                picks = _select_walk(n, tuple(2.0 ** -e for e in exps), SelectionMode.STRICT_AT_MOST_ALPHA, tail)
+                for e, pick in zip(exps, picks):
+                    i = bisect.bisect_right(tails, (1 << n) >> (e + log_c))  # how many s attain alpha
+                    assert (pick and pick[0]) == (n + 1 - i if i else None), (n, e, tail)
 
     def test_a_tie_at_one_half_picks_the_exact_strict_s(self):
-        # P(X >= 2) = 4/8 = .5 at n = 3: the strict s is 2.  The walk's scaled p there falls at or below .5 times
-        # 2**512, so it picks 2, while p_achieved, p_value's own fold, rounds above .5: at an exact tie a strict
-        # pick's float p may exceed alpha
+        # P(X >= 2) = 4/8 = .5 at n = 3: the strict s is 2.  The walk holds that tail at .5 times 2**512 exactly, so
+        # it picks 2, while p_achieved, p_value's own fold, rounds above .5: at an exact tie a strict pick's float p
+        # may exceed alpha
         assert reference.select(3, 0.5, True, False) == 2
         s, p = select_barely_significant(3, 0.5, SelectionMode.STRICT_AT_MOST_ALPHA, ONE)
         assert (s, p) == (2, 0.5000000000000004) and p == p_value(BinomialOutcome(3, 2), ONE)

@@ -40,8 +40,8 @@ from workloads import CROSSING_ALPHAS, CROSSING_LEVELS
 
 
 def feasible(n, alpha, tail):
-    """The walk's one feasibility rule, exact: p(n) = c 2**-n <= alpha, c = 2 two-sided."""
-    return math.ldexp(2.0 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 1.0, -n) <= alpha
+    """The walk's one feasibility rule: p(n) = c 2**-n <= alpha, c = 2 two-sided, min_attainable_p's exact value."""
+    return min_attainable_p(n, tail) <= alpha
 
 # Brute-force forward-scan answers (every n, exact reference) for the 18
 # (alpha, level) pairs: the benchmark's expected crossings.
@@ -371,10 +371,24 @@ class TestMarch:
     @pytest.mark.parametrize("alpha", [0.5, 0.75, 0.95, 0.25, 0.125])
     def test_matches_the_walk_where_s_sits_just_above_half_n(self, alpha, mode, tail):
         # at .25 and .125 the scan starts at a tie, p(n) = alpha (n = 3 two-sided, 3 one-sided at .125), which
-        # min_attainable_p's float, 2**-n rounded up, calls infeasible
+        # exp(ln c - n ln 2), c 2**-n rounded up, calls infeasible
         got = {n: s for n, s, _ in _march(alpha, mode, tail, 400)}
         assert got == {n: _select_walk(n, (alpha,), mode, tail)[0][0]
                        for n in range(1, 401) if feasible(n, alpha, tail)}
+
+    def test_the_first_n_is_the_closed_form_of_the_feasibility_search(self):
+        # the scan starts at n = c - e for alpha = m 2**e, 1/2 <= m < 1, with no search: the smallest n with
+        # c 2**-n <= alpha, as c 2**-n falls with n.  Powers of two from 2**-1074 to 1/2, where p(n) = alpha is a tie,
+        # each with the floats beside it, and a seeded log-uniform sample down to 5e-324
+        rng = random.Random(38)
+        powers = {2.0 ** -k for k in (*range(1, 64), *range(64, 1075, 17), 1073, 1074)}
+        alphas = powers | {math.nextafter(a, d) for a in powers for d in (0.0, 1.0)} - {0.0, 1.0}
+        alphas |= {math.nextafter(1.0, 0.0), *(math.exp(-rng.uniform(0.0, 744.4)) for _ in range(200))}
+        for tail in TailConvention:
+            for alpha in sorted(alphas):
+                first = next(_march(alpha, SelectionMode.STRICT_AT_MOST_ALPHA, tail, 1100))[0]
+                assert feasible(first, alpha, tail), (alpha, tail)
+                assert first == 1 or not feasible(first - 1, alpha, tail), (alpha, tail)
 
     @pytest.mark.parametrize("n, s", [(1000, 532), (999, 531), (2000, 1046), (3000, 1560),
                                       (1104, 1094), (1585, 1478)])
@@ -578,7 +592,7 @@ class TestMarch:
 
 
 def min_p_feasible(n):
-    return p_value(BinomialOutcome(n, n), TailConvention.TWO_SIDED_SYMMETRIC) <= 0.05
+    return feasible(n, 0.05, TailConvention.TWO_SIDED_SYMMETRIC)
 
 
 class TestJitterReport:
