@@ -19,15 +19,16 @@ cases:
   - the selection differential, in each mode x tail: for every alpha of
     ALPHAS, one _select_walk call per n <= N_MAX and _march's yields to N_MAX,
     or to LONG_N_MAX for the alphas of LONG_ALPHAS, and one _select_walk call
-    per n for all of ALPHAS at once.
+    per n for all of ALPHAS at once; and at each n of LARGE_NS, from 2,000 to
+    1e6, one _select_walk call per alpha of ALPHAS and one for all of them.
 
 A case's output is its exit code, stdout and stderr; a library case prints
-one line per n (a walk's picks as (s, p)), a scan to LONG_N_MAX its line
-count and the sha256 of its lines, and a call that raises exits 1 with the
-exception on stderr.
+one line per n (a walk's picks as (s, p)), a scan to LONG_N_MAX or a walk at
+LARGE_NS its line count and the sha256 of its lines, and a call that raises
+exits 1 with the exception on stderr.
 Each case whose output differs is printed with a unified diff of the two.
 The exit status is 1 if any case differs, 2 if a tree could not be run, and
-0 otherwise.  The run takes about 15 s on a 2-core host.
+0 otherwise.  The run takes about 18 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -52,6 +54,8 @@ ALPHAS = (0.9, 0.5, 0.25, 0.125, 0.05, 0.01, 1e-3, 2.0 ** -10, 1e-10, 1e-300, 1e
           1e-323, 5e-324)  # strictly decreasing, for the one walk call per n at every alpha
 N_MAX = 2000
 LONG_ALPHAS, LONG_N_MAX = (0.05, 0.01, 1e-10, 1e-308, 1e-318), 20_000  # the scan's spans between walks run to n_max
+# 30 seeded n, log-uniform from 2,000 to 1e6, where a walk's start follows its guessed pick's cut-off
+LARGE_NS = tuple(sorted(int(2000 * 500 ** random.Random(f"large n {i}").random()) for i in range(30)))
 # (alpha, level) at n-max 200000: five touches past where the scan's envelope first reaches the floor, and two that
 # no n touches, which end where the envelope rules out n_max
 FAR_CROSSINGS = (("0.01", "0.874"), ("0.001", "0.525"), ("0.0001", "0.198"), ("1e-10", "2.03e-07"),
@@ -95,16 +99,24 @@ def corpus(work: Path) -> list[list]:
                 cases[f"walk {mode} {tail} alpha={alpha!r}"] = ["walk", [mode, tail, [alpha]]]
                 cases[f"march {mode} {tail} alpha={alpha!r} n_max={n_max}"] = ["march", [mode, tail, [alpha], n_max]]
             cases[f"walk {mode} {tail} every alpha"] = ["walk", [mode, tail, list(ALPHAS)]]
+            cases[f"walk {mode} {tail} large n, one alpha a call"] = ["large", [mode, tail, list(ALPHAS), 1]]
+            cases[f"walk {mode} {tail} large n, every alpha"] = ["large", [mode, tail, list(ALPHAS), len(ALPHAS)]]
     return [[name, *case] for name, case in cases.items()]
 
 
 def _library(kind: str, mode: str, tail: str, alphas: list[float], n_max: int = N_MAX) -> int:
+    """Print a library case: a scan's yields, a walk's picks per n, or, for "large", the picks at LARGE_NS of walks
+    over n_max alphas a call."""
     from threshold_lab.binomial_kernel import SelectionMode, TailConvention, _march, _select_walk
 
     mode, tail = SelectionMode(mode), TailConvention(tail)
-    if kind == "march":
-        lines = [f"{n} {s} {log_l0!r}\n" for n, s, log_l0 in _march(alphas[0], mode, tail, n_max)]
-        if n_max > N_MAX:  # a digest keeps the result files small
+    if kind in ("march", "large"):
+        if kind == "march":
+            lines = [f"{n} {s} {log_l0!r}\n" for n, s, log_l0 in _march(alphas[0], mode, tail, n_max)]
+        else:
+            lines = [f"{n} {[pick and pick[:2] for pick in _select_walk(n, tuple(alphas[i:i + n_max]), mode, tail)]}\n"
+                     for n in LARGE_NS for i in range(0, len(alphas), n_max)]
+        if n_max > N_MAX or kind == "large":  # a digest keeps the result files small
             print(len(lines), hashlib.sha256("".join(lines).encode()).hexdigest())
         else:
             sys.stdout.writelines(lines)

@@ -11,15 +11,15 @@ ln(1 + sqrt(n / (480 ln 2))), which comes nearer s as s moves above n/2; the
 mass above it is below 2**-60 of the mass it keeps, far under half an ulp of
 the sum.  A one-sided tail below n/2 is the complement 1 - P(X >= n - s + 1),
 so every term summed lies at or above n/2 (at n = 1e6, 7,765 lgamma calls at
-s = 499,000 and 1 at s = 0).  The selection walk starts at the cut-off too and
-folds one list of terms per n, grown on demand, in one downward pass for every
-alpha: in one go down to a Chernoff point, above which every p is at most the
-smallest alpha, then term by term, keeping each p times 2**512, so that none is
-subnormal, in one list bisected for each alpha's break; it tests s = n exactly,
-2**-n <= alpha (doubled two-sided), and folds each pick's p from the list,
-bit-equal to p_value.  Where a margin lies within _tol, one rounding bound, the
-pass and find_crossing's scan over n (_march) hand over to a one-alpha walk;
-the scan starts at its first feasible n, in closed form, and between walks
+s = 499,000 and 1 at s = 0).  The selection walk decides every alpha on
+p_value's own folds, each p times 2**512, so that none is subnormal, and tests
+s = n exactly, 2**-n <= alpha (doubled two-sided): a pick and its p, bit-equal
+to p_value, depend on p_value alone.  It folds each alpha's tail once, over one
+list of terms per n, from the cut-off of a guessed pick (the normal quantile,
+capped at Hoeffding's bound), and refolds only where the pick and the s below
+it straddle a step of the cut-off.  Where a margin lies within _tol, one
+rounding bound, find_crossing's scan over n (_march) hands over to a walk; the
+scan starts at its first feasible n, in closed form, and between walks
 steps pmf(s - 1), in the same unit, by its exact term ratio, so a scanned n
 takes no lgamma and no exp.  Given a floor under ln(L0 (n + 1)), the scan
 yields only the n whose (n + 1) pmf(s - 1) reaches it, each with three lgamma
@@ -31,12 +31,12 @@ none does up to n_max.  The tail routines take n <= MAX_N.
 
 from __future__ import annotations
 
-import bisect
 import math
 from enum import Enum
 from typing import NamedTuple
 
 from ._checks import MAX_N, _Checked, _check_instance, _check_n, _check_real, _check_unit, _shown
+from .gaussian_numerics import _inv_cdf
 
 __all__ = [
     "BinomialOutcome",
@@ -144,10 +144,9 @@ def _log_terms(n: int, start: int, stop: int) -> list[float]:
                                            map(lgamma, range(start + 1, stop + 1, -1)))]
 
 
-def _log_sum(terms: list[float]) -> float:
-    """ln of the sum of exp(t) over the log terms, folded in list order."""
+def _log_sum(terms: list[float], acc: float = -math.inf) -> float:
+    """ln of exp(acc) plus the sum of exp(t) over the log terms, folded in list order."""
     exp, log1p = math.exp, math.log1p
-    acc = -math.inf
     for t in terms:
         acc = t + log1p(exp(acc - t)) if t > acc else acc + log1p(exp(t - acc))
     return acc
@@ -161,8 +160,9 @@ def _tail_start(n: int, s: int) -> int:
     # pmf(k+1)/pmf(k) <= (1 - y/m)/(1 + y/m) <= exp(-2y/m), so the mass above start is at most
     # pmf(s) exp(-(J+1)(2d+J)/m) (1 + m/(2(d+J+1))).  With (d+J)^2 >= d^2 + mL below, (J+1)(2d+J) >= mL and
     # d + J + 1 >= sqrt(60 m ln 2), so that mass is below 2**-60 of the kept mass (checked with exact integers
-    # in the tests); the + 2 covers rounding.  L does not depend on s, so the cut-off never falls as s grows, as
-    # _select_walk needs, and for n <= MAX_N it stays within s + ceil(6 sqrt(n)) + 10, as _march's tol assumes.
+    # in the tests); the + 2 covers rounding.  L does not depend on s, so the cut-off never falls as s grows (a walk's
+    # terms, built down from its highest cut-off, hold each tail it folds), and for n <= MAX_N it stays within
+    # s + ceil(6 sqrt(n)) + 10, as _march's tol assumes.
     m = 0.5 * n
     L = _L60 + math.log1p(math.sqrt(m / (4.0 * _L60)))
     return min(n, math.ceil(m + math.sqrt((s - m) ** 2 + m * L)) + 2)
@@ -207,32 +207,22 @@ def min_attainable_p(n: int, tail: TailConvention = TailConvention.TWO_SIDED_SYM
     return math.ldexp(2.0 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 1.0, -n)
 
 
-def _walk_start(n: int, alpha: float, shift: float) -> tuple[int, int]:
-    # (c, start): Hoeffding gives P(X >= n/2 + z*sqrt(n)/2) <= exp(-z^2/2), so p <= alpha from c up and
-    # the answer lies at or below it; c is capped at n.  zb is taken in log space: a subnormal alpha cannot overflow.
-    zb = math.sqrt(-2.0 * (math.log(alpha) - shift))
-    c = min(n, math.ceil(n / 2.0 + zb * math.sqrt(n) / 2.0))
-    return c, _tail_start(n, c)
-
-
 def _tol(alpha: float, m: float, lg: float) -> float:
-    """F _SCALE eps alpha (lg + m (1 - ln alpha)), F = 37: how far a fast path's decision margins, times _SCALE, may lie
-    from the one-alpha walk's, after m rounding steps and walks whose errors total at most lg, linear in both, so a
-    caller sums it over what happened, each error once.  Each decision compares alpha _SCALE, exact, with a walk's c
-    exp(ln P(X >= s) + 512 ln 2) or the scan's c T and c (T + pm1); for n <= MAX_N, pm1 = pmf(s-1) >= alpha/(c (n+1))
-    and T >= pmf(s) >= pm1/n, so none is subnormal: each rounds relatively.  Where a margin d1 = alpha - p(s), d2 =
-    p(s-1) - alpha or d2 - d1 is thin, p(s) <= alpha and p(s-1) <= 2 alpha.  A fold step rounds ln p by eps (|ln p| + 2)
-    at most, and p (|ln p| + 2) grows with p: d2 - d1 moves 8 eps alpha (1 - ln alpha), 16 in two walks: _select_walk's
-    pass and a one-alpha walk from a lower cut-off, m = top - n//2 steps each (the mass above the cut-off is below
-    2**-60 of p), or _march's walk and a later fresh one, 7 sqrt(n_max) + 10 steps each (_tail_start).  A shifted exp,
-    exp(x + 512 ln 2), errs by a factor 1 + delta, |delta| <= 257.2 eps < 18.5 eps 14: the float 512 ln 2 lies 53.5 eps
-    off, the sum rounds by eps/2 |x + 512 ln 2| <= 203.2 eps (x >= ln(2**-1074/(2e7 + 2))) and the exp by eps/2.  It
-    moves d2 - d1 by 2 delta alpha for a walk's p (p(s) + p(s-1) lies within tol of 2 alpha there), 14 in lg, and by 4
-    delta alpha for the scan's T, taken at a walk from the pick's tail (a nearest pick's p lies below 2 alpha), 28: the
-    pass adds 28, for itself and the walk it is checked against, and the scan 42, for its T and a fresh walk.  A scan
-    step (m = 1) rounds T and pm1 twice each, so pm1 drifts 2 eps a step; summed by parts, a rounding in pm1 moves T by
-    its share of a difference of two tails, each at most p(s-1)/c, and c pm1 <= alpha s/(n-s+1) <= 8 alpha (1 - ln
-    alpha) (Hoeffding): a step moves d1, d2, d2 - d1 by 14, 22, 36 eps alpha (1 - ln alpha) at most.  A walk's pm1 =
+    """F _SCALE eps alpha (lg + m (1 - ln alpha)), F = 37: how far _march's decision margins, times _SCALE, may lie from
+    a fresh walk's, after m rounding steps and walks whose errors total at most lg, linear in both, so the scan sums it
+    over what happened, each error once.  Each decision compares alpha _SCALE, exact, with a walk's c exp(ln P(X >= s) +
+    512 ln 2) or the scan's c T and c (T + pm1); for n <= MAX_N, pm1 = pmf(s-1) >= alpha/(c (n+1)) and T >= pmf(s) >=
+    pm1/n, so none is subnormal: each rounds relatively.  Where a margin d1 = alpha - p(s), d2 = p(s-1) - alpha or d2 -
+    d1 is thin, p(s) <= alpha and p(s-1) <= 2 alpha.  A fold step rounds ln p by eps (|ln p| + 2) at most, and p (|ln p|
+    + 2) grows with p: d2 - d1 moves 8 eps alpha (1 - ln alpha), 16 in two walks, _march's walk and a later fresh one, 7
+    sqrt(n_max) + 10 steps each (_tail_start).  A shifted exp, exp(x + 512 ln 2), errs by a factor 1 + delta, |delta| <=
+    257.2 eps < 18.5 eps 14: the float 512 ln 2 lies 53.5 eps off, the sum rounds by eps/2 |x + 512 ln 2| <= 203.2 eps
+    (x >= ln(2**-1074/(2e7 + 2))) and the exp by eps/2.  It moves d2 - d1 by 2 delta alpha for a walk's p (p(s) + p(s-1)
+    lies within tol of 2 alpha there), 14 in lg, and by 4 delta alpha for the scan's T, taken at a walk from the pick's
+    tail (a nearest pick's p lies below 2 alpha), 28: the scan adds 42, for its T and a fresh walk.  A scan step (m = 1)
+    rounds T and pm1 twice each, so pm1 drifts 2 eps a step; summed by parts, a rounding in pm1 moves T by its share of
+    a difference of two tails, each at most p(s-1)/c, and c pm1 <= alpha s/(n-s+1) <= 8 alpha (1 - ln alpha)
+    (Hoeffding): a step moves d1, d2, d2 - d1 by 14, 22, 36 eps alpha (1 - ln alpha) at most.  A walk's pm1 =
     exp(_log_term(n, s-1) + 512 ln 2) errs by 1 + delta, |delta| <= 18.5 eps lg + eps/2 for lg = lgamma(n_max+1) + 14:
     lgamma values within 8 ulps, the lower two summing to at most lgamma(n_max+1); three subtractions; n ln 2; and the
     shifted exp's 14.  delta is shared by the terms stepped from that pm1: c T errs by c delta (T1 - T0), T there and at
@@ -243,66 +233,95 @@ def _tol(alpha: float, m: float, lg: float) -> float:
 
 
 def _select_walk(n: int, alphas: tuple[float, ...], mode: SelectionMode, tail: TailConvention) -> list:
-    """One (s, p, ln P(X >= s)) per alpha, or None where no s attains it: the barely-significant s in (n/2, n], picked
-    by walking s downward, its p-value, and the ln of its upper tail, which only _march reads.
+    """One (s, p, ln P(X >= s)) per alpha, or None where no s attains it: the barely-significant s in (n/2, n], its
+    p-value, and the ln of its upper tail, which only _march reads.
 
-    s = n attains alpha where p(n) = 2**-n, doubled two-sided, is at most alpha, tested exactly.  One pass folds a
-    running upper-tail sum, as _log_sum folds, from top, the _tail_start cut-off above the Chernoff point c of the last
-    alpha, the smallest (the alphas strictly decrease): O(sqrt(n)) terms, read for k = top, top-1, ... from one list,
-    grown on demand.  Every true p from c up is at most alpha, so where the sum folded to c in one _log_sum gives p <=
-    alpha, the pass decides per term below c only.  It keeps each tail P(X >= s) times 2**512, _tol's unit, in one list,
-    which never falls as s decreases, up to the first p above the largest alpha.  At odd n its entry at s = (n+1)/2 is
-    2**511 exactly (P(X >= s) = 1/2 by symmetry); every other lies over 1/sqrt(8 (n+1)) > 1e-4 of 2**512 lower, far
-    beyond a fold's error: no p read from it exceeds 1.  It is bisected for each alpha's break: the strict s is the one
-    before it, or n where no p is at most alpha (a tie p(n) = alpha, rounded up; top = n there), and the nearest s is
-    the strict s or s - 1, whichever p lies nearer alpha, ties to the strict s, the rule _march applies.  The smallest
-    alpha folds as a one-alpha call does; where a larger alpha's margin lies within _tol(alpha, top - n//2, 28), its own
-    walk picks.  Each pick's tail is folded from the list in _log_upper_tail's order, so p is bit-equal to p_value.
+    Every decision is on p_value's own fold.  p(n) = 2**-n, doubled two-sided, is tested exactly, so s = n attains alpha
+    where it is at most alpha; at odd n, P(X >= (n+1)/2) = 1/2 exactly, by symmetry; every other p(k) is c exp(ln P(X >=
+    k) + 512 ln 2) (c = 2 two-sided) against alpha 2**512, _tol's unit, where none is subnormal, the ln folded from k's
+    own cut-off _tail_start(n, k), as _log_upper_tail folds it.  From one k to the next the true tail moves by pmf(k),
+    over 1e-4 of it for n <= MAX_N, far beyond a fold's rounding, so these p fall as k grows and the strict s, p(s) <=
+    alpha < p(s - 1) (or s = n/2 + 1 where no p above n/2 exceeds alpha), is one s whatever the walk starts from.  The
+    nearest s is the strict s or s - 1, whichever p lies nearer alpha, ties to the strict s, the rule _march
+    applies.  The pick's p is its own fold's, bit-equal to p_value.
+
+    Each alpha's walk starts at a guess g = ceil(n/2 + 1/2 + z sqrt(n)/2), z the normal quantile Phi^-1(1 - alpha/c)
+    less Cornish-Fisher's kurtosis term z (z^2 - 3)/(12 n), capped at Hoeffding's c = ceil(n/2 + sqrt(-2 ln(alpha/c))
+    sqrt(n)/2), from which every p is at most alpha; and again at c where p(g) exceeds alpha or alpha/c rounds to 0 (at
+    n where p(c) does, which Hoeffding rules out).  It folds the tail once from the start's cut-off, down to the first k
+    whose folded ln tail exceeds ln(alpha/c), and decides the pair (s, s - 1) = (k + 1, k) on their own folds: the fold
+    at hand where its cut-off is theirs, a refold from theirs otherwise; where the two folds round to opposite sides of
+    alpha, s moves on until the pair agrees.  The guess only saves work: it is mostly the strict s, so a walk folds one
+    tail, and two where s and s - 1 straddle a step of the cut-off.  Alphas (strictly decreasing) are walked smallest
+    first, over one list of terms from the highest cut-off down to the lowest guess's g - 1, grown on demand; alphas
+    whose cut-offs coincide share one fold, which at every n with _tail_start(n, n//2 + 1) = n is all of them.
     """
-    exp, log1p, shift = math.exp, math.log1p, _shift(tail)
-    c_tail = 2.0 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 1.0  # p / P(X >= s), _tol's c
-    nearest = mode is SelectionMode.NEAREST_TO_ALPHA
-    c, top = _walk_start(n, alphas[-1], shift)
-    # the list grows in chunks that run sqrt(n)/2 + 1 terms past the term needed, never to n/2: walks
-    # break 0.2 to 0.6 sqrt(n) below c for alpha in [1e-10, .5], so the first chunk, built past the
-    # first alpha's c, the largest alpha's, holds the prefix and most walks
-    step = 2 + (math.isqrt(n) >> 1)
-    terms = _log_terms(n, top, max(_walk_start(n, alphas[0], shift)[0] - step, n // 2))
-    folded = _log_sum(terms[:top - c + 1])  # k >= c: the prefix holds one term or more
-    p = exp(folded + _LN_SCALE)
-    # Hoeffding's c gives p <= alpha on every input tried (alpha/p(c) >= 1.98 over all n < 3000, 300 n to
-    # 1e7, 13 alphas, both tails); the check stays, as the prefix rests on p(c) as folded, not as bounded
-    acc, i, ps = (folded, top - c + 1, [p]) if c_tail * p <= alphas[-1] * _SCALE else (-math.inf, 0, [])
-    s0, largest = top - i + len(ps), alphas[0] * _SCALE / c_tail  # the s of ps[0], and the largest alpha's tail
-    for i in range(i, top - n // 2):
-        if i == len(terms):  # the list ran out above n/2
-            terms += _log_terms(n, top - i, max(top - i - step, n // 2))
-        term = terms[i]
-        acc = term + log1p(exp(acc - term)) if term > acc else acc + log1p(exp(term - acc))
-        t = exp(acc + _LN_SCALE)
-        ps.append(t)
-        if t > largest:
-            break
-    if s0 + 1 - len(ps) == n - n // 2:  # the last entry is at s = (n+1)/2, n odd: P(X >= s) = 1/2 by symmetry
-        ps[-1] = 0.5 * _SCALE
-    picks = []
+    c_tail = 2.0 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 1.0  # p / P(X >= s)
+    shift, nearest, half = _shift(tail), mode is SelectionMode.NEAREST_TO_ALPHA, n // 2
+    every = _tail_start(n, half + 1) == n  # every tail folds from k = n
+
+    def cut(k):
+        return n if every else _tail_start(n, k)
+
+    starts, hi, low, root = [], half + 1, n, math.sqrt(n) / 2.0
     for alpha in alphas:
         if math.ldexp(c_tail, -n) > alpha:  # p(n) > alpha: no s attains it, in either mode
+            starts.append(None)
+            continue
+        log_q, q = math.log(alpha) - shift, alpha / c_tail
+        c = g = min(n, math.ceil(n / 2.0 + math.sqrt(-2.0 * log_q) * root))  # Hoeffding: p <= alpha from c up
+        if q:  # z, the normal quantile, less Cornish-Fisher's kurtosis term (excess kurtosis -2/n)
+            z = -_inv_cdf(q)
+            g = max(half + 1, min(c, math.ceil(n / 2.0 + 0.5 + (z - z * (z * z - 3.0) / (12.0 * n)) * root)))
+        t = cut(g)
+        starts.append((alpha * _SCALE, log_q, c, g, t))
+        hi, low = max(hi, t), min(low, g)
+    terms = _log_terms(n, hi, max(half, low - 2))  # terms[hi - k] = _log_term(n, k), down to the lowest guess's k - 1
+    folds, tails = {}, {}  # folds[t]: the fold from cut-off t, from its first read down; tails[k]: k's own
+
+    def fold(t, k):  # ln P(X >= k) folded from t, as _log_upper_tail folds where t is k's own cut-off
+        nonlocal hi
+        if t > hi:
+            terms[:0], hi = _log_terms(n, t, hi), t
+        if hi - len(terms) >= k:
+            terms.extend(_log_terms(n, hi - len(terms), k - 1))
+        if t not in folds:  # the fold's first read: down to k in one go
+            folds[t] = k, [_log_sum(terms[hi - t:hi - k + 1])]
+        first, accs = folds[t]  # accs[i] is the fold at k = first - i
+        if k > first:
+            return _log_sum(terms[hi - t:hi - k + 1])
+        while first - len(accs) >= k:
+            accs.append(_log_sum([terms[hi - first + len(accs)]], accs[-1]))
+        return accs[first - k]
+
+    def p(k):  # c P(X >= k) times _SCALE, on k's own fold, p_value's; P(X >= (n+1)/2) = 1/2 at odd n, by symmetry
+        if k not in tails:
+            tails[k] = fold(cut(k), k)
+        return c_tail * _SCALE / 2.0 if 2 * k == n + 1 else c_tail * math.exp(tails[k] + _LN_SCALE)
+
+    picks = []
+    for start in reversed(starts):  # the smallest alpha first: a fold that alphas share only moves down
+        if start is None:
             picks.append(None)
             continue
-        a = alpha * _SCALE
-        b = bisect.bisect_right(ps, a / c_tail)  # the break's index: c ps[b - 1] <= a < c ps[b], exactly
-        d1 = a - c_tail * ps[b - 1] if b else math.inf
-        d2 = c_tail * ps[b] - a if b < len(ps) else math.inf
-        tol = _tol(alpha, top - n // 2, 28.0) if alpha > alphas[-1] else -math.inf  # the smallest alpha's is final
-        if min(d1, d2) <= tol or nearest and abs(d2 - d1) <= tol:
-            picks += _select_walk(n, (alpha,), mode, tail)
-            continue
-        s = s0 + 1 - b - (nearest and d2 < d1) if b else n
-        start = _tail_start(n, s)  # the tail's cut-off passes top only where s passes c: where p(c) exceeds alpha
-        log_tail = _log_sum(terms[top - start:top - s + 1]) if start <= top else _log_upper_tail(n, s)
-        picks.append((s, _tail_p(log_tail, tail), log_tail))
-    return picks
+        a, log_q, c, g, t = start
+        if g not in tails:
+            tails[g] = fold(t, g)
+        k0 = g if g == n or p(g) <= a else c if c == n or p(c) <= a else n  # p(n) <= alpha holds exactly
+        if k0 != g:
+            t = cut(k0)
+        k = k0 - 1
+        while k > half and fold(t, k) <= log_q:
+            k -= 1
+        s = k + 1
+        up, down = p(s), p(s - 1) if s - 1 > half else math.inf  # p(s) and p(s - 1), each on its own fold
+        while s < k0 and up > a:
+            s, up, down = s + 1, p(s + 1), up
+        while down <= a:
+            s, up, down = s - 1, down, p(s - 2) if s - 2 > half else math.inf
+        s -= nearest and down - a < a - up
+        picks.append((s, min(1.0, math.exp(shift + tails[s])), tails[s]))  # _tail_p's p, bit-equal to p_value
+    return picks[::-1]
 
 
 def select_barely_significant(
@@ -315,9 +334,10 @@ def select_barely_significant(
 
     STRICT_AT_MOST_ALPHA returns the smallest s with p_value(s) <= alpha; NEAREST_TO_ALPHA returns that s or s - 1
     (where s - 1 > n/2), whichever p_value lies nearer alpha, ties to the strict s.  Both raise InfeasibleError when
-    even s = n stays above alpha (_select_walk's None).  The walk decides on each p times 2**512, so none is rounded
-    as a subnormal.  p_achieved is _select_walk's fold, bit-equal to p_value by construction; at an exact tie
-    (p = alpha) a strict pick's p_achieved may exceed alpha by rounding, as at (3, .5, one): 0.5000000000000004.
+    even s = n stays above alpha (_select_walk's None).  The walk decides each s on p_value's own fold, times 2**512,
+    so no p is rounded as a subnormal, and p_achieved is that fold's p, bit-equal to p_value by construction; at an
+    exact tie (p = alpha) a strict pick's p_achieved may exceed alpha by rounding, as at (3, .5, one):
+    0.5000000000000004.
     """
     _check_n(n)
     _check_instance(mode, SelectionMode, "mode")

@@ -10,6 +10,7 @@ code with threshold_lab.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from scipy import integrate, special
@@ -34,40 +35,47 @@ def _fold(acc: float, term: float) -> float:
     return term + math.log1p(math.exp(acc - term)) if term > acc else acc + math.log1p(math.exp(term - acc))
 
 
-def reference_walk(n: int, alpha: float, mode: str, two_sided: bool = True) -> tuple[int, float] | None:
-    """The float selection walk that decides at every term, from the cut-off above the Chernoff
-    point down, as the library walked before it folded its certified prefix in one pass.
+@functools.lru_cache(maxsize=None)
+def _upper_terms(n: int) -> tuple[float, ...]:
+    # ln P(X = k) for k = n, n-1, ..., n//2 + 1
+    lg, w = math.lgamma(n + 1), n * math.log(2.0)
+    return tuple(_upper_term(n, k, lg, w) for k in range(n, n // 2, -1))
 
-    None where p(n) = c 2**-n exceeds alpha (c = 2 two-sided), tested exactly.  Each decision
-    compares c exp(ln P(X >= k) + 512 ln 2) with alpha 2**512, so no subnormal p is rounded
-    before it is compared.  It stops at the first p above alpha: the strict s is the one before
-    it, or n where no p folded is at most alpha, and the nearest s is the strict s or s - 1,
-    whichever p lies nearer alpha, ties to the strict s.  Returns (s, p), p from the tail folded
-    from the cut-off above s down to s.  Same floats as the library, so a pick must match it exactly.
+
+@functools.lru_cache(maxsize=None)
+def own_log_tail(n: int, k: int) -> float:
+    """ln P(X >= k) for n/2 < k <= n as p_value folds it: from k's own cut-off down to k, the smallest term first."""
+    acc = -math.inf
+    for term in _upper_terms(n)[n - _cutoff(n, k):n - k + 1]:
+        acc = _fold(acc, term)
+    return acc
+
+
+def reference_walk(n: int, alpha: float, mode: str, two_sided: bool = True) -> tuple[int, float] | None:
+    """The float selection walk that decides every k on k's own fold, p_value's, from Hoeffding's bound down.
+
+    None where p(n) = c 2**-n exceeds alpha (c = 2 two-sided), tested exactly.  p(n) is at most alpha then, and at odd
+    n, p((n+1)/2) = c/2 exactly, by symmetry; every other decision compares c exp(ln P(X >= k) + 512 ln 2), the ln
+    folded from k's own cut-off, with alpha 2**512, so no subnormal p is rounded before it is compared.  The walk starts
+    at Hoeffding's c = ceil(n/2 + sqrt(-2 ln(alpha/c)) sqrt(n)/2), from which every p is at most alpha, and stops at the
+    first p above alpha: the strict s is the k before it, and the nearest s is the strict s or s - 1, whichever p lies
+    nearer alpha, ties to the strict s.  Returns (s, p), p from s's own fold.  Same floats as the library, so a pick
+    must match it exactly.
     """
     c = 2.0 if two_sided else 1.0
     if math.ldexp(c, -n) > alpha:
         return None
-    shift, scale, ln_scale = math.log(c), 2.0 ** 512, 512 * math.log(2.0)
-    lg, w, a = math.lgamma(n + 1), n * math.log(2.0), alpha * scale
-    zb = math.sqrt(-2.0 * (math.log(alpha) - shift))
-    acc, strict = -math.inf, None
-    for k in range(_cutoff(n, math.ceil(n / 2.0 + zb * math.sqrt(n) / 2.0)), n // 2, -1):
-        acc = _fold(acc, _upper_term(n, k, lg, w))
-        p = c * math.exp(acc + ln_scale) if 2 * k != n + 1 else c * scale / 2  # P(X >= (n+1)/2) = 1/2, n odd
-        if p > a:
-            break
-        strict, below = k, p
-    else:
-        p = None  # no p above alpha down to n/2
-    if strict is None:  # the tie p(n) = alpha, its fold rounded up
-        s = n
-    else:
-        s = strict - (mode != "strict" and p is not None and min(p, scale) - a < a - below)
-    acc = -math.inf
-    for k in range(_cutoff(n, s), s - 1, -1):
-        acc = _fold(acc, _upper_term(n, k, lg, w))
-    return s, min(1.0, math.exp(shift + acc))
+    a, half = alpha * 2.0 ** 512, n // 2
+
+    def p(k):
+        return c * 2.0 ** 511 if 2 * k == n + 1 else c * math.exp(own_log_tail(n, k) + 512 * math.log(2.0))
+
+    k = min(n, math.ceil(n / 2.0 + math.sqrt(-2.0 * (math.log(alpha) - math.log(c))) * math.sqrt(n) / 2.0))
+    assert k == n or p(k) <= a, (n, alpha)
+    while k > half and (k == n or p(k) <= a):
+        k -= 1
+    s = k + 1 - (mode != "strict" and k > half and p(k) - a < a - p(k + 1))
+    return s, min(1.0, math.exp(math.log(c) + own_log_tail(n, s)))
 
 
 # --- Beta-prior marginals at any shape -------------------------------------

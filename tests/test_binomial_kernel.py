@@ -31,9 +31,7 @@ from threshold_lab.binomial_kernel import (
     _log_terms,
     _march,
     _select_walk,
-    _shift,
     _tail_start,
-    _walk_start,
 )
 
 import oracles
@@ -42,6 +40,7 @@ import reference
 TWO = TailConvention.TWO_SIDED_SYMMETRIC
 ONE = TailConvention.ONE_SIDED_UPPER
 HALF = BinomialModel(0.5)
+NINE_ALPHAS = (0.9, 0.5, 0.25, 0.05, 1e-3, 1e-10, 1e-300, 1e-310, 5e-324)  # strictly decreasing, for one pass
 
 
 def _logsumexp(values):
@@ -218,7 +217,7 @@ class TestSelection:
 
     def test_walk_p_is_p_value_bit_for_bit(self):
         # sweep cells print this p and the crossing scan's walks take T from it; with a smaller alpha after
-        # it, the walk reads one list filled from that alpha's higher start: the same (s, p)
+        # it, which is walked first, over the same list of terms: the same (s, p)
         rng = random.Random(14)
         checked = 0
         for _ in range(700):
@@ -232,18 +231,19 @@ class TestSelection:
             s, p, log_tail = pick
             assert p == p_value(BinomialOutcome(n, s), tail), (n, alpha, mode, tail)
             assert log_tail == binomial_kernel._log_upper_tail(n, s), (n, alpha, mode, tail)
-            # the smaller alpha may find no s: its walk still fills the list, from k = n down
+            # the smaller alpha may find no s, and leaves the list to this one
             assert _select_walk(n, (alpha, alpha * 1e-3), mode, tail)[0] == pick, (n, alpha, mode, tail)
             checked += 1
         assert checked >= 500
 
     def test_walk_terms_are_log_pmf_bit_for_bit(self, monkeypatch):
-        # the list the walk reads, for one alpha or from a smaller alpha's higher top, holds log_pmf's terms
+        # the list the walk reads, for one alpha or a pass, holds log_pmf's terms: its runs tile one range above n/2,
+        # each run grown below the list or above it, and that range holds the pick's own tail
         runs = []
 
-        def recorded(n, start, stop):
+        def recorded(n, start, stop):  # a copy of each run: the walk grows the first in place
             runs.append((start, stop, _log_terms(n, start, stop)))
-            return runs[-1][2]
+            return list(runs[-1][2])
 
         monkeypatch.setattr(binomial_kernel, "_log_terms", recorded)
         rng = random.Random(20261018)
@@ -253,16 +253,18 @@ class TestSelection:
             tail = rng.choice([ONE, TWO])
             for alphas in ((alpha,), (alpha, alpha * 1e-3)):
                 runs.clear()
-                top = _walk_start(n, alphas[-1], _shift(tail))[1]
                 pick = _select_walk(n, alphas, SelectionMode.NEAREST_TO_ALPHA, tail)[0]
-                s = n if pick is None else pick[0]  # the walk read the term k = n before it gave up
-                # the runs tile the list from top down, one after the other
-                assert runs and runs[0][0] == top and all(a[1] == b[0] for a, b in zip(runs, runs[1:]))
-                terms = [t for _, _, run in runs for t in run]
-                assert top - len(terms) + 1 <= s
+                if pick is None:  # no alpha is attained
+                    continue
+                (hi, lo), terms = runs[0][:2], list(runs[0][2])
+                for start, stop, run in runs[1:]:
+                    assert start == lo or stop == hi, (n, alphas, runs)
+                    terms = terms + run if start == lo else run + terms
+                    hi, lo = max(hi, start), min(lo, stop)
+                assert lo >= n // 2 and hi - lo == len(terms)
+                assert lo < pick[0] and _tail_start(n, pick[0]) <= hi, (n, alphas, pick[0], hi, lo)
                 for i in sorted({0, len(terms) - 1, *(rng.randrange(len(terms)) for _ in range(20))}):
-                    assert top - i > n / 2
-                    assert terms[i] == log_pmf(BinomialOutcome(n, top - i), HALF), (n, top - i)
+                    assert terms[i] == log_pmf(BinomialOutcome(n, hi - i), HALF), (n, hi - i)
 
     def test_log_terms_are_log_term_bit_for_bit(self):
         # ranges from the lowest stop the domain allows, (n - 1) // 2, and above it, out to k = n
@@ -277,36 +279,57 @@ class TestSelection:
     @pytest.mark.parametrize("tail", [ONE, TWO], ids=lambda t: t.value)
     @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
     def test_walk_matches_the_per_term_reference(self, mode, tail):
-        # every n <= 400, with and without a certified prefix: none where c reaches n (small n,
-        # tiny alpha); the large-n test below reaches subnormal p, which both walks compare times 2**512
-        for alpha in (0.9, 0.5, 0.25, 0.05, 1e-3, 1e-10, 1e-300, 1e-310, 5e-324):
-            for n in range(1, 401):
-                self._check_against_reference(n, alpha, mode, tail)
+        # every n <= 400 at nine alphas, in one-alpha calls and in one pass for all nine, against the reference that
+        # decides every k on its own fold; no n here attains the three smallest, whose subnormal p both compare times
+        # 2**512 (the large-n test below reaches them)
+        for n in range(1, 401):
+            want = [oracles.reference_walk(n, alpha, mode.value, tail is TWO) for alpha in NINE_ALPHAS]
+            assert [pick and pick[:2] for pick in _select_walk(n, NINE_ALPHAS, mode, tail)] == want, n
+            assert [pick and pick[:2] for alpha in NINE_ALPHAS for pick in _select_walk(n, (alpha,), mode, tail)] == (
+                want), n
 
-    def test_walk_matches_the_per_term_reference_at_large_n(self):
-        # three cases in ten have alpha 1e-300 or below; above n = 1,400 or so their walks start at a
-        # subnormal p, and at 1e-310 and 5e-324 they decide where float p is a plateau of equal subnormals,
-        # distinct times 2**512
+    @pytest.mark.parametrize("tail", [ONE, TWO], ids=lambda t: t.value)
+    def test_walk_matches_the_per_term_reference_at_thin_margins(self, tail):
+        # alpha at each s's own p, c exp(ln P(X >= s) + 512 ln 2) divided by 2**512, exactly, and at its two float
+        # neighbours, for every n <= 200 in both modes: p(s) = alpha and margins of one ulp either way, which a
+        # decision on a fold from any other cut-off than s's, or s - 1's, may round to the other side.  One pass per n
+        # takes every such alpha, and one-alpha calls take those at every 10th n
+        c, ln_scale = (2.0 if tail is TWO else 1.0), binomial_kernel._LN_SCALE
+        for n in range(1, 201):
+            ties = {c * math.exp(oracles.own_log_tail(n, s) + ln_scale) / 2.0 ** 512 for s in range(n // 2 + 1, n + 1)}
+            alphas = sorted({a for v in ties for a in (math.nextafter(v, 0.0), v, math.nextafter(v, 1.0)) if a < 1.0},
+                            reverse=True)
+            for mode in SelectionMode:
+                want = [oracles.reference_walk(n, alpha, mode.value, tail is TWO) for alpha in alphas]
+                assert [pick and pick[:2] for pick in _select_walk(n, tuple(alphas), mode, tail)] == want, (n, mode)
+                if n % 10 == 0:
+                    picks = [pick for alpha in alphas for pick in _select_walk(n, (alpha,), mode, tail)]
+                    assert [pick and pick[:2] for pick in picks] == want, (n, mode)
+
+    def test_walk_matches_a_bisection_on_own_folds_at_large_n(self):
+        # 500 seeded cases up to n = 1e6; three in ten have alpha 1e-300 or below, where above n = 1,400 or so p is
+        # subnormal, and at 1e-310 and 5e-324 a plateau of equal floats, distinct times 2**512
         rng = random.Random(15)
         for _ in range(500):
             n = int(math.exp(rng.uniform(0.0, math.log(10**6))))
             alpha = rng.choice([math.exp(rng.uniform(math.log(1e-12), math.log(0.9))),
                                 rng.choice((0.9, 0.5, 1e-300, 1e-310, 5e-324))])
-            self._check_against_reference(n, alpha, rng.choice(list(SelectionMode)), rng.choice([ONE, TWO]))
+            mode, tail = rng.choice(list(SelectionMode)), rng.choice([ONE, TWO])
+            [pick] = _select_walk(n, (alpha,), mode, tail)
+            assert pick == _select_by_own_folds(n, alpha, mode, tail), (n, alpha, mode, tail)
 
-    def test_a_start_below_the_answer_is_not_folded_as_certified(self, monkeypatch):
-        # Hoeffding's c keeps p(c) near alpha/2 or below, so only a start that is no bound reaches the
-        # p(c) <= alpha check: here c = n/2 + 1, where p(c) is near 1, and the walk must decide per term;
-        # its picks lie above c, so their tails pass the list's top and come from _log_upper_tail
-        cases = [(n, (alpha,), mode, tail) for n in (200, 1000, 20000) for alpha in (0.05, 1e-3, 1e-8)
+    def test_a_guess_anywhere_leaves_every_pick_as_it_was(self, monkeypatch):
+        # the guess only saves work: a quantile of -50 puts it at Hoeffding's bound, one of +50 at n/2 + 1, below every
+        # strict s, so the walk starts again from that bound, and a seeded jitter of up to 4 either way moves it off
+        # the strict s; every one-alpha call and every pass picks what it picked
+        cases = [(n, alphas, mode, tail) for n in (200, 1000, 9091, 20000)
+                 for alphas in ((0.3,), (0.05,), (1e-3,), (1e-8,), (0.3, 0.05, 1e-3, 1e-8))
                  for mode in SelectionMode for tail in (ONE, TWO)]
         want = [_select_walk(*case) for case in cases]
-
-        def low_start(n, alpha, shift):
-            return n // 2 + 1, _tail_start(n, n // 2 + 1)
-
-        monkeypatch.setattr(binomial_kernel, "_walk_start", low_start)
-        assert [_select_walk(*case) for case in cases] == want
+        rng, quantile = random.Random(39), binomial_kernel._inv_cdf
+        for guessed in (lambda q: -50.0, lambda q: 50.0, lambda q: quantile(q) + rng.uniform(-4.0, 4.0)):
+            monkeypatch.setattr(binomial_kernel, "_inv_cdf", guessed)
+            assert [_select_walk(*case) for case in cases] == want
 
     @pytest.mark.parametrize("tail", [ONE, TWO], ids=lambda t: t.value)
     @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
@@ -317,53 +340,69 @@ class TestSelection:
             for size in range(1, len(DEFAULT_ALPHAS) + 1):
                 for alphas in itertools.combinations(DEFAULT_ALPHAS, size):
                     assert _select_walk(n, alphas, mode, tail) == [one[n, a] for a in alphas], (n, alphas)
-        # thin margins: a larger alpha set to the pass's own p at its break, or at the index before it, leaves
-        # alpha - p(s) at 0, and halfway between the two leaves nearest mode's two margins equal; there the
-        # pass must hand that alpha over to a one-alpha call, and nowhere else.  p is the pass's scaled fold,
-        # c exp(ln tail + 512 ln 2), and alpha its exact quotient by _SCALE
-        handed = []
+        # thin margins: a larger alpha set to the strict s's own p, or the p of s - 1, leaves alpha - p(s) at 0, and
+        # halfway between the two leaves nearest mode's two margins equal; a pass once handed such an alpha over to
+        # a one-alpha walk, within _tol of p(s) (0.9 _tol above it) and not beyond (1.1 _tol).  The pass picks what
+        # the one-alpha call picks at every margin, with no nested walk.  p is c exp(ln tail + 512 ln 2) on each s's
+        # own fold (_own_p), and alpha its exact quotient by _SCALE
+        nested = []
 
         def spy(n, alphas, *args):
-            handed.append(alphas)
+            nested.append(alphas)
             return _select_walk(n, alphas, *args)
 
         monkeypatch.setattr(binomial_kernel, "_select_walk", spy)
-        small, shift, scale = DEFAULT_ALPHAS[-1], _shift(tail), binomial_kernel._SCALE
-        c = 2.0 if tail is TWO else 1.0
+        small, scale = DEFAULT_ALPHAS[-1], binomial_kernel._SCALE
 
-        def scaled_ps(n):
-            top = _walk_start(n, small, shift)[1]
-            return top, [c * math.exp(acc + binomial_kernel._LN_SCALE)
-                         for acc in itertools.accumulate(_log_terms(n, top, n // 2), _fold)]
+        def check(n, alphas):
+            assert _select_walk(n, alphas, mode, tail) == [_select_walk(n, (a,), mode, tail)[0] for a in alphas], (
+                n, alphas)
+            assert nested == [], (n, alphas)
 
         for n in DEFAULT_N_VALUES:
-            top, ps = scaled_ps(n)
             for big in DEFAULT_ALPHAS[:-1]:
-                i = next(i for i, p in enumerate(ps) if p > big * scale)
-                # at 0.9 _tol above p(s) the pass hands over, at 1.1 _tol it does not: the bound's 28 for the
-                # shifted exps is 26% to 41% of it at n = 20, so a pass without that share would keep both there
-                tol = binomial_kernel._tol(ps[i - 1] / scale, top - n // 2, 28.0)
-                for alpha, thin in ((ps[i] / scale, True), (ps[i - 1] / scale, True),
-                                    ((ps[i - 1] + ps[i]) / 2 / scale, mode is SelectionMode.NEAREST_TO_ALPHA),
-                                    ((ps[i - 1] + 0.9 * tol) / scale, True), ((ps[i - 1] + 1.1 * tol) / scale, False)):
-                    want = [_select_walk(n, (alpha,), mode, tail)[0], one[n, small]]
-                    handed.clear()
-                    assert _select_walk(n, (alpha, small), mode, tail) == want, (n, alpha)
-                    assert handed == ([(alpha,)] if thin else []), (n, alpha)
-        # subnormal alphas, where eps alpha underflows: times _SCALE it stays normal.  A larger alpha at 0.9 _tol
-        # above the pass's p(s) must hand over, one at 1.1 _tol must not
-        small = 1e-312
+                s = _select_walk(n, (big,), SelectionMode.STRICT_AT_MOST_ALPHA, tail)[0][0]
+                above, below = _own_p(n, s - 1, tail), _own_p(n, s, tail)
+                tol = binomial_kernel._tol(below / scale, _tail_start(n, s) - n // 2, 28.0)
+                for alpha in (above / scale, below / scale, (below + above) / 2 / scale, (below + 0.9 * tol) / scale,
+                              (below + 1.1 * tol) / scale):
+                    check(n, (alpha, small))
+        # subnormal alphas, where eps alpha underflows: times _SCALE it stays normal.  A larger alpha at 0.9 and 1.1
+        # _tol above the last p(s) below 2**-1022
         for n in (1400, 1500, 1800):
-            top, ps = scaled_ps(n)
-            i = max(i for i, p in enumerate(ps) if p <= 1.1e-308 * scale)  # the last p below 2**-1022: 1.6e-309 or more
-            tol = binomial_kernel._tol(ps[i] / scale, top - n // 2, 28.0)
-            for share, thin in ((0.9, True), (1.1, False)):
-                alpha = (ps[i] + share * tol) / scale  # subnormal, so alpha - p(s) is share * tol to an ulp(0) _SCALE
+            s = next(k for k in range(n // 2 + 1, n + 1) if _own_p(n, k, tail) <= 1.1e-308 * scale)  # 1.6e-309 or more
+            below = _own_p(n, s, tail)
+            tol = binomial_kernel._tol(below / scale, _tail_start(n, s) - n // 2, 28.0)
+            for share in (0.9, 1.1):
+                alpha = (below + share * tol) / scale  # subnormal, so alpha - p(s) is share * tol to an ulp(0) _SCALE
                 assert alpha < 2.0 ** -1022
-                want = [_select_walk(n, (alpha,), mode, tail)[0], _select_walk(n, (small,), mode, tail)[0]]
-                handed.clear()
-                assert _select_walk(n, (alpha, small), mode, tail) == want, (n, alpha)
-                assert handed == ([(alpha,)] if thin else []), (n, alpha)
+                check(n, (alpha, 1e-312))
+
+    @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
+    def test_a_guess_too_low_starts_again_from_hoeffdings_bound(self, mode, monkeypatch):
+        # (9091, .3, two-sided), where a guess without the kurtosis term fell one below the strict s, and a seeded
+        # sweep of alpha in [.2, .9] x n up to 1e5, each pick against the bisection on its own folds: first with the
+        # guess as it is, which lay below no strict s in 23,000 seeded walks; then with every guess at n/2 + 1, below
+        # the strict s wherever p(n/2 + 1) exceeds alpha, so that the walk must start again from Hoeffding's bound
+        rng = random.Random(9091)
+        cases = [(9091, 0.3, TWO)] + [(int(math.exp(rng.uniform(math.log(20), math.log(1e5)))), rng.uniform(0.2, 0.9),
+                                       rng.choice([ONE, TWO])) for _ in range(300)]
+        want = [_select_by_own_folds(n, alpha, mode, tail) for n, alpha, tail in cases]
+        assert [_select_walk(n, (alpha,), mode, tail)[0] for n, alpha, tail in cases] == want
+        monkeypatch.setattr(binomial_kernel, "_inv_cdf", lambda q: 50.0)
+        assert sum(_own_p(n, n // 2 + 1, tail) > alpha * binomial_kernel._SCALE for n, alpha, tail in cases) >= 200
+        assert [_select_walk(n, (alpha,), mode, tail)[0] for n, alpha, tail in cases] == want
+
+    @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
+    def test_an_alpha_whose_half_rounds_to_zero_starts_from_hoeffdings_bound(self, mode):
+        # two-sided 5e-324: alpha/2 rounds to 0, where no quantile exists, so the walk starts from Hoeffding's bound;
+        # every n from the first feasible one, 1075, to 1,300, and a seeded sample up to 1e5
+        assert 5e-324 / 2.0 == 0.0
+        rng = random.Random(324)
+        for n in (*range(1070, 1301), *sorted(rng.sample(range(1301, 10**5), 40))):
+            [pick] = _select_walk(n, (5e-324,), mode, TWO)
+            assert pick == _select_by_own_folds(n, 5e-324, mode, TWO), n
+            assert (pick is None) == (n < 1075), n
 
     def test_tol_covers_what_its_derivation_needs(self):
         # _tol's docstring, times _SCALE: per unit, m's eps alpha (1 - ln alpha) term needs 36 (a scan step) and lg's
@@ -376,12 +415,6 @@ class TestSelection:
                 need = scale * eps * Fraction(alpha) * (36 * Fraction(m) * Fraction(1.0 - math.log(alpha))
                                                         + 37 * Fraction(lg))
                 assert Fraction(binomial_kernel._tol(alpha, m, lg)) >= need, (alpha, m, lg)
-
-    @staticmethod
-    def _check_against_reference(n, alpha, mode, tail):
-        want = oracles.reference_walk(n, alpha, mode.value, tail is TWO)  # None where no s attains alpha
-        [pick] = _select_walk(n, (alpha,), mode, tail)
-        assert (pick and pick[:2]) == want, (n, alpha, mode, tail)
 
     def test_tie_breaks_to_larger_s(self):
         # alpha exactly midway between p(10,9) = 22/1024 and p(10,8) = 112/1024;
@@ -449,11 +482,6 @@ class TestSelection:
             select_barely_significant(10, 1.0)
 
 
-def _fold(acc, term):
-    """One step of the kernel's tail fold, as _log_sum and the selection walk take it."""
-    return term + math.log1p(math.exp(acc - term)) if term > acc else acc + math.log1p(math.exp(term - acc))
-
-
 def _full_log_tail(n, s):
     """ln P(X >= s) summed over every k = n, n-1, ..., s with the public log_pmf."""
     acc = -math.inf
@@ -495,9 +523,9 @@ class TestTailCutoff:
                 assert above[c + 1] * 2**60 < above[s] - above[c + 1], (n, s, c)
 
     def test_cutoff_never_falls_as_s_grows_nor_passes_the_fixed_width_one(self):
-        # _select_walk's fallback to _log_upper_tail stays unreachable only while the cut-off never falls as s
-        # grows, and _march's tolerance counts at most 7 sqrt(n) + 10 walk steps: the fixed-width cut-off
-        # s + ceil(6 sqrt(n)) + 10 that this one replaced bounds it
+        # a walk's list of terms, built down from its highest cut-off, holds every tail it folds only while the
+        # cut-off never falls as s grows, and _march's tolerance counts at most 7 sqrt(n) + 10 walk steps: the
+        # fixed-width cut-off s + ceil(6 sqrt(n)) + 10 that this one replaced bounds it
         for n in sorted({*range(1, 200), *(round(10 ** (x / 20)) for x in range(46, 141)), MAX_N}):
             lo, width = (n + 1) // 2, math.ceil(6.0 * math.sqrt(n)) + 10
             steps = {round(math.exp(x / 8)) for x in range(0, math.ceil(8 * math.log(n + 1)))}
@@ -541,29 +569,78 @@ class TestTailCutoff:
 
     def test_large_n_selection_sums_order_sqrt_n_terms(self, lgamma_calls):
         select_barely_significant(10**6, 0.001)
-        # 7,427 calls: the walk from the cut-off above its Chernoff bound, whose
-        # terms (grown in chunks past the pick) also give p_achieved; the fixed-width
-        # cut-off made 13,025, an O(n) loop would make ~2e6, and a second pass
-        # re-deriving p_achieved ~7,000 more
+        # 6,821 calls: one list of terms from the cut-off of the guessed pick down to the s below it, which also
+        # gives p_achieved; the walk from Hoeffding's bound made 7,427, the fixed-width cut-off 13,025, an O(n)
+        # loop would make ~2e6, and a second pass re-deriving p_achieved ~7,000 more
         assert 0 < lgamma_calls() <= 8_000
 
-    def test_a_tiny_alpha_folds_its_certified_prefix_in_one_pass(self, log1p_calls):
-        # 1,283 calls, one per term folded and one per cut-off (6,930 at alpha .001); the fixed-width cut-off
-        # made 12,085, and a walk that decided per term from its start wherever the first p was subnormal 18,097
+    def test_a_tiny_alpha_folds_the_tails_of_its_pick_and_the_s_below_it(self, log1p_calls):
+        # 1,222 calls, one per term folded and one per cut-off: at 1e-300 the cut-off steps at nearly every k, so
+        # s and s - 1 fold from their own (the walk that folded a certified prefix made 1,283); the fixed-width
+        # cut-off made 12,085, and a walk that decided per term from its start wherever the first p was subnormal
+        # 18,097
         select_barely_significant(10**6, 1e-300)
         assert 0 < log1p_calls() <= 1_500
 
+    @pytest.mark.parametrize("n", [10**4, 10**5, 10**6])
+    @pytest.mark.parametrize("alpha", [0.05, 1e-4])
+    def test_a_walk_folds_its_tail_about_once(self, log1p_calls, n, alpha):
+        # the guess's cut-off is the pick's, and the s below it shares it: 1.001 to 1.013 times the pick's tail
+        # terms, one log1p per term and one per cut-off.  The walk that folded from Hoeffding's bound and again for
+        # p_achieved made 2.02 to 2.04 times; a guess two steps above the strict s refolds most picks
+        s, _ = select_barely_significant(n, alpha)
+        calls = log1p_calls()
+        assert calls <= 1.3 * (_tail_start(n, s) - s + 1), (n, alpha, calls)
+
+    def test_a_small_walk_builds_no_term_below_the_s_under_its_pick(self, monkeypatch):
+        # (20, .001) picks 18: the walk builds k = 20 down to 17, where the walk that grew its list in chunks of
+        # sqrt(n)/2 + 2 past Hoeffding's bound built down to 16
+        stops = []
+
+        def recorded(n, start, stop):
+            stops.append(stop)
+            return _log_terms(n, start, stop)
+
+        monkeypatch.setattr(binomial_kernel, "_log_terms", recorded)
+        assert select_barely_significant(20, 0.001).s == 18 and min(stops) + 1 == 17
+
     def test_default_sweep_computes_each_term_once_per_n(self, lgamma_calls):
-        # 4,929 calls: one list of terms per n serves all four alphas; the fixed-width cut-off
-        # made 8,075, and scoring each cell on its own 27,270
+        # 4,681 calls: one list of terms per n serves all four alphas (4,929 from Hoeffding's bound); the
+        # fixed-width cut-off made 8,075, and scoring each cell on its own 27,270
         run_sweep(SweepGrid())
         assert 0 < lgamma_calls() <= 5_500
 
     def test_default_sweep_folds_each_term_once_per_n(self, log1p_calls):
-        # 9,614 calls: one pass per n folds the terms down to the largest alpha's break, and each pick
-        # folds its own p_achieved; a prefix fold and a walk for each alpha made 14,953
+        # 8,499 calls: each alpha folds its own tail once, from its guessed pick's cut-off, and refolds where the pick
+        # and the s below it straddle a step of the cut-off.  One pass per n down to the largest alpha's break, and
+        # each pick's own fold of p_achieved, made 9,614; a prefix fold and a walk for each alpha 14,953
         run_sweep(SweepGrid())
         assert 0 < log1p_calls() <= 10_000
+
+
+def _own_p(n, k, tail):
+    """c P(X >= k) times 2**512 as the walk decides it: from _log_upper_tail, p_value's own ln tail, but c 2**511 at
+    k = (n+1)/2, n odd, exactly."""
+    c = 2.0 if tail is TWO else 1.0
+    if 2 * k == n + 1:
+        return c * 2.0 ** 511
+    return c * math.exp(binomial_kernel._log_upper_tail(n, k) + binomial_kernel._LN_SCALE)
+
+
+def _select_by_own_folds(n, alpha, mode, tail):
+    """_select_walk's (s, p, ln P(X >= s)), or None, by bisection on _own_p: the strict s has p(s) <= alpha < p(s-1),
+    where p(n) <= alpha holds exactly, and nearest picks s or s - 1, whichever p lies nearer alpha, ties to s."""
+    c = 2.0 if tail is TWO else 1.0
+    if math.ldexp(c, -n) > alpha:
+        return None
+    a, lo, hi = alpha * binomial_kernel._SCALE, n // 2, n  # p(hi) <= alpha; lo is n/2 or has p above alpha
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _own_p(n, mid, tail) <= a else (mid, hi)
+    s = hi - (mode is SelectionMode.NEAREST_TO_ALPHA and hi - 1 > n // 2
+              and _own_p(n, hi - 1, tail) - a < a - _own_p(n, hi, tail))
+    log_tail = binomial_kernel._log_upper_tail(n, s)
+    return s, min(1.0, math.exp(math.log(c) + log_tail)), log_tail
 
 
 def _select_by_bisection(n, alpha, mode, tail):
@@ -664,7 +741,7 @@ class TestSelectionContract:
         # every strict pick at the dyadic alphas 2**-e, both tails, n < 600, where exact p lands on alpha at the ties,
         # against the exact strict s: the smallest s > n/2 with c sum(C(n, k), k >= s) <= 2**(n-e), in integers, as
         # reference.select decides it for n <= 2000 (its Fraction bisections take three times as long as this test).
-        # One pass per n and tail picks for every alpha; the larger ones' thin margins hand over to one-alpha walks
+        # One pass per n and tail picks for every alpha
         exps = (1, 2, 3, 4, 10)
         for n in range(1, 600):
             tails, term = [], 1  # sum(C(n, k), k >= s) for s = n, n-1, ..., n//2 + 1, and C(n, s)
