@@ -19,16 +19,20 @@ cases:
   - the selection differential, in each mode x tail: for every alpha of
     ALPHAS, one _select_walk call per n <= N_MAX and _march's yields to N_MAX,
     or to LONG_N_MAX for the alphas of LONG_ALPHAS, and one _select_walk call
-    per n for all of ALPHAS at once; and at each n of LARGE_NS, from 2,000 to
-    1e6, one _select_walk call per alpha of ALPHAS and one for all of them.
+    per n for all of ALPHAS at once; at each n of LARGE_NS, from 2,000 to
+    1e6, one _select_walk call per alpha of ALPHAS and one for all of them;
+    and, for every n <= TIE_N_MAX, at every alpha that equals an exact tail p,
+    c C(n, >= k) / 2**n for n/2 < k <= n (c = 2 two-sided), and is a float
+    below 1 (1,796 cells over both tails), one _select_walk call per n and one
+    per alpha.
 
 A case's output is its exit code, stdout and stderr; a library case prints
 one line per n (a walk's picks as (s, p)), a scan to LONG_N_MAX or a walk at
-LARGE_NS its line count and the sha256 of its lines, and a call that raises
-exits 1 with the exception on stderr.
+LARGE_NS or at the exact tail p its line count and the sha256 of its lines,
+and a call that raises exits 1 with the exception on stderr.
 Each case whose output differs is printed with a unified diff of the two.
 The exit status is 1 if any case differs, 2 if a tree could not be run, and
-0 otherwise.  The run takes about 18 s on a 2-core host.
+0 otherwise.  The run takes about 17 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -40,11 +44,13 @@ import difflib
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent
@@ -56,6 +62,7 @@ N_MAX = 2000
 LONG_ALPHAS, LONG_N_MAX = (0.05, 0.01, 1e-10, 1e-308, 1e-318), 20_000  # the scan's spans between walks run to n_max
 # 30 seeded n, log-uniform from 2,000 to 1e6, where a walk's start follows its guessed pick's cut-off
 LARGE_NS = tuple(sorted(int(2000 * 500 ** random.Random(f"large n {i}").random()) for i in range(30)))
+TIE_N_MAX = 60  # the exact tail p that are floats, where a float walk may round a tie to either side
 # (alpha, level) at n-max 200000: five touches past where the scan's envelope first reaches the floor, and two that
 # no n touches, which end where the envelope rules out n_max
 FAR_CROSSINGS = (("0.01", "0.874"), ("0.001", "0.525"), ("0.0001", "0.198"), ("1e-10", "2.03e-07"),
@@ -101,28 +108,43 @@ def corpus(work: Path) -> list[list]:
             cases[f"walk {mode} {tail} every alpha"] = ["walk", [mode, tail, list(ALPHAS)]]
             cases[f"walk {mode} {tail} large n, one alpha a call"] = ["large", [mode, tail, list(ALPHAS), 1]]
             cases[f"walk {mode} {tail} large n, every alpha"] = ["large", [mode, tail, list(ALPHAS), len(ALPHAS)]]
+            cases[f"walk {mode} {tail} at every exact tail p, n <= {TIE_N_MAX}"] = ["ties", [mode, tail, []]]
     return [[name, *case] for name, case in cases.items()]
+
+
+def _exact_tail_ps(n: int, c: int) -> tuple[float, ...]:
+    """Every c C(n, >= k) / 2**n, n/2 < k <= n, that is a float below 1, strictly decreasing."""
+    ps = (Fraction(c * sum(math.comb(n, j) for j in range(k, n + 1)), 2 ** n) for k in range(n // 2 + 1, n + 1))
+    return tuple(float(p) for p in ps if p < 1 and Fraction(float(p)) == p)
 
 
 def _library(kind: str, mode: str, tail: str, alphas: list[float], n_max: int = N_MAX) -> int:
     """Print a library case: a scan's yields, a walk's picks per n, or, for "large", the picks at LARGE_NS of walks
-    over n_max alphas a call."""
+    over n_max alphas a call, and for "ties" the picks at every exact tail p that is a float, n <= TIE_N_MAX, in one
+    call per n and one per alpha."""
     from threshold_lab.binomial_kernel import SelectionMode, TailConvention, _march, _select_walk
 
     mode, tail = SelectionMode(mode), TailConvention(tail)
-    if kind in ("march", "large"):
+
+    def picks(n, alphas):
+        return [pick and pick[:2] for pick in _select_walk(n, tuple(alphas), mode, tail)]
+
+    if kind in ("march", "large", "ties"):
         if kind == "march":
             lines = [f"{n} {s} {log_l0!r}\n" for n, s, log_l0 in _march(alphas[0], mode, tail, n_max)]
+        elif kind == "large":
+            lines = [f"{n} {picks(n, alphas[i:i + n_max])}\n" for n in LARGE_NS for i in range(0, len(alphas), n_max)]
         else:
-            lines = [f"{n} {[pick and pick[:2] for pick in _select_walk(n, tuple(alphas[i:i + n_max]), mode, tail)]}\n"
-                     for n in LARGE_NS for i in range(0, len(alphas), n_max)]
-        if n_max > N_MAX or kind == "large":  # a digest keeps the result files small
+            c = 2 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 1
+            ties = {n: _exact_tail_ps(n, c) for n in range(1, TIE_N_MAX + 1)}
+            lines = [f"{n} {ps} {picks(n, ps)} {[picks(n, (a,))[0] for a in ps]}\n" for n, ps in ties.items()]
+        if n_max > N_MAX or kind != "march":  # a digest keeps the result files small
             print(len(lines), hashlib.sha256("".join(lines).encode()).hexdigest())
         else:
             sys.stdout.writelines(lines)
     else:
         for n in range(1, N_MAX + 1):  # each pick as (s, p): a tree whose picks carry more prints the same shape
-            print(n, *(pick and pick[:2] for pick in _select_walk(n, tuple(alphas), mode, tail)))
+            print(n, *picks(n, alphas))
     return 0
 
 

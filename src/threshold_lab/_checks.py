@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 
-# Largest n of the O(sqrt(n)) tail routines: a selection there takes tens of ms,
+# Largest n of the O(sqrt(n)) tail routines: a selection or a p_value there takes 1-5 ms,
 # and lgamma(n + 1), which log_choose differences, has an ulp of 3e-8.
 MAX_N = 10**7
 

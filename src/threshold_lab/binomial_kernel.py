@@ -14,14 +14,13 @@ so every term summed lies at or above n/2 (at n = 1e6, 7,765 lgamma calls at
 s = 499,000 and 1 at s = 0).  The selection walk decides every alpha on
 p_value's own folds, each p times 2**512, so that none is subnormal, and tests
 s = n exactly, 2**-n <= alpha (doubled two-sided): a pick and its p, bit-equal
-to p_value, depend on p_value alone.  It folds each alpha's tail once, over one
-list of terms per n, from the cut-off of a guessed pick (the normal quantile,
-capped at Hoeffding's bound), and refolds only where the pick and the s below
-it straddle a step of the cut-off.  Where a margin lies within _tol, one
-rounding bound, find_crossing's scan over n (_march) hands over to a walk; the
-scan starts at its first feasible n, in closed form, and between walks
-steps pmf(s - 1), in the same unit, by its exact term ratio, so a scanned n
-takes no lgamma and no exp.  Given a floor under ln(L0 (n + 1)), the scan
+to p_value, depend on p_value alone.  Each alpha is one monotone search from a
+guessed pick (the normal quantile, capped at Hoeffding's bound), over one list
+of terms per n, each p read once on its own cut-off's fold.  Where a margin
+lies within _tol, one rounding bound, find_crossing's scan over n (_march)
+hands over to a walk; the scan starts at its first feasible n, in closed form,
+and between walks steps pmf(s - 1), in the same unit, by its exact term ratio,
+so a scanned n takes no lgamma and no exp.  Given a floor under ln(L0 (n + 1)), the scan
 yields only the n whose (n + 1) pmf(s - 1) reaches it, each with three lgamma
 calls for its ln L0, so find_crossing scores only the n near its level; from
 N0 = max(256, 16 z^2) on it jumps to the first n where a certified envelope of
@@ -245,16 +244,15 @@ def _select_walk(n: int, alphas: tuple[float, ...], mode: SelectionMode, tail: T
     nearest s is the strict s or s - 1, whichever p lies nearer alpha, ties to the strict s, the rule _march
     applies.  The pick's p is its own fold's, bit-equal to p_value.
 
-    Each alpha's walk starts at a guess g = ceil(n/2 + 1/2 + z sqrt(n)/2), z the normal quantile Phi^-1(1 - alpha/c)
-    less Cornish-Fisher's kurtosis term z (z^2 - 3)/(12 n), capped at Hoeffding's c = ceil(n/2 + sqrt(-2 ln(alpha/c))
-    sqrt(n)/2), from which every p is at most alpha; and again at c where p(g) exceeds alpha or alpha/c rounds to 0 (at
-    n where p(c) does, which Hoeffding rules out).  It folds the tail once from the start's cut-off, down to the first k
-    whose folded ln tail exceeds ln(alpha/c), and decides the pair (s, s - 1) = (k + 1, k) on their own folds: the fold
-    at hand where its cut-off is theirs, a refold from theirs otherwise; where the two folds round to opposite sides of
-    alpha, s moves on until the pair agrees.  The guess only saves work: it is mostly the strict s, so a walk folds one
-    tail, and two where s and s - 1 straddle a step of the cut-off.  Alphas (strictly decreasing) are walked smallest
-    first, over one list of terms from the highest cut-off down to the lowest guess's g - 1, grown on demand; alphas
-    whose cut-offs coincide share one fold, which at every n with _tail_start(n, n//2 + 1) = n is all of them.
+    Each alpha's search starts at a guess g = ceil(n/2 + 1/2 + z sqrt(n)/2), z the normal quantile Phi^-1(1 - alpha/c)
+    less Cornish-Fisher's kurtosis term z (z^2 - 3)/(12 n), capped at Hoeffding's bound ceil(n/2 + sqrt(-2 ln(alpha/c))
+    sqrt(n)/2), from which every p is at most alpha, or at that bound where alpha/c rounds to 0.  It steps up while p(s)
+    > alpha, then down while p(s - 1) <= alpha: the strict s from any start, so the guess, mostly the strict s itself,
+    and its cap only save work.  Each p(k) is read once, on k's own fold: it goes on from the deepest read of k's
+    cut-off where k lies below it, as one fold from the cut-off would, and sums afresh otherwise.  Alphas (strictly
+    decreasing) are searched smallest first, so reads go down, over one list of terms from the highest guess's cut-off
+    down to the lowest guess's g - 1, grown on demand; alphas whose cut-offs coincide share one fold, which at every n
+    with _tail_start(n, n//2 + 1) = n is all of them.
     """
     c_tail = 2.0 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 1.0  # p / P(X >= s)
     shift, nearest, half = _shift(tail), mode is SelectionMode.NEAREST_TO_ALPHA, n // 2
@@ -263,62 +261,50 @@ def _select_walk(n: int, alphas: tuple[float, ...], mode: SelectionMode, tail: T
     def cut(k):
         return n if every else _tail_start(n, k)
 
-    starts, hi, low, root = [], half + 1, n, math.sqrt(n) / 2.0
+    guesses, hi, low, root = [], half + 1, n, math.sqrt(n) / 2.0
     for alpha in alphas:
         if math.ldexp(c_tail, -n) > alpha:  # p(n) > alpha: no s attains it, in either mode
-            starts.append(None)
+            guesses.append(None)
             continue
-        log_q, q = math.log(alpha) - shift, alpha / c_tail
-        c = g = min(n, math.ceil(n / 2.0 + math.sqrt(-2.0 * log_q) * root))  # Hoeffding: p <= alpha from c up
-        if q:  # z, the normal quantile, less Cornish-Fisher's kurtosis term (excess kurtosis -2/n)
-            z = -_inv_cdf(q)
-            g = max(half + 1, min(c, math.ceil(n / 2.0 + 0.5 + (z - z * (z * z - 3.0) / (12.0 * n)) * root)))
-        t = cut(g)
-        starts.append((alpha * _SCALE, log_q, c, g, t))
-        hi, low = max(hi, t), min(low, g)
+        g = min(n, math.ceil(n / 2.0 + math.sqrt(-2.0 * (math.log(alpha) - shift)) * root))  # Hoeffding's bound
+        if alpha / c_tail:  # z, the normal quantile, less Cornish-Fisher's kurtosis term (excess kurtosis -2/n)
+            z = -_inv_cdf(alpha / c_tail)
+            g = max(half + 1, min(g, math.ceil(n / 2.0 + 0.5 + (z - z * (z * z - 3.0) / (12.0 * n)) * root)))
+        guesses.append(g)
+        hi, low = max(hi, g), min(low, g)
+    hi = cut(hi)  # the cut-off never falls as k grows
     terms = _log_terms(n, hi, max(half, low - 2))  # terms[hi - k] = _log_term(n, k), down to the lowest guess's k - 1
-    folds, tails = {}, {}  # folds[t]: the fold from cut-off t, from its first read down; tails[k]: k's own
-
-    def fold(t, k):  # ln P(X >= k) folded from t, as _log_upper_tail folds where t is k's own cut-off
-        nonlocal hi
-        if t > hi:
-            terms[:0], hi = _log_terms(n, t, hi), t
-        if hi - len(terms) >= k:
-            terms.extend(_log_terms(n, hi - len(terms), k - 1))
-        if t not in folds:  # the fold's first read: down to k in one go
-            folds[t] = k, [_log_sum(terms[hi - t:hi - k + 1])]
-        first, accs = folds[t]  # accs[i] is the fold at k = first - i
-        if k > first:
-            return _log_sum(terms[hi - t:hi - k + 1])
-        while first - len(accs) >= k:
-            accs.append(_log_sum([terms[hi - first + len(accs)]], accs[-1]))
-        return accs[first - k]
+    folds, tails = {}, {}  # folds[t] = (k, ln P(X >= k)): the deepest read from cut-off t; tails[k]: k's own fold
 
     def p(k):  # c P(X >= k) times _SCALE, on k's own fold, p_value's; P(X >= (n+1)/2) = 1/2 at odd n, by symmetry
+        nonlocal hi
+        if k <= half:  # the walk stops above n/2
+            return math.inf
         if k not in tails:
-            tails[k] = fold(cut(k), k)
+            t = cut(k)
+            if t > hi:
+                terms[:0], hi = _log_terms(n, t, hi), t
+            if hi - len(terms) >= k:
+                terms.extend(_log_terms(n, hi - len(terms), k - 1))
+            first, acc = folds.get(t, (t + 1, -math.inf))
+            if k < first:  # go on from the deepest read, as one fold from t would
+                tails[k] = acc = _log_sum(terms[hi - first + 1:hi - k + 1], acc)
+                folds[t] = k, acc
+            else:
+                tails[k] = _log_sum(terms[hi - t:hi - k + 1])
         return c_tail * _SCALE / 2.0 if 2 * k == n + 1 else c_tail * math.exp(tails[k] + _LN_SCALE)
 
     picks = []
-    for start in reversed(starts):  # the smallest alpha first: a fold that alphas share only moves down
-        if start is None:
+    for alpha, s in zip(reversed(alphas), reversed(guesses)):  # the smallest alpha first: each fold's reads go down
+        if s is None:
             picks.append(None)
             continue
-        a, log_q, c, g, t = start
-        if g not in tails:
-            tails[g] = fold(t, g)
-        k0 = g if g == n or p(g) <= a else c if c == n or p(c) <= a else n  # p(n) <= alpha holds exactly
-        if k0 != g:
-            t = cut(k0)
-        k = k0 - 1
-        while k > half and fold(t, k) <= log_q:
-            k -= 1
-        s = k + 1
-        up, down = p(s), p(s - 1) if s - 1 > half else math.inf  # p(s) and p(s - 1), each on its own fold
-        while s < k0 and up > a:
-            s, up, down = s + 1, p(s + 1), up
+        a, up = alpha * _SCALE, p(s)
+        while s < n and up > a:  # p(n) <= alpha holds exactly
+            s, up = s + 1, p(s + 1)
+        down = p(s - 1)
         while down <= a:
-            s, up, down = s - 1, down, p(s - 2) if s - 2 > half else math.inf
+            s, up, down = s - 1, down, p(s - 2)
         s -= nearest and down - a < a - up
         picks.append((s, min(1.0, math.exp(shift + tails[s])), tails[s]))  # _tail_p's p, bit-equal to p_value
     return picks[::-1]

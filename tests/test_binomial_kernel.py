@@ -319,15 +319,23 @@ class TestSelection:
             assert pick == _select_by_own_folds(n, alpha, mode, tail), (n, alpha, mode, tail)
 
     def test_a_guess_anywhere_leaves_every_pick_as_it_was(self, monkeypatch):
-        # the guess only saves work: a quantile of -50 puts it at Hoeffding's bound, one of +50 at n/2 + 1, below every
-        # strict s, so the walk starts again from that bound, and a seeded jitter of up to 4 either way moves it off
-        # the strict s; every one-alpha call and every pass picks what it picked
+        # the guess only saves work: at a quantile of 1e6, z = -1e6, Cornish-Fisher's term, about z^3/(12 n), outweighs
+        # z at every n here and puts the guess at Hoeffding's bound; at -1e6 it puts it at n/2 + 1, below every strict
+        # s, and a seeded jitter of up to 4 either way moves it off the strict s; every one-alpha call and every pass
+        # picks what it picked.  Passes at n = 20, 61, 200 and 1000 take alpha at each s's own p and at its two float
+        # neighbours, so that the search crosses every zero margin from below (up from n/2 + 1) and from above (down
+        # from Hoeffding's bound)
         cases = [(n, alphas, mode, tail) for n in (200, 1000, 9091, 20000)
                  for alphas in ((0.3,), (0.05,), (1e-3,), (1e-8,), (0.3, 0.05, 1e-3, 1e-8))
                  for mode in SelectionMode for tail in (ONE, TWO)]
+        for n in (20, 61, 200, 1000):
+            for tail in (ONE, TWO):
+                ties = {_own_p(n, s, tail) / binomial_kernel._SCALE for s in range(n // 2 + 1, n + 1)}
+                alphas = {a for v in ties for a in (math.nextafter(v, 0.0), v, math.nextafter(v, 1.0)) if a < 1.0}
+                cases += [(n, tuple(sorted(alphas, reverse=True)), mode, tail) for mode in SelectionMode]
         want = [_select_walk(*case) for case in cases]
         rng, quantile = random.Random(39), binomial_kernel._inv_cdf
-        for guessed in (lambda q: -50.0, lambda q: 50.0, lambda q: quantile(q) + rng.uniform(-4.0, 4.0)):
+        for guessed in (lambda q: 1e6, lambda q: -1e6, lambda q: quantile(q) + rng.uniform(-4.0, 4.0)):
             monkeypatch.setattr(binomial_kernel, "_inv_cdf", guessed)
             assert [_select_walk(*case) for case in cases] == want
 
@@ -379,11 +387,11 @@ class TestSelection:
                 check(n, (alpha, 1e-312))
 
     @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
-    def test_a_guess_too_low_starts_again_from_hoeffdings_bound(self, mode, monkeypatch):
+    def test_a_guess_too_low_steps_up_to_the_strict_s(self, mode, monkeypatch):
         # (9091, .3, two-sided), where a guess without the kurtosis term fell one below the strict s, and a seeded
         # sweep of alpha in [.2, .9] x n up to 1e5, each pick against the bisection on its own folds: first with the
         # guess as it is, which lay below no strict s in 23,000 seeded walks; then with every guess at n/2 + 1, below
-        # the strict s wherever p(n/2 + 1) exceeds alpha, so that the walk must start again from Hoeffding's bound
+        # the strict s wherever p(n/2 + 1) exceeds alpha, so that the search must step up to it
         rng = random.Random(9091)
         cases = [(9091, 0.3, TWO)] + [(int(math.exp(rng.uniform(math.log(20), math.log(1e5)))), rng.uniform(0.2, 0.9),
                                        rng.choice([ONE, TWO])) for _ in range(300)]
@@ -569,9 +577,9 @@ class TestTailCutoff:
 
     def test_large_n_selection_sums_order_sqrt_n_terms(self, lgamma_calls):
         select_barely_significant(10**6, 0.001)
-        # 6,821 calls: one list of terms from the cut-off of the guessed pick down to the s below it, which also
-        # gives p_achieved; the walk from Hoeffding's bound made 7,427, the fixed-width cut-off 13,025, an O(n)
-        # loop would make ~2e6, and a second pass re-deriving p_achieved ~7,000 more
+        # 6,821 calls: one list of terms from the guessed pick's cut-off down to the s below it, whose folds decide
+        # the pick and give p_achieved; a walk that folded from Hoeffding's bound made 7,427, the fixed-width cut-off
+        # 13,025, an O(n) loop would make ~2e6, and a second pass re-deriving p_achieved ~7,000 more
         assert 0 < lgamma_calls() <= 8_000
 
     def test_a_tiny_alpha_folds_the_tails_of_its_pick_and_the_s_below_it(self, log1p_calls):
@@ -585,9 +593,10 @@ class TestTailCutoff:
     @pytest.mark.parametrize("n", [10**4, 10**5, 10**6])
     @pytest.mark.parametrize("alpha", [0.05, 1e-4])
     def test_a_walk_folds_its_tail_about_once(self, log1p_calls, n, alpha):
-        # the guess's cut-off is the pick's, and the s below it shares it: 1.001 to 1.013 times the pick's tail
-        # terms, one log1p per term and one per cut-off.  The walk that folded from Hoeffding's bound and again for
-        # p_achieved made 2.02 to 2.04 times; a guess two steps above the strict s refolds most picks
+        # the search reads p at the guess, here the strict s, and at the s below it, whose read goes on from the
+        # guess's where the two share a cut-off, as here: 1.001 to 1.013 times the pick's tail terms, one log1p per
+        # term and one per cut-off taken.  A walk that folded from Hoeffding's bound and again for p_achieved made
+        # 2.02 to 2.04 times; a guess two steps above the strict s refolds most picks
         s, _ = select_barely_significant(n, alpha)
         calls = log1p_calls()
         assert calls <= 1.3 * (_tail_start(n, s) - s + 1), (n, alpha, calls)
@@ -611,9 +620,10 @@ class TestTailCutoff:
         assert 0 < lgamma_calls() <= 5_500
 
     def test_default_sweep_folds_each_term_once_per_n(self, log1p_calls):
-        # 8,499 calls: each alpha folds its own tail once, from its guessed pick's cut-off, and refolds where the pick
-        # and the s below it straddle a step of the cut-off.  One pass per n down to the largest alpha's break, and
-        # each pick's own fold of p_achieved, made 9,614; a prefix fold and a walk for each alpha 14,953
+        # 8,499 calls: each alpha reads p(s) and p(s - 1) on their own folds, and a read goes on from the deepest read
+        # of its cut-off, which the alphas of one n, smallest first, and the s below each pick mostly share.  One pass
+        # per n down to the largest alpha's break, and each pick's own fold of p_achieved, made 9,614; a prefix fold
+        # and a walk for each alpha 14,953
         run_sweep(SweepGrid())
         assert 0 < log1p_calls() <= 10_000
 
