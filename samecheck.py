@@ -16,6 +16,9 @@ cases:
     command; the argv of the goldens in tests/test_cli.py; the default sweep in
     CSV and JSON, the 18 benchmark crossings and the FAR_CROSSINGS at n-max
     200000, in each mode x tail;
+  - --help and the argv of each golden again, each in a fresh interpreter
+    through the console script's main, as a shell user runs them: in one
+    process a command can work on modules that an earlier case loaded;
   - the selection differential, in each mode x tail: for every alpha of
     ALPHAS, one _select_walk call per n <= N_MAX and _march's yields to N_MAX,
     or to LONG_N_MAX for the alphas of LONG_ALPHAS, and one _select_walk call
@@ -99,6 +102,7 @@ def corpus(work: Path) -> list[list]:
             argvs += [["crossing", "--alpha", a, "--level", level, "--n-max", "200000", "--mode", mode, "--tail", tail]
                       for a, level in FAR_CROSSINGS]
     cases = {" ".join(["cli", *argv]): ["cli", argv] for argv in argvs}  # a request repeated across seeds runs once
+    cases.update({" ".join(["fresh", *argv]): ["fresh", argv] for argv in [["--help"], *_golden_argv()]})
     for mode in MODES:
         for tail in TAILS:
             for alpha in ALPHAS:
@@ -148,6 +152,15 @@ def _library(kind: str, mode: str, tail: str, alphas: list[float], n_max: int = 
     return 0
 
 
+def _fresh(argv: list[str]) -> int:
+    """Run one CLI call in a fresh interpreter, as the console script does, and print what it printed."""
+    code = "import sys; from threshold_lab.cli import main; sys.argv[0] = 'threshold-lab'; main()"
+    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True)
+    sys.stdout.write(done.stdout)
+    sys.stderr.write(done.stderr)
+    return done.returncode
+
+
 def run_corpus(corpus_path: str, out_path: str) -> None:
     """Run every case of the corpus file in this interpreter and write {name: [exit code, stdout, stderr]}."""
     from threshold_lab.cli import parse_and_dispatch
@@ -157,7 +170,8 @@ def run_corpus(corpus_path: str, out_path: str) -> None:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
-                code = parse_and_dispatch(arg) if kind == "cli" else _library(kind, *arg)
+                code = (parse_and_dispatch(arg) if kind == "cli" else _fresh(arg) if kind == "fresh"
+                        else _library(kind, *arg))
             except Exception as exc:  # a revision without the name, or a call that fails: part of its output
                 print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
                 code = 1

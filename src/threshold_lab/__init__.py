@@ -12,16 +12,35 @@ Binomial mass is computed in log space through log-gamma, with no normal
 approximation; the log-gamma differences lose digits as n grows (pmf error
 up to 2.8e-9 relative for k in [n/2, n/2 + 7 sqrt(n)] at n = 1e6).  The
 normal CDF uses erfc, the quantile the standard library's NormalDist.inv_cdf.
-"""
 
-from .bayes_evidence import *
-from .binomial_kernel import *
-from .gaussian_numerics import *
-from .power_design import *
-from .replicability import *
-from .sweep_report import *
+Importing the package loads none of its modules (PEP 562), so that
+`import threshold_lab.cli` loads only what the CLI's command runs.  The
+first name looked up here that the package does not bind yet loads every
+library module and binds, here, each name in each module's __all__: an
+exported name such as threshold_lab.p_value, __all__, `from threshold_lab
+import *` and dir() do, and so does the lookup that `from threshold_lab
+import cli` makes before it imports cli.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = ["__version__", *bayes_evidence.__all__, *binomial_kernel.__all__, *gaussian_numerics.__all__,
-           *power_design.__all__, *replicability.__all__, *sweep_report.__all__]
+_MODULES = ("bayes_evidence", "binomial_kernel", "gaussian_numerics", "power_design", "replicability",
+            "sweep_report")
+
+
+def __getattr__(name: str):
+    namespace = globals()
+    if "__all__" not in namespace:  # the first miss
+        from importlib import import_module
+
+        modules = [import_module(f"{__name__}.{module}") for module in _MODULES]
+        namespace.update((export, getattr(module, export)) for module in modules for export in module.__all__)
+        namespace["__all__"] = ["__version__", *(export for module in modules for export in module.__all__)]
+    if name in namespace:
+        return namespace[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    __getattr__("__all__")
+    return list(globals())

@@ -1,4 +1,4 @@
-"""Argument checks shared by every public entry point.
+"""Argument checks shared by every public entry point, and the error of a request that no count can meet.
 
 One rule for every number: it must be an int or a float that is not a bool
 (np.float64 passes as a float subclass; a str, None, Decimal or np.float32
@@ -20,6 +20,10 @@ MAX_N = 10**7
 MAX_SHAPE = 1e6
 
 _FLOAT_MAX = sys.float_info.max
+
+
+class InfeasibleError(ValueError):
+    """No success count can satisfy the requested significance constraint."""
 
 
 class _Checked:

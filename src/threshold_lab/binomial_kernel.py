@@ -34,7 +34,7 @@ import math
 from enum import Enum
 from typing import NamedTuple
 
-from ._checks import MAX_N, _Checked, _check_instance, _check_n, _check_real, _check_unit, _shown
+from ._checks import MAX_N, InfeasibleError, _Checked, _check_instance, _check_n, _check_real, _check_unit, _shown
 from .gaussian_numerics import _inv_cdf
 
 __all__ = [
@@ -53,10 +53,6 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _SCALE, _LN_SCALE = 2.0 ** 512, 512.0 * _LN2  # the unit of every decision (_tol): no value compared in it is subnormal
-
-
-class InfeasibleError(ValueError):
-    """No success count can satisfy the requested significance constraint."""
 
 
 class BinomialOutcome(_Checked, NamedTuple("BinomialOutcome", [("n", int), ("s", int)])):
@@ -272,7 +268,8 @@ def _select_walk(n: int, alphas: tuple[float, ...], mode: SelectionMode, tail: T
             g = max(half + 1, min(g, math.ceil(n / 2.0 + 0.5 + (z - z * (z * z - 3.0) / (12.0 * n)) * root)))
         guesses.append(g)
         hi, low = max(hi, g), min(low, g)
-    hi = cut(hi)  # the cut-off never falls as k grows
+    top = hi  # the highest guess, whose p the walk reads first
+    hi = top_cut = cut(top)  # the cut-off never falls as k grows
     terms = _log_terms(n, hi, max(half, low - 2))  # terms[hi - k] = _log_term(n, k), down to the lowest guess's k - 1
     folds, tails = {}, {}  # folds[t] = (k, ln P(X >= k)): the deepest read from cut-off t; tails[k]: k's own fold
 
@@ -281,7 +278,7 @@ def _select_walk(n: int, alphas: tuple[float, ...], mode: SelectionMode, tail: T
         if k <= half:  # the walk stops above n/2
             return math.inf
         if k not in tails:
-            t = cut(k)
+            t = top_cut if k == top else cut(k)
             if t > hi:
                 terms[:0], hi = _log_terms(n, t, hi), t
             if hi - len(terms) >= k:

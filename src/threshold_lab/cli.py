@@ -11,34 +11,24 @@ Each command is declared once, in _COMMANDS, and each flag once, in _FLAGS.
 A call that names a command builds only that command's subparser, with the
 same help text and messages as the full tree, which --help, no arguments or
 an unknown command still get.
+
+A call loads only the library modules that its command runs: each handler
+imports what it calls from the one module that does its work, which also
+binds the records and enums it takes, so that a warm process pays one cached
+module lookup per call.  A text or flag that shows a library value, the
+--mode and --tail choices and the default trial-count ladder, is read when a
+parser first shows it; the full tree reads them all.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
-from ._checks import _shown
-from .bayes_evidence import BetaPrior, posterior_h0
-from .binomial_kernel import (
-    BinomialOutcome,
-    InfeasibleError,
-    SelectionMode,
-    TailConvention,
-    select_barely_significant,
-)
-from .power_design import ZTestDesign, achieved_power, diagnosticity_gain, required_n
-from .replicability import p_rep
-from .sweep_report import (
-    DEFAULT_ALPHAS,
-    DEFAULT_N_VALUES,
-    SweepGrid,
-    dump_json,
-    emit,
-    find_crossing,
-    run_sweep,
-)
+from ._checks import InfeasibleError, _shown
+from ._format import dump_json
 
 __all__ = ["parse_and_dispatch", "main"]
 
@@ -65,6 +55,8 @@ def _alpha_list(text: str) -> tuple[float, ...]:
 
 
 def _cmd_posterior(args: argparse.Namespace) -> dict:
+    from .bayes_evidence import BetaPrior, BinomialOutcome, posterior_h0
+
     outcome = BinomialOutcome(args.n, args.s)
     report = posterior_h0(outcome, BetaPrior(args.prior_a, args.prior_b), args.pi0)
     return {
@@ -77,6 +69,8 @@ def _cmd_posterior(args: argparse.Namespace) -> dict:
 
 
 def _cmd_critical(args: argparse.Namespace) -> dict:
+    from .binomial_kernel import SelectionMode, TailConvention, select_barely_significant
+
     critical = select_barely_significant(args.n, args.alpha, SelectionMode(args.mode),
                                          TailConvention(args.tail))
     return {
@@ -101,6 +95,9 @@ def _load_grid_file(path: str) -> tuple[int, ...]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
+    from .sweep_report import (DEFAULT_ALPHAS, DEFAULT_N_VALUES, BetaPrior, SelectionMode, SweepGrid, TailConvention,
+                               emit, run_sweep)
+
     n_values = _load_grid_file(args.grid) if args.grid else DEFAULT_N_VALUES
     grid = SweepGrid(
         n_values=n_values,
@@ -114,6 +111,8 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 
 
 def _cmd_crossing(args: argparse.Namespace) -> dict:
+    from .sweep_report import BetaPrior, SelectionMode, TailConvention, find_crossing
+
     n = find_crossing(args.alpha, args.level, SelectionMode(args.mode), TailConvention(args.tail),
                       BetaPrior(args.prior_a, args.prior_b), args.n_max)
     return {
@@ -127,10 +126,14 @@ def _cmd_crossing(args: argparse.Namespace) -> dict:
 
 
 def _cmd_prep(args: argparse.Namespace) -> dict:
+    from .replicability import p_rep
+
     return p_rep(args.p)._asdict()
 
 
 def _cmd_power(args: argparse.Namespace) -> dict:
+    from .power_design import ZTestDesign, achieved_power, required_n
+
     design = ZTestDesign(mu0=args.mu0, mu_alt=args.mu_alt, sigma=args.sigma,
                          alpha=args.alpha, beta=args.beta)
     n = required_n(design)
@@ -146,6 +149,8 @@ def _cmd_power(args: argparse.Namespace) -> dict:
 
 
 def _cmd_diagnosticity(args: argparse.Namespace) -> dict:
+    from .power_design import BetaPrior, SelectionMode, diagnosticity_gain
+
     gain = diagnosticity_gain(args.a, args.b, SelectionMode(args.mode),
                               BetaPrior(args.prior_a, args.prior_b))
     return {
@@ -168,15 +173,38 @@ class _Parser(argparse.ArgumentParser):
         super().error(message)
 
 
-# Each flag's argparse keywords, once; a command lists the flags it takes in _COMMANDS.
+# The flags and texts that show a library value, read once, when a parser first shows them: a command that does not
+# show them imports neither the selection kernel (for the --mode and --tail choices) nor the sweep (for its ladder).
+@functools.cache
+def _mode_flag() -> dict:
+    from .binomial_kernel import SelectionMode
+
+    return dict(choices=tuple(sorted(m.value for m in SelectionMode)), default="nearest",
+                help="how the barely-significant s is chosen (default: nearest)")
+
+
+@functools.cache
+def _tail_flag() -> dict:
+    from .binomial_kernel import TailConvention
+
+    return dict(choices=tuple(sorted(t.value for t in TailConvention)), default="two",
+                help="sign-test tail convention (default: two, i.e. two-sided symmetric)")
+
+
+@functools.cache
+def _ladder() -> tuple[int, ...]:
+    from .sweep_report import DEFAULT_N_VALUES
+
+    return DEFAULT_N_VALUES
+
+
+# Each flag's argparse keywords, once, or the function that reads them; a command lists the flags it takes in _COMMANDS.
 _FLAGS = {
     "--n": dict(type=int, required=True, help="trial count"),
     "--s": dict(type=int, required=True, help="success count"),
     "--alpha": dict(type=float, required=True, help="significance threshold"),
-    "--mode": dict(choices=sorted(m.value for m in SelectionMode), default="nearest",
-                   help="how the barely-significant s is chosen (default: nearest)"),
-    "--tail": dict(choices=sorted(t.value for t in TailConvention), default="two",
-                   help="sign-test tail convention (default: two, i.e. two-sided symmetric)"),
+    "--mode": _mode_flag,
+    "--tail": _tail_flag,
     "--prior-a": dict(type=float, default=1.0, metavar="R",
                       help="Beta prior shape a for the alternative (default: 1)"),
     "--prior-b": dict(type=float, default=1.0, metavar="R",
@@ -199,7 +227,7 @@ _FLAGS = {
     "--b": dict(type=_alpha_n_pair, required=True, metavar="ALPHA,N", help="second operating point"),
 }
 
-# Each command once: (handler, help, description, its flags in --help order).
+# Each command once: (handler, help, description or the function that reads it, its flags in --help order).
 _COMMANDS = {
     "posterior": (_cmd_posterior, "evidence report for an observed (n, s)",
                   "Posterior probability of the point null theta=0.5 against a Beta-prior alternative, for n "
@@ -209,9 +237,9 @@ _COMMANDS = {
                  "The success count whose sign-test p-value sits at the significance threshold. Defaults: "
                  "mode=nearest, tail=two.", ("--n", "--alpha", "--mode", "--tail")),
     "sweep": (_cmd_sweep, "posterior grid over alpha x n (CSV or JSON)",
-              "Evaluate the barely-significant posterior over a grid of (alpha, n) cells. Defaults: the built-in "
-              f"15-point trial-count ladder {', '.join(str(n) for n in DEFAULT_N_VALUES)}; alphas 0.05, 0.01, "
-              "0.001, 0.0001; mode=nearest; tail=two; Beta(1,1) prior; CSV to standard output.",
+              lambda: "Evaluate the barely-significant posterior over a grid of (alpha, n) cells. Defaults: the "
+                      f"built-in {len(_ladder())}-point trial-count ladder {', '.join(map(str, _ladder()))}; alphas "
+                      "0.05, 0.01, 0.001, 0.0001; mode=nearest; tail=two; Beta(1,1) prior; CSV to standard output.",
               ("--grid", "--alphas", "--mode", "--tail", "--prior-a", "--prior-b", "--format", "--out")),
     "crossing": (_cmd_crossing, "first n whose posterior reaches a level",
                  "Smallest trial count at which the barely-significant posterior first touches the given level "
@@ -235,21 +263,23 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every command's subparser, or only `command`'s when it names one (a fifth of the cost)."""
+    """The parser with every command's subparser, or only `command`'s when it names one (a fifth of the cost).
+    Only the full tree's help prints the epilog, so only the full tree reads the ladder for it."""
+    full = command not in _COMMANDS
     parser = _Parser(
         prog="threshold-lab",
         description="Evidence calibration for significance thresholds: what a just-significant "
                     "result implies about the null, about replication, and about sample-size cost.",
         epilog="Defaults everywhere: mode=nearest, tail=two, Beta(1,1) prior, pi0=0.5, and the "
-               f"built-in trial-count ladder {DEFAULT_N_VALUES[0]}..{DEFAULT_N_VALUES[-1]} "
-               "(15 values) for sweeps.",
+               f"built-in trial-count ladder {_ladder()[0]}..{_ladder()[-1]} "
+               f"({len(_ladder())} values) for sweeps." if full else None,
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name in [command] if command in _COMMANDS else _COMMANDS:
+    for name in _COMMANDS if full else [command]:
         _, help_text, description, flags = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text, description=description)
+        p = sub.add_parser(name, help=help_text, description=description() if callable(description) else description)
         for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
+            p.add_argument(flag, **(_FLAGS[flag]() if callable(_FLAGS[flag]) else _FLAGS[flag]))
     return parser
 
 

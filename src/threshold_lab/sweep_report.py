@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from contextlib import nullcontext
-from typing import IO, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from ._checks import _Checked, _check_instance, _check_n, _check_real, _check_unit, _shown
+from ._format import _fmt_real, dump_json
 from .bayes_evidence import BetaPrior, _ln_bf_floor, _prior_or_uniform, _scorer, posterior_h0
 from .binomial_kernel import BinomialOutcome, SelectionMode, TailConvention, _march, _select_walk
 
@@ -167,31 +167,6 @@ def jitter_report(rows: Iterable[SweepRow]) -> list[JitterViolation]:
             )
         last[row.alpha] = row
     return violations
-
-
-def _fmt_real(x: float) -> str:
-    # The one 12-significant-digit format: CSV writes it, _quantize rounds JSON through it.
-    return "%.12g" % x
-
-
-def _quantize(obj):
-    """Round every float in a JSON payload (through dicts, lists and tuples, records included) to 12
-    significant digits; float(_fmt_real(x)) is a fixed point of this map.
-    A non-finite float becomes None (null): RFC 8259 JSON has no inf or nan."""
-    if isinstance(obj, float):
-        return float(_fmt_real(obj)) if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _quantize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_quantize(v) for v in obj]
-    return obj
-
-
-def dump_json(payload, fh: IO[str]) -> None:
-    """Write a JSON payload with every float at 12 significant digits,
-    indented by 2, with a trailing newline: the format of every JSON output."""
-    json.dump(_quantize(payload), fh, indent=2)
-    fh.write("\n")
 
 
 def emit(rows: Iterable[SweepRow], format: str, destination) -> None:

@@ -601,6 +601,16 @@ class TestTailCutoff:
         calls = log1p_calls()
         assert calls <= 1.3 * (_tail_start(n, s) - s + 1), (n, alpha, calls)
 
+    @pytest.mark.parametrize("n", [96, 1000, 10**5])
+    @pytest.mark.parametrize("tail", [ONE, TWO])
+    def test_a_walk_takes_each_cut_off_once(self, monkeypatch, n, tail):
+        # one call tells whether every tail folds from n, one gives the guess's cut-off, and one that of the s below
+        # it; the walk that took the guess's cut-off again when it read its p made 4
+        calls = []
+        monkeypatch.setattr(binomial_kernel, "_tail_start", lambda n, s: calls.append(s) or _tail_start(n, s))
+        _select_walk(n, (0.05,), SelectionMode.NEAREST_TO_ALPHA, tail)
+        assert len(calls) == 3, (n, calls)
+
     def test_a_small_walk_builds_no_term_below_the_s_under_its_pick(self, monkeypatch):
         # (20, .001) picks 18: the walk builds k = 20 down to 17, where the walk that grew its list in chunks of
         # sqrt(n)/2 + 2 past Hoeffding's bound built down to 16

@@ -396,6 +396,39 @@ def test_json_output_matches_golden(capsys, golden, golden_file, argv):
     assert check(argv, 0, out) is None
 
 
+# The library modules each golden's command loads in a fresh interpreter: prep loads neither the kernel nor the
+# sweep, and critical none of the modules that score, price or sweep.
+_SCORED = {"bayes_evidence", "binomial_kernel", "gaussian_numerics"}
+GOLDEN_MODULES = {
+    "posterior.json": _SCORED,
+    "critical.json": {"binomial_kernel", "gaussian_numerics"},
+    "crossing.json": {*_SCORED, "sweep_report"},
+    "prep.json": {"gaussian_numerics", "replicability"},
+    "power.json": {*_SCORED, "power_design"},
+    "diagnosticity.json": {*_SCORED, "power_design"},
+    "sweep_strict_one.json": {*_SCORED, "sweep_report"},
+}
+
+
+def test_each_golden_matches_in_a_fresh_interpreter(golden):
+    # in process, a command that imports too little passes on what an earlier call loaded; here each golden runs in
+    # its own interpreter, as a shell user's call does, and names the modules it loaded
+    script = ("import json, sys\nfrom threshold_lab.cli import parse_and_dispatch\n"
+              "code = parse_and_dispatch(sys.argv[1:])\nprint(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+              "sys.exit(code)")
+    src = str(Path(threshold_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = {name: subprocess.Popen([sys.executable, "-c", script, *argv], env=env, stdout=subprocess.PIPE,
+                                   stderr=subprocess.PIPE, text=True) for name, argv in GOLDEN_ARGV}
+    results = {name: (*proc.communicate(timeout=60), proc.returncode) for name, proc in runs.items()}
+    for name, (out, err, code) in results.items():
+        assert (code, out) == (0, golden(name)), (name, err)
+        loaded = set(json.loads(err))
+        library = {m.split(".")[1] for m in loaded if m.startswith("threshold_lab.")} - {"cli", "_checks", "_format"}
+        assert library == GOLDEN_MODULES[name], name
+        assert ("csv" in loaded) == ("sweep_report" in library), name  # only the sweep writes CSV
+
+
 def _check_script_runs(command, golden, **kwargs):
     """The script prints the top-level help, and a command's JSON, taking its arguments from sys.argv."""
     result = subprocess.run([*command, "--help"], capture_output=True, text=True, timeout=60, **kwargs)

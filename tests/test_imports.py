@@ -2,6 +2,7 @@
 private name is used somewhere in the package, and importing the CLI loads only light standard modules."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -62,13 +63,23 @@ def test_the_check_sees_an_unused_import():
 
 
 def test_the_package_exports_exactly_what_its_modules_export():
-    # fails on a module export the package misses, a helper a star import leaks, or a name exported
-    # by two modules, where one star import would silently shadow the other
-    exported = [name for module in LIBRARY_MODULES for name in getattr(threshold_lab, module).__all__]
+    # the package binds each module's exports on first use (PEP 562); fails on a module export the package misses
+    # or binds to another object, a helper it binds too, or a name exported by two modules, where binding both
+    # would silently shadow one
+    modules = [importlib.import_module(f"threshold_lab.{module}") for module in LIBRARY_MODULES]
+    exported = [name for module in modules for name in module.__all__]
+    assert len(exported) == len(set(exported))
+    assert threshold_lab.__all__ == ["__version__", *exported]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(threshold_lab, name) is getattr(module, name), (module.__name__, name)
+    star = {}
+    exec("from threshold_lab import *", star)
+    assert set(star) - {"__builtins__"} == set(threshold_lab.__all__)
+    assert set(dir(threshold_lab)) >= set(threshold_lab.__all__)
     public = {name for name, value in vars(threshold_lab).items()
               if name[0] != "_" and not isinstance(value, types.ModuleType)}
-    assert len(exported) == len(set(exported))
-    assert public == set(exported) == set(threshold_lab.__all__) - {"__version__"}
+    assert public == set(exported)
 
 
 def test_sweep_report_takes_two_private_kernel_names():
