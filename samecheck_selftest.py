@@ -55,7 +55,6 @@ class SameCheck(unittest.TestCase):
         self.assertRegex(done.stdout, r"\n\+\s+crossing\s+first n whose posterior touches a level\n")
         self.assertRegex(done.stdout, rf"\nsamecheck: {len(named)} of \d+ cases differ against HEAD\n$")
 
-
     def test_a_fresh_call_shows_an_import_that_only_an_earlier_case_made(self):
         # prep doctored to read the kernel, which it does not import: in one process the benchmark's sweeps have
         # loaded the kernel before the first prep, so only prep's fresh-interpreter case shows the fault

@@ -19,7 +19,9 @@ first name looked up here that the package does not bind yet loads every
 library module and binds, here, each name in each module's __all__: an
 exported name such as threshold_lab.p_value, __all__, `from threshold_lab
 import *` and dir() do, and so does the lookup that `from threshold_lab
-import cli` makes before it imports cli.
+import cli` makes before it imports cli.  The benchmark's tracer relies on
+that last one: its worker runs `from threshold_lab import cli,
+sweep_report`, and the tracer then reads every module from sys.modules.
 """
 
 __version__ = "0.1.0"
