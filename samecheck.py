@@ -13,8 +13,11 @@ cases:
   - CLI calls through parse_and_dispatch: the benchmark's requests at seeds
     101, 102 and 7 (perfbench.workloads.make_plan, with their grid files);
     --help, each COMMAND --help and -h COMMAND, no arguments and an unknown
-    command; the argv of the goldens in tests/test_cli.py; the default sweep in
-    CSV and JSON, the 18 benchmark crossings and the FAR_CROSSINGS at n-max
+    command; the argv of the goldens in tests/test_cli.py, and each golden's
+    edge matrix (_edge_argv: a trailing positional, an unknown flag,
+    --flag=value, an abbreviated flag, -- before and after the flags, -h after
+    them, a repeated flag, no flags, a negative value and a lone -, as a value
+    and as a positional); the default sweep in CSV and JSON, the 18 benchmark crossings and the FAR_CROSSINGS at n-max
     200000, in each mode x tail;
   - --help and the argv of each golden again, each in a fresh interpreter
     through the console script's main, as a shell user runs them: in one
@@ -79,6 +82,17 @@ def _golden_argv() -> list[list[str]]:
     return [argv for _, argv in ast.literal_eval(node.value)]
 
 
+def _edge_argv(argv: list[str]) -> list[list[str]]:
+    """The edge matrix of one golden's argv, COMMAND FLAG VALUE ..., each a call whose parse can go wrong."""
+    command, flag, value, rest = argv[0], argv[1], argv[2], argv[3:]
+    longest = max(argv[1::2], key=len)
+    abbreviated = ([command, *(longest[:4] if a == longest else a for a in argv[1:])] if len(longest) > 4
+                   else [*argv, "--hel"])  # prep's one flag, --p, is too short: abbreviate --help
+    return [[*argv, "extra"], [*argv, "--bogus"], [command, f"{flag}={value}", *rest], abbreviated,
+            [command, "--", *argv[1:]], [*argv, "--"], [*argv, "-h"], [*argv, flag, value], [command],
+            [command, flag, f"-{value}", *rest], [command, flag, "-", *rest], [*argv, "-"]]
+
+
 def corpus(work: Path) -> list[list]:
     """Every case as [name, kind, argument]; writes the benchmark's grid files under work, one folder a seed."""
     from perfbench.workloads import CROSSING_ALPHAS, CROSSING_LEVELS, WORKLOADS, make_plan
@@ -93,7 +107,7 @@ def corpus(work: Path) -> list[list]:
             argvs += [[f"{seed}/{a}" if a in plan.files else a for a in argv] for argv in plan.requests]
     commands = json.loads((ROOT / "tests" / "data" / "cli_surface.json").read_text(encoding="utf-8"))
     argvs += [["--help"], *([c, "--help"] for c in commands), *(["-h", c] for c in commands), [], ["bogus"]]
-    argvs += _golden_argv()
+    argvs += _golden_argv() + [edge for argv in _golden_argv() for edge in _edge_argv(argv)]
     for mode in MODES:
         for tail in TAILS:
             argvs += [["sweep", "--mode", mode, "--tail", tail, "--format", f] for f in ("csv", "json")]

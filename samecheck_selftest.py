@@ -1,6 +1,6 @@
 """Self-test of samecheck.py: no difference against HEAD, and the changed cases of doctored copies named.
 
-Run from the root of the checkout (about 20 s):
+Run from the root of the checkout (about 25 s):
 
     python3 -m unittest samecheck_selftest -v
 """
@@ -15,8 +15,11 @@ import tempfile
 import unittest
 from pathlib import Path
 
+import samecheck
+
 ROOT = Path(__file__).resolve().parent
 COMMANDS = json.loads((ROOT / "tests" / "data" / "cli_surface.json").read_text(encoding="utf-8"))
+GOLDEN_ARGV = samecheck._golden_argv()
 
 
 def _samecheck(root: Path, rev: str, kinds: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
@@ -74,6 +77,29 @@ class SameCheck(unittest.TestCase):
         self.assertEqual(named, ["fresh prep --p 0.05"])
         self.assertRegex(done.stdout, r"\n\+KeyError: 'threshold_lab.binomial_kernel'\n")
 
+    def test_a_command_parser_that_reports_leftovers_itself_is_named(self):
+        # the one-parser path doctored to parse_args alone: the command's usage and error replace the top level's
+        # "unrecognized arguments", which only the edge matrix's calls with arguments left over show
+        with tempfile.TemporaryDirectory() as tmp:
+            copy = Path(tmp) / "copy"
+            subprocess.run(["git", "clone", "-q", "--shared", str(ROOT), str(copy)], check=True)
+            for name in ("samecheck.py", "src/threshold_lab/cli.py"):  # the script and the parser, committed or not
+                shutil.copy(ROOT / name, copy / name)
+            cli = copy / "src" / "threshold_lab" / "cli.py"
+            text = cli.read_text(encoding="utf-8")
+            known = ".parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))\n"
+            self.assertEqual(text.count(known), 1)
+            cli.write_text(text.replace(known, ".parse_args(argv[1:], argparse.Namespace(command=argv[0])), []\n"),
+                           encoding="utf-8")
+            done = _samecheck(copy, "HEAD", kinds=("cli",))
+        self.assertEqual(done.returncode, 1, done.stderr)
+        named = [line[len("differs: "):] for line in done.stdout.splitlines() if line.startswith("differs: ")]
+        want = [f"cli {' '.join(argv)} {extra}" for argv in GOLDEN_ARGV for extra in ("extra", "--bogus", "--", "-")]
+        # sweep requires no flag, so every flag after its -- is left over too
+        want += [f"cli sweep -- {' '.join(argv[1:])}" for argv in GOLDEN_ARGV if argv[0] == "sweep"]
+        self.assertEqual(sorted(named), sorted(want))
+        self.assertRegex(done.stdout, r"\n-threshold-lab: error: unrecognized arguments: extra\n")
+        self.assertRegex(done.stdout, r"\n\+threshold-lab prep: error: unrecognized arguments: extra\n")
 
 if __name__ == "__main__":
     unittest.main()

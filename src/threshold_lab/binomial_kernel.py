@@ -35,7 +35,6 @@ from enum import Enum
 from typing import NamedTuple
 
 from ._checks import MAX_N, InfeasibleError, _Checked, _check_instance, _check_n, _check_real, _check_unit, _shown
-from .gaussian_numerics import _inv_cdf
 
 __all__ = [
     "BinomialOutcome",
@@ -225,6 +224,15 @@ def _tol(alpha: float, m: float, lg: float) -> float:
     scan step's) and 37 for lg's (delta's eps/2 fits the spare unit of the m that takes the walk).
     """
     return 37.0 * math.ulp(1.0) * (alpha * _SCALE) * (lg + m * (1.0 - math.log(alpha)))
+
+
+def _inv_cdf(q: float) -> float:
+    """The normal quantile, bound here to gaussian_numerics._inv_cdf on the first call: a command that selects no s
+    (posterior) loads neither gaussian_numerics nor its statistics, with decimal and fractions."""
+    global _inv_cdf
+    from .gaussian_numerics import _inv_cdf
+
+    return _inv_cdf(q)
 
 
 def _select_walk(n: int, alphas: tuple[float, ...], mode: SelectionMode, tail: TailConvention) -> list:

@@ -8,9 +8,10 @@ argparse's usage error, which shows a value over 30 characters by its length.
 Standard output carries data only; every diagnostic goes to standard error.
 
 Each command is declared once, in _COMMANDS, and each flag once, in _FLAGS.
-A call that names a command builds only that command's subparser, with the
-same help text and messages as the full tree, which --help, no arguments or
-an unknown command still get.
+A call that names a command parses with one parser, that command's own, whose
+help text and messages are those of its subparser in the full tree.  The full
+tree is built only for --help, no arguments, an unknown command, or arguments
+left over, which its top level reports.
 
 A call loads only the library modules that its command runs: each handler
 imports what it calls from the one module that does its work, which also
@@ -262,32 +263,52 @@ _COMMANDS = {
 }
 
 
+def _command_parser(name: str, add_parser=None) -> argparse.ArgumentParser:
+    """name's own parser, or with add_parser its subparser in the full tree; either has its description and flags."""
+    _, help_text, description, flags = _COMMANDS[name]
+    description = description() if callable(description) else description
+    parser = (add_parser(name, help=help_text, description=description) if add_parser
+              else _Parser(prog=f"threshold-lab {name}", description=description))
+    for flag in flags:
+        parser.add_argument(flag, **(_FLAGS[flag]() if callable(_FLAGS[flag]) else _FLAGS[flag]))
+    return parser
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every command's subparser, or only `command`'s when it names one (a fifth of the cost).
-    Only the full tree's help prints the epilog, so only the full tree reads the ladder for it."""
-    full = command not in _COMMANDS
+    """The full tree, the top level and every command's subparser; or, when `command` names one, that command's own
+    parser, which has the prog, description and flags of its subparser in the tree (an eighth of the parsers)."""
+    if command in _COMMANDS:
+        return _command_parser(command)
     parser = _Parser(
         prog="threshold-lab",
         description="Evidence calibration for significance thresholds: what a just-significant "
                     "result implies about the null, about replication, and about sample-size cost.",
         epilog="Defaults everywhere: mode=nearest, tail=two, Beta(1,1) prior, pi0=0.5, and the "
                f"built-in trial-count ladder {_ladder()[0]}..{_ladder()[-1]} "
-               f"({len(_ladder())} values) for sweeps." if full else None,
+               f"({len(_ladder())} values) for sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name in _COMMANDS if full else [command]:
-        _, help_text, description, flags = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text, description=description() if callable(description) else description)
-        for flag in flags:
-            p.add_argument(flag, **(_FLAGS[flag]() if callable(_FLAGS[flag]) else _FLAGS[flag]))
+    for name in _COMMANDS:
+        _command_parser(name, sub.add_parser)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv's namespace, as the full tree reads it.  A known command parses the rest of argv with its own parser
+    alone, which prints the same help and errors as its subparser; arguments left over go to the full tree, whose top
+    level reports them, as do --help, no arguments and an unknown command."""
+    if argv and argv[0] in _COMMANDS:
+        args, extras = build_parser(argv[0]).parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def parse_and_dispatch(argv: list[str] | None = None) -> int:
     """Run one CLI invocation and return its exit status (never raises SystemExit)."""
     argv = sys.argv[1:] if argv is None else argv
-    try:  # a known command's parser holds only its subparser; help and errors read the same as the full tree's
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+    try:
+        args = _parse(argv)
     except SystemExit as exc:  # argparse prints its own message and exits 0 (--help) or 2
         return exc.code
     try:

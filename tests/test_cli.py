@@ -11,7 +11,7 @@ import pytest
 
 import threshold_lab
 from threshold_lab import BinomialOutcome, TailConvention, p_rep, p_value
-from threshold_lab.cli import build_parser, parse_and_dispatch
+from threshold_lab.cli import _parse, build_parser, parse_and_dispatch
 
 import reference
 from check import check
@@ -400,7 +400,7 @@ def test_json_output_matches_golden(capsys, golden, golden_file, argv):
 # sweep, and critical none of the modules that score, price or sweep.
 _SCORED = {"bayes_evidence", "binomial_kernel", "gaussian_numerics"}
 GOLDEN_MODULES = {
-    "posterior.json": _SCORED,
+    "posterior.json": {"bayes_evidence", "binomial_kernel"},  # it selects no s, so it takes no normal quantile
     "critical.json": {"binomial_kernel", "gaussian_numerics"},
     "crossing.json": {*_SCORED, "sweep_report"},
     "prep.json": {"gaussian_numerics", "replicability"},
@@ -485,32 +485,44 @@ def _returns(kind, sample):
         return "refused"
 
 
-def cli_surface(parser):
-    """Each command's help, description and flags in order: option strings, dest, default, required, choices,
-    metavar, help, and what its type returns for each of TYPE_SAMPLES (the tests above pin the messages).  It
-    reads what the parser declares, not its --help text, which differs across Python versions (3.10 says
-    "optional arguments:")."""
-    sub = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
-    helps = {choice.dest: choice.help for choice in sub._choices_actions}
-    return {name: {"help": helps[name], "description": command.description, "flags": [
+def declared(command):
+    """A command parser's description and flags in order: option strings, dest, default, required, choices, metavar,
+    help, and what its type returns for each of TYPE_SAMPLES (the tests above pin the messages).  It reads what the
+    parser declares, not its --help text, which differs across Python versions (3.10 says "optional arguments:")."""
+    return {"description": command.description, "flags": [
         {"options": action.option_strings, "dest": action.dest, "default": repr(action.default),
          "required": action.required, "choices": action.choices and list(action.choices), "metavar": action.metavar,
          "help": action.help, "type": [_returns(action.type, sample) for sample in TYPE_SAMPLES]}
         for action in command._actions if not isinstance(action, argparse._HelpAction)]}
-        for name, command in sub.choices.items()}
+
+
+def subparsers(parser):
+    return next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+
+
+def cli_surface(parser):
+    """Each command's help, description and flags, as the full tree declares them."""
+    helps = {choice.dest: choice.help for choice in subparsers(parser)._choices_actions}
+    return {name: {"help": helps[name], **declared(command)} for name, command in subparsers(parser).choices.items()}
 
 
 def test_the_parser_declares_the_pinned_surface(golden):
     # cli_surface.json is json.dumps(cli_surface(build_parser()), indent=1) + "\n" of the parser that declared
     # each command in its own block, before the tables; a command or flag declared wrongly in them shows here
     assert cli_surface(build_parser()) == json.loads(golden("cli_surface.json"))
-    assert list(cli_surface(build_parser("sweep"))) == ["sweep"]
+    # a command's own parser, which a call that names it parses with, declares what its subparser in the tree does
+    tree = subparsers(build_parser()).choices
+    for name in COMMANDS:
+        own = build_parser(name)
+        assert not any(isinstance(action, argparse._SubParsersAction) for action in own._actions)
+        assert own.prog == tree[name].prog == f"threshold-lab {name}"
+        assert declared(own) == declared(tree[name])
 
 
-def parsed(parser, argv, capsys):
-    """The namespace parser makes of argv, or the exit status of its help or error, with what it printed."""
+def parsed(parse, argv, capsys):
+    """The namespace parse makes of argv, or the exit status of its help or error, with what it printed."""
     try:
-        result = vars(parser.parse_args(argv))
+        result = vars(parse(argv))
     except SystemExit as exc:
         result = exc.code
     captured = capsys.readouterr()
@@ -519,8 +531,9 @@ def parsed(parser, argv, capsys):
 
 @pytest.mark.parametrize("argv", PARITY_ARGV, ids=lambda argv: " ".join(argv) or "no arguments")
 def test_the_command_parser_reads_argv_as_the_full_tree_does(capsys, argv):
-    # parse_and_dispatch builds build_parser(argv[0]); help text, errors and values must not tell it apart
-    assert parsed(build_parser(argv[0] if argv else None), argv, capsys) == parsed(build_parser(), argv, capsys)
+    # parse_and_dispatch parses with _parse, one parser for a known command; help text, errors and values must not
+    # tell it apart from the full tree
+    assert parsed(_parse, argv, capsys) == parsed(build_parser().parse_args, argv, capsys)
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
@@ -528,20 +541,22 @@ def test_the_command_parser_reads_every_benchmark_request_as_the_full_tree_does(
     full = build_parser()
     for seed in (1, 2, 3):
         for argv in make_plan(workload, seed).requests:
-            assert parsed(build_parser(argv[0]), argv, capsys) == parsed(full, argv, capsys), argv
+            assert parsed(_parse, argv, capsys) == parsed(full.parse_args, argv, capsys), argv
 
 
 @pytest.mark.parametrize("argv,parsers", [
-    (["critical", "--n", "100", "--alpha", "0.05"], 2),
-    (["prep", "--p", "x"], 2),
-    (["sweep", "--help"], 2),
+    (["critical", "--n", "100", "--alpha", "0.05"], 1),
+    (["prep", "--p", "x"], 1),
+    (["sweep", "--help"], 1),
+    (["prep", "--p", ".5", "extra"], 1 + 8),
     (["--help"], 8),
     (["-h", "critical"], 8),
     (["bogus"], 8),
     ([], 8),
 ])
 def test_a_known_command_builds_only_its_own_parser(capsys, monkeypatch, argv, parsers):
-    # the top level and one subparser; help, no command and an unknown one get the top level and all seven
+    # the command's own parser; arguments left over go on to the full tree, whose top level reports them, and help,
+    # no command and an unknown one get the top level and all seven subparsers
     built = 0
     init = argparse.ArgumentParser.__init__
 
@@ -576,6 +591,18 @@ def test_a_refused_flag_value_over_30_characters_is_shown_by_its_length(capsys, 
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("usage: threshold-lab ") and err.endswith(f": error: {message}\n") and len(err) < 600
+
+
+@pytest.mark.parametrize("golden_file,argv", GOLDEN_ARGV)
+def test_a_second_call_shows_its_own_refused_value_by_its_length(capsys, golden, golden_file, argv):
+    # each call parses with a parser of its own: the second call's message shows its own 40-character value, and
+    # not a value or a parser of the first
+    assert run_cli(capsys, *argv) == (0, golden(golden_file), "")
+    flag, bad = argv[1], "x" * 40
+    code, out, err = run_cli(capsys, argv[0], flag, bad, *argv[3:])
+    assert code == 2 and out == "" and len(err) < 600
+    assert err.startswith(f"usage: threshold-lab {argv[0]} ") and f"error: argument {flag}: " in err
+    assert "a 40-character value" in err and bad not in err
 
 
 @pytest.mark.parametrize("argv,echo", [

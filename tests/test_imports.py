@@ -133,3 +133,25 @@ def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     added = {name.split(".")[0] for name in json.loads(result.stdout)} - {"threshold_lab"}
     assert not {"dataclasses", "inspect"} & added
     assert added <= sys.stdlib_module_names
+
+
+def test_a_posterior_call_loads_no_statistics_decimal_or_fractions():
+    # posterior selects no s, so it takes no normal quantile: the kernel binds gaussian_numerics' quantile on its
+    # first call; statistics, with decimal and fractions, was about a third of a posterior call's library imports
+    script = ("import json, sys; from threshold_lab.cli import parse_and_dispatch\n"
+              "code = parse_and_dispatch(['posterior', '--n', '100', '--s', '60'])\n"
+              "print(json.dumps(sorted(sys.modules)), file=sys.stderr); sys.exit(code)")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60, check=True,
+                            env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    loaded = set(json.loads(result.stderr))
+    assert json.loads(result.stdout)["posterior_h0"] > 0.5
+    assert "threshold_lab.binomial_kernel" in loaded
+    assert not {"statistics", "decimal", "fractions", "threshold_lab.gaussian_numerics"} & loaded
+
+
+def test_after_its_first_call_the_walk_calls_the_quantile_itself():
+    # the kernel's first _inv_cdf call binds gaussian_numerics' own, so that later walks pay no wrapper
+    from threshold_lab import binomial_kernel, gaussian_numerics
+
+    binomial_kernel.select_barely_significant(100, 0.05)
+    assert binomial_kernel._inv_cdf is gaussian_numerics._inv_cdf
