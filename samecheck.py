@@ -17,8 +17,8 @@ cases:
     edge matrix (_edge_argv: a trailing positional, an unknown flag,
     --flag=value, an abbreviated flag, -- before and after the flags, -h after
     them, a repeated flag, no flags, a negative value and a lone -, as a value
-    and as a positional); the default sweep in CSV and JSON, the 18 benchmark crossings and the FAR_CROSSINGS at n-max
-    200000, in each mode x tail;
+    and as a positional); the default sweep in CSV and JSON, the 18 benchmark
+    crossings and the FAR_CROSSINGS at n-max 200000, in each mode x tail;
   - --help and the argv of each golden again, each in a fresh interpreter
     through the console script's main, as a shell user runs them: in one
     process a command can work on modules that an earlier case loaded;
