@@ -83,8 +83,11 @@ class SameCheck(unittest.TestCase):
         with tempfile.TemporaryDirectory() as tmp:
             copy = Path(tmp) / "copy"
             subprocess.run(["git", "clone", "-q", "--shared", str(ROOT), str(copy)], check=True)
-            for name in ("samecheck.py", "src/threshold_lab/cli.py"):  # the script and the parser, committed or not
-                shutil.copy(ROOT / name, copy / name)
+            # the script and the whole package, committed or not: the parser alone may not run on HEAD's modules
+            shutil.copy(ROOT / "samecheck.py", copy)
+            shutil.rmtree(copy / "src" / "threshold_lab")
+            shutil.copytree(ROOT / "src" / "threshold_lab", copy / "src" / "threshold_lab",
+                            ignore=shutil.ignore_patterns("__pycache__"))
             cli = copy / "src" / "threshold_lab" / "cli.py"
             text = cli.read_text(encoding="utf-8")
             known = ".parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))\n"

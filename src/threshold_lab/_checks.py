@@ -1,4 +1,6 @@
-"""Argument checks shared by every public entry point, and the error of a request that no count can meet.
+"""What the CLI reads before it dispatches, and the modules share: the argument checks, the error of a request that
+no count can meet, the selection enums, the default sweep grid and the one output format (reals at 12 significant
+digits, in CSV cells and JSON payloads).  It imports no library module, so every command loads it.
 
 One rule for every number: it must be an int or a float that is not a bool
 (np.float64 passes as a float subclass; a str, None, Decimal or np.float32
@@ -10,6 +12,8 @@ from __future__ import annotations
 
 import math
 import sys
+from enum import Enum
+from typing import IO
 
 # Largest n of the O(sqrt(n)) tail routines: a selection or a p_value there takes 1-5 ms,
 # and lgamma(n + 1), which log_choose differences, has an ulp of 3e-8.
@@ -21,9 +25,29 @@ MAX_SHAPE = 1e6
 
 _FLOAT_MAX = sys.float_info.max
 
+# The sweep's default grid: the trial-count ladder and the alphas, strictly decreasing.
+DEFAULT_N_VALUES: tuple[int, ...] = (
+    20, 40, 60, 80, 100, 200, 400, 600, 800, 1000, 2000, 4000, 6000, 8000, 10000,
+)
+DEFAULT_ALPHAS: tuple[float, ...] = (0.05, 0.01, 0.001, 0.0001)
+
 
 class InfeasibleError(ValueError):
     """No success count can satisfy the requested significance constraint."""
+
+
+class TailConvention(Enum):
+    """How a sign-test p-value counts 'at least as extreme'."""
+
+    TWO_SIDED_SYMMETRIC = "two"
+    ONE_SIDED_UPPER = "one"
+
+
+class SelectionMode(Enum):
+    """Which success count counts as barely significant at a given alpha."""
+
+    NEAREST_TO_ALPHA = "nearest"
+    STRICT_AT_MOST_ALPHA = "strict"
 
 
 class _Checked:
@@ -89,3 +113,30 @@ def _check_positive(x, name: str, limit: float = _FLOAT_MAX) -> float:
     """A sigma or a prior shape: positive, finite and at most `limit`."""
     what = "a positive finite real" if limit == _FLOAT_MAX else f"a positive real at most {limit:g}"
     return _check_real(x, name, what, lambda v: 0.0 < v <= limit)
+
+
+def _fmt_real(x: float) -> str:
+    # The one 12-significant-digit format: CSV writes it, _quantize rounds JSON through it.
+    return "%.12g" % x
+
+
+def _quantize(obj):
+    """Round every float in a JSON payload (through dicts, lists and tuples, records included) to 12
+    significant digits; float(_fmt_real(x)) is a fixed point of this map.
+    A non-finite float becomes None (null): RFC 8259 JSON has no inf or nan."""
+    if isinstance(obj, float):
+        return float(_fmt_real(obj)) if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _quantize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_quantize(v) for v in obj]
+    return obj
+
+
+def dump_json(payload, fh: IO[str]) -> None:
+    """Write a JSON payload with every float at 12 significant digits,
+    indented by 2, with a trailing newline: the format of every JSON output."""
+    import json  # here, so that a library caller of the kernel alone loads no json
+
+    json.dump(_quantize(payload), fh, indent=2)
+    fh.write("\n")

@@ -31,10 +31,10 @@ none does up to n_max.  The tail routines take n <= MAX_N.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import NamedTuple
 
-from ._checks import MAX_N, InfeasibleError, _Checked, _check_instance, _check_n, _check_real, _check_unit, _shown
+from ._checks import (MAX_N, InfeasibleError, SelectionMode, TailConvention, _Checked, _check_instance, _check_n,
+                      _check_real, _check_unit, _shown)
 
 __all__ = [
     "BinomialOutcome",
@@ -74,20 +74,6 @@ class BinomialModel(_Checked, NamedTuple("BinomialModel", [("theta", float)])):
     def __new__(cls, theta: float):
         _check_real(theta, "theta", "a real number in [0, 1]", lambda t: 0.0 <= t <= 1.0)
         return super().__new__(cls, theta)
-
-
-class TailConvention(Enum):
-    """How a sign-test p-value counts 'at least as extreme'."""
-
-    TWO_SIDED_SYMMETRIC = "two"
-    ONE_SIDED_UPPER = "one"
-
-
-class SelectionMode(Enum):
-    """Which success count counts as barely significant at a given alpha."""
-
-    NEAREST_TO_ALPHA = "nearest"
-    STRICT_AT_MOST_ALPHA = "strict"
 
 
 class CriticalValue(NamedTuple):

@@ -14,22 +14,19 @@ tree is built only for --help, no arguments, an unknown command, or arguments
 left over, which its top level reports.
 
 A call loads only the library modules that its command runs: each handler
-imports what it calls from the one module that does its work, which also
-binds the records and enums it takes, so that a warm process pays one cached
-module lookup per call.  A text or flag that shows a library value, the
---mode and --tail choices and the default trial-count ladder, is read when a
-parser first shows it; the full tree reads them all.
+imports what it calls from the one module that does its work, so that a warm
+process pays one cached module lookup per call.  The enums, the default grid
+and the output format that every parser or handler may show come from
+_checks, which imports no library module.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
-from ._checks import InfeasibleError, _shown
-from ._format import dump_json
+from ._checks import DEFAULT_ALPHAS, DEFAULT_N_VALUES, InfeasibleError, SelectionMode, TailConvention, _shown, dump_json
 
 __all__ = ["parse_and_dispatch", "main"]
 
@@ -70,7 +67,7 @@ def _cmd_posterior(args: argparse.Namespace) -> dict:
 
 
 def _cmd_critical(args: argparse.Namespace) -> dict:
-    from .binomial_kernel import SelectionMode, TailConvention, select_barely_significant
+    from .binomial_kernel import select_barely_significant
 
     critical = select_barely_significant(args.n, args.alpha, SelectionMode(args.mode),
                                          TailConvention(args.tail))
@@ -87,7 +84,7 @@ def _load_grid_file(path: str) -> tuple[int, ...]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad UTF-8, bad JSON and an int past the digit limit are ValueErrors
         raise ValueError(f"cannot read grid file {path!r}: {getattr(exc, 'strerror', None) or exc}") from exc
     if (not isinstance(payload, list) or not payload
             or any(isinstance(v, bool) or not isinstance(v, int) for v in payload)):
@@ -96,8 +93,7 @@ def _load_grid_file(path: str) -> tuple[int, ...]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
-    from .sweep_report import (DEFAULT_ALPHAS, DEFAULT_N_VALUES, BetaPrior, SelectionMode, SweepGrid, TailConvention,
-                               emit, run_sweep)
+    from .sweep_report import BetaPrior, SweepGrid, emit, run_sweep
 
     n_values = _load_grid_file(args.grid) if args.grid else DEFAULT_N_VALUES
     grid = SweepGrid(
@@ -112,7 +108,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 
 
 def _cmd_crossing(args: argparse.Namespace) -> dict:
-    from .sweep_report import BetaPrior, SelectionMode, TailConvention, find_crossing
+    from .sweep_report import BetaPrior, find_crossing
 
     n = find_crossing(args.alpha, args.level, SelectionMode(args.mode), TailConvention(args.tail),
                       BetaPrior(args.prior_a, args.prior_b), args.n_max)
@@ -150,7 +146,7 @@ def _cmd_power(args: argparse.Namespace) -> dict:
 
 
 def _cmd_diagnosticity(args: argparse.Namespace) -> dict:
-    from .power_design import BetaPrior, SelectionMode, diagnosticity_gain
+    from .power_design import BetaPrior, diagnosticity_gain
 
     gain = diagnosticity_gain(args.a, args.b, SelectionMode(args.mode),
                               BetaPrior(args.prior_a, args.prior_b))
@@ -174,38 +170,15 @@ class _Parser(argparse.ArgumentParser):
         super().error(message)
 
 
-# The flags and texts that show a library value, read once, when a parser first shows them: a command that does not
-# show them imports neither the selection kernel (for the --mode and --tail choices) nor the sweep (for its ladder).
-@functools.cache
-def _mode_flag() -> dict:
-    from .binomial_kernel import SelectionMode
-
-    return dict(choices=tuple(sorted(m.value for m in SelectionMode)), default="nearest",
-                help="how the barely-significant s is chosen (default: nearest)")
-
-
-@functools.cache
-def _tail_flag() -> dict:
-    from .binomial_kernel import TailConvention
-
-    return dict(choices=tuple(sorted(t.value for t in TailConvention)), default="two",
-                help="sign-test tail convention (default: two, i.e. two-sided symmetric)")
-
-
-@functools.cache
-def _ladder() -> tuple[int, ...]:
-    from .sweep_report import DEFAULT_N_VALUES
-
-    return DEFAULT_N_VALUES
-
-
-# Each flag's argparse keywords, once, or the function that reads them; a command lists the flags it takes in _COMMANDS.
+# Each flag's argparse keywords, once; a command lists the flags it takes in _COMMANDS.
 _FLAGS = {
     "--n": dict(type=int, required=True, help="trial count"),
     "--s": dict(type=int, required=True, help="success count"),
     "--alpha": dict(type=float, required=True, help="significance threshold"),
-    "--mode": _mode_flag,
-    "--tail": _tail_flag,
+    "--mode": dict(choices=tuple(sorted(m.value for m in SelectionMode)), default="nearest",
+                   help="how the barely-significant s is chosen (default: nearest)"),
+    "--tail": dict(choices=tuple(sorted(t.value for t in TailConvention)), default="two",
+                   help="sign-test tail convention (default: two, i.e. two-sided symmetric)"),
     "--prior-a": dict(type=float, default=1.0, metavar="R",
                       help="Beta prior shape a for the alternative (default: 1)"),
     "--prior-b": dict(type=float, default=1.0, metavar="R",
@@ -213,7 +186,7 @@ _FLAGS = {
     "--pi0": dict(type=float, default=0.5, metavar="R", help="prior probability of the null model (default: 0.5)"),
     "--grid": dict(metavar="FILE", help="JSON file holding the list of trial counts (default: built-in ladder)"),
     "--alphas": dict(type=_alpha_list, metavar="LIST", help="comma-separated significance levels, strictly "
-                                                             "decreasing (default: 0.05,0.01,0.001,0.0001)"),
+                     f"decreasing (default: {','.join(map(str, DEFAULT_ALPHAS))})"),
     "--format": dict(choices=("csv", "json"), default="csv", help="output format (default: csv)"),
     "--out": dict(metavar="PATH", help="write to this file instead of standard output"),
     "--level": dict(type=float, required=True, help="posterior level to reach"),
@@ -228,7 +201,7 @@ _FLAGS = {
     "--b": dict(type=_alpha_n_pair, required=True, metavar="ALPHA,N", help="second operating point"),
 }
 
-# Each command once: (handler, help, description or the function that reads it, its flags in --help order).
+# Each command once: (handler, help, description, its flags in --help order).
 _COMMANDS = {
     "posterior": (_cmd_posterior, "evidence report for an observed (n, s)",
                   "Posterior probability of the point null theta=0.5 against a Beta-prior alternative, for n "
@@ -238,10 +211,10 @@ _COMMANDS = {
                  "The success count whose sign-test p-value sits at the significance threshold. Defaults: "
                  "mode=nearest, tail=two.", ("--n", "--alpha", "--mode", "--tail")),
     "sweep": (_cmd_sweep, "posterior grid over alpha x n (CSV or JSON)",
-              lambda: "Evaluate the barely-significant posterior over a grid of (alpha, n) cells. Defaults: the "
-                      f"built-in {len(_ladder())}-point trial-count ladder {', '.join(map(str, _ladder()))}; alphas "
-                      "0.05, 0.01, 0.001, 0.0001; mode=nearest; tail=two; Beta(1,1) prior; CSV to standard output.",
-              ("--grid", "--alphas", "--mode", "--tail", "--prior-a", "--prior-b", "--format", "--out")),
+              "Evaluate the barely-significant posterior over a grid of (alpha, n) cells. Defaults: the built-in "
+              f"{len(DEFAULT_N_VALUES)}-point trial-count ladder {', '.join(map(str, DEFAULT_N_VALUES))}; alphas "
+              f"{', '.join(map(str, DEFAULT_ALPHAS))}; mode=nearest; tail=two; Beta(1,1) prior; CSV to standard "
+              "output.", ("--grid", "--alphas", "--mode", "--tail", "--prior-a", "--prior-b", "--format", "--out")),
     "crossing": (_cmd_crossing, "first n whose posterior reaches a level",
                  "Smallest trial count at which the barely-significant posterior first touches the given level "
                  "(the curve is jittery, so this is first-touch). Null means no n up to n-max reaches it. Under the "
@@ -266,11 +239,10 @@ _COMMANDS = {
 def _command_parser(name: str, add_parser=None) -> argparse.ArgumentParser:
     """name's own parser, or with add_parser its subparser in the full tree; either has its description and flags."""
     _, help_text, description, flags = _COMMANDS[name]
-    description = description() if callable(description) else description
     parser = (add_parser(name, help=help_text, description=description) if add_parser
               else _Parser(prog=f"threshold-lab {name}", description=description))
     for flag in flags:
-        parser.add_argument(flag, **(_FLAGS[flag]() if callable(_FLAGS[flag]) else _FLAGS[flag]))
+        parser.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -284,8 +256,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Evidence calibration for significance thresholds: what a just-significant "
                     "result implies about the null, about replication, and about sample-size cost.",
         epilog="Defaults everywhere: mode=nearest, tail=two, Beta(1,1) prior, pi0=0.5, and the "
-               f"built-in trial-count ladder {_ladder()[0]}..{_ladder()[-1]} "
-               f"({len(_ladder())} values) for sweeps.",
+               f"built-in trial-count ladder {DEFAULT_N_VALUES[0]}..{DEFAULT_N_VALUES[-1]} "
+               f"({len(DEFAULT_N_VALUES)} values) for sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for name in _COMMANDS:

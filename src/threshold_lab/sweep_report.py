@@ -14,10 +14,10 @@ import json
 from contextlib import nullcontext
 from typing import Iterable, NamedTuple
 
-from ._checks import _Checked, _check_instance, _check_n, _check_real, _check_unit, _shown
-from ._format import _fmt_real, dump_json
+from ._checks import (DEFAULT_ALPHAS, DEFAULT_N_VALUES, SelectionMode, TailConvention, _Checked, _check_instance,
+                      _check_n, _check_real, _check_unit, _fmt_real, _shown, dump_json)
 from .bayes_evidence import BetaPrior, _ln_bf_floor, _prior_or_uniform, _scorer, posterior_h0
-from .binomial_kernel import BinomialOutcome, SelectionMode, TailConvention, _march, _select_walk
+from .binomial_kernel import BinomialOutcome, _march, _select_walk
 
 __all__ = [
     "DEFAULT_N_VALUES",
@@ -32,11 +32,6 @@ __all__ = [
     "parse_csv",
     "parse_json",
 ]
-
-DEFAULT_N_VALUES: tuple[int, ...] = (
-    20, 40, 60, 80, 100, 200, 400, 600, 800, 1000, 2000, 4000, 6000, 8000, 10000,
-)
-DEFAULT_ALPHAS: tuple[float, ...] = (0.05, 0.01, 0.001, 0.0001)
 
 # SweepRow columns (CSV header, JSON keys): type, and whether infeasible cells leave it empty; str column values.
 _COLUMNS = {"alpha": (float, False), "n": (int, False), "s_selected": (int, True), "p_achieved": (float, True),
@@ -56,14 +51,15 @@ class SweepGrid(_Checked, NamedTuple("SweepGrid", [("n_values", tuple[int, ...])
         n_values = tuple(_check_n(n, "n_values entries") for n in n_values)
         alphas = tuple(_check_unit(a, "alphas entries") for a in alphas)
         prior = _prior_or_uniform(prior)
-        if not n_values:
-            raise ValueError("n_values must be non-empty")
-        if any(a >= b for a, b in zip(n_values, n_values[1:])):
-            raise ValueError(f"n_values must be strictly increasing, got {n_values}")
-        if not alphas:
-            raise ValueError("alphas must be non-empty")
-        if any(a <= b for a, b in zip(alphas, alphas[1:])):
-            raise ValueError(f"alphas must be strictly decreasing, got {alphas}")
+        for name, values, sign, order in (("n_values", n_values, 1, "increasing"),
+                                          ("alphas", alphas, -1, "decreasing")):
+            if not values:
+                raise ValueError(f"{name} must be non-empty")
+            # the first pair out of order, not the whole grid, which can fill a message
+            i = next((i for i in range(1, len(values)) if sign * values[i] <= sign * values[i - 1]), None)
+            if i is not None:
+                raise ValueError(f"{name} must be strictly {order}, got {values[i - 1]!r} then {values[i]!r} "
+                                 f"at indices {i - 1} and {i}")
         _check_instance(mode, SelectionMode, "mode")
         _check_instance(tail, TailConvention, "tail")
         return super().__new__(cls, n_values, alphas, mode, tail, prior)

@@ -164,15 +164,36 @@ class TestSweepCommand:
                 "invalid start byte\n")
         assert run_cli(capsys, "sweep", "--grid", str(grid)) == (2, "", want)
 
+    def test_a_grid_file_with_a_huge_integer_is_named(self, capsys, tmp_path):
+        # past 4,300 digits json's int() raises a bare ValueError, which escaped with no path
+        grid = tmp_path / "grid.json"
+        grid.write_text(f"[20, {'9' * 4301}]")
+        try:
+            json.loads(grid.read_text())
+        except ValueError as exc:
+            want = f"error: cannot read grid file {str(grid)!r}: {exc}\n"
+        else:  # an interpreter with no digit limit reads it, and the check of n shows it by its digit count
+            want = "error: n_values entries must be at most 10000000, got a 4301-digit integer\n"
+        assert run_cli(capsys, "sweep", "--grid", str(grid)) == (2, "", want)
+
     def test_grid_file_must_hold_integers(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('["twenty"]')
         code, out, err = run_cli(capsys, "sweep", "--grid", str(bad))
         assert code == 2 and out == "" and "integers" in err
 
-    def test_increasing_alphas_exit_2(self, capsys):
+    def test_increasing_alphas_exit_2(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "sweep", "--alphas", "0.01,0.05")
         assert code == 2 and out == "" and "decreasing" in err
+        # a long grid out of order is named by its first pair, not printed whole (12,048 and 16,872 characters)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(list(range(2980, 0, -1))))
+        for argv, want in ((["--alphas", ",".join(["0.01"] * 2000)],
+                            "error: alphas must be strictly decreasing, got 0.01 then 0.01 at indices 0 and 1\n"),
+                           (["--grid", str(grid)],
+                            "error: n_values must be strictly increasing, got 2980 then 2979 at indices 0 and 1\n")):
+            code, out, err = run_cli(capsys, "sweep", *argv)
+            assert (code, out, err) == (2, "", want) and len(err) < 600
 
     def test_non_numeric_alpha_names_the_flag_not_the_parser(self, capsys):
         code, out, err = run_cli(capsys, "sweep", "--alphas", "0.05,abc")
@@ -424,7 +445,7 @@ def test_each_golden_matches_in_a_fresh_interpreter(golden):
     for name, (out, err, code) in results.items():
         assert (code, out) == (0, golden(name)), (name, err)
         loaded = set(json.loads(err))
-        library = {m.split(".")[1] for m in loaded if m.startswith("threshold_lab.")} - {"cli", "_checks", "_format"}
+        library = {m.split(".")[1] for m in loaded if m.startswith("threshold_lab.")} - {"cli", "_checks"}
         assert library == GOLDEN_MODULES[name], name
         assert ("csv" in loaded) == ("sweep_report" in library), name  # only the sweep writes CSV
 
