@@ -30,15 +30,19 @@ cases:
     and, for every n <= TIE_N_MAX, at every alpha that equals an exact tail p,
     c C(n, >= k) / 2**n for n/2 < k <= n (c = 2 two-sided), and is a float
     below 1 (1,796 cells over both tails), one _select_walk call per n and one
-    per alpha.
+    per alpha;
+  - p_value at every (n, s) with n <= P_N_MAX, one case per tail: it spans
+    the cut-over at n = 400, below which every p is the exactly rounded
+    c C(n, >= s) / 2**n.
 
 A case's output is its exit code, stdout and stderr; a library case prints
-one line per n (a walk's picks as (s, p)), a scan to LONG_N_MAX or a walk at
-LARGE_NS or at the exact tail p its line count and the sha256 of its lines,
+one line per n (a walk's picks as (s, p)), a scan to LONG_N_MAX, a walk at
+LARGE_NS or at the exact tail p, or a p_value case its line count and the
+sha256 of its lines,
 and a call that raises exits 1 with the exception on stderr.
 Each case whose output differs is printed with a unified diff of the two.
 The exit status is 1 if any case differs, 2 if a tree could not be run, and
-0 otherwise.  The run takes about 17 s on a 2-core host.
+0 otherwise.  The run takes about 28 s on a 2-core host.
 """
 
 from __future__ import annotations
@@ -69,6 +73,7 @@ LONG_ALPHAS, LONG_N_MAX = (0.05, 0.01, 1e-10, 1e-308, 1e-318), 20_000  # the sca
 # 30 seeded n, log-uniform from 2,000 to 1e6, where a walk's start follows its guessed pick's cut-off
 LARGE_NS = tuple(sorted(int(2000 * 500 ** random.Random(f"large n {i}").random()) for i in range(30)))
 TIE_N_MAX = 60  # the exact tail p that are floats, where a float walk may round a tie to either side
+P_N_MAX = 420  # p_value at every (n, s) up to here: exact below n = 400, folded from it
 # (alpha, level) at n-max 200000: five touches past where the scan's envelope first reaches the floor, and two that
 # no n touches, which end where the envelope rules out n_max
 FAR_CROSSINGS = (("0.01", "0.874"), ("0.001", "0.525"), ("0.0001", "0.198"), ("1e-10", "2.03e-07"),
@@ -127,6 +132,8 @@ def corpus(work: Path) -> list[list]:
             cases[f"walk {mode} {tail} large n, one alpha a call"] = ["large", [mode, tail, list(ALPHAS), 1]]
             cases[f"walk {mode} {tail} large n, every alpha"] = ["large", [mode, tail, list(ALPHAS), len(ALPHAS)]]
             cases[f"walk {mode} {tail} at every exact tail p, n <= {TIE_N_MAX}"] = ["ties", [mode, tail, []]]
+    for tail in TAILS:
+        cases[f"p_value {tail} at every (n, s), n <= {P_N_MAX}"] = ["pvalue", [tail]]
     return [[name, *case] for name, case in cases.items()]
 
 
@@ -166,6 +173,16 @@ def _library(kind: str, mode: str, tail: str, alphas: list[float], n_max: int = 
     return 0
 
 
+def _p_values(tail: str) -> int:
+    """Print the line count and the sha256 of p_value's repr at every (n, s), n <= P_N_MAX, one line per n."""
+    from threshold_lab.binomial_kernel import BinomialOutcome, TailConvention, p_value
+
+    tail = TailConvention(tail)
+    lines = [f"{n} {[p_value(BinomialOutcome(n, s), tail) for s in range(n + 1)]}\n" for n in range(1, P_N_MAX + 1)]
+    print(len(lines), hashlib.sha256("".join(lines).encode()).hexdigest())
+    return 0
+
+
 def _fresh(argv: list[str]) -> int:
     """Run one CLI call in a fresh interpreter, as the console script does, and print what it printed."""
     code = "import sys; from threshold_lab.cli import main; sys.argv[0] = 'threshold-lab'; main()"
@@ -185,7 +202,7 @@ def run_corpus(corpus_path: str, out_path: str) -> None:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = (parse_and_dispatch(arg) if kind == "cli" else _fresh(arg) if kind == "fresh"
-                        else _library(kind, *arg))
+                        else _p_values(*arg) if kind == "pvalue" else _library(kind, *arg))
             except Exception as exc:  # a revision without the name, or a call that fails: part of its output
                 print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
                 code = 1

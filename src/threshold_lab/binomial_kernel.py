@@ -1,17 +1,26 @@
 """Exact binomial mass, sign-test tail probabilities, and critical-count selection.
 
-Everything here is computed in log space via log-gamma, so large trial counts
-neither overflow nor lose the tail mass to underflow.  The only distribution
-involved is Binomial(n, theta); p-values are always evaluated under the null
-theta = 0.5.
+Masses are computed in log space via log-gamma, so large trial counts neither
+overflow nor lose the tail mass to underflow.  The only distribution involved
+is Binomial(n, theta); p-values are always evaluated under the null theta =
+0.5.
 
-A sign-test tail costs O(sqrt(n)) terms, not O(n): for s >= n/2 it starts at
+Below n = 400 (_EXACT_N) every tail is an exact integer, T = sum of C(n, k)
+over k >= s, summed from the shorter end (down from n, or up from the centre,
+where T is 2**(n-1) at odd n and (2**n - C(n, n/2))/2 at even n).  There the
+selection walk decides each alpha = num/den in integers, T <= floor(num 2**n
+/ (c den)), and p_value and the walk's p are c T / 2**n, an int over an int,
+so exactly rounded: every small-n pick, tie and p is exact, and cheaper than
+a float walk.  From n = 400 on, where an exact p would move a printed digit
+of the default sweep, the tails are folded in floats.
+
+A float sign-test tail costs O(sqrt(n)) terms, not O(n): for s >= n/2 it starts at
 the cut-off ceil(n/2 + sqrt((s - n/2)^2 + (n/2) L)) + 2, L = 60 ln 2 +
 ln(1 + sqrt(n / (480 ln 2))), which comes nearer s as s moves above n/2; the
 mass above it is below 2**-60 of the mass it keeps, far under half an ulp of
 the sum.  A one-sided tail below n/2 is the complement 1 - P(X >= n - s + 1),
 so every term summed lies at or above n/2 (at n = 1e6, 7,765 lgamma calls at
-s = 499,000 and 1 at s = 0).  The selection walk decides every alpha on
+s = 499,000 and 1 at s = 0).  The float selection walk decides every alpha on
 p_value's own folds, each p times 2**512, so that none is subnormal, and tests
 s = n exactly, 2**-n <= alpha (doubled two-sided): a pick and its p, bit-equal
 to p_value, depend on p_value alone.  Each alpha is one monotone search from a
@@ -148,22 +157,42 @@ def _tail_start(n: int, s: int) -> int:
     return min(n, math.ceil(m + math.sqrt((s - m) ** 2 + m * L)) + 2)
 
 
+_EXACT_N = 400  # below it every walk, p_value and ln tail is exact in integers; at n = 400 an exact p would move the
+# default sweep's (.05, 400) print, 0.0510402231292, to ...291
+
+
+def _centre(n: int) -> tuple[int, int]:
+    """(T, C(n, n//2 + 1)), T = sum of C(n, k) over k > n/2: 2**(n-1) at odd n, (2**n - C(n, n/2))/2 at even n."""
+    half, mid = n // 2, math.comb(n, n // 2)
+    return ((1 << n) - mid) >> 1 if n % 2 == 0 else 1 << n - 1, mid * (n - half) // (half + 1)
+
+
+def _exact_tail(n: int, s: int) -> int:
+    """sum of C(n, k) over k >= s, exactly, summed from whichever end is shorter: down from k = n, or up from the
+    centre (_centre); below n/2, 2**n less the tail above n - s."""
+    half = n // 2
+    if s <= half:
+        return (1 << n) - _exact_tail(n, n - s + 1)
+    t, term = 0, 1
+    if n - s < s - half:
+        for k in range(n, s - 1, -1):
+            t, term = t + term, term * k // (n - k + 1)
+        return t
+    t, term = _centre(n)
+    for k in range(half + 1, s):
+        t, term = t - term, term * (n - k) // (k + 1)
+    return t
+
+
 def _log_upper_tail(n: int, s: int) -> float:
-    """ln P(X >= s) under Binomial(n, 0.5): from s >= n/2, summed from the cut-off _tail_start(n, s) in, the smallest
-    term first, free of cancellation; below n/2, 1 - P(X >= n - s + 1), which keeps its digits near 1."""
+    """ln P(X >= s) under Binomial(n, 0.5): below _EXACT_N, the ln of the exactly rounded T / 2**n (_exact_tail); from s
+    >= n/2, summed from the cut-off _tail_start(n, s) in, the smallest term first, free of cancellation; below n/2, 1 -
+    P(X >= n - s + 1), which keeps its digits near 1."""
+    if n < _EXACT_N:
+        return math.log(_exact_tail(n, s) / (1 << n))
     if 2 * s < n:
         return math.log1p(-math.exp(_log_upper_tail(n, n - s + 1)))
     return _log_sum(_log_terms(n, _tail_start(n, s), s - 1))
-
-
-def _shift(tail: TailConvention) -> float:
-    # ln of the factor between p and the upper-tail probability it is computed from
-    return _LN2 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 0.0
-
-
-def _tail_p(log_tail: float, tail: TailConvention) -> float:
-    # the p-value whose upper tail has this ln, clamped to 1.0 where the two tails overlap
-    return min(1.0, math.exp(_shift(tail) + log_tail))
 
 
 def p_value(outcome: BinomialOutcome, tail: TailConvention = TailConvention.TWO_SIDED_SYMMETRIC) -> float:
@@ -171,13 +200,16 @@ def p_value(outcome: BinomialOutcome, tail: TailConvention = TailConvention.TWO_
 
     One-sided: P(X >= s).  Two-sided symmetric: P(X >= max(s, n-s)) +
     P(X <= min(s, n-s)), which by the theta = 0.5 symmetry equals
-    2 * P(X >= max(s, n-s)); clamped to 1.0 when both tails overlap at s = n/2.
+    2 * P(X >= max(s, n-s)); clamped to 1.0 when both tails overlap at s = n/2.  Below n = 400 it is c T / 2**n (c = 2
+    two-sided) from the exact integer tail T, an int over an int, so exactly rounded.
     """
     n, s = _check_instance(outcome, BinomialOutcome, "outcome").n, outcome.s
     _check_n(n)
-    _check_instance(tail, TailConvention, "tail")
-    hi = s if tail is TailConvention.ONE_SIDED_UPPER else max(s, n - s)
-    return _tail_p(_log_upper_tail(n, hi), tail)
+    one = _check_instance(tail, TailConvention, "tail") is TailConvention.ONE_SIDED_UPPER
+    hi = s if one else max(s, n - s)
+    if n < _EXACT_N:
+        return min(1.0, (1 if one else 2) * _exact_tail(n, hi) / (1 << n))
+    return min(1.0, math.exp((0.0 if one else _LN2) + _log_upper_tail(n, hi)))
 
 
 def min_attainable_p(n: int, tail: TailConvention = TailConvention.TWO_SIDED_SYMMETRIC) -> float:
@@ -207,7 +239,10 @@ def _tol(alpha: float, m: float, lg: float) -> float:
     lgamma values within 8 ulps, the lower two summing to at most lgamma(n_max+1); three subtractions; n ln 2; and the
     shifted exp's 14.  delta is shared by the terms stepped from that pm1: c T errs by c delta (T1 - T0), T there and at
     the next walk both in [0, alpha/c], so d2 - d1 by 2 delta alpha, once per walk.  So F needs 36 for m's eps term (a
-    scan step's) and 37 for lg's (delta's eps/2 fits the spare unit of the m that takes the walk).
+    scan step's) and 37 for lg's (delta's eps/2 fits the spare unit of the m that takes the walk).  Below _EXACT_N a
+    walk's ln tail, which _march reads, is the ln of the exactly rounded T / 2**n: two roundings, within eps (|ln p| +
+    1) of the true ln, inside one fold step's share of what a walk's fold is granted; a fresh exact walk's margins are
+    exact.
     """
     return 37.0 * math.ulp(1.0) * (alpha * _SCALE) * (lg + m * (1.0 - math.log(alpha)))
 
@@ -221,18 +256,44 @@ def _inv_cdf(q: float) -> float:
     return _inv_cdf(q)
 
 
+def _exact_walk(n: int, alphas: tuple[float, ...], nearest: bool, c: int) -> list:
+    """_select_walk's picks below _EXACT_N, decided in integers: one walk up from the centre, T(k+1) = T(k) - C(n, k)
+    and C(n, k+1) = C(n, k) (n - k)/(k + 1) (_centre), the alphas largest first.  With alpha = num/den, p(k) = c T(k) /
+    2**n <= alpha exactly where T(k) <= floor(num 2**n / (c den)), and s = n attains it where that floor is at least 1;
+    nearest mode takes s - 1 where c den (T(s-1) + T(s)) < 2 num 2**n, ties to the strict s.  p is c T / 2**n, an int
+    over an int, so exactly rounded and p_value's own float, and the ln tail is the ln of the rounded T / 2**n, as
+    _log_upper_tail takes it."""
+    half, unit = n // 2, 1 << n
+    k, (t, term), above, picks = half + 1, _centre(n), 0, []  # above = T(k - 1) once k has moved
+    for alpha in alphas:
+        num, den = alpha.as_integer_ratio()
+        bound = (num << n) // (c * den)
+        if not bound:  # p(n) = c / 2**n > alpha
+            picks.append(None)
+            continue
+        while t > bound:
+            k, above, t, term = k + 1, t, t - term, term * (n - k) // (k + 1)
+        s, tail = (k - 1, above) if nearest and k - 1 > half and c * den * (above + t) < num << n + 1 else (k, t)
+        picks.append((s, c * tail / unit, math.log(tail / unit)))
+    return picks
+
+
 def _select_walk(n: int, alphas: tuple[float, ...], mode: SelectionMode, tail: TailConvention) -> list:
     """One (s, p, ln P(X >= s)) per alpha, or None where no s attains it: the barely-significant s in (n/2, n], its
     p-value, and the ln of its upper tail, which only _march reads.
 
-    Every decision is on p_value's own fold.  p(n) = 2**-n, doubled two-sided, is tested exactly, so s = n attains alpha
-    where it is at most alpha; at odd n, P(X >= (n+1)/2) = 1/2 exactly, by symmetry; every other p(k) is c exp(ln P(X >=
-    k) + 512 ln 2) (c = 2 two-sided) against alpha 2**512, _tol's unit, where none is subnormal, the ln folded from k's
-    own cut-off _tail_start(n, k), as _log_upper_tail folds it.  From one k to the next the true tail moves by pmf(k),
-    over 1e-4 of it for n <= MAX_N, far beyond a fold's rounding, so these p fall as k grows and the strict s, p(s) <=
-    alpha < p(s - 1) (or s = n/2 + 1 where no p above n/2 exceeds alpha), is one s whatever the walk starts from.  The
-    nearest s is the strict s or s - 1, whichever p lies nearer alpha, ties to the strict s, the rule _march
-    applies.  The pick's p is its own fold's, bit-equal to p_value.
+    Below _EXACT_N, _exact_walk decides in integers, so every pick, p and ln tail there is exact, p_value's own, and
+    needs no guess, fold or 2**512 unit: 0.14 to 0.37 of the float walk's time at n = 20 to 399, one alpha or four
+    (nearest two-sided, in process, a 2-core Xeon).
+
+    From n = 400 on, every decision is on p_value's own fold.  p(n) = 2**-n, doubled two-sided, is tested exactly, so s
+    = n attains alpha where it is at most alpha; at odd n, P(X >= (n+1)/2) = 1/2 exactly, by symmetry; every other p(k)
+    is c exp(ln P(X >= k) + 512 ln 2) (c = 2 two-sided) against alpha 2**512, _tol's unit, where none is subnormal, the
+    ln folded from k's own cut-off _tail_start(n, k), as _log_upper_tail folds it.  From one k to the next the true tail
+    moves by pmf(k), over 1e-4 of it for n <= MAX_N, far beyond a fold's rounding, so these p fall as k grows and the
+    strict s, p(s) <= alpha < p(s - 1) (or s = n/2 + 1 where no p above n/2 exceeds alpha), is one s whatever the walk
+    starts from.  The nearest s is the strict s or s - 1, whichever p lies nearer alpha, ties to the strict s, the rule
+    _march applies.  The pick's p is its own fold's, bit-equal to p_value.
 
     Each alpha's search starts at a guess g = ceil(n/2 + 1/2 + z sqrt(n)/2), z the normal quantile Phi^-1(1 - alpha/c)
     less Cornish-Fisher's kurtosis term z (z^2 - 3)/(12 n), capped at Hoeffding's bound ceil(n/2 + sqrt(-2 ln(alpha/c))
@@ -241,16 +302,12 @@ def _select_walk(n: int, alphas: tuple[float, ...], mode: SelectionMode, tail: T
     and its cap only save work.  Each p(k) is read once, on k's own fold: it goes on from the deepest read of k's
     cut-off where k lies below it, as one fold from the cut-off would, and sums afresh otherwise.  Alphas (strictly
     decreasing) are searched smallest first, so reads go down, over one list of terms from the highest guess's cut-off
-    down to the lowest guess's g - 1, grown on demand; alphas whose cut-offs coincide share one fold, which at every n
-    with _tail_start(n, n//2 + 1) = n is all of them.
+    down to the lowest guess's g - 1, grown on demand; alphas whose cut-offs coincide share one fold.
     """
-    c_tail = 2.0 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 1.0  # p / P(X >= s)
-    shift, nearest, half = _shift(tail), mode is SelectionMode.NEAREST_TO_ALPHA, n // 2
-    every = _tail_start(n, half + 1) == n  # every tail folds from k = n
-
-    def cut(k):
-        return n if every else _tail_start(n, k)
-
+    two, nearest, half = tail is TailConvention.TWO_SIDED_SYMMETRIC, mode is SelectionMode.NEAREST_TO_ALPHA, n // 2
+    if n < _EXACT_N:
+        return _exact_walk(n, alphas, nearest, 2 if two else 1)
+    c_tail, shift = (2.0, _LN2) if two else (1.0, 0.0)  # p / P(X >= s), and its ln
     guesses, hi, low, root = [], half + 1, n, math.sqrt(n) / 2.0
     for alpha in alphas:
         if math.ldexp(c_tail, -n) > alpha:  # p(n) > alpha: no s attains it, in either mode
@@ -263,7 +320,7 @@ def _select_walk(n: int, alphas: tuple[float, ...], mode: SelectionMode, tail: T
         guesses.append(g)
         hi, low = max(hi, g), min(low, g)
     top = hi  # the highest guess, whose p the walk reads first
-    hi = top_cut = cut(top)  # the cut-off never falls as k grows
+    hi = top_cut = _tail_start(n, top)  # the cut-off never falls as k grows
     terms = _log_terms(n, hi, max(half, low - 2))  # terms[hi - k] = _log_term(n, k), down to the lowest guess's k - 1
     folds, tails = {}, {}  # folds[t] = (k, ln P(X >= k)): the deepest read from cut-off t; tails[k]: k's own fold
 
@@ -272,7 +329,7 @@ def _select_walk(n: int, alphas: tuple[float, ...], mode: SelectionMode, tail: T
         if k <= half:  # the walk stops above n/2
             return math.inf
         if k not in tails:
-            t = top_cut if k == top else cut(k)
+            t = top_cut if k == top else _tail_start(n, k)
             if t > hi:
                 terms[:0], hi = _log_terms(n, t, hi), t
             if hi - len(terms) >= k:
@@ -297,7 +354,7 @@ def _select_walk(n: int, alphas: tuple[float, ...], mode: SelectionMode, tail: T
         while down <= a:
             s, up, down = s - 1, down, p(s - 2)
         s -= nearest and down - a < a - up
-        picks.append((s, min(1.0, math.exp(shift + tails[s])), tails[s]))  # _tail_p's p, bit-equal to p_value
+        picks.append((s, min(1.0, math.exp(shift + tails[s])), tails[s]))  # p_value's p, bit for bit
     return picks[::-1]
 
 
@@ -311,10 +368,10 @@ def select_barely_significant(
 
     STRICT_AT_MOST_ALPHA returns the smallest s with p_value(s) <= alpha; NEAREST_TO_ALPHA returns that s or s - 1
     (where s - 1 > n/2), whichever p_value lies nearer alpha, ties to the strict s.  Both raise InfeasibleError when
-    even s = n stays above alpha (_select_walk's None).  The walk decides each s on p_value's own fold, times 2**512,
-    so no p is rounded as a subnormal, and p_achieved is that fold's p, bit-equal to p_value by construction; at an
-    exact tie (p = alpha) a strict pick's p_achieved may exceed alpha by rounding, as at (3, .5, one):
-    0.5000000000000004.
+    even s = n stays above alpha (_select_walk's None).  Below n = 400 the walk decides in integers, and p_achieved is
+    the exactly rounded p, so an exact tie is met exactly: (3, .5, strict, one) gives (2, 0.5).  From 400 on it decides
+    each s on p_value's own fold, times 2**512, so no p is rounded as a subnormal; p_achieved is that fold's p.  Either
+    way p_achieved is bit-equal to p_value.
     """
     _check_n(n)
     _check_instance(mode, SelectionMode, "mode")

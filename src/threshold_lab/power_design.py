@@ -49,11 +49,13 @@ class DiagnosticityGain(NamedTuple):
 def achieved_power(n: int, design: ZTestDesign) -> float:
     """Power of the one-sided z-test at sample size n.
 
-    Phi(delta*sqrt(n)/sigma - z_{1-alpha}), with z_{1-alpha} = -Phi^{-1}(alpha); n must convert to a float.
+    Phi(delta*sqrt(n)/sigma - z_{1-alpha}), with z_{1-alpha} = -Phi^{-1}(alpha); n must convert to a float.  Where
+    delta*sqrt(n)/sigma overflows, the power is Phi(+inf) = 1.
     """
     _check_n(n, "sample size n", limit=_FLOAT_MAX)
     z_alpha = -normal_quantile(_check_instance(design, ZTestDesign, "design").alpha)
-    return normal_cdf(design.effect * math.sqrt(n) / design.sigma - z_alpha)
+    z = design.effect * math.sqrt(n) / design.sigma - z_alpha
+    return 1.0 if z == math.inf else normal_cdf(z)
 
 
 def required_n(design: ZTestDesign) -> int:

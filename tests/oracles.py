@@ -3,7 +3,7 @@
 Exact values (pmfs, tails, p-values, selections, flat-prior posteriors) come
 from perfbench/reference.py, which the benchmark's answer check uses too; it
 is imported as `reference`. What stays here is what that reference does not
-do: reference_walk restates the library's float walk on its own, and the two
+do: reference_walk restates the library's float walk (n >= 400) on its own, and the two
 Beta-marginal routines cover non-integer prior shapes.  Nothing here shares
 code with threshold_lab.
 """
@@ -60,7 +60,7 @@ def reference_walk(n: int, alpha: float, mode: str, two_sided: bool = True) -> t
     at Hoeffding's c = ceil(n/2 + sqrt(-2 ln(alpha/c)) sqrt(n)/2), from which every p is at most alpha, and stops at the
     first p above alpha: the strict s is the k before it, and the nearest s is the strict s or s - 1, whichever p lies
     nearer alpha, ties to the strict s.  Returns (s, p), p from s's own fold.  Same floats as the library, so a pick
-    must match it exactly.
+    must match it exactly, from n = 400 on; below it the library decides in integers.
     """
     c = 2.0 if two_sided else 1.0
     if math.ldexp(c, -n) > alpha:

@@ -274,6 +274,14 @@ class TestPowerCommand:
         assert code == 0
         assert json.loads(out)["required_n"] > 2**53
 
+    def test_an_overflowing_shift_has_power_one(self, capsys):
+        # effect sqrt(n) / sigma overflows: the power is 1 at n = 1, where the call exited 2 naming an internal z
+        code, out, err = run_cli(capsys, "power", "--mu0", "0", "--mu-alt", "1e308", "--sigma", "1e-308",
+                                 "--alpha", "0.05", "--beta", "0.2", "--show-power-at", "4")
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert (data["required_n"], data["achieved_power"], data["power_at"]) == (1, 1.0, {"n": 4, "power": 1.0})
+
     def test_required_n_overflow_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "power", "--mu0", "0", "--mu-alt", "1e-200",
                                  "--sigma", "1e200", "--alpha", "0.05", "--beta", "0.2")
@@ -422,8 +430,8 @@ def test_json_output_matches_golden(capsys, golden, golden_file, argv):
 _SCORED = {"bayes_evidence", "binomial_kernel", "gaussian_numerics"}
 GOLDEN_MODULES = {
     "posterior.json": {"bayes_evidence", "binomial_kernel"},  # it selects no s, so it takes no normal quantile
-    "critical.json": {"binomial_kernel", "gaussian_numerics"},
-    "crossing.json": {*_SCORED, "sweep_report"},
+    "critical.json": {"binomial_kernel"},  # n = 100 walks in integers, with no guess, so no normal quantile
+    "crossing.json": {"bayes_evidence", "binomial_kernel", "sweep_report"},  # it touches at n = 36: exact walks
     "prep.json": {"gaussian_numerics", "replicability"},
     "power.json": {*_SCORED, "power_design"},
     "diagnosticity.json": {*_SCORED, "power_design"},

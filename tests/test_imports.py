@@ -153,5 +153,5 @@ def test_after_its_first_call_the_walk_calls_the_quantile_itself():
     # the kernel's first _inv_cdf call binds gaussian_numerics' own, so that later walks pay no wrapper
     from threshold_lab import binomial_kernel, gaussian_numerics
 
-    binomial_kernel.select_barely_significant(100, 0.05)
+    binomial_kernel.select_barely_significant(1000, 0.05)  # below n = 400 the walk is exact and takes no quantile
     assert binomial_kernel._inv_cdf is gaussian_numerics._inv_cdf

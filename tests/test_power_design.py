@@ -117,6 +117,13 @@ class TestAchievedPower:
         vals = [achieved_power(n, d) for n in range(1, 300)]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("n, design", [(10**300, ZTestDesign(0.0, 1.0, 1e-200, 0.05, 0.2)),
+                                           (1, ZTestDesign(0.0, 1e308, 1e-308, 0.05, 0.2))], ids=["n", "effect"])
+    def test_an_overflowing_shift_has_power_one(self, n, design):
+        # effect sqrt(n) / sigma overflows to inf: Phi(inf) = 1, where normal_cdf's check named its argument z
+        assert achieved_power(n, design) == 1.0
+        assert required_n(design) == 1
+
     def test_rejects_bad_n(self):
         d = ZTestDesign(mu0=0.0, mu_alt=0.2, sigma=1.0, alpha=0.05, beta=0.2)
         with pytest.raises(ValueError):
