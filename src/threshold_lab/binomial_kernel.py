@@ -273,7 +273,7 @@ def _exact_walk(n: int, alphas: tuple[float, ...], nearest: bool, c: int) -> lis
             continue
         while t > bound:
             k, above, t, term = k + 1, t, t - term, term * (n - k) // (k + 1)
-        s, tail = (k - 1, above) if nearest and k - 1 > half and c * den * (above + t) < num << n + 1 else (k, t)
+        s, tail = (k - 1, above) if nearest and k - 1 > half and c * den * (above + t) < num << (n + 1) else (k, t)
         picks.append((s, c * tail / unit, math.log(tail / unit)))
     return picks
 
