@@ -376,6 +376,20 @@ class TestMarch:
         assert got == {n: _select_walk(n, (alpha,), mode, tail)[0][0]
                        for n in range(1, 401) if feasible(n, alpha, tail)}
 
+    @pytest.mark.parametrize("tail", list(TailConvention), ids=lambda t: t.value)
+    @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("n_tie, k", [(10, 8), (37, 25), (64, 56)])
+    def test_matches_the_exact_walk_at_an_exact_tail_p(self, n_tie, k, mode, tail):
+        # alpha = c sum(C(n_tie, j), j >= k) / 2**n_tie, a float, as (10, 8) one-sided gives .0546875: the scan's
+        # float margin there is within tol, so it hands over to the exact walk, which picks k in either mode (nearest
+        # keeps the strict s at a zero margin); it picks the walk's s at every n to 420, past the exact route's cut-over
+        c = 2 if tail is TailConvention.TWO_SIDED_SYMMETRIC else 1
+        alpha = c * sum(math.comb(n_tie, j) for j in range(k, n_tie + 1)) / 2 ** n_tie
+        got = {n: s for n, s, _ in _march(alpha, mode, tail, 420)}
+        assert got == {n: _select_walk(n, (alpha,), mode, tail)[0][0]
+                       for n in range(1, 421) if feasible(n, alpha, tail)}
+        assert got[n_tie] == k
+
     def test_the_first_n_is_the_closed_form_of_the_feasibility_search(self):
         # the scan starts at n = c - e for alpha = m 2**e, 1/2 <= m < 1, with no search: the smallest n with
         # c 2**-n <= alpha, as c 2**-n falls with n.  Powers of two from 2**-1074 to 1/2, where p(n) = alpha is a tie,
