@@ -6,8 +6,8 @@ is Binomial(n, theta); p-values are always evaluated under the null theta =
 0.5.
 
 Below n = 400 (_EXACT_N) every tail is an exact integer, T = sum of C(n, k)
-over k >= s, summed from the shorter end (down from n, or up from the centre,
-where T is 2**(n-1) at odd n and (2**n - C(n, n/2))/2 at even n).  There the
+over k >= s, stepped up from the centre, where T is 2**(n-1) at odd n and
+(2**n - C(n, n/2))/2 at even n.  There the
 selection walk decides each alpha = num/den in integers, T <= floor(num 2**n
 / (c den)), and p_value and the walk's p are c T / 2**n, an int over an int,
 so exactly rounded: every small-n pick, tie and p is exact, and cheaper than
@@ -168,16 +168,11 @@ def _centre(n: int) -> tuple[int, int]:
 
 
 def _exact_tail(n: int, s: int) -> int:
-    """sum of C(n, k) over k >= s, exactly, summed from whichever end is shorter: down from k = n, or up from the
-    centre (_centre); below n/2, 2**n less the tail above n - s."""
+    """sum of C(n, k) over k >= s, exactly, stepped up from the centre (_centre) as _exact_walk steps; below n/2, 2**n
+    less the tail above n - s."""
     half = n // 2
     if s <= half:
         return (1 << n) - _exact_tail(n, n - s + 1)
-    t, term = 0, 1
-    if n - s < s - half:
-        for k in range(n, s - 1, -1):
-            t, term = t + term, term * k // (n - k + 1)
-        return t
     t, term = _centre(n)
     for k in range(half + 1, s):
         t, term = t - term, term * (n - k) // (k + 1)

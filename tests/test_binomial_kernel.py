@@ -836,22 +836,34 @@ class TestExactWalk:
     @pytest.mark.parametrize("tail", [ONE, TWO], ids=lambda t: t.value)
     @pytest.mark.parametrize("mode", list(SelectionMode), ids=lambda m: m.value)
     def test_walk_matches_exact_tails_below_400(self, mode, tail):
-        # every n < 400 at the nine alphas and at 1e-30, in one pass, against the exact rule on Fractions: the strict s
-        # is the smallest k > n/2 with p(k) <= alpha, and nearest takes s - 1 > n/2 where p(s-1) - alpha < alpha - p(s)
-        c, alphas = (2 if tail is TWO else 1), (*NINE_ALPHAS[:6], 1e-30, *NINE_ALPHAS[6:])
+        # every n < 400, in one pass each, at the nine alphas and 1e-30 and at every float below 1 that is or borders a
+        # lattice point: each p(k), k > n/2, and each midpoint (p(k-1) + p(k))/2, rounded, with its two float
+        # neighbours.  Where the rounding is exact, p(k) = alpha is a strict tie and the midpoint a nearest tie, ties to
+        # the strict s; elsewhere the margins are one ulp thin.  The rule, in exact integer margins (alpha = num/den,
+        # times den 2**n): the strict s is the smallest k > n/2 with p(k) <= alpha, and nearest takes s - 1 > n/2 where
+        # p(s-1) - alpha < alpha - p(s)
+        c, nearest = (2 if tail is TWO else 1), mode is SelectionMode.NEAREST_TO_ALPHA
         for n in range(1, 400):
-            tails, want, half = _exact_tails(n), [], n // 2
-            ps = [-Fraction(c * tails[k], 2 ** n) for k in range(half, n + 1)]  # -p(k), increasing in k
-            for alpha in alphas:
-                a = Fraction(alpha)
-                s = half + max(1, bisect.bisect_left(ps, -a))  # the smallest k > n/2 with p(k) <= alpha, or n + 1
+            tails, half, unit = _exact_tails(n), n // 2, 1 << n
+            lattice = {c * tails[k] / unit for k in range(half + 1, n + 1)}
+            lattice |= {c * (tails[k - 1] + tails[k]) / (2 * unit) for k in range(half + 1, n + 1)}
+            lattice |= {math.nextafter(a, d) for a in lattice for d in (0.0, 1.0)}
+            alphas = tuple(sorted({*NINE_ALPHAS, 1e-30, *(a for a in lattice if 0.0 < a < 1.0)}, reverse=True))
+            want, s = [], half + 1
+            for alpha in alphas:  # decreasing, so the strict s never falls
+                num, den = alpha.as_integer_ratio()
+                scaled = num << n  # alpha den 2**n, against p(k) den 2**n = c T(k) den
+                while s <= n and c * tails[s] * den > scaled:
+                    s += 1
                 if s > n:
                     want.append(None)
                     continue
-                if mode is SelectionMode.NEAREST_TO_ALPHA and s - 1 > half:
-                    s -= -ps[s - 1 - half] - a < a + ps[s - half]  # p(s-1) - alpha < alpha - p(s)
-                want.append((s, c * tails[s] / 2 ** n, math.log(tails[s] / 2 ** n)))
+                near = nearest and s - 1 > half and c * tails[s - 1] * den - scaled < scaled - c * tails[s] * den
+                pick = s - 1 if near else s
+                want.append((pick, c * tails[pick] / unit, math.log(tails[pick] / unit)))
             assert _select_walk(n, alphas, mode, tail) == want, n
+        if tail is ONE:  # p(2) - .3125 = .3125 - p(3) = .1875 at n = 3: the nearest tie goes to the strict s
+            assert _select_walk(3, (0.3125,), mode, tail) == [(3, 0.125, math.log(0.125))]
 
     def test_the_exact_route_ends_below_400(self, monkeypatch):
         # at n = 400 an exactly rounded p would change the default sweep's (.05, 400) print, 0.0510402231292, which the
